@@ -1,20 +1,24 @@
 """Exact operator calculus on the Fock space of Young diagrams."""
 
 from .partitions import Box, HalfInt, Partition, RimHookMove
-from .fock import FockVector, MayaState, boson, boson_zero_eigenvalue, inner, psi, psi_star, vacuum
+from .fock import FockVector, MayaState, boson_zero_eigenvalue, inner, psi, psi_star, vacuum
 from .operators import (
+    Bilinear,
     KerovParams,
-    OperatorSpec,
+    MVirasoro,
     VirasoroParams,
+    boson_op,
     commutator_check,
     exp_lowering_bra,
     exp_raising,
-    kerov_D,
-    kerov_L,
-    kerov_U,
-    m_virasoro,
-    rimhook_kerov,
-    virasoro,
+    hook_diagonal,
+    hook_lower,
+    hook_raise,
+    kerov_d,
+    kerov_l,
+    kerov_u,
+    m_virasoro_op,
+    virasoro_op,
 )
 from .measures import MeasureSpec, MiwaParams, WeightTable, correlation, weight_table
 from .rings import Poly, Scalar

@@ -45,7 +45,7 @@ class RunConfig:
     params: Dict[str, Fraction] = field(default_factory=dict)
     x: Dict[int, Fraction] = field(default_factory=dict)
     y: Dict[int, Fraction] = field(default_factory=dict)
-    max_degree: int = 0
+    max_degree: Optional[int] = None
     ring: str = "rational"
     output: str = "json"
     seed: int = 0
@@ -56,7 +56,7 @@ class RunConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.max_degree < 0:
+        if self.max_degree is not None and self.max_degree < 0:
             raise ValueError("max-degree must be >= 0")
 
 
@@ -181,7 +181,7 @@ def _dump(obj) -> str:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(
         command=args.command,
-        max_degree=getattr(args, "max_degree", 0) or 0,
+        max_degree=getattr(args, "max_degree", None),
         ring=getattr(args, "ring", "rational"),
         output=getattr(args, "output", "json"),
         seed=getattr(args, "seed", 0) or 0,
@@ -297,8 +297,9 @@ def _run_correlations(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    max_degree = cfg.max_degree if cfg.max_degree else None
-    report = run_suite(cfg.suite, seed=cfg.seed, max_degree=max_degree)
+    report = run_suite(cfg.suite, seed=cfg.seed, max_degree=cfg.max_degree)
+    if not report["checks"]:
+        raise _CliError(f"suite {cfg.suite!r} ran no checks at max-degree {cfg.max_degree}")
     lines = [_dump({"check": c["name"], "ok": c["ok"],
                     **({"detail": c["detail"]} if "detail" in c else {})})
              for c in report["checks"]]

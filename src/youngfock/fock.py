@@ -311,11 +311,12 @@ def psi_star(x: HalfInt, v: FockVector) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int], ...]:
-    """Action of the mode-k boson on one basis state: (state, sign) pairs.
+def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, Fraction], ...]:
+    """Every particle jump x -> x - k out of one basis state, as
+    (state, sign, x) triples: the single enumeration behind every
+    fermion bilinear, the mode-k boson being the sum of the signs.
 
-    The bilinear sum over fermions collapses to the particle jumps
-    x -> x - k; candidates outside the deviation window act trivially.
+    Candidates outside the deviation window act trivially.
     """
     if k == 0:
         raise ValueError("use the zero-mode action for k = 0")
@@ -333,24 +334,8 @@ def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int], ...]:
             continue
         s1, mid = state.remove(x)
         s2, new = mid.insert(target)
-        out.append((new, s1 * s2))
+        out.append((new, s1 * s2, x.as_fraction()))
     return tuple(out)
-
-
-def boson(k: int, v: FockVector, trunc: int) -> FockVector:
-    """Mode-k boson a_k as a sum of fermion bilinears.
-
-    The result is exact; ``trunc`` is the declared degree budget and must
-    cover degree(v) + |k|, keeping truncation discipline loud rather than
-    silent.
-    """
-    if k == 0:
-        raise ValueError("boson index must be nonzero")
-    if trunc < v.degree() + abs(k):
-        raise ValueError(
-            f"truncation {trunc} insufficient for degree {v.degree()} + |{k}|"
-        )
-    return v.linear_apply(lambda s: boson_moves(k, s))
 
 
 def boson_zero_eigenvalue(alpha: Scalar, v: FockVector) -> FockVector:

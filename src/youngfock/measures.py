@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .fock import FockVector, vacuum
+from .fock import vacuum
 from .operators import (
-    BosonFamily,
     KerovParams,
-    MVirasoroFamily,
-    VirasoroFamily,
+    Operator,
     VirasoroParams,
+    boson_op,
     exp_raising,
+    m_virasoro_op,
+    virasoro_op,
 )
 from .partitions import HalfInt, Partition, contains_particle, partitions_up_to
 from .rings import Scalar, divexact, is_zero, scalar_to_json, series_exp
@@ -172,9 +173,8 @@ def schur_weight(lam: Partition, p: MiwaParams) -> Scalar:
 
 def schur_weight_by_operators(lam: Partition, p: MiwaParams) -> Scalar:
     """Same weight through the boson exponential; independent route."""
-    fam = BosonFamily()
-    ket = exp_raising(p.x, fam, vacuum(), lam.size)
-    bra = exp_raising(p.y, fam, vacuum(), lam.size)
+    ket = exp_raising([(c, boson_op(-k)) for k, c in p.x.items()], vacuum(), lam.size)
+    bra = exp_raising([(c, boson_op(-k)) for k, c in p.y.items()], vacuum(), lam.size)
     return ket.coefficient_of_partition(lam) * bra.coefficient_of_partition(lam)
 
 
@@ -199,14 +199,22 @@ def cauchy_normalizer(p: MiwaParams, degree: int) -> Scalar:
 # table builders
 # ---------------------------------------------------------------------------
 
-def _table_from_factors(kind: str, degree: int, ket: FockVector, bra: FockVector) -> WeightTable:
+def _exp_table(spec: MeasureSpec, mode: Callable[[Scalar, int], Operator]) -> WeightTable:
+    """Weights <lam|exp(sum x_k M_{-k})|vac> <vac|exp(sum y_k M_k)|lam>,
+    with ``mode(alpha, k)`` the mode-k operator: the ket side runs at
+    alpha = z, the bra side at alpha = w through the adjoint action."""
+    degree = spec.truncation
+    ket = exp_raising([(c, mode(spec.kerov.z, -k)) for k, c in spec.params.x.items()],
+                      vacuum(), degree)
+    bra = exp_raising([(c, mode(spec.kerov.w, k).adjoint()) for k, c in spec.params.y.items()],
+                      vacuum(), degree)
     weights: Dict[Partition, Scalar] = {}
     total: Scalar = Fraction(0)
     for lam in partitions_up_to(degree):
         w = ket.coefficient_of_partition(lam) * bra.coefficient_of_partition(lam)
         weights[lam] = w
         total = total + w
-    return WeightTable(kind=kind, degree=degree, weights=weights, z_trunc=total)
+    return WeightTable(kind=spec.kind, degree=degree, weights=weights, z_trunc=total)
 
 
 def schur_weight_table(spec: MeasureSpec) -> WeightTable:
@@ -221,31 +229,19 @@ def schur_weight_table(spec: MeasureSpec) -> WeightTable:
 
 
 def virasoro_weight_table(spec: MeasureSpec) -> WeightTable:
-    """Weights <lam|exp(sum x_k L_{-k})|vac> <vac|exp(sum y_k L_k)|lam>.
-
-    The ket side runs at (alpha=z, gamma=0) and the bra side at
-    (alpha=w, gamma=0): the parametrization in which the per-jump factor
-    is uniformly (z + position + k/2) across all mode lengths.
-    """
+    """Oscillator modes at gamma = 0: the parametrization in which the
+    per-jump factor is uniformly (z + position + k/2) across all mode
+    lengths."""
     if spec.kind != "virasoro":
         raise ValueError("spec.kind must be virasoro")
-    degree = spec.truncation
-    ket_fam = VirasoroFamily(VirasoroParams(alpha=spec.kerov.z, gamma=Fraction(0)))
-    bra_fam = VirasoroFamily(VirasoroParams(alpha=spec.kerov.w, gamma=Fraction(0))).adjoint()
-    ket = exp_raising(spec.params.x, ket_fam, vacuum(), degree)
-    bra = exp_raising(spec.params.y, bra_fam, vacuum(), degree)
-    return _table_from_factors("virasoro", degree, ket, bra)
+    return _exp_table(spec, lambda alpha, k: virasoro_op(k, VirasoroParams(alpha, Fraction(0))))
 
 
 def m_virasoro_weight_table(spec: MeasureSpec) -> WeightTable:
     if spec.kind != "m-virasoro":
         raise ValueError("spec.kind must be m-virasoro")
-    degree = spec.truncation
-    ket_fam = MVirasoroFamily(spec.m_order, VirasoroParams(alpha=spec.kerov.z, gamma=spec.gamma))
-    bra_fam = MVirasoroFamily(spec.m_order, VirasoroParams(alpha=spec.kerov.w, gamma=spec.gamma)).adjoint()
-    ket = exp_raising(spec.params.x, ket_fam, vacuum(), degree)
-    bra = exp_raising(spec.params.y, bra_fam, vacuum(), degree)
-    return _table_from_factors("m-virasoro", degree, ket, bra)
+    return _exp_table(spec, lambda alpha, k: m_virasoro_op(
+        spec.m_order, k, VirasoroParams(alpha, spec.gamma)))
 
 
 def weight_table(spec: MeasureSpec) -> WeightTable:

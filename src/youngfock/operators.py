@@ -1,9 +1,37 @@
-"""Operator families on the diagram Fock space.
+"""Operators on the diagram Fock space: one fermion-bilinear type.
 
-Box-weight ladder operators (``kerov_*``), their rim-hook generalization,
-oscillator-quadratic operators (``virasoro``), the M-fold generalization
-(``m_virasoro``), truncated exponentials of raising operators, and a
-commutator test harness.
+Every ladder-type operator here is a fermion bilinear on the
+semi-infinite wedge,
+
+    Bilinear(k, const, slope, offset) = sum_x (const + slope*x) :psi_(x-k) psi*_x:
+
+i.e. one particle jumps from x to x - k with a weight affine in its start
+x, times the wedge sign (-1)**(height-1).  It lowers degree by k
+(``degree_shift = -k``).  At k = 0 the normally ordered sum is
+diagonal: ``offset + const*charge + slope*(sum of occupied positions > 0
+- sum of vacated positions < 0)``, which is ``offset + const*charge +
+slope*(degree + charge**2/2)``.  The jumps come from
+:func:`youngfock.fock.boson_moves`, the only jump enumeration.
+
+Named constructors (z, w from :class:`KerovParams`; alpha, gamma from
+:class:`VirasoroParams`):
+
+====================  ======  ======================  =========  =========================
+operator              k       const                   slope      offset (k = 0 only)
+====================  ======  ======================  =========  =========================
+``boson_op(k)``       k != 0  1                       0
+``virasoro_op(k)``    k       alpha + gamma*k - k/2   1          (alpha**2 - gamma**2)/2
+``kerov_u``           -1      z + 1/2                 1
+``kerov_d``           1       w - 1/2                 1
+``kerov_l``           0       0                       2          z*w
+``hook_raise(r)``     -r      z + 1/2                 1/r
+``hook_lower(r)``     r       w - 1/2                 1/r
+``hook_diagonal(r)``  0       0                       2/r        sum_j (z + u_j)(w + u_j)
+====================  ======  ======================  =========  =========================
+
+Adjoint rule, in the pairing where the Maya basis is orthonormal:
+``Bilinear(k, c, s, o)* = Bilinear(-k, c + s*k, s, o)`` (the reversed
+jump y -> y + k starts at y = x - k).
 
 Frozen conventions, each pinned by a low-degree oracle and exercised by
 the test suite:
@@ -16,10 +44,9 @@ the test suite:
 * The mode-(-k) raising operator moves one particle k steps right with
   coefficient ``(alpha - gamma*k) + start + k/2``; the mode-(+k)
   lowering operator moves one particle k steps left with coefficient
-  ``(alpha + gamma*k) + start - k/2`` (start = coordinate before the
-  jump), times the sign (-1)**(height-1) carried by the wedge.
+  ``(alpha + gamma*k) + start - k/2``, times the wedge sign.
 
-* Zero mode: ``virasoro(0)`` acts as ``(alpha_c**2 - gamma**2)/2 +
+* Zero mode: ``virasoro_op(0)`` acts as ``(alpha_c**2 - gamma**2)/2 +
   degree`` where ``alpha_c = alpha + charge``.  The halved constant is
   the unique choice consistent with the bracket
   [L_1, L_-1] = 2 L_0 and with the box-weight diagonal z*w + 2|lam|.
@@ -29,12 +56,19 @@ the test suite:
 
 * Rim-hook ladder operators at length r match the oscillator modes with
   ``alpha = r(z+w)/2`` up to the overall scalar r:
-  ``virasoro(-r) = r * rimhook_kerov(r, "raise")`` and likewise for
-  lowering.
+  ``virasoro_op(-r) = r * hook_raise(r)`` and likewise for lowering.
+  The hook diagonal's offset is fixed so that it equals
+  [hook_lower(r), hook_raise(r)]; the naive per-particle sum over the
+  infinite sea diverges and the commutator pins its finite part.
 
 * M-fold quadratic sums run over ordered index tuples weighted 1/M!
   (equivalently multisets weighted by inverse multiplicity factorials);
-  this is the unique weighting that reproduces ``virasoro`` at M = 2.
+  this is the unique weighting that reproduces ``virasoro_op`` at M = 2.
+  Order M != 2 is not a bilinear, so :class:`MVirasoro` keeps the sum.
+
+The definitional quadratic boson sum ``_virasoro_state`` is kept only as
+the reference oracle the verification suites and tests compare the
+bilinear form against.
 """
 
 from __future__ import annotations
@@ -43,20 +77,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .fock import FockVector, MayaState, boson_moves, vacuum
-from .partitions import (
-    Partition,
-    addable_boxes,
-    add_box,
-    partitions_of,
-    remove_box,
-    removable_boxes,
-    rim_hooks_addable,
-    rim_hooks_removable,
-)
-from .rings import Poly, Scalar, is_zero, scalar_to_json
+from .partitions import Partition, partitions_of
+from .rings import Scalar, is_zero, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -83,48 +108,85 @@ def virasoro_params_for_rimhook(p: KerovParams, r: int) -> VirasoroParams:
     return VirasoroParams(alpha=(p.z + p.w) * Fraction(r, 2), gamma=(p.w - p.z) * half)
 
 
-def rimhook_scale(r: int) -> int:
-    """virasoro(-r) = rimhook_scale(r) * rimhook_kerov(r, "raise") under
-    virasoro_params_for_rimhook; frozen by the degree <= 2 oracle run."""
-    return r
+def _check_trunc(v: FockVector, trunc: Optional[int], shift: int) -> None:
+    if trunc is not None and trunc < v.degree() + abs(shift):
+        raise ValueError(
+            f"truncation {trunc} insufficient for degree {v.degree()} + |{shift}|"
+        )
 
 
 # ---------------------------------------------------------------------------
-# box-weight ladder operators
+# the fermion bilinear
 # ---------------------------------------------------------------------------
 
-def kerov_U(p: KerovParams, v: FockVector) -> FockVector:
-    """Add one box with weight z + content."""
-    def act(state: MayaState):
-        lam = state.to_partition()
-        return [
-            (MayaState.from_partition(add_box(lam, b)), p.z + b.content)
-            for b in addable_boxes(lam)
-        ]
-    return v.linear_apply(act)
+@dataclass(frozen=True)
+class Bilinear:
+    """sum_x (const + slope*x) :psi_(x-k) psi*_x:, plus ``offset`` at k = 0."""
+
+    k: int
+    const: Scalar
+    slope: Scalar
+    offset: Scalar = Fraction(0)
+
+    def __post_init__(self):
+        if self.k != 0 and not is_zero(self.offset):
+            raise ValueError("only the diagonal (k = 0) bilinear carries an offset")
+
+    @property
+    def degree_shift(self) -> int:
+        return -self.k
+
+    def adjoint(self) -> "Bilinear":
+        return Bilinear(-self.k, self.const + self.slope * self.k, self.slope, self.offset)
+
+    def apply(self, v: FockVector, trunc: Optional[int] = None) -> FockVector:
+        """Exact action; a given ``trunc`` must cover degree(v) + |k|."""
+        _check_trunc(v, trunc, self.k)
+        k, c, s = self.k, self.const, self.slope
+        if k == 0:
+            return v.linear_apply(lambda st: (
+                (st, self.offset + c * st.charge
+                 + s * Fraction(sum(st.above) - sum(st.below), 2)),))
+        if is_zero(s):  # position-independent weight: skip the affine term
+            return v.linear_apply(lambda st: [
+                (new, c * sign) for new, sign, _ in boson_moves(k, st)])
+        return v.linear_apply(lambda st: [
+            (new, (c + s * x) * sign) for new, sign, x in boson_moves(k, st)])
+
+    def to_json(self):
+        return {"k": self.k, "const": scalar_to_json(self.const),
+                "slope": scalar_to_json(self.slope),
+                "offset": scalar_to_json(self.offset)}
 
 
-def kerov_D(p: KerovParams, v: FockVector) -> FockVector:
-    """Remove one box with weight w + content."""
-    def act(state: MayaState):
-        lam = state.to_partition()
-        return [
-            (MayaState.from_partition(remove_box(lam, b)), p.w + b.content)
-            for b in removable_boxes(lam)
-        ]
-    return v.linear_apply(act)
+def boson_op(k: int) -> Bilinear:
+    """Heisenberg mode a_k, k != 0."""
+    if k == 0:
+        raise ValueError("boson index must be nonzero")
+    return Bilinear(k, 1, 0)
 
 
-def kerov_L(p: KerovParams, v: FockVector) -> FockVector:
-    """Diagonal operator z*w + 2|lam|."""
-    def act(state: MayaState):
-        lam = state.to_partition()
-        return [(state, p.z * p.w + 2 * lam.size)]
-    return v.linear_apply(act)
+def virasoro_op(k: int, p: VirasoroParams) -> Bilinear:
+    """Oscillator mode L_k: gamma*k*a_k plus half the normally ordered
+    quadratic boson sum, in bilinear form (see the module docstring)."""
+    if k == 0:
+        return Bilinear(0, p.alpha, Fraction(1),
+                        (p.alpha * p.alpha - p.gamma * p.gamma) * Fraction(1, 2))
+    return Bilinear(k, p.alpha + p.gamma * k - Fraction(k, 2), Fraction(1))
 
 
-def _hook_sign(height: int) -> int:
-    return -1 if (height - 1) % 2 else 1
+def hook_raise(r: int, p: KerovParams) -> Bilinear:
+    """Add a length-r rim hook: jump x -> x + r with weight z + x/r + 1/2."""
+    if r < 1:
+        raise ValueError("hook length must be positive")
+    return Bilinear(-r, p.z + Fraction(1, 2), Fraction(1, r))
+
+
+def hook_lower(r: int, p: KerovParams) -> Bilinear:
+    """Remove a length-r rim hook: jump x -> x - r with weight w + x/r - 1/2."""
+    if r < 1:
+        raise ValueError("hook length must be positive")
+    return Bilinear(r, p.w - Fraction(1, 2), Fraction(1, r))
 
 
 def _diagonal_hook_constant(r: int, p: KerovParams) -> Scalar:
@@ -137,53 +199,32 @@ def _diagonal_hook_constant(r: int, p: KerovParams) -> Scalar:
     return total
 
 
-def rimhook_kerov(r: int, direction: str, p: KerovParams, v: FockVector) -> FockVector:
-    """Length-r hook ladder operators as induced particle jumps.
-
-    Raising jumps a particle from coordinate x to x + r with weight
-    z + x/r + 1/2; lowering jumps to x - r with weight w + x/r - 1/2;
-    both pick up the wedge sign (-1)**(height-1).  The diagonal member
-    acts by 2|lam|/r plus a constant fixed so that it equals
-    [lowering, raising]; the naive per-particle sum over the infinite
-    sea diverges and the commutator pins its finite part.
-    """
+def hook_diagonal(r: int, p: KerovParams) -> Bilinear:
+    """[hook_lower(r), hook_raise(r)]: 2|lam|/r plus a constant on diagrams."""
     if r < 1:
         raise ValueError("hook length must be positive")
-    if direction == "raise":
-        def act(state: MayaState):
-            lam = state.to_partition()
-            out = []
-            for mv in rim_hooks_addable(lam, r):
-                coeff = p.z + mv.start.as_fraction() / r + Fraction(1, 2)
-                out.append((MayaState.from_partition(mv.result), coeff * _hook_sign(mv.height)))
-            return out
-    elif direction == "lower":
-        def act(state: MayaState):
-            lam = state.to_partition()
-            out = []
-            for mv in rim_hooks_removable(lam, r):
-                coeff = p.w + mv.start.as_fraction() / r - Fraction(1, 2)
-                out.append((MayaState.from_partition(mv.result), coeff * _hook_sign(mv.height)))
-            return out
-    elif direction == "diagonal":
-        const = _diagonal_hook_constant(r, p)
-        def act(state: MayaState):
-            lam = state.to_partition()
-            return [(state, const + Fraction(2 * lam.size, r))]
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return v.linear_apply(act)
+    return Bilinear(0, Fraction(0), Fraction(2, r), _diagonal_hook_constant(r, p))
+
+
+# the box-weight sl2 triple is the length-1 hook triple
+def kerov_u(p: KerovParams) -> Bilinear:
+    """Add one box with weight z + content."""
+    return hook_raise(1, p)
+
+
+def kerov_d(p: KerovParams) -> Bilinear:
+    """Remove one box with weight w + content."""
+    return hook_lower(1, p)
+
+
+def kerov_l(p: KerovParams) -> Bilinear:
+    """Diagonal z*w + 2|lam|."""
+    return hook_diagonal(1, p)
 
 
 # ---------------------------------------------------------------------------
-# oscillator-quadratic operators
+# quadratic boson sums: the M-fold modes and the reference oracle
 # ---------------------------------------------------------------------------
-
-def _norm_scalar(a: Scalar) -> Scalar:
-    if isinstance(a, Poly):
-        return a
-    return Fraction(a)
-
 
 def _acc(acc: Dict[MayaState, Scalar], state: MayaState, coeff: Scalar) -> None:
     cur = acc.get(state)
@@ -200,20 +241,21 @@ def _sorted_items(acc: Dict[MayaState, Scalar]) -> Tuple[Tuple[MayaState, Scalar
 
 @lru_cache(maxsize=None)
 def _virasoro_state(k: int, alpha: Scalar, gamma: Scalar, state: MayaState):
-    """Mode-k action on one basis state, from the quadratic boson sum."""
+    """Reference oracle: mode-k action on one basis state, from the
+    quadratic boson sum gamma*k*a_k + 1/2 sum_j :a_j a_(k-j):."""
     d = state.degree
     a0 = alpha + state.charge
     acc: Dict[MayaState, Scalar] = {}
     if k == 0:
         _acc(acc, state, (a0 * a0 - gamma * gamma) * Fraction(1, 2))
         for j in range(1, d + 1):
-            for s1, sign1 in boson_moves(j, state):
-                for s2, sign2 in boson_moves(-j, s1):
+            for s1, sign1, _ in boson_moves(j, state):
+                for s2, sign2, _ in boson_moves(-j, s1):
                     _acc(acc, s2, Fraction(sign1 * sign2))
         return _sorted_items(acc)
     # linear part: the modified term plus the two zero-mode pairings
     lead = gamma * k + a0
-    for s1, sign in boson_moves(k, state):
+    for s1, sign, _ in boson_moves(k, state):
         _acc(acc, s1, lead * sign)
     half = Fraction(1, 2)
     for j in range(k - d, d + 1):
@@ -221,23 +263,10 @@ def _virasoro_state(k: int, alpha: Scalar, gamma: Scalar, state: MayaState):
         if j == 0 or m == 0:
             continue
         first, second = (m, j) if (j < 0 < m) else (j, m)  # annihilator first
-        for s1, sign1 in boson_moves(first, state):
-            for s2, sign2 in boson_moves(second, s1):
+        for s1, sign1, _ in boson_moves(first, state):
+            for s2, sign2, _ in boson_moves(second, s1):
                 _acc(acc, s2, half * Fraction(sign1 * sign2))
     return _sorted_items(acc)
-
-
-def virasoro(k: int, p: VirasoroParams, v: FockVector, trunc: int) -> FockVector:
-    """Oscillator mode: gamma*k*a_k plus half the normally ordered
-    quadratic sum; the zero mode uses the halved constant (see module
-    docstring).  Exact; ``trunc`` must cover degree(v) + |k|.
-    """
-    if trunc < v.degree() + abs(k):
-        raise ValueError(
-            f"truncation {trunc} insufficient for degree {v.degree()} + |{k}|"
-        )
-    alpha, gamma = _norm_scalar(p.alpha), _norm_scalar(p.gamma)
-    return v.linear_apply(lambda s: _virasoro_state(k, alpha, gamma, s))
 
 
 def _descending_tuples(length: int, total: int, bound: int, pos_budget: int, cap: int):
@@ -265,10 +294,10 @@ def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: M
     a0 = alpha + state.charge
     acc: Dict[MayaState, Scalar] = {}
     if k != 0:
-        for s1, sign in boson_moves(k, state):
+        for s1, sign, _ in boson_moves(k, state):
             _acc(acc, s1, gamma * k * sign)
     elif order == 2:
-        # zero-mode constant shared with virasoro(0) so M = 2 matches exactly
+        # zero-mode constant shared with virasoro_op(0) so M = 2 matches exactly
         _acc(acc, state, -(gamma * gamma) * Fraction(1, 2))
     bound = d + abs(k)
     for tup in _descending_tuples(order, k, bound, d, bound):
@@ -290,7 +319,7 @@ def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: M
         for idx in indices:
             nxt: Dict[MayaState, int] = {}
             for s, sgn in current.items():
-                for s2, sgn2 in boson_moves(idx, s):
+                for s2, sgn2, _ in boson_moves(idx, s):
                     nxt[s2] = nxt.get(s2, 0) + sgn * sgn2
             current = {s: g for s, g in nxt.items() if g}
             if not current:
@@ -303,237 +332,102 @@ def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: M
     return _sorted_items(acc)
 
 
-def m_virasoro(order: int, k: int, p: VirasoroParams, v: FockVector, trunc: int) -> FockVector:
-    """M-fold generalization: gamma*k*a_k plus the 1/M!-weighted normally
-    ordered sum over index tuples with total k.
+@dataclass(frozen=True)
+class MVirasoro:
+    """M-fold mode: gamma*k*a_k plus the 1/M!-weighted normally ordered
+    sum over index tuples with total k.
 
-    Any tuple whose annihilating part exceeds the vector's degree kills
-    it, so indices are enumerated inside [-(trunc+|k|), trunc+|k|]; the
+    Any tuple whose annihilating part exceeds the state's degree kills
+    it, so indices are enumerated inside [-(degree+|k|), degree+|k|]; the
     grading argument makes this exact.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if trunc < v.degree() + abs(k):
-        raise ValueError(
-            f"truncation {trunc} insufficient for degree {v.degree()} + |{k}|"
-        )
-    alpha, gamma = _norm_scalar(p.alpha), _norm_scalar(p.gamma)
-    return v.linear_apply(lambda s: _m_virasoro_state(order, k, alpha, gamma, s))
 
-
-# ---------------------------------------------------------------------------
-# operator families and exponentials
-# ---------------------------------------------------------------------------
-
-class BosonFamily:
-    """Heisenberg modes a_{+-k}."""
-
-    def apply_raising(self, k: int, v: FockVector) -> FockVector:
-        from .fock import boson
-        return boson(-k, v, v.degree() + k)
-
-    def apply_lowering(self, k: int, v: FockVector) -> FockVector:
-        from .fock import boson
-        return boson(k, v, v.degree() + k)
-
-    def adjoint(self) -> "BosonFamily":
-        return self
-
-    def __repr__(self):
-        return "BosonFamily()"
-
-
-@dataclass(frozen=True)
-class VirasoroFamily:
-    params: VirasoroParams
-
-    def apply_raising(self, k: int, v: FockVector) -> FockVector:
-        return virasoro(-k, self.params, v, v.degree() + k)
-
-    def apply_lowering(self, k: int, v: FockVector) -> FockVector:
-        return virasoro(k, self.params, v, v.degree() + k)
-
-    def adjoint(self) -> "VirasoroFamily":
-        # a_k* = a_{-k} turns mode k into mode -k and flips gamma
-        return VirasoroFamily(VirasoroParams(self.params.alpha, -self.params.gamma))
-
-
-@dataclass(frozen=True)
-class MVirasoroFamily:
     order: int
-    params: VirasoroParams
+    k: int
+    alpha: Scalar
+    gamma: Scalar
 
-    def apply_raising(self, k: int, v: FockVector) -> FockVector:
-        return m_virasoro(self.order, -k, self.params, v, v.degree() + k)
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("order must be at least 1")
 
-    def apply_lowering(self, k: int, v: FockVector) -> FockVector:
-        return m_virasoro(self.order, k, self.params, v, v.degree() + k)
+    @property
+    def degree_shift(self) -> int:
+        return -self.k
 
-    def adjoint(self) -> "MVirasoroFamily":
-        return MVirasoroFamily(self.order, VirasoroParams(self.params.alpha, -self.params.gamma))
+    def adjoint(self) -> "MVirasoro":
+        # a_k* = a_(-k) turns mode k into mode -k and flips gamma
+        return MVirasoro(self.order, -self.k, self.alpha, -self.gamma)
 
+    def apply(self, v: FockVector, trunc: Optional[int] = None) -> FockVector:
+        _check_trunc(v, trunc, self.k)
+        return v.linear_apply(
+            lambda s: _m_virasoro_state(self.order, self.k, self.alpha, self.gamma, s))
 
-@dataclass(frozen=True)
-class RimHookKerovFamily:
-    params: KerovParams
-
-    def apply_raising(self, k: int, v: FockVector) -> FockVector:
-        return rimhook_kerov(k, "raise", self.params, v)
-
-    def apply_lowering(self, k: int, v: FockVector) -> FockVector:
-        return rimhook_kerov(k, "lower", self.params, v)
-
-    def adjoint(self) -> "RimHookKerovFamily":
-        # the adjoint of the lowering jump with weight w + x/r - 1/2 is the
-        # raising jump with weight w + x/r + 1/2, i.e. z and w trade places
-        return RimHookKerovFamily(KerovParams(z=self.params.w, w=self.params.z))
+    def to_json(self):
+        return {"order": self.order, "k": self.k, "alpha": scalar_to_json(self.alpha),
+                "gamma": scalar_to_json(self.gamma)}
 
 
-Family = Union[BosonFamily, VirasoroFamily, MVirasoroFamily, RimHookKerovFamily]
+def m_virasoro_op(order: int, k: int, p: VirasoroParams) -> MVirasoro:
+    return MVirasoro(order, k, p.alpha, p.gamma)
 
 
-def exp_raising(terms: Mapping[int, Scalar], family: Family, v: FockVector, max_degree: int) -> FockVector:
-    """sum_m (1/m!) (sum_k terms[k] * Op_{-k})**m v, truncated by degree.
+Operator = Union[Bilinear, MVirasoro]
+Combo = Sequence[Tuple[Scalar, Operator]]
 
-    Every operator strictly raises degree, so dropping components above
-    the bound is exact and the sum terminates.
+
+# ---------------------------------------------------------------------------
+# exponentials
+# ---------------------------------------------------------------------------
+
+def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
+    """sum_m (1/m!) (sum_i c_i * op_i)**m v over (c_i, op_i) pairs,
+    truncated by degree.
+
+    Every operator must strictly raise degree, so dropping components
+    above the bound is exact and the sum terminates.
     """
-    active = {k: c for k, c in terms.items() if not is_zero(c)}
-    for k in active:
-        if k < 1:
-            raise ValueError(f"non-raising mode {k} in exponential")
+    active = [(c, op) for c, op in terms if not is_zero(c)]
+    for _, op in active:
+        if op.degree_shift < 1:
+            raise ValueError(f"non-raising operator {op.to_json()} in exponential")
     result = v.truncate(max_degree)
     current = result
     m = 0
     while current:
         m += 1
         step = FockVector.zero()
-        for k in sorted(active):
-            step = step + family.apply_raising(k, current).scale(active[k])
+        for c, op in active:
+            step = step + op.apply(current).scale(c)
         current = step.truncate(max_degree).scale(Fraction(1, m))
         result = result + current
     return result
 
 
-def exp_lowering_bra(terms: Mapping[int, Scalar], family: Family, lam: Partition, max_degree: int) -> Scalar:
-    """<vac| exp(sum_k terms[k] * Op_{+k}) |lam>, via the adjoint action.
+def exp_lowering_bra(terms: Combo, lam: Partition, max_degree: int) -> Scalar:
+    """<vac| exp(sum_i c_i * op_i) |lam> over lowering (c_i, op_i) pairs.
 
-    Equals the lam-coefficient of exp(sum_k terms[k] * Op_k^adj) applied
-    to the vacuum; finite and exact by the grading.
+    Equals the lam-coefficient of exp(sum_i c_i * op_i^adj) applied to
+    the vacuum; finite and exact by the grading.
     """
     if lam.size > max_degree:
         raise ValueError(f"degree bound {max_degree} below |lam| = {lam.size}")
-    vec = exp_raising(terms, family.adjoint(), vacuum(), lam.size)
+    vec = exp_raising([(c, op.adjoint()) for c, op in terms], vacuum(), lam.size)
     return vec.coefficient_of_partition(lam)
 
 
 # ---------------------------------------------------------------------------
-# uniform operator handles + commutator harness
+# commutator harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Uniform handle for one graded operator."""
-
-    family: str
-    k: int = 0
-    r: int = 1
-    direction: str = ""
-    order: int = 2
-    kerov: Optional[KerovParams] = None
-    virasoro: Optional[VirasoroParams] = None
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def kerov_u(cls, p: KerovParams) -> "OperatorSpec":
-        return cls(family="kerov_u", kerov=p)
-
-    @classmethod
-    def kerov_l(cls, p: KerovParams) -> "OperatorSpec":
-        return cls(family="kerov_l", kerov=p)
-
-    @classmethod
-    def kerov_d(cls, p: KerovParams) -> "OperatorSpec":
-        return cls(family="kerov_d", kerov=p)
-
-    @classmethod
-    def rimhook(cls, r: int, direction: str, p: KerovParams) -> "OperatorSpec":
-        return cls(family="rimhook", r=r, direction=direction, kerov=p)
-
-    @classmethod
-    def boson_op(cls, k: int) -> "OperatorSpec":
-        return cls(family="boson", k=k)
-
-    @classmethod
-    def virasoro_op(cls, k: int, p: VirasoroParams) -> "OperatorSpec":
-        return cls(family="virasoro", k=k, virasoro=p)
-
-    @classmethod
-    def m_virasoro_op(cls, order: int, k: int, p: VirasoroParams) -> "OperatorSpec":
-        return cls(family="m_virasoro", k=k, order=order, virasoro=p)
-
-    # -- behaviour -------------------------------------------------------------
-
-    @property
-    def degree_shift(self) -> int:
-        if self.family == "kerov_u":
-            return 1
-        if self.family == "kerov_d":
-            return -1
-        if self.family == "kerov_l":
-            return 0
-        if self.family == "rimhook":
-            return {"raise": self.r, "lower": -self.r, "diagonal": 0}[self.direction]
-        if self.family in ("boson", "virasoro", "m_virasoro"):
-            return -self.k
-        raise ValueError(f"operator family {self.family!r} is not graded")
-
-    def apply(self, v: FockVector, trunc: Optional[int] = None) -> FockVector:
-        if trunc is None:
-            trunc = v.degree() + abs(self.degree_shift)
-        if self.family == "kerov_u":
-            return kerov_U(self.kerov, v)
-        if self.family == "kerov_l":
-            return kerov_L(self.kerov, v)
-        if self.family == "kerov_d":
-            return kerov_D(self.kerov, v)
-        if self.family == "rimhook":
-            return rimhook_kerov(self.r, self.direction, self.kerov, v)
-        if self.family == "boson":
-            from .fock import boson
-            return boson(self.k, v, trunc)
-        if self.family == "virasoro":
-            return virasoro(self.k, self.virasoro, v, trunc)
-        if self.family == "m_virasoro":
-            return m_virasoro(self.order, self.k, self.virasoro, v, trunc)
-        raise ValueError(f"unknown operator family {self.family!r}")
-
-    def to_json(self):
-        out = {"family": self.family}
-        if self.family == "boson" or self.family in ("virasoro", "m_virasoro"):
-            out["k"] = self.k
-        if self.family == "m_virasoro":
-            out["order"] = self.order
-        if self.family == "rimhook":
-            out["r"] = self.r
-            out["direction"] = self.direction
-        if self.kerov is not None:
-            out["z"] = scalar_to_json(self.kerov.z)
-            out["w"] = scalar_to_json(self.kerov.w)
-        if self.virasoro is not None:
-            out["alpha"] = scalar_to_json(self.virasoro.alpha)
-            out["gamma"] = scalar_to_json(self.virasoro.gamma)
-        return out
-
-
-ExpectedCombo = Sequence[Tuple[Scalar, Optional[OperatorSpec]]]
+ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
 
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    lhs: OperatorSpec
-    rhs: OperatorSpec
+    lhs: Operator
+    rhs: Operator
     degree: int
     discrepancies: Tuple[Tuple[Partition, FockVector], ...]
 
@@ -553,7 +447,7 @@ class CommutatorReport:
         }
 
 
-def commutator_check(a: OperatorSpec, b: OperatorSpec, expected: ExpectedCombo, degree: int) -> CommutatorReport:
+def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo, degree: int) -> CommutatorReport:
     """Evaluate [a, b]v - expected(v) on every basis vector up to degree.
 
     Empty discrepancy list means the identity holds exactly there.

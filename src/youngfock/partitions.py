@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+from .rings import parse_rational
+
 
 @total_ordering
 class HalfInt:
@@ -59,7 +61,7 @@ class HalfInt:
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        q = Fraction(text.strip())
+        q = parse_rational(text)
         if q.denominator != 2:
             raise ValueError(f"not a half-integer: {text!r}")
         return cls(q.numerator)
@@ -215,31 +217,6 @@ def removable_boxes(lam: Partition) -> List[Box]:
         if lam.part(i) > lam.part(i + 1):
             out.append(Box(i, lam.part(i)))
     return out
-
-
-def _add_box(lam: Partition, box: Box) -> Partition:
-    parts = list(lam.parts)
-    if box.row == len(parts) + 1:
-        parts.append(1)
-    else:
-        parts[box.row - 1] += 1
-    return Partition(parts)
-
-
-def _remove_box(lam: Partition, box: Box) -> Partition:
-    parts = list(lam.parts)
-    parts[box.row - 1] -= 1
-    if parts and parts[-1] == 0:
-        parts.pop()
-    return Partition(parts)
-
-
-def add_box(lam: Partition, box: Box) -> Partition:
-    return _add_box(lam, box)
-
-
-def remove_box(lam: Partition, box: Box) -> Partition:
-    return _remove_box(lam, box)
 
 
 @lru_cache(maxsize=None)

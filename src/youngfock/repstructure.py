@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .fock import FockVector
-from .operators import KerovParams, OperatorSpec, kerov_D, kerov_L, kerov_U
+from .operators import KerovParams, Operator, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
 from .rings import Scalar, divexact, is_zero, scalar_to_json
 
@@ -25,13 +25,10 @@ class GradedMatrix:
     cols: Tuple[Partition, ...]
     entries: Tuple[Tuple[Scalar, ...], ...]
 
-    def to_lists(self) -> List[List[Scalar]]:
-        return [list(r) for r in self.entries]
 
-
-def matrix_of(op: OperatorSpec, n: int) -> GradedMatrix:
+def matrix_of(op: Operator, n: int) -> GradedMatrix:
     """Exact matrix of the operator restricted to degree n."""
-    shift = op.degree_shift  # raises for non-graded families
+    shift = op.degree_shift
     cols = partitions_of(n)
     target = n + shift
     rows = partitions_of(target) if target >= 0 else ()
@@ -129,11 +126,11 @@ def rref_nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List
 
 def rank_of_D(n: int, w: Scalar) -> int:
     """Exact rank of the box-removal operator on degree n."""
-    op = OperatorSpec.kerov_d(KerovParams(z=Fraction(0), w=w))
+    op = kerov_d(KerovParams(z=Fraction(0), w=w))
     return bareiss_rank(matrix_of(op, n).entries)
 
 
-def kernel_basis(op: OperatorSpec, n: int) -> List[FockVector]:
+def kernel_basis(op: Operator, n: int) -> List[FockVector]:
     """Exact kernel of the graded matrix at degree n, as vectors."""
     gm = matrix_of(op, n)
     vectors = rref_nullspace(gm.entries, len(gm.cols))
@@ -145,21 +142,17 @@ def kernel_basis(op: OperatorSpec, n: int) -> List[FockVector]:
     return out
 
 
-def highest_weight_check(n: int, z: Scalar, w: Scalar) -> List[Tuple[FockVector, Scalar]]:
-    """Kernel vectors of the removal operator at degree n together with
-    their diagonal eigenvalue z*w + 2n; raises if any vector fails."""
+def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector], bool]:
+    """Kernel vectors of the removal operator at degree n, and whether
+    every one is killed by it and carries the diagonal eigenvalue
+    z*w + 2n."""
     p = KerovParams(z=z, w=w)
+    d_op, l_op = kerov_d(p), kerov_l(p)
     expected = z * w + 2 * n
-    out = []
-    for vec in kernel_basis(OperatorSpec.kerov_d(p), n):
-        if kerov_D(p, vec):
-            raise AssertionError(f"kernel vector not killed at degree {n}")
-        if kerov_L(p, vec) != vec.scale(expected):
-            raise AssertionError(
-                f"highest-weight eigenvalue mismatch at degree {n}"
-            )
-        out.append((vec, expected))
-    return out
+    kernel = kernel_basis(d_op, n)
+    ok = all(not d_op.apply(vec) and l_op.apply(vec) == vec.scale(expected)
+             for vec in kernel)
+    return kernel, ok
 
 
 @dataclass
@@ -203,9 +196,10 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
     vac = FockVector.from_partition(Partition())
     box = FockVector.from_partition(Partition((1,)))
 
-    u_vac = kerov_U(p, vac)
-    d_box = kerov_D(p, box)
-    d_vac = kerov_D(p, vac)
+    u_op, d_op = kerov_u(p), kerov_d(p)
+    u_vac = u_op.apply(vac)
+    d_box = d_op.apply(box)
+    d_vac = d_op.apply(vac)
 
     relations = [
         {"relation": "U|vac> = z |box>", "holds": u_vac == box.scale(z),
@@ -237,16 +231,10 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
     for n in range(n_max + 1):
         p_n = len(partitions_of(n))
         rank = rank_of_D(n, w)
-        kernel = kernel_basis(OperatorSpec.kerov_d(p), n)
+        kernel, hw_ok = highest_weight_check(n, z, w)
         ker_dim = len(kernel)
-        # highest-weight property of the kernel vectors
-        hw_ok = True
-        expected = z * w + 2 * n
-        for vec in kernel:
-            if kerov_L(p, vec) != vec.scale(expected):
-                hw_ok = False
         # raising the kernel stays independent (first Verma level is free)
-        u_images = [kerov_U(p, vec) for vec in kernel]
+        u_images = [u_op.apply(vec) for vec in kernel]
         if u_images:
             basis = partitions_of(n + 1)
             index = {lam: i for i, lam in enumerate(basis)}
@@ -265,7 +253,7 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
             "rank_D": rank,
             "kernel_dim": ker_dim,
             "rank_nullity_ok": rank + ker_dim == p_n,
-            "hw_eigenvalue": scalar_to_json(expected),
+            "hw_eigenvalue": scalar_to_json(z * w + 2 * n),
             "hw_ok": hw_ok,
             "verma_multiplicity": ker_dim if n >= 2 else None,
             "u_image_independent": free_image,

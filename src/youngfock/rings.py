@@ -12,6 +12,7 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -246,9 +247,19 @@ def series_exp(a: Sequence[Scalar], order: int) -> list:
 
 # -- parsing / formatting ----------------------------------------------------
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "n"; whitespace tolerated."""
-    return Fraction(text.strip())
+    """Parse "[+-]p/q" or "[+-]n"; whitespace tolerated, nothing else
+    (no decimals, exponents or underscores)."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a rational of the form p/q: {text!r}")
+    den = int(m.group(2) or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(m.group(1)), den)
 
 
 def rational_str(q: Union[int, Fraction]) -> str:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from youngfock.cli import main as cli_main
 from youngfock.conversion import schur_params_from_vir, vir_row, y_side_params, z_linearity_witness
-from youngfock.fock import FockVector, boson
+from youngfock.fock import FockVector
 from youngfock.measures import (
     MeasureSpec,
     MiwaParams,
@@ -25,7 +25,7 @@ from youngfock.measures import (
     schur_weight_table,
     virasoro_weight_table,
 )
-from youngfock.operators import KerovParams
+from youngfock.operators import KerovParams, boson_op
 from youngfock.partitions import partitions_of, rim_hooks_addable
 from youngfock.rings import random_rational, series_exp
 from youngfock.suites import run_suite
@@ -93,7 +93,7 @@ def test_c06_signed_hook_sum_consistency():
                     for mv in rim_hooks_addable(lam, k):
                         sign = Fraction(-1 if (mv.height - 1) % 2 else 1)
                         expected = expected + FockVector.from_partition(mv.result, sign)
-                    assert boson(-k, v, n + k) == expected, (lam, k)
+                    assert boson_op(-k).apply(v, n + k) == expected, (lam, k)
     report(6, "wedge bosons equal signed hook sums, k <= 6, size <= 8", t.elapsed)
 
 

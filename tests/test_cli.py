@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from youngfock.cli import main
 
@@ -151,3 +154,110 @@ def test_decompose_command(capsys):
     assert rep["case"] == "z-zero"
     assert len(rep["per_degree"]) == 4
     assert all(r["holds"] for r in rep["relations"])
+
+
+# sha256 of stdout for a fixed set of cheap commands: every command, all
+# three measure kinds, the polynomial ring, csv output and the suites at
+# small degree.  Any change to these bytes is a behaviour change.
+GOLDEN_STDOUT = [
+    (0, "788b22b88b6fed63b1291a4c696e1960ab9d69141d8c9ffe33448e1c1e33d14d",
+     ["measure", "--kind=schur", "--x=1=1,2=1/3", "--y=1=1/2,3=2", "--max-degree=4"]),
+    (0, "67871c33d9269a8c4da5dca3345d75b11bd1de7b06f0a9e7539075765d79acac",
+     ["measure", "--kind=virasoro", "--z=1/2", "--w=1/3", "--x=1=1,2=1/2",
+      "--y=1=1,2=-2/3", "--max-degree=4"]),
+    (0, "1c42d4c0d23aeae01d74520f90e7f69c5ff653163db03c3f1fe8081d3160688c",
+     ["measure", "--kind=m-virasoro", "--m=3", "--gamma=1/4", "--z=1", "--w=2/3",
+      "--x=1=1,2=1/2", "--y=1=1", "--max-degree=3"]),
+    (0, "a47f0f7af99aef5e00019853f0962742ccd3364c2a32196af4a68b276a8804c9",
+     ["measure", "--kind=virasoro", "--ring=poly-z", "--w=1/3", "--x=1=1,2=1/2",
+      "--y=1=1", "--max-degree=3"]),
+    (0, "e86d68c8d5c47f684d59d1f40d7bbca1ab6657b917f6d377b822d27cdb20eb11",
+     ["measure", "--kind=virasoro", "--z=2/3", "--w=-1/5", "--x=1=1,2=1/3",
+      "--y=1=1/2", "--max-degree=3", "--output=csv"]),
+    (0, "ec11a904142fc072e4eea479498420a8a71816d63e2c4d924805d4112f0b4420",
+     ["convert", "--x=1=1,2=1,3=-1/2", "--y=1=2,2=1/3", "--z=1/2", "--w=1/3",
+      "--max-degree=4"]),
+    (0, "cae072f6a6cc20ad34d95e793abb6a626a72686b525b75f8ec0474a06dcf7881",
+     ["convert", "--x=1=1,2=1", "--y=1=2", "--max-degree=3", "--ring=poly-z"]),
+    (0, "a89a551479a6619c4f7e73399ce3d64362ae9b9b32e50e2ca49b3556032e984e",
+     ["correlations", "--kind=virasoro", "--z=1/2", "--w=1/3", "--x=1=1",
+      "--y=1=1/3", '--points=["1/2","-3/2"]', "--max-degree=4"]),
+    (0, "1ab0f803f992492f8b27563a7393bf724c76cecef2f851b0ea23016ce5205199",
+     ["decompose", "--z=1/2", "--w=0", "--max-degree=4"]),
+    (0, "a6828fb81e92adc466b1cf54ec92dcbda4a4b1e129db46565f2a8d24996ea964",
+     ["verify", "--suite=heisenberg", "--seed=3", "--max-degree=2"]),
+    (0, "4e23bc2b7a03a84dd736d2ca26c55c6a252f35fbc9efb0f1946d80fa3aa3c345",
+     ["verify", "--suite=sl2", "--seed=3", "--max-degree=3"]),
+    (0, "5a63e05befde5c38304e0d08529c42aa2703c15e6bed2f20489a8f9f23bb782a",
+     ["verify", "--suite=virasoro-cc", "--seed=3", "--max-degree=2"]),
+    (0, "fa26aa945d28b3d85e990fa16982b0eb6fb1186cdce5c4d9b83db1727408da1f",
+     ["verify", "--suite=kerov-equiv", "--seed=3", "--max-degree=3"]),
+    (0, "c03b71813ebe01173159299fcac327c3c28c2b28d917c2e95a873d3c4eb62818",
+     ["verify", "--suite=rimhook-equiv", "--seed=3", "--max-degree=3"]),
+    (0, "bd29599a3f63ab9ec0b1241f55077d1b77a5ee7a5933f7aeec9fe46ef14e0d0e",
+     ["verify", "--suite=m-virasoro", "--seed=3", "--max-degree=2"]),
+    (0, "5bd09dc9d6b7dcc6f234717ff03d77b7e21b639a49892433d49b8a56a71bdd37",
+     ["verify", "--suite=prop52", "--seed=3", "--max-degree=2"]),
+    (0, "666408a37f46fbf432e4585b58581933e05a54ddb10c4d36c2ba8fc9936ae707",
+     ["verify", "--suite=prop62", "--seed=3", "--max-degree=2"]),
+    (0, "66eb7452c7cfd40f8659082161d2543c0689ac698d7a10cd2ebf589e6da999fd",
+     ["verify", "--suite=kernels", "--seed=3", "--max-degree=3"]),
+    (1, "8703e70a8e938fdb30f54cefd5a060186b763fc053a1ca458d911837588ca9a5",
+     ["verify", "--suite=determinancy", "--seed=3", "--max-degree=3"]),
+]
+
+
+@pytest.mark.parametrize("code,digest,argv", GOLDEN_STDOUT,
+                         ids=[" ".join(g[2][:2]) for g in GOLDEN_STDOUT])
+def test_golden_stdout_digest(code, digest, argv, capsys):
+    got_code, out, err = run_cli(argv, capsys)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_max_degree_zero_is_honoured(capsys):
+    code, out, _ = run_cli(["verify", "--suite=sl2", "--seed=1", "--max-degree=0"], capsys)
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["params"]["max_degree"] == 0
+
+
+def test_verify_with_no_checks_is_a_usage_error(capsys):
+    # the rank suite covers degrees 1..N, so N = 0 leaves nothing to check
+    code, out, err = run_cli(["verify", "--suite=rank", "--max-degree=0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no checks" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--kind=virasoro", "--z=0.5", "--max-degree=2"],
+    ["measure", "--kind=schur", "--x=1=1e1000", "--max-degree=2"],
+    ["convert", "--x=1=1_0", "--max-degree=2"],
+    ["decompose", "--z=1/0", "--w=1"],
+    ["correlations", "--kind=schur", '--points=["0.5"]', "--max-degree=2"],
+    ["correlations", "--kind=schur", '--points=["1e1000"]', "--max-degree=2"],
+])
+def test_non_fraction_numbers_exit_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_half_integer_point_in_fraction_form(capsys):
+    code, out, _ = run_cli(["correlations", "--kind=schur", "--x=1=1", "--y=1=1",
+                            '--points=[" 1/2 ", "-1/2"]', "--max-degree=2"], capsys)
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["points"] == ["1/2", "-1/2"]
+
+
+def test_kernels_reports_a_wrong_highest_weight(monkeypatch, capsys):
+    # shift the diagonal by one: every kernel vector now misses z*w + 2N
+    import youngfock.repstructure as rs
+    from youngfock.operators import Bilinear
+
+    monkeypatch.setattr(rs, "kerov_l", lambda p: Bilinear(0, 0, 2, p.z * p.w + 1))
+    code, out, err = run_cli(["verify", "--suite=kernels", "--seed=3", "--max-degree=3"], capsys)
+    assert code == 1 and err == ""
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    checks = {l["check"]: l["ok"] for l in lines if "check" in l}
+    assert checks["kernel vectors carry eigenvalue z*w + 2N"] is False
+    assert lines[-1]["ok"] is False

@@ -17,7 +17,7 @@ from youngfock.conversion import (
 )
 from youngfock.fock import vacuum
 from youngfock.measures import schur_polynomial
-from youngfock.operators import VirasoroFamily, VirasoroParams, exp_lowering_bra, exp_raising
+from youngfock.operators import VirasoroParams, exp_lowering_bra, exp_raising, virasoro_op
 from youngfock.partitions import HalfInt, Partition
 from youngfock.rings import series_exp
 
@@ -26,6 +26,11 @@ from .conftest import rand_q
 
 def P(*parts):
     return Partition(parts)
+
+
+def modes(x, alpha, sign):
+    """(x_k, L_(sign*k)) pairs at (alpha, gamma=0)."""
+    return [(c, virasoro_op(sign * k, VirasoroParams(alpha=alpha))) for k, c in x.items()]
 
 
 def test_path_polynomial_examples():
@@ -60,8 +65,7 @@ def test_vir_row_matches_operator_exponential(rng):
     for _ in range(3):
         z = rand_q(rng)
         x = {k: rand_q(rng) for k in (1, 2, 3)}
-        fam = VirasoroFamily(VirasoroParams(alpha=z, gamma=Fraction(0)))
-        ket = exp_raising(x, fam, vacuum(), 6)
+        ket = exp_raising(modes(x, z, -1), vacuum(), 6)
         for n in range(1, 7):
             assert vir_row(n, x, z) == ket.coefficient_of_partition(P(n)), n
 
@@ -71,9 +75,8 @@ def test_bra_row_matches_vir_row(rng):
     for _ in range(3):
         w = rand_q(rng)
         y = {k: rand_q(rng) for k in (1, 2, 3)}
-        fam = VirasoroFamily(VirasoroParams(alpha=w, gamma=Fraction(0)))
         for n in range(1, 6):
-            assert exp_lowering_bra(y, fam, P(n), n) == vir_row(n, y, w), n
+            assert exp_lowering_bra(modes(y, w, 1), P(n), n) == vir_row(n, y, w), n
 
 
 def test_schur_params_printed_values():
@@ -173,9 +176,8 @@ def test_y_side_matches_bra_inversion(rng):
     y = {k: rand_q(rng) for k in (1, 2)}
     values, _ = y_side_params(y, w, 5)
     ym = {i + 1: v for i, v in enumerate(values)}
-    fam = VirasoroFamily(VirasoroParams(alpha=w, gamma=Fraction(0)))
     for n in range(1, 6):
-        assert schur_polynomial(P(n), ym) == exp_lowering_bra(y, fam, P(n), n), n
+        assert schur_polynomial(P(n), ym) == exp_lowering_bra(modes(y, w, 1), P(n), n), n
 
 
 def test_schur_reduction_holds_for_unit_jumps_only(rng):
@@ -186,8 +188,7 @@ def test_schur_reduction_holds_for_unit_jumps_only(rng):
     for _ in range(2):
         z = rand_q(rng)
         x = {1: rand_q(rng, nonzero=True)}
-        fam = VirasoroFamily(VirasoroParams(alpha=z, gamma=Fraction(0)))
-        ket = exp_raising(x, fam, vacuum(), 6)
+        ket = exp_raising(modes(x, z, -1), vacuum(), 6)
         xs = schur_params_from_vir(x, z, 6)
         xm = {i + 1: v for i, v in enumerate(xs)}
         for lam in partitions_up_to(6):
@@ -201,8 +202,7 @@ def test_schur_reduction_gap_is_exactly_x2_at_two_rows():
     grid = [Fraction(n) for n in (-2, -1, 0, 1, 2)]
     for x1, x2, z in itertools.product(grid, repeat=3):
         x = {1: x1, 2: x2}
-        fam = VirasoroFamily(VirasoroParams(alpha=z, gamma=Fraction(0)))
-        ket = exp_raising(x, fam, vacuum(), 2)
+        ket = exp_raising(modes(x, z, -1), vacuum(), 2)
         xs = schur_params_from_vir(x, z, 2)
         s11 = schur_polynomial(P(1, 1), {1: xs[0], 2: xs[1]})
         assert s11 - ket.coefficient_of_partition(P(1, 1)) == -x2

@@ -18,7 +18,7 @@ from youngfock.measures import (
     virasoro_weight_table,
     weight_table,
 )
-from youngfock.operators import KerovParams, VirasoroFamily, VirasoroParams, exp_raising
+from youngfock.operators import KerovParams, VirasoroParams, exp_raising, virasoro_op
 from youngfock.partitions import HalfInt, Partition, contains_particle, partitions_up_to
 from youngfock.rings import Poly
 
@@ -126,8 +126,8 @@ def test_virasoro_table_polynomial_ring_degree_bound():
                                          y={1: Fraction(1)}),
                        kerov=KerovParams(z=t, w=Fraction(1, 3)), truncation=4)
     table = virasoro_weight_table(spec)
-    fam = VirasoroFamily(VirasoroParams(alpha=t, gamma=Fraction(0)))
-    ket = exp_raising(spec.params.x, fam, vacuum(), 4)
+    raising = [(c, virasoro_op(-k, VirasoroParams(alpha=t))) for k, c in spec.params.x.items()]
+    ket = exp_raising(raising, vacuum(), 4)
     for lam in table.partitions():
         coeff = ket.coefficient_of_partition(lam)
         deg = coeff.degree if isinstance(coeff, Poly) else 0

@@ -107,3 +107,9 @@ def test_random_rational_determinism():
     b = [random_rational(random.Random(5)) for _ in range(4)]
     assert a == b
     assert random_rational(random.Random(0), nonzero=True) != 0
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e1000", "1_0", "1/0", "1/-2", "", "/3", "inf"])
+def test_parse_rational_accepts_only_fractions(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
