@@ -23,10 +23,10 @@ operator              k       const                   slope      offset (k = 0 o
 ``virasoro_op(k)``    k       alpha + gamma*k - k/2   1          (alpha**2 - gamma**2)/2
 ``kerov_u``           -1      z + 1/2                 1
 ``kerov_d``           1       w - 1/2                 1
-``kerov_l``           0       0                       2          z*w
+``kerov_l``           0       z + w                   2          z*w
 ``hook_raise(r)``     -r      z + 1/2                 1/r
 ``hook_lower(r)``     r       w - 1/2                 1/r
-``hook_diagonal(r)``  0       0                       2/r        sum_j (z + u_j)(w + u_j)
+``hook_diagonal(r)``  0       z + w                   2/r        sum_j (z + u_j)(w + u_j)
 ====================  ======  ======================  =========  =========================
 
 Adjoint rule, in the pairing where the Maya basis is orthonormal:
@@ -57,9 +57,13 @@ the test suite:
 * Rim-hook ladder operators at length r match the oscillator modes with
   ``alpha = r(z+w)/2`` up to the overall scalar r:
   ``virasoro_op(-r) = r * hook_raise(r)`` and likewise for lowering.
-  The hook diagonal's offset is fixed so that it equals
-  [hook_lower(r), hook_raise(r)]; the naive per-particle sum over the
-  infinite sea diverges and the commutator pins its finite part.
+  The hook diagonal equals [hook_lower(r), hook_raise(r)] in every
+  charge sector: the bracket of two bilinears is the diagonal bilinear
+  with weight f(x) - f(x - r), f(x) = (z + 1/2 + x/r)(w + 1/2 + x/r),
+  which is z + w + 2x/r.  Its offset is the bracket's value on the
+  vacuum; the naive per-particle sum over the infinite sea diverges and
+  the commutator pins its finite part.  In charge c the length-1
+  diagonal is (z + c)(w + c) + 2*degree.
 
 * M-fold quadratic sums run over ordered index tuples weighted 1/M!
   (equivalently multisets weighted by inverse multiplicity factorials);
@@ -147,9 +151,6 @@ class Bilinear:
             return v.linear_apply(lambda st: (
                 (st, self.offset + c * st.charge
                  + s * Fraction(sum(st.above) - sum(st.below), 2)),))
-        if is_zero(s):  # position-independent weight: skip the affine term
-            return v.linear_apply(lambda st: [
-                (new, c * sign) for new, sign, _ in boson_moves(k, st)])
         return v.linear_apply(lambda st: [
             (new, (c + s * x) * sign) for new, sign, x in boson_moves(k, st)])
 
@@ -203,7 +204,7 @@ def hook_diagonal(r: int, p: KerovParams) -> Bilinear:
     """[hook_lower(r), hook_raise(r)]: 2|lam|/r plus a constant on diagrams."""
     if r < 1:
         raise ValueError("hook length must be positive")
-    return Bilinear(0, Fraction(0), Fraction(2, r), _diagonal_hook_constant(r, p))
+    return Bilinear(0, p.z + p.w, Fraction(2, r), _diagonal_hook_constant(r, p))
 
 
 # the box-weight sl2 triple is the length-1 hook triple
@@ -218,7 +219,7 @@ def kerov_d(p: KerovParams) -> Bilinear:
 
 
 def kerov_l(p: KerovParams) -> Bilinear:
-    """Diagonal z*w + 2|lam|."""
+    """Diagonal z*w + 2|lam| on diagrams; (z + c)(w + c) + 2*degree in charge c."""
     return hook_diagonal(1, p)
 
 

@@ -254,7 +254,7 @@ def test_kernels_reports_a_wrong_highest_weight(monkeypatch, capsys):
     import youngfock.repstructure as rs
     from youngfock.operators import Bilinear
 
-    monkeypatch.setattr(rs, "kerov_l", lambda p: Bilinear(0, 0, 2, p.z * p.w + 1))
+    monkeypatch.setattr(rs, "kerov_l", lambda p: Bilinear(0, p.z + p.w, 2, p.z * p.w + 1))
     code, out, err = run_cli(["verify", "--suite=kernels", "--seed=3", "--max-degree=3"], capsys)
     assert code == 1 and err == ""
     lines = [json.loads(l) for l in out.strip().splitlines()]
