@@ -97,28 +97,14 @@ def test_rimhook_unit_hooks_match_boxes():
 
 
 def test_rimhook_triple_closes():
+    # [D_r, U_r] = H_r, [H_r, U_r] = 2 U_r, [H_r, D_r] = -2 D_r in charges -1, 0, 1
     for r in (1, 2, 3):
         up, down, diag = hook_raise(r, KP), hook_lower(r, KP), hook_diagonal(r, KP)
-        for n in range(5):
-            for lam in partitions_of(n):
-                v = FockVector.from_partition(lam)
-                assert down.apply(up.apply(v)) - up.apply(down.apply(v)) == diag.apply(v), (r, lam)
-
-
-def test_hook_triple_in_charged_sectors():
-    # [D_r, U_r] = H_r, [H_r, U_r] = 2 U_r, [H_r, D_r] = -2 D_r off the diagrams too
-    for r in (1, 2, 3):
-        up, down, diag = hook_raise(r, KP), hook_lower(r, KP), hook_diagonal(r, KP)
-        for state in charged_states(4, (-1, 1)):
+        for state in charged_states(4):
             v = FockVector.basis(state)
             assert down.apply(up.apply(v)) - up.apply(down.apply(v)) == diag.apply(v), (r, state)
             assert diag.apply(up.apply(v)) - up.apply(diag.apply(v)) == up.apply(v).scale(2)
             assert diag.apply(down.apply(v)) - down.apply(diag.apply(v)) == down.apply(v).scale(-2)
-    # the box-weight diagonal against the quadratic oracle: L = 2 L_0 in every sector
-    for state in charged_states(5, (-2, -1, 1, 2)):
-        v, c = FockVector.basis(state), state.charge
-        assert kerov_l(KP).apply(v) == quadratic_mode(0, VP, v).scale(2), state
-        assert kerov_l(KP).apply(v) == v.scale((Z + c) * (W + c) + 2 * state.degree)
 
 
 def test_virasoro_vacuum_examples():
@@ -171,6 +157,11 @@ def test_kerov_virasoro_equivalence():
             assert quadratic_mode(-1, VP, v) == kerov_u(KP).apply(v)
             assert quadratic_mode(1, VP, v) == kerov_d(KP).apply(v)
             assert quadratic_mode(0, VP, v).scale(2) == kerov_l(KP).apply(v)
+    # the diagonal off the diagrams: L = 2 L_0 = (z + c)(w + c) + 2*degree in charge c
+    for state in charged_states(5, (-2, -1, 1, 2)):
+        v, c = FockVector.basis(state), state.charge
+        assert quadratic_mode(0, VP, v).scale(2) == kerov_l(KP).apply(v), state
+        assert kerov_l(KP).apply(v) == v.scale((Z + c) * (W + c) + 2 * state.degree)
 
 
 def test_rimhook_virasoro_scale():
