@@ -204,6 +204,21 @@ GOLDEN_STDOUT = [
      ["verify", "--suite=kernels", "--seed=3", "--max-degree=3"]),
     (1, "8703e70a8e938fdb30f54cefd5a060186b763fc053a1ca458d911837588ca9a5",
      ["verify", "--suite=determinancy", "--seed=3", "--max-degree=3"]),
+    # exact elimination (ranks, kernels, Jacobi-Trudi determinants up to
+    # 8x8) and the polynomial inversion of convert, whose dead levels print
+    # X as "0" at some N and as {"poly": []} at others
+    (0, "5fd7d40ee037e4734c903506aa86da499960fe9ddaa0115a8df55c2b04d510b9",
+     ["verify", "--suite=rank", "--max-degree=5"]),
+    (0, "d3eb082d065e402900f171e1247deeb9bc03a515aae9bc1bd63f120f90992ef8",
+     ["verify", "--suite=z-linearity", "--max-degree=4"]),
+    (0, "d576ba20274cc680cc3b88238f7183535b29392746f4e55bd00f33290aa17546",
+     ["decompose", "--z=3/2", "--w=-2/3", "--max-degree=6"]),
+    (0, "f390a93b516bb1791561ff3a40ae68b7970c31b95fd81b5b5906ab71d1dd43b3",
+     ["decompose", "--z=0", "--w=3/2", "--max-degree=5"]),
+    (0, "c83cd56ed30532127540dd3dab6aed9adfe8c2d5e7542dedd65b369c5890dab9",
+     ["measure", "--max-degree=8", "--kind=schur", "--x=1=1,2=1/3", "--y=1=1/2,3=2"]),
+    (0, "60b3a6b7af23419d612563d42bdfb3a938ca40383e7ca4c12841f967bb02936a",
+     ["convert", "--ring=poly-z", "--x=2=1,3=1/2", "--y=3=1", "--max-degree=6"]),
 ]
 
 
