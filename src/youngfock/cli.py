@@ -17,12 +17,13 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .conversion import schur_params_from_vir, y_side_params, z_linearity_witness
+from .conversion import schur_params_from_vir, split_linear
 from .measures import (
     MeasureSpec,
     MiwaParams,
@@ -64,6 +65,9 @@ class _CliError(Exception):
     pass
 
 
+_MIWA_INDEX = re.compile(r"\s*[0-9]+\s*")
+
+
 def _parse_miwa(text: Optional[str]) -> Dict[int, Fraction]:
     if not text:
         return {}
@@ -75,6 +79,8 @@ def _parse_miwa(text: Optional[str]) -> Dict[int, Fraction]:
         if "=" not in piece:
             raise _CliError(f"bad parameter entry {piece!r}; expected k=p/q")
         key, _, value = piece.partition("=")
+        if _MIWA_INDEX.fullmatch(key) is None:
+            raise _CliError(f"bad parameter index {key!r}; expected ASCII digits")
         k = int(key)
         if k < 1:
             raise _CliError(f"parameter index {k} must be >= 1")
@@ -251,32 +257,21 @@ def _run_measure(cfg: RunConfig) -> int:
 
 
 def _run_convert(cfg: RunConfig) -> int:
+    """One inversion over the polynomial ring per side: its values under
+    poly-z, else A_N*z + B_N (C_N*w + D_N) at the given point."""
     lines = []
     n_max = cfg.max_degree
-    witnesses = z_linearity_witness(cfg.x, n_max) if cfg.x else []
-    if cfg.ring == "poly-z":
-        xs = schur_params_from_vir(cfg.x, Poly.gen(), n_max) if cfg.x else []
-    else:
-        xs = schur_params_from_vir(cfg.x, cfg.params.get("z", Fraction(0)), n_max) if cfg.x else []
-    for n in range(1, len(xs) + 1):
-        lines.append(_dump({
-            "N": n,
-            "A": scalar_to_json(witnesses[n - 1].a),
-            "B": scalar_to_json(witnesses[n - 1].b),
-            "X": scalar_to_json(xs[n - 1]),
-        }))
-    if cfg.y:
-        w: Scalar = cfg.params.get("w", Fraction(0))
-        if cfg.ring == "poly-z":
-            w = Poly.gen()
-        ys, wit_y = y_side_params(cfg.y, w, n_max)
-        for n in range(1, len(ys) + 1):
-            lines.append(_dump({
-                "N": n,
-                "C": scalar_to_json(wit_y[n - 1].a),
-                "D": scalar_to_json(wit_y[n - 1].b),
-                "Y": scalar_to_json(ys[n - 1]),
-            }))
+    sides = ((cfg.x, cfg.params.get("z", Fraction(0)), ("A", "B", "X")),
+             (cfg.y, cfg.params.get("w", Fraction(0)), ("C", "D", "Y")))
+    for params, point, (a_key, b_key, value_key) in sides:
+        if not params:
+            continue
+        xs = schur_params_from_vir(params, Poly.gen(), n_max)
+        for n, (val, wit) in enumerate(zip(xs, split_linear(xs)), start=1):
+            if cfg.ring != "poly-z":
+                val = wit.a * point + wit.b
+            lines.append(_dump({"N": n, a_key: scalar_to_json(wit.a),
+                                b_key: scalar_to_json(wit.b), value_key: scalar_to_json(val)}))
     lines.append(_dump({"command": "convert", "max_degree": n_max, "ok": True}))
     _emit(lines, cfg.out)
     return 0

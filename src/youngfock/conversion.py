@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .partitions import HalfInt
 from .rings import Poly, Scalar, is_zero, scalar_to_json, series_exp
@@ -75,23 +75,24 @@ def compositions_of(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _live_compositions(n: int, x: Mapping[int, Scalar]) -> Iterator[Tuple[Tuple[int, ...], Scalar]]:
+    """Compositions of n whose every part k has x_k nonzero, each with
+    (prod x_k) / R! for R parts."""
+    for jumps in compositions_of(n):
+        if all(not is_zero(x.get(j, 0)) for j in jumps):
+            coeff: Scalar = Fraction(1, math.factorial(len(jumps)))
+            for j in jumps:
+                coeff = coeff * x[j]
+            yield jumps, coeff
+
+
 def vir_row(n: int, x: Mapping[int, Scalar], z: Scalar) -> Scalar:
     """Single-row coefficient of the raising exponential at degree n:
     sum over jump compositions of (prod x_k) * path_polynomial / R!."""
     if n < 1:
         raise ValueError("row size must be positive")
     total: Scalar = Fraction(0)
-    for jumps in compositions_of(n):
-        coeff: Scalar = Fraction(1, math.factorial(len(jumps)))
-        dead = False
-        for j in jumps:
-            c = x.get(j)
-            if c is None or is_zero(c):
-                dead = True
-                break
-            coeff = coeff * c
-        if dead:
-            continue
+    for jumps, coeff in _live_compositions(n, x):
         total = total + coeff * path_polynomial(JumpComposition(jumps), z)
     return total
 
@@ -109,11 +110,9 @@ def schur_params_from_vir(x: Mapping[int, Scalar], z: Scalar, n_max: int) -> Lis
     return xs
 
 
-def z_linearity_witness(x: Mapping[int, Scalar], n_max: int) -> List[LinearInZ]:
-    """Run the inversion over the polynomial ring and split each X_N as
+def split_linear(xs: List[Scalar]) -> List[LinearInZ]:
+    """Split each X_N of an inversion over the polynomial ring as
     A_N*z + B_N; a z-degree above 1 is a hard error naming the level."""
-    t = Poly.gen()
-    xs = schur_params_from_vir(x, t, n_max)
     out: List[LinearInZ] = []
     for n, val in enumerate(xs, start=1):
         poly = val if isinstance(val, Poly) else Poly((val,))
@@ -121,6 +120,12 @@ def z_linearity_witness(x: Mapping[int, Scalar], n_max: int) -> List[LinearInZ]:
             raise ValueError(f"X_{n} has z-degree {poly.degree} > 1")
         out.append(LinearInZ(a=poly.coefficient(1), b=poly.coefficient(0)))
     return out
+
+
+def z_linearity_witness(x: Mapping[int, Scalar], n_max: int) -> List[LinearInZ]:
+    """Run the inversion over the polynomial ring and split each X_N as
+    A_N*z + B_N."""
+    return split_linear(schur_params_from_vir(x, Poly.gen(), n_max))
 
 
 def a_coeff_closed(n: int, x: Mapping[int, Scalar]) -> Scalar:
@@ -132,17 +137,7 @@ def a_coeff_closed(n: int, x: Mapping[int, Scalar]) -> Scalar:
     the verification suite.
     """
     total: Scalar = Fraction(0)
-    for jumps in compositions_of(n):
-        coeff: Scalar = Fraction(1, math.factorial(len(jumps)))
-        dead = False
-        for j in jumps:
-            c = x.get(j)
-            if c is None or is_zero(c):
-                dead = True
-                break
-            coeff = coeff * c
-        if dead:
-            continue
+    for jumps, coeff in _live_compositions(n, x):
         partial = 0
         weight = 1
         for j in jumps[1:]:
@@ -170,8 +165,8 @@ def y_side_params(y: Mapping[int, Scalar], w: Scalar, n_max: int) -> Tuple[List[
     """Schur parameters for the bra side plus their w-linearity witnesses.
 
     Reversing a lowering path turns it into a raising path with the same
-    per-jump factor in w, so the pipeline is the x-side one verbatim.
+    per-jump factor in w, so the pipeline is the x-side one verbatim; one
+    inversion over the polynomial ring gives both, Y_N = C_N*w + D_N.
     """
-    values = schur_params_from_vir(y, w, n_max)
     witnesses = z_linearity_witness(y, n_max)
-    return values, witnesses
+    return [wit.a * w + wit.b for wit in witnesses], witnesses

@@ -336,8 +336,3 @@ def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, Fractio
         s2, new = mid.insert(target)
         out.append((new, s1 * s2, x.as_fraction()))
     return tuple(out)
-
-
-def boson_zero_eigenvalue(alpha: Scalar, v: FockVector) -> FockVector:
-    """The central zero mode: scalar multiplication by alpha."""
-    return v.scale(alpha)

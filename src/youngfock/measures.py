@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping
 
 from .fock import vacuum
 from .operators import (
@@ -23,7 +23,7 @@ from .operators import (
     virasoro_op,
 )
 from .partitions import HalfInt, Partition, contains_particle, partitions_up_to
-from .rings import Scalar, divexact, is_zero, scalar_to_json, series_exp
+from .rings import Scalar, det, divexact, is_zero, scalar_to_json, series_exp
 
 
 @dataclass
@@ -119,34 +119,6 @@ def complete_homogeneous(x: Mapping[int, Scalar], order: int) -> List[Scalar]:
     return series_exp(a, order)
 
 
-def _det(matrix: List[List[Scalar]]) -> Scalar:
-    """Division-free determinant by memoized first-row expansion."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    memo: Dict[Tuple[int, ...], Scalar] = {}
-
-    def minor(row: int, cols: Tuple[int, ...]) -> Scalar:
-        if row == n:
-            return Fraction(1)
-        key = cols
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total: Scalar = Fraction(0)
-        sign = 1
-        for i, c in enumerate(cols):
-            entry = matrix[row][c]
-            if not is_zero(entry):
-                sub = minor(row + 1, cols[:i] + cols[i + 1:])
-                total = total + sign * entry * sub
-            sign = -sign
-        memo[key] = total
-        return total
-
-    return minor(0, tuple(range(n)))
-
-
 def schur_polynomial(lam: Partition, x: Mapping[int, Scalar]) -> Scalar:
     """s_lam in Miwa coordinates: det[s_(lam_i - i + j)] over the
     complete-homogeneous sequence."""
@@ -163,7 +135,7 @@ def schur_polynomial(lam: Partition, x: Mapping[int, Scalar]) -> Scalar:
         return h[idx]
 
     matrix = [[entry(i, j) for j in range(1, rows + 1)] for i in range(1, rows + 1)]
-    return _det(matrix)
+    return det(matrix)
 
 
 def schur_weight(lam: Partition, p: MiwaParams) -> Scalar:

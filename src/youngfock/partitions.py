@@ -1,4 +1,4 @@
-"""Young diagrams, half-integer particle coordinates, boxes and rim hooks.
+"""Young diagrams, half-integer particle coordinates and rim hooks.
 
 A partition corresponds to a particle configuration on the half-integer
 line via ``x_i = parts[i] - i - 1/2`` (0-indexed): particles at those
@@ -115,22 +115,6 @@ EMPTY = Partition()
 
 
 @dataclass(frozen=True)
-class Box:
-    """A box of a diagram with its content col - row."""
-
-    row: int
-    col: int
-
-    def __post_init__(self):
-        if self.row < 1 or self.col < 1:
-            raise ValueError("box coordinates are positive")
-
-    @property
-    def content(self) -> int:
-        return self.col - self.row
-
-
-@dataclass(frozen=True)
 class RimHookMove:
     """One rim-hook addition or removal, recorded as a particle jump.
 
@@ -199,24 +183,6 @@ def contains_particle(lam: Partition, x: HalfInt) -> bool:
         return True
     # vacuum tail below the listed rows
     return x.doubled <= -2 * len(lam) - 1
-
-
-def addable_boxes(lam: Partition) -> List[Box]:
-    """Corner boxes whose addition yields a partition, content descending."""
-    out = [Box(1, lam.part(1) + 1)]
-    for i in range(2, len(lam) + 2):
-        if lam.part(i) < lam.part(i - 1):
-            out.append(Box(i, lam.part(i) + 1))
-    return out
-
-
-def removable_boxes(lam: Partition) -> List[Box]:
-    """Corner boxes whose removal yields a partition, content descending."""
-    out = []
-    for i in range(1, len(lam) + 1):
-        if lam.part(i) > lam.part(i + 1):
-            out.append(Box(i, lam.part(i)))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -304,13 +270,3 @@ def partitions_up_to(n: int) -> List[Partition]:
     for d in range(n + 1):
         out.extend(partitions_of(d))
     return out
-
-
-def transpose(lam: Partition) -> Partition:
-    if not lam.parts:
-        return EMPTY
-    cols = [0] * lam.parts[0]
-    for p in lam.parts:
-        for j in range(p):
-            cols[j] += 1
-    return Partition(cols)

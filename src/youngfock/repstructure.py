@@ -1,20 +1,23 @@
 """Exact linear-algebra diagnostics of the ladder-operator representation.
 
-Graded matrices in the deterministic reverse-lex bases, fraction-free
-ranks, kernels, highest-weight vectors, and the four-case decomposition
-report over the (z, w) parameter plane.
+Graded matrices in the deterministic reverse-lex bases; ranks and kernels
+through the one fraction-free elimination, :func:`rings.echelon`;
+highest-weight vectors; and the four-case decomposition report over the
+(z, w) parameter plane.  The report builds and eliminates the removal
+matrix once per degree: its rank is p(N) - dim ker, and applying the
+operator to every kernel vector certifies that kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .fock import FockVector
 from .operators import KerovParams, Operator, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
-from .rings import Scalar, divexact, is_zero, scalar_to_json
+from .rings import Scalar, echelon, is_zero, nullspace, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -44,96 +47,19 @@ def matrix_of(op: Operator, n: int) -> GradedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination
-# ---------------------------------------------------------------------------
-
-def bareiss_rank(matrix: Sequence[Sequence[Scalar]]) -> int:
-    """Rank by fraction-free Gaussian elimination; every division in the
-    update is exact in the entry ring, so this works over the
-    polynomials as well as the rationals."""
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    prev: Scalar = Fraction(1)
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, n_rows):
-            if not is_zero(m[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != row:
-            m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                m[r][c] = divexact(m[r][c] * pivot - m[r][col] * m[row][c], prev)
-            m[r][col] = Fraction(0)
-        prev = pivot
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
-
-
-def rref_nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Scalar]]:
-    """Kernel basis over the rationals via reduced row echelon form.
-
-    One basis vector per free column, in column order; deterministic.
-    """
-    m = [[Fraction(v) for v in row] for row in matrix]
-    for row in m:
-        if len(row) != n_cols:
-            raise ValueError("ragged matrix")
-    pivots: List[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = m[row][col]
-        m[row] = [v / inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][f]
-        basis.append(vec)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # named diagnostics
 # ---------------------------------------------------------------------------
 
 def rank_of_D(n: int, w: Scalar) -> int:
     """Exact rank of the box-removal operator on degree n."""
     op = kerov_d(KerovParams(z=Fraction(0), w=w))
-    return bareiss_rank(matrix_of(op, n).entries)
+    return len(echelon(matrix_of(op, n).entries)[1])
 
 
 def kernel_basis(op: Operator, n: int) -> List[FockVector]:
     """Exact kernel of the graded matrix at degree n, as vectors."""
     gm = matrix_of(op, n)
-    vectors = rref_nullspace(gm.entries, len(gm.cols))
+    vectors = nullspace(gm.entries, len(gm.cols))
     out = []
     for vec in vectors:
         out.append(FockVector.from_partition_terms(
@@ -230,33 +156,26 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
     per_degree = []
     for n in range(n_max + 1):
         p_n = len(partitions_of(n))
-        rank = rank_of_D(n, w)
         kernel, hw_ok = highest_weight_check(n, z, w)
         ker_dim = len(kernel)
         # raising the kernel stays independent (first Verma level is free)
-        u_images = [u_op.apply(vec) for vec in kernel]
-        if u_images:
-            basis = partitions_of(n + 1)
-            index = {lam: i for i, lam in enumerate(basis)}
-            rows = []
-            for img in u_images:
-                row = [Fraction(0)] * len(basis)
-                for state, coeff in img.terms():
-                    row[index[state.to_partition()]] = coeff
-                rows.append(row)
-            free_image = bareiss_rank(rows) == len(u_images)
-        else:
-            free_image = True
+        basis = {lam: i for i, lam in enumerate(partitions_of(n + 1))}
+        rows = []
+        for vec in kernel:
+            row = [Fraction(0)] * len(basis)
+            for state, coeff in u_op.apply(vec).terms():
+                row[basis[state.to_partition()]] = coeff
+            rows.append(row)
         per_degree.append({
             "degree": n,
             "dimension": p_n,
-            "rank_D": rank,
+            "rank_D": p_n - ker_dim,
             "kernel_dim": ker_dim,
-            "rank_nullity_ok": rank + ker_dim == p_n,
+            "rank_nullity_ok": all(d_op.apply(vec).is_zero() for vec in kernel),
             "hw_eigenvalue": scalar_to_json(z * w + 2 * n),
             "hw_ok": hw_ok,
             "verma_multiplicity": ker_dim if n >= 2 else None,
-            "u_image_independent": free_image,
+            "u_image_independent": len(echelon(rows)[1]) == ker_dim,
         })
 
     return DecompositionReport(case=case, z=z, w=w, relations=relations,

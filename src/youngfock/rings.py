@@ -7,14 +7,17 @@ formal (degree-in-z bookkeeping, specialization checks); it interoperates
 with ints and Fractions through the normal operator protocol, so generic
 operator code never needs to know which ring it runs over.
 
-No floating point anywhere.
+:func:`echelon` is the package's one exact elimination (fraction-free
+Bareiss); ranks are its pivot counts, and :func:`det` and
+:func:`nullspace` are built on it.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, "Poly"]
 
@@ -200,11 +203,87 @@ def _divmod_poly(num: Poly, den: Poly):
 
 
 def divexact(a: Scalar, b: Scalar) -> Scalar:
-    """Exact division in the scalar ring; raises if the quotient leaves it."""
+    """Exact division in the scalar ring; raises if the quotient leaves it.
+    Two ints that divide exactly give an int."""
     if isinstance(a, Poly) or isinstance(b, Poly):
         pa = a if isinstance(a, Poly) else Poly((a,))
         return pa / (b if isinstance(b, Poly) else Fraction(b))
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
     return Fraction(a) / Fraction(b)
+
+
+# -- fraction-free elimination -------------------------------------------------
+
+def echelon(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[list], List[int], Fraction]:
+    """Row echelon form by Bareiss elimination.
+
+    Rows of ints and Fractions are first cleared to integers by the lcm of
+    their denominators, so the elimination runs in int arithmetic; Poly rows
+    stay as they are.  Pivots are taken column by column from the first
+    nonzero row.  Every division in the update is exact, so the entries stay
+    in the ring, and after k pivots each entry is a k+1 minor of the scaled
+    matrix.  Returns (rows, pivot columns, factor): det of the original
+    square matrix is the last pivot times ``factor``, which undoes the row
+    scalings and the sign of the row swaps.
+    """
+    rows: List[list] = []
+    factor = Fraction(1)
+    for row in matrix:
+        if all(isinstance(v, (int, Fraction)) for v in row):
+            scale = math.lcm(*(Fraction(v).denominator for v in row))
+            rows.append([int(v * scale) for v in row])
+            factor /= scale
+        else:
+            rows.append(list(row))
+    n_cols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    prev: Scalar = 1
+    for col in range(n_cols):
+        top = len(pivots)
+        pivot_row = next((r for r in range(top, len(rows)) if not is_zero(rows[r][col])), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            factor = -factor
+        head = rows[top]
+        pivot = head[col]
+        for row in rows[top + 1:]:
+            lead = row[col]
+            for c in range(col + 1, n_cols):
+                row[c] = divexact(row[c] * pivot - lead * head[c], prev)
+            row[col] = 0
+        prev = pivot
+        pivots.append(col)
+    return rows, pivots, factor
+
+
+def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a square matrix; 1 for the empty one.  The last row
+    of the echelon form is zero unless that entry is the last pivot."""
+    rows, _, factor = echelon(matrix)
+    return (rows[-1][-1] if rows else 1) * factor
+
+
+def nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Fraction]]:
+    """Kernel basis over the rationals, by back-substitution in the echelon
+    form: one vector per free column in column order, 1 at that column and
+    0 at the other free columns."""
+    if any(len(row) != n_cols for row in matrix):
+        raise ValueError("ragged matrix")
+    rows, pivots, _ = echelon(matrix)
+    bottom_up = list(zip(rows, pivots))[::-1]
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[f] = Fraction(1)
+        for row, p in bottom_up:
+            vec[p] = -sum(row[c] * vec[c] for c in range(p + 1, n_cols)) / Fraction(row[p])
+        basis.append(vec)
+    return basis
 
 
 # -- truncated power series over an arbitrary scalar ring -------------------

@@ -2,11 +2,18 @@
 
 These deliberately avoid the library's own data structures and
 algorithms: partition counts come from the pentagonal-number
-recurrence, border strips from explicit cell geometry, and wedge signs
-from a literal prefix-list model of the semi-infinite wedge.
+recurrence, border strips from explicit cell geometry, wedge signs
+from a literal prefix-list model of the semi-infinite wedge, and
+determinants and ranks from the Leibniz formula over all minors.  The
+box helpers describe single-box moves for the tests of the box ladder.
 """
 
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
+
+from youngfock.partitions import Partition
 
 
 @lru_cache(maxsize=None)
@@ -112,3 +119,80 @@ def naive_boson(k, prefix):
         s2, new = naive_insert(mid, target)
         out[new] = out.get(new, 0) + s1 * s2
     return {s: c for s, c in out.items() if c}
+
+
+# -- boxes of a diagram ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Box:
+    """A box of a diagram with its content col - row."""
+
+    row: int
+    col: int
+
+    def __post_init__(self):
+        if self.row < 1 or self.col < 1:
+            raise ValueError("box coordinates are positive")
+
+    @property
+    def content(self) -> int:
+        return self.col - self.row
+
+
+def addable_boxes(lam: Partition) -> list:
+    """Corner boxes whose addition yields a partition, content descending."""
+    out = [Box(1, lam.part(1) + 1)]
+    for i in range(2, len(lam) + 2):
+        if lam.part(i) < lam.part(i - 1):
+            out.append(Box(i, lam.part(i) + 1))
+    return out
+
+
+def removable_boxes(lam: Partition) -> list:
+    """Corner boxes whose removal yields a partition, content descending."""
+    out = []
+    for i in range(1, len(lam) + 1):
+        if lam.part(i) > lam.part(i + 1):
+            out.append(Box(i, lam.part(i)))
+    return out
+
+
+def transpose(lam: Partition) -> Partition:
+    if not lam.parts:
+        return Partition()
+    cols = [0] * lam.parts[0]
+    for p in lam.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def boson_zero_eigenvalue(alpha, v):
+    """The central zero mode: scalar multiplication by alpha."""
+    return v.scale(alpha)
+
+
+# -- determinants and ranks by brute force -----------------------------------
+
+def leibniz_determinant(matrix):
+    """Sum over permutations of the signed products; 1 for the empty matrix."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
+
+
+def minor_rank(matrix):
+    """Size of the largest square submatrix with nonzero Leibniz determinant."""
+    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    for k in range(min(n_rows, n_cols), 0, -1):
+        for rows in combinations(range(n_rows), k):
+            for cols in combinations(range(n_cols), k):
+                if leibniz_determinant([[matrix[r][c] for c in cols] for r in rows]) != 0:
+                    return k
+    return 0

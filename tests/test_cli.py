@@ -250,6 +250,9 @@ def test_verify_with_no_checks_is_a_usage_error(capsys):
     ["decompose", "--z=1/0", "--w=1"],
     ["correlations", "--kind=schur", '--points=["0.5"]', "--max-degree=2"],
     ["correlations", "--kind=schur", '--points=["1e1000"]', "--max-degree=2"],
+    ["measure", "--kind=schur", "--x=1_0=1", "--max-degree=2"],
+    ["measure", "--kind=schur", "--x=+1=1", "--max-degree=2"],
+    ["measure", "--kind=schur", "--x=\u0661=1", "--max-degree=2"],  # Arabic-Indic one
 ])
 def test_non_fraction_numbers_exit_two(argv, capsys):
     code, out, err = run_cli(argv, capsys)

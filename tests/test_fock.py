@@ -8,7 +8,6 @@ from youngfock.fock import (
     FockVector,
     MayaState,
     VACUUM_STATE,
-    boson_zero_eigenvalue,
     inner,
     psi,
     psi_star,
@@ -18,7 +17,13 @@ from youngfock.operators import boson_op
 from youngfock.partitions import HalfInt, Partition, partitions_of, partitions_up_to, rim_hooks_addable
 
 from .conftest import partitions
-from .oracles import naive_boson, naive_insert, naive_remove, prefix_of_partition
+from .oracles import (
+    boson_zero_eigenvalue,
+    naive_boson,
+    naive_insert,
+    naive_remove,
+    prefix_of_partition,
+)
 
 
 def h(d):

@@ -25,15 +25,15 @@ from youngfock.operators import (
 )
 from youngfock.partitions import (
     Partition,
-    addable_boxes,
     partitions_of,
     partitions_up_to,
-    removable_boxes,
     rim_hooks_addable,
     rim_hooks_removable,
 )
 from youngfock.rings import Poly, random_rational
 from youngfock.suites import quadratic_mode
+
+from .oracles import addable_boxes, removable_boxes
 
 
 def P(*parts):

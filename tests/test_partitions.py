@@ -5,23 +5,26 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from youngfock.partitions import (
-    Box,
     HalfInt,
     Partition,
-    addable_boxes,
     conf,
     contains_particle,
     partition_from_conf,
     partitions_of,
     partitions_up_to,
-    removable_boxes,
     rim_hooks_addable,
     rim_hooks_removable,
-    transpose,
 )
 
 from .conftest import partitions
-from .oracles import is_border_strip, pentagonal_count
+from .oracles import (
+    Box,
+    addable_boxes,
+    is_border_strip,
+    pentagonal_count,
+    removable_boxes,
+    transpose,
+)
 
 
 def h(doubled):

@@ -4,15 +4,13 @@ from youngfock.fock import FockVector
 from youngfock.operators import KerovParams, kerov_d, kerov_l, kerov_u
 from youngfock.partitions import Partition, partitions_of
 from youngfock.repstructure import (
-    bareiss_rank,
     decomposition_report,
     highest_weight_check,
     kernel_basis,
     matrix_of,
     rank_of_D,
-    rref_nullspace,
 )
-from youngfock.rings import Poly
+from youngfock.rings import Poly, echelon
 
 from .conftest import rand_q
 from .oracles import pentagonal_count
@@ -39,29 +37,6 @@ def test_matrix_of_examples():
     for i in range(3):
         for j in range(3):
             assert gm.entries[i][j] == (diag if i == j else 0)
-
-
-def test_bareiss_rank_small_cases():
-    assert bareiss_rank([]) == 0
-    assert bareiss_rank([[Fraction(0), Fraction(0)]]) == 0
-    assert bareiss_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert bareiss_rank([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == 2
-
-
-def test_bareiss_rank_over_polynomials():
-    t = Poly.gen()
-    # generic rank over the polynomial ring in w
-    m = [[t + 1, t - 1]]
-    assert bareiss_rank(m) == 1
-    m = [[t, t * t], [Poly((1,)), t]]
-    assert bareiss_rank(m) == 1  # second row is the first divided by t
-
-
-def test_rref_nullspace_example():
-    basis = rref_nullspace([[Fraction(3), Fraction(5)]], 2)
-    assert len(basis) == 1
-    v = basis[0]
-    assert 3 * v[0] + 5 * v[1] == 0 and v[1] == 1
 
 
 def test_rank_of_D_examples(rng):
@@ -154,7 +129,7 @@ def test_u_maps_kernel_to_independent_vectors(rng):
             for state, coeff in img.terms():
                 row[index[state.to_partition()]] = coeff
             rows.append(row)
-        assert bareiss_rank(rows) == len(kern)
+        assert len(echelon(rows)[1]) == len(kern)
 
 
 def test_decomposition_report_cases(rng):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,10 @@ import hypothesis.strategies as st
 
 from youngfock.rings import (
     Poly,
+    det,
     divexact,
+    echelon,
+    nullspace,
     parse_rational,
     random_rational,
     rational_str,
@@ -16,6 +20,7 @@ from youngfock.rings import (
 )
 
 from .conftest import small_rationals
+from .oracles import leibniz_determinant, minor_rank
 
 coeff_lists = st.lists(small_rationals, min_size=0, max_size=5)
 
@@ -69,6 +74,8 @@ def test_divexact_paths():
     t = Poly.gen()
     assert divexact(t * t, t) == t
     assert divexact(Fraction(4), Poly((2,))) == 2
+    assert divexact(6, -3) == -2 and type(divexact(6, -3)) is int
+    assert divexact(3, 2) == Fraction(3, 2)
 
 
 def test_series_helpers():
@@ -113,3 +120,83 @@ def test_random_rational_determinism():
 def test_parse_rational_accepts_only_fractions(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def test_echelon_rank_small_cases():
+    def rank(m):
+        return len(echelon(m)[1])
+
+    assert rank([]) == 0
+    assert rank([[Fraction(0), Fraction(0)]]) == 0
+    assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
+    assert rank([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == 2
+
+
+def test_echelon_rank_over_polynomials():
+    t = Poly.gen()
+    # generic rank over the polynomial ring in w
+    m = [[t + 1, t - 1]]
+    assert len(echelon(m)[1]) == 1
+    m = [[t, t * t], [Poly((1,)), t]]
+    assert len(echelon(m)[1]) == 1  # second row is the first divided by t
+
+
+def test_nullspace_example():
+    basis = nullspace([[Fraction(3), Fraction(5)]], 2)
+    assert len(basis) == 1
+    v = basis[0]
+    assert 3 * v[0] + 5 * v[1] == 0 and v[1] == 1
+
+
+def _random_matrix(kind, n_rows, n_cols, rng):
+    def entry():
+        if kind != "zero-corner" and rng.random() < 0.3:
+            return Fraction(0)
+        q = Fraction(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), rng.randint(1, 4))
+        if kind.startswith("poly") and rng.random() < 0.7:
+            return Poly([q] + [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 2))])
+        return q
+
+    m = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    i, j = rng.randrange(n_rows), rng.randrange(n_rows)
+    a, b = rng.randrange(n_cols), rng.randrange(n_cols)
+    if kind == "zero-corner":  # forces a row swap at the first pivot
+        m[0][0] = Fraction(0)
+    elif kind == "zero-row":
+        m[i] = [Fraction(0)] * n_cols
+    elif kind in ("dup-row", "poly-dup-row"):
+        m[j] = [v * Fraction(-2, 3) for v in m[i]]
+    elif kind == "zero-col":
+        for row in m:
+            row[a] = Fraction(0)
+    elif kind == "dup-col":
+        for row in m:
+            row[b] = row[a]
+    return m
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 3), (5, 6)])
+@pytest.mark.parametrize("kind", ["rational", "zero-corner", "zero-row", "dup-row",
+                                  "zero-col", "dup-col", "poly", "poly-dup-row"])
+def test_echelon_against_leibniz_and_minors(kind, shape):
+    rng = random.Random(f"{kind}{shape}")
+    n_rows, n_cols = shape
+    m = _random_matrix(kind, n_rows, n_cols, rng)
+    rows, pivots, _ = echelon(m)
+    rank = minor_rank(m)
+    assert len(pivots) == rank
+    for i, row in enumerate(rows):  # echelon shape: zeros left of each pivot, then zero rows
+        lead = pivots[i] if i < rank else n_cols
+        assert all(v == 0 for v in row[:lead]) and (i >= rank or row[lead] != 0)
+    if n_rows == n_cols:
+        assert det(m) == leibniz_determinant(m)
+        assert kind != "zero-corner" or n_rows == 1 or rank == n_rows  # the swap is exercised
+    if kind.startswith("poly"):
+        return  # nullspace runs over the rationals only
+    basis = nullspace(m, n_cols)
+    free = [c for c in range(n_cols) if c not in pivots]
+    assert len(basis) == n_cols - rank == len(free)
+    for k, v in enumerate(basis):
+        assert all(sum(row[c] * v[c] for c in range(n_cols)) == 0 for row in m)
+        assert [v[f] for f in free] == [int(i == k) for i in range(len(free))]
