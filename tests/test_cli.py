@@ -219,6 +219,15 @@ GOLDEN_STDOUT = [
      ["measure", "--max-degree=8", "--kind=schur", "--x=1=1,2=1/3", "--y=1=1/2,3=2"]),
     (0, "60b3a6b7af23419d612563d42bdfb3a938ca40383e7ca4c12841f967bb02936a",
      ["convert", "--ring=poly-z", "--x=2=1,3=1/2", "--y=3=1", "--max-degree=6"]),
+    # the conversion rows, their inversion and the closed A/B formulas at
+    # larger N; the second x has a gap, so every odd y-row is dead
+    (0, "fa651adbe4269591a0053c508d73085ca2f623c6ccc3efe26e94b362f06dbfa3",
+     ["convert", "--max-degree=12", "--ring=poly-z", "--x=1=1/3,2=1/5,3=-1/7",
+      "--y=1=-2/5,2=2/7,3=-1/3"]),
+    (0, "b24de560e0bfa317f5d5434761ee7f5e5e87ccc1011314413941c694dd8f1488",
+     ["convert", "--x=1=1,4=-1/3", "--y=2=1/5", "--z=1/2", "--w=-1/3", "--max-degree=9"]),
+    (0, "9083f51ab4999882a678cdf8a38d1a9e454b5aaf7aa569e2e80b4239b740c1a0",
+     ["verify", "--max-degree=8", "--suite=z-linearity"]),
 ]
 
 
