@@ -258,23 +258,30 @@ def _run_measure(cfg: RunConfig) -> int:
 
 def _run_convert(cfg: RunConfig) -> int:
     """One inversion over the polynomial ring per side: its values under
-    poly-z, else A_N*z + B_N (C_N*w + D_N) at the given point."""
+    poly-z, else A_N*z + B_N (C_N*w + D_N) at the given point.  A level of
+    z-degree above 1 falsifies the linearity: the rows before it are
+    printed, then a verdict with ok false, and the exit code is 1."""
     lines = []
     n_max = cfg.max_degree
+    verdict = {"command": "convert", "max_degree": n_max, "ok": True}
     sides = ((cfg.x, cfg.params.get("z", Fraction(0)), ("A", "B", "X")),
              (cfg.y, cfg.params.get("w", Fraction(0)), ("C", "D", "Y")))
     for params, point, (a_key, b_key, value_key) in sides:
         if not params:
             continue
         xs = schur_params_from_vir(params, Poly.gen(), n_max)
-        for n, (val, wit) in enumerate(zip(xs, split_linear(xs)), start=1):
-            if cfg.ring != "poly-z":
-                val = wit.a * point + wit.b
-            lines.append(_dump({"N": n, a_key: scalar_to_json(wit.a),
-                                b_key: scalar_to_json(wit.b), value_key: scalar_to_json(val)}))
-    lines.append(_dump({"command": "convert", "max_degree": n_max, "ok": True}))
+        try:
+            for n, (val, wit) in enumerate(zip(xs, split_linear(xs)), start=1):
+                if cfg.ring != "poly-z":
+                    val = wit.a * point + wit.b
+                lines.append(_dump({"N": n, a_key: scalar_to_json(wit.a),
+                                    b_key: scalar_to_json(wit.b), value_key: scalar_to_json(val)}))
+        except ValueError as exc:
+            verdict.update(ok=False, error=str(exc))
+            break
+    lines.append(_dump(verdict))
     _emit(lines, cfg.out)
-    return 0
+    return 0 if verdict["ok"] else 1
 
 
 def _run_correlations(cfg: RunConfig) -> int:

@@ -1,9 +1,13 @@
 """From operator-exponential weights back to Schur form.
 
-Single-row coefficients of the raising exponential are sums of path
-polynomials over jump compositions; triangular inversion of the
-complete-homogeneous relation turns them into equivalent Schur
-parameters X_N, which stay linear in z (and Y_N linear in w).
+The single-row coefficient v_N of the raising exponential is a sum over
+jump paths of one particle.  :func:`vir_rows` gets all rows up to N from
+one dynamic programme over (jump count, running total), in O(N^2 |x|)
+ring operations.  The equivalent Schur parameters solve s_N(X) = v_N,
+i.e. 1 + sum v_N u^N = exp(sum X_N u^N), so X is the series logarithm of
+the rows (``rings.series_log``).  They stay linear in z (and Y_N linear
+in w).  The closed formulas for A_N and B_N are evaluated by their own
+dynamic programmes, independent of the logarithm route.
 """
 
 from __future__ import annotations
@@ -11,29 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Tuple
 
-from .partitions import HalfInt
-from .rings import Poly, Scalar, is_zero, scalar_to_json, series_exp
-
-DEFAULT_START = HalfInt(-1)
-
-
-@dataclass(frozen=True)
-class JumpComposition:
-    """Ordered rightward jumps of one particle, with its starting point."""
-
-    jumps: Tuple[int, ...]
-    start: HalfInt = DEFAULT_START
-
-    def __post_init__(self):
-        if any(j < 1 for j in self.jumps):
-            raise ValueError("jumps must be positive")
-
-    @property
-    def total(self) -> int:
-        return sum(self.jumps)
+from .rings import Poly, Scalar, is_zero, scalar_to_json, series_log
 
 
 @dataclass(frozen=True)
@@ -47,117 +31,120 @@ class LinearInZ:
         return {"A": scalar_to_json(self.a), "B": scalar_to_json(self.b)}
 
 
-def path_polynomial(c: JumpComposition, z: Scalar) -> Scalar:
-    """Product over jumps of (z + previous position + jump/2).
+def _live_jumps(x: Mapping[int, Scalar], n_max: int) -> List[Tuple[int, Scalar]]:
+    """(k, x_k) with x_k nonzero and 1 <= k <= n_max, k ascending."""
+    return [(k, c) for k, c in sorted(x.items()) if 1 <= k <= n_max and not is_zero(c)]
 
-    The per-jump factor is the boxed single-jump weight of the raising
-    modes; the empty composition gives 1.
+
+def _path_sums(steps: Mapping[int, List[Tuple[int, Scalar]]]) -> Iterator[Tuple[int, Dict[int, Scalar]]]:
+    """Yield (R, f_R) for R = 1, 2, ... while some total is reachable:
+    f_R[s] sums, over the R-step paths from 0 to s, the product of the
+    step weights, where steps[s0] lists the (target, weight) pairs out of
+    s0.  Only reachable totals are keys, so a total with no path stays
+    out of f_R instead of reading a zero of some ring."""
+    layer: Dict[int, Scalar] = {0: Fraction(1)}
+    r = 0
+    while True:
+        nxt: Dict[int, Scalar] = {}
+        for s0, val in layer.items():
+            for s, weight in steps.get(s0, ()):
+                term = val * weight
+                nxt[s] = nxt[s] + term if s in nxt else term
+        if not nxt:
+            return
+        r += 1
+        yield r, nxt
+        layer = nxt
+
+
+def vir_rows(x: Mapping[int, Scalar], z: Scalar, n_max: int) -> List[Scalar]:
+    """[1, v_1, ..., v_n_max]: the single-row coefficients of the raising
+    exponential.
+
+    v_s sums (prod x_k) * (path product) / R! over the jump paths of R
+    jumps and total s.  The particle starts at -1/2 + (s - k) before a jump
+    of k, which weighs z + (s - k) + (k - 1)/2.  So f[R][s], the sum of the
+    weighted R-jump paths to s, is sum_k f[R-1][s-k] * x_k * (that weight),
+    and v_s = sum_R f[R][s] / R!.  A row with no live path (every path
+    uses some x_k = 0) stays Fraction(0).
     """
-    pos = c.start.as_fraction()
-    out: Scalar = Fraction(1)
-    for j in c.jumps:
-        out = out * (z + pos + Fraction(j, 2))
-        pos += j
-    return out
-
-
-@lru_cache(maxsize=None)
-def compositions_of(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """All ordered tuples of positive integers summing to n."""
-    if n < 0:
-        raise ValueError("negative total")
-    if n == 0:
-        return ((),)
-    out = []
-    for head in range(1, n + 1):
-        for tail in compositions_of(n - head):
-            out.append((head,) + tail)
-    return tuple(out)
-
-
-def _live_compositions(n: int, x: Mapping[int, Scalar]) -> Iterator[Tuple[Tuple[int, ...], Scalar]]:
-    """Compositions of n whose every part k has x_k nonzero, each with
-    (prod x_k) / R! for R parts."""
-    for jumps in compositions_of(n):
-        if all(not is_zero(x.get(j, 0)) for j in jumps):
-            coeff: Scalar = Fraction(1, math.factorial(len(jumps)))
-            for j in jumps:
-                coeff = coeff * x[j]
-            yield jumps, coeff
-
-
-def vir_row(n: int, x: Mapping[int, Scalar], z: Scalar) -> Scalar:
-    """Single-row coefficient of the raising exponential at degree n:
-    sum over jump compositions of (prod x_k) * path_polynomial / R!."""
-    if n < 1:
-        raise ValueError("row size must be positive")
-    total: Scalar = Fraction(0)
-    for jumps, coeff in _live_compositions(n, x):
-        total = total + coeff * path_polynomial(JumpComposition(jumps), z)
-    return total
+    if n_max < 0:
+        raise ValueError("negative row count")
+    jumps = _live_jumps(x, n_max)
+    steps = {s0: [(s0 + k, c * (z + s0 + Fraction(k - 1, 2))) for k, c in jumps if s0 + k <= n_max]
+             for s0 in range(n_max)}
+    rows: List[Scalar] = [Fraction(1)] + [Fraction(0)] * n_max
+    for r, f in _path_sums(steps):
+        inv = Fraction(1, math.factorial(r))
+        for s, val in f.items():
+            rows[s] = rows[s] + val * inv
+    return rows
 
 
 def schur_params_from_vir(x: Mapping[int, Scalar], z: Scalar, n_max: int) -> List[Scalar]:
-    """Unique X_1..X_n with s_N(X_1..X_N) = vir_row(N); the system is
-    unitriangular in X_N, so plain forward substitution inverts it."""
-    xs: List[Scalar] = []
-    for n in range(1, n_max + 1):
-        a: List[Scalar] = [Fraction(0)] * (n + 1)
-        for i, val in enumerate(xs, start=1):
-            a[i] = val
-        lower = series_exp(a, n)[n]  # s_n with X_n set to zero
-        xs.append(vir_row(n, x, z) - lower)
-    return xs
+    """Unique X_1..X_n with s_N(X_1..X_N) = v_N: the logarithm of the
+    series of single-row values."""
+    return series_log(vir_rows(x, z, n_max), n_max)[1:]
 
 
-def split_linear(xs: List[Scalar]) -> List[LinearInZ]:
+def split_linear(xs: List[Scalar]) -> Iterator[LinearInZ]:
     """Split each X_N of an inversion over the polynomial ring as
-    A_N*z + B_N; a z-degree above 1 is a hard error naming the level."""
-    out: List[LinearInZ] = []
+    A_N*z + B_N, level by level; a z-degree above 1 is a hard error
+    naming the level."""
     for n, val in enumerate(xs, start=1):
         poly = val if isinstance(val, Poly) else Poly((val,))
         if poly.degree > 1:
             raise ValueError(f"X_{n} has z-degree {poly.degree} > 1")
-        out.append(LinearInZ(a=poly.coefficient(1), b=poly.coefficient(0)))
-    return out
+        yield LinearInZ(a=poly.coefficient(1), b=poly.coefficient(0))
 
 
 def z_linearity_witness(x: Mapping[int, Scalar], n_max: int) -> List[LinearInZ]:
     """Run the inversion over the polynomial ring and split each X_N as
     A_N*z + B_N."""
-    return split_linear(schur_params_from_vir(x, Poly.gen(), n_max))
+    return list(split_linear(schur_params_from_vir(x, Poly.gen(), n_max)))
 
 
 def a_coeff_closed(n: int, x: Mapping[int, Scalar]) -> Scalar:
     """Closed formula for the z-coefficient A_N: sum over compositions of
     (prod x_k) * k_2 (k_2+k_3) ... (k_2+...+k_R) / R!.
 
+    Evaluated by a table g[r][t] over the r parts after the first, with
+    total t: each new part multiplies by the partial sum t it reaches.
+    Then A_N = sum_k1 x_k1 sum_r g[r][N-k1] / (r+1)!.
+
     This is the artifact's reading of the printed coefficient formula;
     the inversion route stays authoritative and the two are compared by
     the verification suite.
     """
+    if n < 1:
+        raise ValueError("degree must be positive")
+    jumps = _live_jumps(x, n)
+    steps = {t0: [(t0 + k, c * (t0 + k)) for k, c in jumps if t0 + k < n] for t0 in range(n)}
+    tail: List[Scalar] = [Fraction(1)] + [Fraction(0)] * (n - 1)  # sum_r g[r][t] / (r+1)!
+    for r, g in _path_sums(steps):
+        inv = Fraction(1, math.factorial(r + 1))
+        for t, val in g.items():
+            tail[t] = tail[t] + val * inv
     total: Scalar = Fraction(0)
-    for jumps, coeff in _live_compositions(n, x):
-        partial = 0
-        weight = 1
-        for j in jumps[1:]:
-            partial += j
-            weight *= partial
-        total = total + coeff * weight
+    for k, c in jumps:
+        total = total + c * tail[n - k]
     return total
 
 
 def b_coeff_closed(n: int, x: Mapping[int, Scalar]) -> Scalar:
     """Closed formula for the constant term B_N via the logarithm series
-    of 1 + sum v_l u**l with v_l the single-row values at z = 0."""
-    v: Dict[int, Scalar] = {l: vir_row(l, x, Fraction(0)) for l in range(1, n + 1)}
+    of 1 + sum v_l u**l with v_l the single-row values at z = 0:
+    sum over compositions of N into R pieces of (-1)^(R-1)/R * prod v_l,
+    evaluated by h[R][s] = sum_l h[R-1][s-l] * v_l."""
+    if n < 1:
+        raise ValueError("degree must be positive")
+    v = vir_rows(x, Fraction(0), n)
+    steps = {s0: [(s0 + l, v[l]) for l in range(1, n - s0 + 1) if not is_zero(v[l])]
+             for s0 in range(n)}
     total: Scalar = Fraction(0)
-    for pieces in compositions_of(n):
-        sign = -1 if (len(pieces) - 1) % 2 else 1
-        term: Scalar = Fraction(sign, len(pieces))
-        for l in pieces:
-            term = term * v[l]
-        total = total + term
+    for r, h in _path_sums(steps):
+        if n in h:
+            total = total + Fraction((-1) ** (r - 1), r) * h[n]
     return total
 
 

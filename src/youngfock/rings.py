@@ -9,7 +9,10 @@ operator code never needs to know which ring it runs over.
 
 :func:`echelon` is the package's one exact elimination (fraction-free
 Bareiss); ranks are its pivot counts, and :func:`det` and
-:func:`nullspace` are built on it.  No floating point anywhere.
+:func:`nullspace` (over Q only) are built on it.  Truncated power series
+are plain coefficient lists over either ring; :func:`series_exp` and its
+inverse :func:`series_log` each cost O(order^2) ring operations.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -274,6 +277,8 @@ def nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Frac
     0 at the other free columns."""
     if any(len(row) != n_cols for row in matrix):
         raise ValueError("ragged matrix")
+    if any(isinstance(v, Poly) for row in matrix for v in row):
+        raise ValueError("nullspace is computed over Q; the matrix has Poly entries")
     rows, pivots, _ = echelon(matrix)
     bottom_up = list(zip(rows, pivots))[::-1]
     basis = []
@@ -297,17 +302,6 @@ def series_trim(a: list, order: int) -> list:
     return out
 
 
-def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], order: int) -> list:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if is_zero(ai):
-            continue
-        for j, bj in enumerate(b[: order - i + 1]):
-            if not is_zero(bj):
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def series_exp(a: Sequence[Scalar], order: int) -> list:
     """exp of a series with zero constant term, to the given order."""
     a = series_trim(list(a), order)
@@ -321,6 +315,24 @@ def series_exp(a: Sequence[Scalar], order: int) -> list:
             if not is_zero(a[j]):
                 acc = acc + j * a[j] * out[n - j]
         out[n] = acc * Fraction(1, n)
+    return out
+
+
+def series_log(v: Sequence[Scalar], order: int) -> list:
+    """log of a series with constant term 1, to the given order, by
+    X_n = v_n - (1/n) sum_{j<n} j X_j v_{n-j}: Newton's relation between
+    the complete-homogeneous and power-sum generating series, so
+    ``series_exp(series_log(v, N), N) == v``.  O(order^2) ring operations."""
+    v = series_trim(list(v), order)
+    if v[0] != 1:
+        raise ValueError("series_log needs constant term 1")
+    out = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for j in range(1, n):
+            if not is_zero(out[j]):  # so a level with no live term stays Fraction(0)
+                acc = acc + j * out[j] * v[n - j]
+        out[n] = v[n] - acc * Fraction(1, n)
     return out
 
 

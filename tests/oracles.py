@@ -4,16 +4,21 @@ These deliberately avoid the library's own data structures and
 algorithms: partition counts come from the pentagonal-number
 recurrence, border strips from explicit cell geometry, wedge signs
 from a literal prefix-list model of the semi-infinite wedge, and
-determinants and ranks from the Leibniz formula over all minors.  The
-box helpers describe single-box moves for the tests of the box ladder.
+determinants and ranks from the Leibniz formula over all minors, and
+the conversion rows, their inversion and the closed A/B formulas from
+explicit sums over all 2^(N-1) jump compositions.  The box helpers
+describe single-box moves for the tests of the box ladder.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Tuple
 
-from youngfock.partitions import Partition
+from youngfock.partitions import HalfInt, Partition
+from youngfock.rings import is_zero, series_exp
 
 
 @lru_cache(maxsize=None)
@@ -196,3 +201,106 @@ def minor_rank(matrix):
                 if leibniz_determinant([[matrix[r][c] for c in cols] for r in rows]) != 0:
                     return k
     return 0
+
+
+# -- conversion by sums over jump compositions -------------------------------
+
+@dataclass(frozen=True)
+class JumpComposition:
+    """Ordered rightward jumps of one particle, with its starting point."""
+
+    jumps: Tuple[int, ...]
+    start: HalfInt = HalfInt(-1)
+
+    def __post_init__(self):
+        if any(j < 1 for j in self.jumps):
+            raise ValueError("jumps must be positive")
+
+    @property
+    def total(self) -> int:
+        return sum(self.jumps)
+
+
+def path_polynomial(c: JumpComposition, z):
+    """Product over jumps of (z + previous position + jump/2); the empty
+    composition gives 1."""
+    pos = c.start.as_fraction()
+    out = Fraction(1)
+    for j in c.jumps:
+        out = out * (z + pos + Fraction(j, 2))
+        pos += j
+    return out
+
+
+@lru_cache(maxsize=None)
+def compositions_of(n: int):
+    """All ordered tuples of positive integers summing to n."""
+    if n < 0:
+        raise ValueError("negative total")
+    if n == 0:
+        return ((),)
+    return tuple((head,) + tail for head in range(1, n + 1) for tail in compositions_of(n - head))
+
+
+def _live_compositions(n, x):
+    """Compositions of n whose every part k has x_k nonzero, each with
+    (prod x_k) / R! for R parts."""
+    for jumps in compositions_of(n):
+        if all(not is_zero(x.get(j, 0)) for j in jumps):
+            coeff = Fraction(1, math.factorial(len(jumps)))
+            for j in jumps:
+                coeff = coeff * x[j]
+            yield jumps, coeff
+
+
+def vir_row(n, x, z):
+    """Single-row coefficient at degree n: sum over live compositions of
+    (prod x_k) * path_polynomial / R!; Fraction(0) when none is live."""
+    total = Fraction(0)
+    for jumps, coeff in _live_compositions(n, x):
+        total = total + coeff * path_polynomial(JumpComposition(jumps), z)
+    return total
+
+
+def schur_params_by_substitution(x, z, n_max):
+    """X_1..X_n by forward substitution: X_n = v_n - s_n(X_1..X_(n-1), 0),
+    one series_exp per level."""
+    xs = []
+    for n in range(1, n_max + 1):
+        a = [Fraction(0)] + xs + [Fraction(0)]
+        xs.append(vir_row(n, x, z) - series_exp(a, n)[n])
+    return xs
+
+
+def a_coeff_by_compositions(n, x):
+    """sum over live compositions of (prod x_k) k_2 (k_2+k_3) ... / R!."""
+    total = Fraction(0)
+    for jumps, coeff in _live_compositions(n, x):
+        partial, weight = 0, 1
+        for j in jumps[1:]:
+            partial += j
+            weight *= partial
+        total = total + coeff * weight
+    return total
+
+
+def b_coeff_by_compositions(n, x):
+    """sum over compositions of n into R pieces of (-1)^(R-1)/R prod v_l,
+    with v_l the single-row values at z = 0."""
+    v = {l: vir_row(l, x, Fraction(0)) for l in range(1, n + 1)}
+    total = Fraction(0)
+    for pieces in compositions_of(n):
+        term = Fraction(-1 if (len(pieces) - 1) % 2 else 1, len(pieces))
+        for l in pieces:
+            term = term * v[l]
+        total = total + term
+    return total
+
+
+def series_mul(a, b, order):
+    """Truncated product of two series given as coefficient lists."""
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        for j, bj in enumerate(b[: order - i + 1]):
+            out[i + j] = out[i + j] + ai * bj
+    return out

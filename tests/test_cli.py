@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from youngfock import conversion
 from youngfock.cli import main
 
 
@@ -31,6 +32,26 @@ def test_convert_rational_ring_and_y_side(capsys):
     assert lines[0]["X"] == "1/2"
     ys = [l for l in lines if "Y" in l]
     assert ys[0]["Y"] == "2/3"
+
+
+@pytest.mark.parametrize("ring", [[], ["--ring=poly-z"]])
+def test_convert_reports_a_nonlinear_level(ring, monkeypatch, capsys):
+    # a z^2 term in row 3 makes X_3 quadratic in z: the rows before it are
+    # printed, then a false verdict naming the level, and the exit code is 1
+    real = conversion.vir_rows
+
+    def bent(x, z, n_max):
+        rows = real(x, z, n_max)
+        rows[3] = rows[3] + z * z
+        return rows
+
+    monkeypatch.setattr(conversion, "vir_rows", bent)
+    code, out, err = run_cli(["convert", "--x=1=1,2=1", "--y=1=2", "--max-degree=4"] + ring, capsys)
+    assert (code, err) == (1, "")
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert [l["N"] for l in lines[:-1]] == [1, 2]
+    assert lines[-1] == {"command": "convert", "max_degree": 4, "ok": False,
+                         "error": "X_3 has z-degree 2 > 1"}
 
 
 def test_measure_csv(capsys):

@@ -1,17 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from youngfock.conversion import (
-    JumpComposition,
     LinearInZ,
     a_coeff_closed,
     b_coeff_closed,
-    compositions_of,
-    path_polynomial,
     schur_params_from_vir,
-    vir_row,
+    vir_rows,
     y_side_params,
     z_linearity_witness,
 )
@@ -19,9 +17,18 @@ from youngfock.fock import vacuum
 from youngfock.measures import schur_polynomial
 from youngfock.operators import VirasoroParams, exp_lowering_bra, exp_raising, virasoro_op
 from youngfock.partitions import HalfInt, Partition
-from youngfock.rings import series_exp
+from youngfock.rings import Poly, series_exp
 
 from .conftest import rand_q
+from .oracles import (
+    JumpComposition,
+    a_coeff_by_compositions,
+    b_coeff_by_compositions,
+    compositions_of,
+    path_polynomial,
+    schur_params_by_substitution,
+    vir_row,
+)
 
 
 def P(*parts):
@@ -54,11 +61,45 @@ def test_compositions_of():
     assert set(compositions_of(3)) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
 
 
+def _same(a, b):
+    """Equal values in the same ring: a dead row stays Fraction(0) and a
+    cancelled polynomial stays Poly(), and they print differently."""
+    return a == b and isinstance(a, Poly) == isinstance(b, Poly)
+
+
+@pytest.mark.parametrize("ring", ["fraction", "poly"])
+@pytest.mark.parametrize("shape", ["dense", "gap", "empty"])
+def test_conversion_matches_composition_oracle(shape, ring):
+    # the (jump count, total) DP, the series logarithm and the A/B tables
+    # against their definitional sums over all jump compositions
+    n_max = 10
+    rng = random.Random(f"{shape}/{ring}")
+    if shape == "dense":
+        x = {k: rand_q(rng, nonzero=True) for k in (1, 2, 3)}
+    elif shape == "gap":  # every odd row is dead
+        x = {1: Fraction(0), 2: rand_q(rng, nonzero=True), 4: rand_q(rng, nonzero=True)}
+    else:
+        x = {}
+    z = Poly.gen() if ring == "poly" else rand_q(rng, nonzero=True)
+    rows = vir_rows(x, z, n_max)
+    assert rows[0] == 1 and len(rows) == n_max + 1
+    for n in range(1, n_max + 1):
+        assert _same(rows[n], vir_row(n, x, z)), n
+    xs = schur_params_from_vir(x, z, n_max)
+    for n, (got, want) in enumerate(zip(xs, schur_params_by_substitution(x, z, n_max)), 1):
+        assert _same(got, want), n
+    for n in range(1, n_max + 1):
+        assert a_coeff_closed(n, x) == a_coeff_by_compositions(n, x), n
+        assert b_coeff_closed(n, x) == b_coeff_by_compositions(n, x), n
+
+
 def test_vir_row_examples():
     z = Fraction(5, 9)
     x = {1: Fraction(2, 3), 2: Fraction(1, 4)}
-    assert vir_row(1, x, z) == x[1] * z
-    assert vir_row(2, x, z) == x[2] * (z + Fraction(1, 2)) + x[1] ** 2 / 2 * z * (z + 1)
+    rows = vir_rows(x, z, 2)
+    assert rows[0] == 1
+    assert rows[1] == x[1] * z
+    assert rows[2] == x[2] * (z + Fraction(1, 2)) + x[1] ** 2 / 2 * z * (z + 1)
 
 
 def test_vir_row_matches_operator_exponential(rng):
@@ -66,8 +107,9 @@ def test_vir_row_matches_operator_exponential(rng):
         z = rand_q(rng)
         x = {k: rand_q(rng) for k in (1, 2, 3)}
         ket = exp_raising(modes(x, z, -1), vacuum(), 6)
+        rows = vir_rows(x, z, 6)
         for n in range(1, 7):
-            assert vir_row(n, x, z) == ket.coefficient_of_partition(P(n)), n
+            assert rows[n] == ket.coefficient_of_partition(P(n)), n
 
 
 def test_bra_row_matches_vir_row(rng):
@@ -75,8 +117,9 @@ def test_bra_row_matches_vir_row(rng):
     for _ in range(3):
         w = rand_q(rng)
         y = {k: rand_q(rng) for k in (1, 2, 3)}
+        rows = vir_rows(y, w, 5)
         for n in range(1, 6):
-            assert exp_lowering_bra(modes(y, w, 1), P(n), n) == vir_row(n, y, w), n
+            assert exp_lowering_bra(modes(y, w, 1), P(n), n) == rows[n], n
 
 
 def test_schur_params_printed_values():
@@ -98,8 +141,9 @@ def test_inversion_involution(rng):
         x = {k: rand_q(rng) for k in (1, 2, 3)}
         xs = schur_params_from_vir(x, z, 6)
         xm = {i + 1: v for i, v in enumerate(xs)}
+        rows = vir_rows(x, z, 6)
         for n in range(1, 7):
-            assert schur_polynomial(P(n), xm) == vir_row(n, x, z), n
+            assert schur_polynomial(P(n), xm) == rows[n], n
 
 
 def test_z_linearity_witness_values():
@@ -153,9 +197,8 @@ def test_log_series_identity(rng):
     for _ in range(3):
         x = {k: rand_q(rng) for k in (1, 2, 3)}
         wits = z_linearity_witness(x, 6)
-        v = [Fraction(1)] + [vir_row(n, x, Fraction(0)) for n in range(1, 7)]
         b = [Fraction(0)] + [wits[n - 1].b for n in range(1, 7)]
-        assert series_exp(b, 6) == v
+        assert series_exp(b, 6) == vir_rows(x, Fraction(0), 6)
 
 
 def test_y_side_examples(rng):

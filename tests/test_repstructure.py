@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from youngfock.fock import FockVector
 from youngfock.operators import KerovParams, kerov_d, kerov_l, kerov_u
 from youngfock.partitions import Partition, partitions_of
@@ -84,6 +86,13 @@ def test_kernel_basis_examples(rng):
     kern0 = kernel_basis(kerov_u(KerovParams(z=Fraction(0), w=w)), 0)
     assert len(kern0) == 1
     assert kern0[0].coefficient_of_partition(P()) == 1
+
+
+def test_kernel_basis_rejects_polynomial_entries():
+    # the kernel is computed over Q; a formal w must be refused up front,
+    # not fail inside the back-substitution
+    with pytest.raises(ValueError, match="over Q"):
+        kernel_basis(kerov_d(KerovParams(z=1, w=Poly.gen())), 2)
 
 
 def test_kernel_of_U_trivial_sweep(rng):

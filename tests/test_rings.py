@@ -16,11 +16,11 @@ from youngfock.rings import (
     rational_str,
     scalar_to_json,
     series_exp,
-    series_mul,
+    series_log,
 )
 
 from .conftest import small_rationals
-from .oracles import leibniz_determinant, minor_rank
+from .oracles import leibniz_determinant, minor_rank, series_mul
 
 coeff_lists = st.lists(small_rationals, min_size=0, max_size=5)
 
@@ -86,6 +86,28 @@ def test_series_helpers():
     assert series_mul(ea, eb, 6) == [Fraction(1)] + [Fraction(0)] * 6
     with pytest.raises(ValueError):
         series_exp([Fraction(1)], 3)
+
+
+@given(st.lists(small_rationals, min_size=0, max_size=6))
+def test_series_log_inverts_series_exp(tail):
+    v = [Fraction(1)] + tail
+    order = len(tail)
+    log_v = series_log(v, order)
+    assert log_v[0] == 0
+    assert series_exp(log_v, order) == v
+
+
+def test_series_log_over_polynomials_and_bad_constant_term():
+    t = Poly.gen()
+    v = [Fraction(1), t, Fraction(0), t * t - Fraction(1, 3), Poly(), 2 * t + 1]
+    log_v = series_log(v, 5)
+    assert series_exp(log_v, 5) == v
+    assert log_v[1] == t and log_v[2] == -t * t / 2
+    # log(1/(1-u)) = sum u^n / n
+    assert series_log([Fraction(1)] * 7, 6) == [0] + [Fraction(1, n) for n in range(1, 7)]
+    for bad in ([Fraction(2), t], [Fraction(0)], [t + 1, t]):
+        with pytest.raises(ValueError):
+            series_log(bad, 1)
 
 
 @given(st.lists(small_rationals, min_size=1, max_size=4),
