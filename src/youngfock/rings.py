@@ -330,7 +330,7 @@ def series_log(v: Sequence[Scalar], order: int) -> list:
     for n in range(1, order + 1):
         acc = Fraction(0)
         for j in range(1, n):
-            if not is_zero(out[j]):  # so a level with no live term stays Fraction(0)
+            if not is_zero(out[j]):
                 acc = acc + j * out[j] * v[n - j]
         out[n] = v[n] - acc * Fraction(1, n)
     return out
