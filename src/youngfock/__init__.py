@@ -1,7 +1,7 @@
 """Exact operator calculus on the Fock space of Young diagrams."""
 
-from .partitions import HalfInt, Partition, RimHookMove
-from .fock import FockVector, MayaState, inner, psi, psi_star, vacuum
+from .partitions import HalfInt, Partition
+from .fock import FockVector, MayaState, psi, psi_star, vacuum
 from .operators import (
     Bilinear,
     KerovParams,

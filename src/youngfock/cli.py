@@ -264,14 +264,14 @@ def _run_convert(cfg: RunConfig) -> int:
     lines = []
     n_max = cfg.max_degree
     verdict = {"command": "convert", "max_degree": n_max, "ok": True}
-    sides = ((cfg.x, cfg.params.get("z", Fraction(0)), ("A", "B", "X")),
-             (cfg.y, cfg.params.get("w", Fraction(0)), ("C", "D", "Y")))
-    for params, point, (a_key, b_key, value_key) in sides:
+    sides = ((cfg.x, "z", ("A", "B", "X")), (cfg.y, "w", ("C", "D", "Y")))
+    for params, var, (a_key, b_key, value_key) in sides:
         if not params:
             continue
+        point = cfg.params.get(var, Fraction(0))
         xs = schur_params_from_vir(params, Poly.gen(), n_max)
         try:
-            for n, (val, wit) in enumerate(zip(xs, split_linear(xs)), start=1):
+            for n, (val, wit) in enumerate(zip(xs, split_linear(xs, value_key, var)), start=1):
                 if cfg.ring != "poly-z":
                     val = wit.a * point + wit.b
                 lines.append(_dump({"N": n, a_key: scalar_to_json(wit.a),

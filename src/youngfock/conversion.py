@@ -87,14 +87,14 @@ def schur_params_from_vir(x: Mapping[int, Scalar], z: Scalar, n_max: int) -> Lis
     return series_log(vir_rows(x, z, n_max), n_max)[1:]
 
 
-def split_linear(xs: List[Scalar]) -> Iterator[LinearInZ]:
+def split_linear(xs: List[Scalar], level: str = "X", var: str = "z") -> Iterator[LinearInZ]:
     """Split each X_N of an inversion over the polynomial ring as
     A_N*z + B_N, level by level; a z-degree above 1 is a hard error
-    naming the level."""
+    naming the level.  The bra side passes ``level="Y", var="w"``."""
     for n, val in enumerate(xs, start=1):
         poly = val if isinstance(val, Poly) else Poly((val,))
         if poly.degree > 1:
-            raise ValueError(f"X_{n} has z-degree {poly.degree} > 1")
+            raise ValueError(f"{level}_{n} has {var}-degree {poly.degree} > 1")
         yield LinearInZ(a=poly.coefficient(1), b=poly.coefficient(0))
 
 
@@ -155,5 +155,5 @@ def y_side_params(y: Mapping[int, Scalar], w: Scalar, n_max: int) -> Tuple[List[
     per-jump factor in w, so the pipeline is the x-side one verbatim; one
     inversion over the polynomial ring gives both, Y_N = C_N*w + D_N.
     """
-    witnesses = z_linearity_witness(y, n_max)
+    witnesses = list(split_linear(schur_params_from_vir(y, Poly.gen(), n_max), "Y", "w"))
     return [wit.a * w + wit.b for wit in witnesses], witnesses

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-from .partitions import HalfInt, Partition, partition_from_conf
+from .partitions import HalfInt, Partition
 from .rings import Scalar, is_zero, scalar_to_json
 
 
@@ -100,10 +100,11 @@ class MayaState:
     def to_partition(self) -> Partition:
         if self.charge != 0:
             raise ValueError(f"charge {self.charge} state is not a partition")
-        lowest = self.below[-1] if self.below else 1
-        prefix = [d for d in self.above]
-        prefix += [d for d in range(-1, lowest - 1, -2) if d not in self.below]
-        return partition_from_conf([HalfInt(d) for d in prefix], 0)
+        # row i sits at doubled position 2*(part_i - i) + 1; in charge 0 the
+        # rows above the lowest hole are exactly the nonempty ones
+        lowest = self.below[-1] if self.below else -1
+        prefix = self.above + tuple(d for d in range(-1, lowest, -2) if d not in self.below)
+        return Partition((d - 1) // 2 + i for i, d in enumerate(prefix, 1))
 
     @classmethod
     def from_partition(cls, lam: Partition, charge: int = 0) -> "MayaState":
@@ -278,20 +279,6 @@ class FockVector:
 
 def vacuum() -> FockVector:
     return FockVector.basis(VACUUM_STATE)
-
-
-def inner(u: FockVector, v: FockVector) -> Scalar:
-    """Pairing in which the Maya basis is orthonormal."""
-    cu, cv = u.charge, v.charge
-    if cu is not None and cv is not None and cu != cv:
-        raise ValueError(f"charge mismatch: {cu} vs {cv}")
-    total: Scalar = Fraction(0)
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    for state, coeff in small._terms.items():
-        other = big._terms.get(state)
-        if other is not None:
-            total = total + coeff * other
-    return total
 
 
 def psi(x: HalfInt, v: FockVector) -> FockVector:

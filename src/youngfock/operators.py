@@ -3,35 +3,52 @@
 Every ladder-type operator here is a fermion bilinear on the
 semi-infinite wedge,
 
-    Bilinear(k, const, slope, offset) = sum_x (const + slope*x) :psi_(x-k) psi*_x:
+    Bilinear(k, weight, offset) = sum_x f(x) :psi_(x-k) psi*_x:,
+    f(x) = weight[0] + weight[1]*x + weight[2]*x**2 + ...
 
-i.e. one particle jumps from x to x - k with a weight affine in its start
-x, times the wedge sign (-1)**(height-1).  It lowers degree by k
+i.e. one particle jumps from x to x - k with a weight polynomial in its
+start x, times the wedge sign (-1)**(height-1).  It lowers degree by k
 (``degree_shift = -k``).  At k = 0 the normally ordered sum is
-diagonal: ``offset + const*charge + slope*(sum of occupied positions > 0
-- sum of vacated positions < 0)``, which is ``offset + const*charge +
-slope*(degree + charge**2/2)``.  The jumps come from
-:func:`youngfock.fock.boson_moves`, the only jump enumeration.
+diagonal: ``offset + sum_i weight[i]*(sum of (d/2)**i over occupied
+positions d/2 > 0 - the same over vacated positions < 0)``; for an
+affine weight (c, s) this is ``offset + c*charge + s*(degree +
+charge**2/2)``.  These bilinears span W_(1+infinity) (Kac & Radul).
+The jumps come from :func:`youngfock.fock.boson_moves`, the only jump
+enumeration.
 
 Named constructors (z, w from :class:`KerovParams`; alpha, gamma from
 :class:`VirasoroParams`):
 
-====================  ======  ======================  =========  =========================
-operator              k       const                   slope      offset (k = 0 only)
-====================  ======  ======================  =========  =========================
-``boson_op(k)``       k != 0  1                       0
-``virasoro_op(k)``    k       alpha + gamma*k - k/2   1          (alpha**2 - gamma**2)/2
-``kerov_u``           -1      z + 1/2                 1
-``kerov_d``           1       w - 1/2                 1
-``kerov_l``           0       z + w                   2          z*w
-``hook_raise(r)``     -r      z + 1/2                 1/r
-``hook_lower(r)``     r       w - 1/2                 1/r
-``hook_diagonal(r)``  0       z + w                   2/r        sum_j (z + u_j)(w + u_j)
-====================  ======  ======================  =========  =========================
+====================  ======  ==================================  =========================
+operator              k       weight (lowest degree first)        offset (k = 0 only)
+====================  ======  ==================================  =========================
+``boson_op(k)``       k != 0  (1,)
+``virasoro_op(k)``    k       (alpha + gamma*k - k/2, 1)          (alpha**2 - gamma**2)/2
+``kerov_u``           -1      (z + 1/2, 1)
+``kerov_d``           1       (w - 1/2, 1)
+``kerov_l``           0       (z + w, 2)                          z*w
+``hook_raise(r)``     -r      (z + 1/2, 1/r)
+``hook_lower(r)``     r       (w - 1/2, 1/r)
+``hook_diagonal(r)``  0       (z + w, 2/r)                        sum_j (z + u_j)(w + u_j)
+====================  ======  ==================================  =========================
+
+The M-fold modes ``m_virasoro_op(M, k)`` are bilinears up to M = 3:
+
+=====  ==================================================  ================
+M      f(x)                                                offset (k = 0)
+=====  ==================================================  ================
+1      1 + gamma*k                                         alpha
+2      ``virasoro_op(k)``: x + alpha + gamma*k - k/2       (alpha**2 - gamma**2)/2
+3      (x + alpha - k/2)**2/2 + gamma*k + (1 - k**2)/24    alpha**3/6
+=====  ==================================================  ================
+
+M = 4 is not a bilinear (its k = 1 mode moves several particles at
+once), so :class:`MVirasoro` keeps the M-fold tuple sum for M >= 4 and
+as the reference oracle of the three closed forms.
 
 Adjoint rule, in the pairing where the Maya basis is orthonormal:
-``Bilinear(k, c, s, o)* = Bilinear(-k, c + s*k, s, o)`` (the reversed
-jump y -> y + k starts at y = x - k).
+``Bilinear(k, f, o)* = Bilinear(-k, f(x + k), o)`` (the reversed jump
+y -> y + k starts at y = x - k).
 
 Frozen conventions, each pinned by a low-degree oracle and exercised by
 the test suite:
@@ -68,7 +85,6 @@ the test suite:
 * M-fold quadratic sums run over ordered index tuples weighted 1/M!
   (equivalently multisets weighted by inverse multiplicity factorials);
   this is the unique weighting that reproduces ``virasoro_op`` at M = 2.
-  Order M != 2 is not a bilinear, so :class:`MVirasoro` keeps the sum.
 
 The definitional quadratic boson sum ``_virasoro_state`` is kept only as
 the reference oracle the verification suites and tests compare the
@@ -125,11 +141,11 @@ def _check_trunc(v: FockVector, trunc: Optional[int], shift: int) -> None:
 
 @dataclass(frozen=True)
 class Bilinear:
-    """sum_x (const + slope*x) :psi_(x-k) psi*_x:, plus ``offset`` at k = 0."""
+    """sum_x f(x) :psi_(x-k) psi*_x:, f = sum_i weight[i] x**i, plus
+    ``offset`` at k = 0."""
 
     k: int
-    const: Scalar
-    slope: Scalar
+    weight: Tuple[Scalar, ...]
     offset: Scalar = Fraction(0)
 
     def __post_init__(self):
@@ -141,22 +157,44 @@ class Bilinear:
         return -self.k
 
     def adjoint(self) -> "Bilinear":
-        return Bilinear(-self.k, self.const + self.slope * self.k, self.slope, self.offset)
+        """f(x) -> f(x + k): the Taylor shift of the weight."""
+        w, k = self.weight, self.k
+        shifted = tuple(sum(w[i] * (math.comb(i, j) * k ** (i - j)) for i in range(j, len(w)))
+                        for j in range(len(w)))
+        return Bilinear(-k, shifted, self.offset)
+
+    def _diagonal(self, st: MayaState) -> Scalar:
+        # integer power sums of the doubled positions d, one per weight term;
+        # the i = 0 sum is the charge
+        above, below = st.above, st.below
+        val = self.offset + self.weight[0] * (len(above) - len(below))
+        for i in range(1, len(self.weight)):
+            if i == 1:
+                sums = sum(above) - sum(below)
+            else:
+                sums = sum([d ** i for d in above]) - sum([d ** i for d in below])
+            val = val + self.weight[i] * Fraction(sums, 1 << i)
+        return val
 
     def apply(self, v: FockVector, trunc: Optional[int] = None) -> FockVector:
         """Exact action; a given ``trunc`` must cover degree(v) + |k|."""
         _check_trunc(v, trunc, self.k)
-        k, c, s = self.k, self.const, self.slope
-        if k == 0:
-            return v.linear_apply(lambda st: (
-                (st, self.offset + c * st.charge
-                 + s * Fraction(sum(st.above) - sum(st.below), 2)),))
-        return v.linear_apply(lambda st: [
-            (new, (c + s * x) * sign) for new, sign, x in boson_moves(k, st)])
+        if self.k == 0:
+            return v.linear_apply(lambda st: ((st, self._diagonal(st)),))
+        k, top, lower = self.k, self.weight[-1], self.weight[-2::-1]
+
+        def jumps(st):
+            out = []
+            for new, sign, x in boson_moves(k, st):
+                f = top  # Horner's rule for f(x)
+                for c in lower:
+                    f = f * x + c
+                out.append((new, f * sign))
+            return out
+        return v.linear_apply(jumps)
 
     def to_json(self):
-        return {"k": self.k, "const": scalar_to_json(self.const),
-                "slope": scalar_to_json(self.slope),
+        return {"k": self.k, "weight": [scalar_to_json(c) for c in self.weight],
                 "offset": scalar_to_json(self.offset)}
 
 
@@ -164,30 +202,30 @@ def boson_op(k: int) -> Bilinear:
     """Heisenberg mode a_k, k != 0."""
     if k == 0:
         raise ValueError("boson index must be nonzero")
-    return Bilinear(k, 1, 0)
+    return Bilinear(k, (1,))
 
 
 def virasoro_op(k: int, p: VirasoroParams) -> Bilinear:
     """Oscillator mode L_k: gamma*k*a_k plus half the normally ordered
     quadratic boson sum, in bilinear form (see the module docstring)."""
     if k == 0:
-        return Bilinear(0, p.alpha, Fraction(1),
+        return Bilinear(0, (p.alpha, Fraction(1)),
                         (p.alpha * p.alpha - p.gamma * p.gamma) * Fraction(1, 2))
-    return Bilinear(k, p.alpha + p.gamma * k - Fraction(k, 2), Fraction(1))
+    return Bilinear(k, (p.alpha + p.gamma * k - Fraction(k, 2), Fraction(1)))
 
 
 def hook_raise(r: int, p: KerovParams) -> Bilinear:
     """Add a length-r rim hook: jump x -> x + r with weight z + x/r + 1/2."""
     if r < 1:
         raise ValueError("hook length must be positive")
-    return Bilinear(-r, p.z + Fraction(1, 2), Fraction(1, r))
+    return Bilinear(-r, (p.z + Fraction(1, 2), Fraction(1, r)))
 
 
 def hook_lower(r: int, p: KerovParams) -> Bilinear:
     """Remove a length-r rim hook: jump x -> x - r with weight w + x/r - 1/2."""
     if r < 1:
         raise ValueError("hook length must be positive")
-    return Bilinear(r, p.w - Fraction(1, 2), Fraction(1, r))
+    return Bilinear(r, (p.w - Fraction(1, 2), Fraction(1, r)))
 
 
 def _diagonal_hook_constant(r: int, p: KerovParams) -> Scalar:
@@ -204,7 +242,7 @@ def hook_diagonal(r: int, p: KerovParams) -> Bilinear:
     """[hook_lower(r), hook_raise(r)]: 2|lam|/r plus a constant on diagrams."""
     if r < 1:
         raise ValueError("hook length must be positive")
-    return Bilinear(0, p.z + p.w, Fraction(2, r), _diagonal_hook_constant(r, p))
+    return Bilinear(0, (p.z + p.w, Fraction(2, r)), _diagonal_hook_constant(r, p))
 
 
 # the box-weight sl2 triple is the length-1 hook triple
@@ -336,7 +374,8 @@ def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: M
 @dataclass(frozen=True)
 class MVirasoro:
     """M-fold mode: gamma*k*a_k plus the 1/M!-weighted normally ordered
-    sum over index tuples with total k.
+    sum over index tuples with total k.  :func:`m_virasoro_op` uses it for
+    M >= 4; at M <= 3 it is the reference oracle of the bilinear forms.
 
     Any tuple whose annihilating part exceeds the state's degree kills
     it, so indices are enumerated inside [-(degree+|k|), degree+|k|]; the
@@ -370,8 +409,20 @@ class MVirasoro:
                 "gamma": scalar_to_json(self.gamma)}
 
 
-def m_virasoro_op(order: int, k: int, p: VirasoroParams) -> MVirasoro:
-    return MVirasoro(order, k, p.alpha, p.gamma)
+def m_virasoro_op(order: int, k: int, p: VirasoroParams) -> Operator:
+    """M-fold mode: a bilinear for M <= 3 (see the module docstring), the
+    tuple sum :class:`MVirasoro` for M >= 4."""
+    a, g = p.alpha, p.gamma
+    if order == 1:
+        return Bilinear(k, (1 + g * k,), a if k == 0 else Fraction(0))
+    if order == 2:
+        return virasoro_op(k, p)
+    if order == 3:
+        shift = a - Fraction(k, 2)
+        weight = (shift * shift * Fraction(1, 2) + g * k + Fraction(1 - k * k, 24),
+                  shift, Fraction(1, 2))
+        return Bilinear(k, weight, a * a * a * Fraction(1, 6) if k == 0 else Fraction(0))
+    return MVirasoro(order, k, a, g)
 
 
 Operator = Union[Bilinear, MVirasoro]

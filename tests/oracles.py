@@ -7,7 +7,9 @@ from a literal prefix-list model of the semi-infinite wedge, and
 determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
 explicit sums over all 2^(N-1) jump compositions.  The box helpers
-describe single-box moves for the tests of the box ladder.
+describe single-box moves for the tests of the box ladder; the rim-hook
+moves, read off the particle configuration of a diagram, are the
+reference for the jump kernel ``fock.boson_moves``.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from youngfock.partitions import HalfInt, Partition
 from youngfock.rings import is_zero, series_exp
@@ -73,6 +75,112 @@ def is_border_strip(inner, outer, length: int) -> bool:
             if nb in skew and nb not in seen:
                 stack.append(nb)
     return seen == skew
+
+
+# -- rim hooks as particle jumps on the configuration ------------------------
+
+@dataclass(frozen=True)
+class RimHookMove:
+    """One rim-hook addition or removal, recorded as a particle jump.
+
+    ``start`` is the jumping particle's coordinate before the move;
+    additions land at start + length, removals at start - length.
+    ``leftmost_content`` is the content of the leftmost box of the hook.
+    """
+
+    result: Partition
+    height: int
+    leftmost_content: int
+    start: HalfInt
+    length: int
+
+    def __post_init__(self):
+        if not 1 <= self.height <= self.length:
+            raise ValueError("hook height must lie in [1, length]")
+
+
+def conf(lam: Partition, cutoff: int) -> List[HalfInt]:
+    """First ``cutoff`` particle coordinates of the configuration of lam.
+
+    Positions below the cutoff continue -i + 1/2 forever; the cutoff must
+    cover every row of the diagram or particles above vacuum level would
+    be silently lost.
+    """
+    if cutoff < len(lam):
+        raise ValueError(f"cutoff {cutoff} smaller than number of parts {len(lam)}")
+    return [HalfInt(2 * (lam.part(i) - i) + 1) for i in range(1, cutoff + 1)]
+
+
+def partition_from_conf(positions: Sequence[HalfInt], charge: int) -> Partition:
+    """Inverse of :func:`conf` on a finite prefix.
+
+    The prefix lists the topmost particles; below it the configuration is
+    the vacuum tail for its length.  Only the charge-0 sector corresponds
+    to partitions.
+    """
+    if charge != 0:
+        raise ValueError(f"no partition in charge sector {charge}")
+    parts = []
+    prev = None
+    for i, x in enumerate(positions, start=1):
+        if prev is not None and x.doubled >= prev:
+            raise ValueError("positions must be strictly decreasing")
+        prev = x.doubled
+        p = (x.doubled + 2 * i - 1) // 2
+        if p < 0:
+            raise ValueError(f"position {x} at index {i} lies below the vacuum tail")
+        parts.append(p)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return Partition(parts)
+
+
+@lru_cache(maxsize=None)
+def _rim_hooks(parts: Tuple[int, ...], r: int, remove: bool) -> Tuple[RimHookMove, ...]:
+    positions = conf(Partition(parts), len(parts) + r)
+    occupied = {x.doubled for x in positions}
+    lowest = positions[-1].doubled if positions else None
+    moves = []
+    for x in positions:
+        target = x.doubled - 2 * r if remove else x.doubled + 2 * r
+        if target in occupied:
+            continue
+        if lowest is not None and target < lowest:
+            continue  # inside the untouched vacuum tail, always occupied
+        lo, hi = min(x.doubled, target), max(x.doubled, target)
+        height = 1 + sum(1 for y in positions if lo < y.doubled < hi)
+        new_positions = sorted((occupied - {x.doubled}) | {target}, reverse=True)
+        result = partition_from_conf([HalfInt(d) for d in new_positions], 0)
+        moves.append(RimHookMove(result=result, height=height,
+                                 leftmost_content=(lo + 1) // 2, start=x, length=r))
+    return tuple(moves)
+
+
+def rim_hooks_addable(lam: Partition, r: int) -> List[RimHookMove]:
+    """All ways to add a connected r-box rim hook, as particle jumps.
+
+    One move per particle that can jump r steps right into a hole; the
+    height counts the particles strictly inside the jump interval plus
+    the jumping one.
+    """
+    if r < 1:
+        raise ValueError("hook length must be positive")
+    return list(_rim_hooks(lam.parts, r, remove=False))
+
+
+def rim_hooks_removable(lam: Partition, r: int) -> List[RimHookMove]:
+    """All ways to remove a connected r-box rim hook, as particle jumps."""
+    if r < 1:
+        raise ValueError("hook length must be positive")
+    return list(_rim_hooks(lam.parts, r, remove=True))
+
+
+def inner(u, v):
+    """Pairing of two Fock vectors in which the Maya basis is orthonormal."""
+    cu, cv = u.charge, v.charge
+    if cu is not None and cv is not None and cu != cv:
+        raise ValueError(f"charge mismatch: {cu} vs {cv}")
+    return sum((c * v.coefficient(s) for s, c in u.terms()), Fraction(0))
 
 
 # -- literal prefix-list model of the wedge ---------------------------------

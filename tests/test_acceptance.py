@@ -26,9 +26,11 @@ from youngfock.measures import (
     virasoro_weight_table,
 )
 from youngfock.operators import KerovParams, boson_op
-from youngfock.partitions import partitions_of, rim_hooks_addable
+from youngfock.partitions import partitions_of
 from youngfock.rings import random_rational, series_exp
 from youngfock.suites import run_suite
+
+from .oracles import rim_hooks_addable
 
 
 class Timer:

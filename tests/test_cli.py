@@ -54,6 +54,27 @@ def test_convert_reports_a_nonlinear_level(ring, monkeypatch, capsys):
                          "error": "X_3 has z-degree 2 > 1"}
 
 
+@pytest.mark.parametrize("ring", [[], ["--ring=poly-z"]])
+def test_convert_reports_a_nonlinear_bra_level(ring, monkeypatch, capsys):
+    # with only the bra side set, a w^2 term in row 2 is reported in the
+    # bra side's own names
+    real = conversion.vir_rows
+
+    def bent(x, z, n_max):
+        rows = real(x, z, n_max)
+        rows[2] = rows[2] + z * z
+        return rows
+
+    monkeypatch.setattr(conversion, "vir_rows", bent)
+    code, out, err = run_cli(["convert", "--y=1=2,2=1/3", "--max-degree=3"] + ring, capsys)
+    assert (code, err) == (1, "")
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert [l["N"] for l in lines[:-1]] == [1]
+    assert set(lines[0]) == {"N", "C", "D", "Y"}
+    assert lines[-1] == {"command": "convert", "max_degree": 3, "ok": False,
+                         "error": "Y_2 has w-degree 2 > 1"}
+
+
 def test_measure_csv(capsys):
     code, out, _ = run_cli(
         ["measure", "--kind", "virasoro", "--z", "1/2", "--w", "1/3",
@@ -249,6 +270,17 @@ GOLDEN_STDOUT = [
      ["convert", "--x=1=1,4=-1/3", "--y=2=1/5", "--z=1/2", "--w=-1/3", "--max-degree=9"]),
     (0, "9083f51ab4999882a678cdf8a38d1a9e454b5aaf7aa569e2e80b4239b740c1a0",
      ["verify", "--max-degree=8", "--suite=z-linearity"]),
+    # the M = 1, 2, 3 modes as polynomial-weight bilinears: Poly weights in
+    # the ket kernel, charged sectors in the prop62 brackets, and the M = 4
+    # tuple sum that stays
+    (0, "3248426034de5810956cc8d3e8995c2cecf4a39a253d2341fcb49c146a3a8c54",
+     ["measure", "--ring=poly-z", "--kind=m-virasoro", "--m=3", "--gamma=1/4", "--w=2/3",
+      "--x=1=1,2=1/2", "--y=1=1,3=-1/3", "--max-degree=5"]),
+    (0, "f816ae201f3ad758b6caea986eb29c66da8b0bd5de81aba2ae1cd449b6c2da9e",
+     ["verify", "--seed=5", "--suite=prop62", "--max-degree=3"]),
+    (0, "a827cae5ac4e1d202b2648b0a42e1a089b7b57408ab5768fe30890f5dd7387ee",
+     ["measure", "--m=4", "--kind=m-virasoro", "--gamma=1/3", "--z=1/2", "--w=-1/3",
+      "--x=1=1,2=1/2", "--y=1=1,2=1/3", "--max-degree=3"]),
 ]
 
 
@@ -302,7 +334,7 @@ def test_kernels_reports_a_wrong_highest_weight(monkeypatch, capsys):
     import youngfock.repstructure as rs
     from youngfock.operators import Bilinear
 
-    monkeypatch.setattr(rs, "kerov_l", lambda p: Bilinear(0, p.z + p.w, 2, p.z * p.w + 1))
+    monkeypatch.setattr(rs, "kerov_l", lambda p: Bilinear(0, (p.z + p.w, 2), p.z * p.w + 1))
     code, out, err = run_cli(["verify", "--suite=kernels", "--seed=3", "--max-degree=3"], capsys)
     assert code == 1 and err == ""
     lines = [json.loads(l) for l in out.strip().splitlines()]

@@ -8,21 +8,22 @@ from youngfock.fock import (
     FockVector,
     MayaState,
     VACUUM_STATE,
-    inner,
     psi,
     psi_star,
     vacuum,
 )
 from youngfock.operators import boson_op
-from youngfock.partitions import HalfInt, Partition, partitions_of, partitions_up_to, rim_hooks_addable
+from youngfock.partitions import HalfInt, Partition, partitions_of, partitions_up_to
 
 from .conftest import partitions
 from .oracles import (
     boson_zero_eigenvalue,
+    inner,
     naive_boson,
     naive_insert,
     naive_remove,
     prefix_of_partition,
+    rim_hooks_addable,
 )
 
 

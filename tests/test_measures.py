@@ -23,6 +23,7 @@ from youngfock.partitions import HalfInt, Partition, contains_particle, partitio
 from youngfock.rings import Poly
 
 from .conftest import rand_q
+from .oracles import conf
 
 
 def P(*parts):
@@ -218,8 +219,7 @@ def test_correlation_against_independent_enumeration():
     for lam in partitions_up_to(4):
         wgt = schur_weight_by_operators(lam, p)
         norm += wgt
-        positions = {x.doubled for x in
-                     __import__("youngfock.partitions", fromlist=["conf"]).conf(lam, len(lam) + 2)}
+        positions = {x.doubled for x in conf(lam, len(lam) + 2)}
         if 1 in positions:
             total += wgt
     assert correlation([HalfInt(1)], table) == total / norm

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from youngfock.fock import FockVector, MayaState, boson_moves, inner, vacuum
+from youngfock.fock import FockVector, MayaState, boson_moves, vacuum
 from youngfock.operators import (
     Bilinear,
     KerovParams,
+    MVirasoro,
     VirasoroParams,
     boson_op,
     commutator_check,
@@ -23,17 +24,11 @@ from youngfock.operators import (
     virasoro_params_for_rimhook,
     virasoro_params_from_kerov,
 )
-from youngfock.partitions import (
-    Partition,
-    partitions_of,
-    partitions_up_to,
-    rim_hooks_addable,
-    rim_hooks_removable,
-)
+from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
 from youngfock.suites import quadratic_mode
 
-from .oracles import addable_boxes, removable_boxes
+from .oracles import addable_boxes, inner, removable_boxes, rim_hooks_addable, rim_hooks_removable
 
 
 def P(*parts):
@@ -182,7 +177,8 @@ def test_m_virasoro_reduces_to_virasoro_at_order2():
             for lam in partitions_of(n):
                 v = FockVector.from_partition(lam)
                 t = n + abs(k)
-                assert m_virasoro_op(2, k, p).apply(v, t) == virasoro_op(k, p).apply(v, t), (k, lam)
+                want = virasoro_op(k, p).apply(v, t)
+                assert MVirasoro(2, k, p.alpha, p.gamma).apply(v, t) == want, (k, lam)
 
 
 def test_m_virasoro_order1():
@@ -217,7 +213,7 @@ def test_m_virasoro_trunc_and_order_errors():
 
 def test_bilinear_offset_only_on_the_diagonal():
     with pytest.raises(ValueError):
-        Bilinear(1, Fraction(1), Fraction(0), Fraction(1))
+        Bilinear(1, (Fraction(1), Fraction(0)), Fraction(1))
     with pytest.raises(ValueError):
         boson_op(0)
 
@@ -334,7 +330,7 @@ def test_commutator_check_examples():
     assert not rep.ok
     data = rep.to_json()
     assert data["degree"] == 2
-    assert data["lhs"] == {"k": 1, "const": "-5/4", "slope": "1", "offset": "0"}
+    assert data["lhs"] == {"k": 1, "weight": ["-5/4", "1"], "offset": "0"}
     assert data["discrepancies"][0]["basis"] == []
     assert "delta" in data["discrepancies"][0]
 
@@ -342,12 +338,14 @@ def test_commutator_check_examples():
 def test_operator_degree_shift_and_json():
     spec = m_virasoro_op(3, -2, VirasoroParams(alpha=Fraction(1), gamma=Fraction(0)))
     assert spec.degree_shift == 2
-    payload = spec.to_json()
-    assert payload["order"] == 3 and payload["k"] == -2
+    # f(x) = (x + 2)**2/2 - 1/8 = 15/8 + 2x + x**2/2
+    assert spec.to_json() == {"k": -2, "weight": ["15/8", "2", "1/2"], "offset": "0"}
+    assert m_virasoro_op(4, -2, VirasoroParams()).to_json()["order"] == 4
     assert hook_lower(3, KP).degree_shift == -3
     assert kerov_l(KP).degree_shift == 0
-    # adjoint rule: Bilinear(k, c, s, o)* = Bilinear(-k, c + s*k, s, o)
-    assert hook_lower(2, KP).adjoint() == Bilinear(-2, W + Fraction(1, 2), Fraction(1, 2))
+    # adjoint rule: Bilinear(k, f, o)* = Bilinear(-k, f(x + k), o)
+    assert hook_lower(2, KP).adjoint() == Bilinear(-2, (W + Fraction(1, 2), Fraction(1, 2)))
+    assert Bilinear(2, (0, 0, 1)).adjoint() == Bilinear(-2, (4, 4, 1))
     assert virasoro_op(2, VP).adjoint() == virasoro_op(-2, VirasoroParams(VP.alpha, -VP.gamma))
     assert kerov_u(KP).adjoint() == kerov_d(KerovParams(z=W, w=Z))
 
@@ -460,3 +458,29 @@ def test_m_virasoro_matches_plain_tuple_sum():
                 got = m_virasoro_op(order, k, p).apply(v, lam.size + abs(k))
                 want = _brute_m_mode(order, k, p, MayaState.from_partition(lam), pad=2)
                 assert got == want, (order, k, lam)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-2, 3), Poly.gen()], ids=["fraction", "poly"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_m_virasoro_bilinear_matches_tuple_sum(order, alpha):
+    """The closed bilinear forms at M = 1, 2, 3 against the M-fold tuple
+    sum, and their adjoints against the oracle's, in charges -2..2."""
+    p = VirasoroParams(alpha=alpha, gamma=Fraction(3, 7))
+    states = charged_states(5, charges=(-2, -1, 0, 1, 2))
+    for k in range(-3, 4):
+        op, oracle = m_virasoro_op(order, k, p), MVirasoro(order, k, p.alpha, p.gamma)
+        assert isinstance(op, Bilinear)
+        for st in states:
+            v = FockVector.basis(st)
+            assert op.apply(v) == oracle.apply(v), (k, st)
+            assert op.adjoint().apply(v) == oracle.adjoint().apply(v), (k, st)
+
+
+def test_m_virasoro_order4_stays_a_tuple_sum():
+    # M = 4 is no bilinear: its k = 1 mode moves more than one particle
+    op = m_virasoro_op(4, 1, VirasoroParams(alpha=Fraction(1, 2), gamma=Fraction(1, 3)))
+    assert isinstance(op, MVirasoro)
+    multi = [(st, new) for st in charged_states(5, charges=(0,))
+             for new, _ in op.apply(FockVector.basis(st)).terms()
+             if new not in {s for s, _, _ in boson_moves(1, st)}]
+    assert multi

@@ -7,22 +7,22 @@ import hypothesis.strategies as st
 from youngfock.partitions import (
     HalfInt,
     Partition,
-    conf,
     contains_particle,
-    partition_from_conf,
     partitions_of,
     partitions_up_to,
-    rim_hooks_addable,
-    rim_hooks_removable,
 )
 
 from .conftest import partitions
 from .oracles import (
     Box,
     addable_boxes,
+    conf,
     is_border_strip,
+    partition_from_conf,
     pentagonal_count,
     removable_boxes,
+    rim_hooks_addable,
+    rim_hooks_removable,
     transpose,
 )
 

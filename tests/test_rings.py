@@ -33,6 +33,13 @@ def test_poly_normalization_and_equality():
     assert hash(Poly((Fraction(5),))) == hash(Fraction(5))
 
 
+def test_poly_coefficients_are_fractions_and_kept_as_given():
+    half = Fraction(1, 2)
+    p = Poly((1, half, True))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs[1] is half  # a Fraction is stored, not re-wrapped
+
+
 @given(coeff_lists, coeff_lists)
 def test_poly_ring_axioms(a, b):
     pa, pb = Poly(a), Poly(b)
