@@ -281,6 +281,18 @@ GOLDEN_STDOUT = [
     (0, "a827cae5ac4e1d202b2648b0a42e1a089b7b57408ab5768fe30890f5dd7387ee",
      ["measure", "--m=4", "--kind=m-virasoro", "--gamma=1/3", "--z=1/2", "--w=-1/3",
       "--x=1=1,2=1/2", "--y=1=1,2=1/3", "--max-degree=3"]),
+    # the M = 2 oracle behind the two equivalence suites at their default
+    # degree, and the particle lookup behind correlations
+    (0, "3833da4b5ead1e1dddb1f4f0ae0833afd1312e09f27b02e366217abe8dbfc906",
+     ["verify", "--suite=kerov-equiv"]),
+    (0, "474404f7c7e7e41e3487468bc446e62acdc6f02fc3b38111ccc9a019b11d7d8d",
+     ["verify", "--suite=rimhook-equiv"]),
+    (0, "1d20c0e9111d9dcd87591b3a503aeb18126367048c0a9c2a571351ed02944854",
+     ["correlations", "--kind=schur", "--x=1=1,2=1/3", "--y=1=1/2,3=2",
+      '--points=["1/2","-1/2"]', "--max-degree=5"]),
+    (0, "6f9b7ef0b0b123922426f337e5a6c02f1b3c45429bdf04fe60394618eace256f",
+     ["correlations", "--kind=m-virasoro", "--m=3", "--gamma=1/4", "--z=1/2", "--w=-1/3",
+      "--x=1=1,2=1/2", "--y=1=1,2=1/3", '--points=["1/2","-3/2"]', "--max-degree=4"]),
 ]
 
 
