@@ -111,8 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--max-degree", type=int, default=4)
         p.add_argument("--ring", choices=["rational", "poly-z"], default="rational")
-        p.add_argument("--output", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write to this file instead of stdout")
 
     m = sub.add_parser("measure", help="tabulate unnormalized and normalized weights")
@@ -123,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--gamma", default="0")
     m.add_argument("--x", default="")
     m.add_argument("--y", default="")
+    m.add_argument("--output", choices=["json", "csv"], default="json")
     common(m)
 
     c = sub.add_parser("convert", help="equivalent Schur parameters X_N (and Y_N)")
@@ -148,14 +147,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
     v.add_argument("--max-degree", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--output", choices=["json", "csv"], default="json")
     v.add_argument("--out", default=None)
 
     d = sub.add_parser("decompose", help="parameter-plane structure report")
     d.add_argument("--z", required=True)
     d.add_argument("--w", required=True)
     d.add_argument("--max-degree", type=int, default=6)
-    d.add_argument("--output", choices=["json", "csv"], default="json")
     d.add_argument("--out", default=None)
 
     return parser

@@ -55,8 +55,7 @@ class MayaState:
         return twice // 2
 
     def occupied(self, x: HalfInt) -> bool:
-        d = x.doubled
-        return d in self.above if d > 0 else d not in self.below
+        return self._occupied_d(x.doubled)
 
     def _occupied_d(self, d: int) -> bool:
         return d in self.above if d > 0 else d not in self.below

@@ -12,17 +12,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping
 
-from .fock import vacuum
+from .fock import MayaState, vacuum
 from .operators import (
     KerovParams,
     Operator,
     VirasoroParams,
-    boson_op,
     exp_raising,
     m_virasoro_op,
     virasoro_op,
 )
-from .partitions import HalfInt, Partition, contains_particle, partitions_up_to
+from .partitions import HalfInt, Partition, partitions_up_to
 from .rings import Scalar, det, divexact, is_zero, scalar_to_json, series_exp
 
 
@@ -143,13 +142,6 @@ def schur_weight(lam: Partition, p: MiwaParams) -> Scalar:
     return schur_polynomial(lam, p.x) * schur_polynomial(lam, p.y)
 
 
-def schur_weight_by_operators(lam: Partition, p: MiwaParams) -> Scalar:
-    """Same weight through the boson exponential; independent route."""
-    ket = exp_raising([(c, boson_op(-k)) for k, c in p.x.items()], vacuum(), lam.size)
-    bra = exp_raising([(c, boson_op(-k)) for k, c in p.y.items()], vacuum(), lam.size)
-    return ket.coefficient_of_partition(lam) * bra.coefficient_of_partition(lam)
-
-
 def cauchy_normalizer(p: MiwaParams, degree: int) -> Scalar:
     """Truncation of exp(sum_k k*x_k*y_k): the closed-form normalizer.
 
@@ -234,6 +226,7 @@ def correlation(points: Iterable[HalfInt], table: WeightTable) -> Scalar:
     pts = list(points)
     total: Scalar = Fraction(0)
     for lam in table.partitions():
-        if all(contains_particle(lam, x) for x in pts):
+        state = MayaState.from_partition(lam)
+        if all(state.occupied(x) for x in pts):
             total = total + table.weights[lam]
     return divexact(total, table.z_trunc)

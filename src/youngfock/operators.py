@@ -43,8 +43,14 @@ M      f(x)                                                offset (k = 0)
 =====  ==================================================  ================
 
 M = 4 is not a bilinear (its k = 1 mode moves several particles at
-once), so :class:`MVirasoro` keeps the M-fold tuple sum for M >= 4 and
-as the reference oracle of the three closed forms.
+once), so :class:`MVirasoro` keeps the M-fold tuple sum for M >= 4.  It
+is also the one definitional form kept, as the reference oracle of the
+three closed forms: at M = 2 it is the quadratic boson sum
+gamma*k*a_k + 1/2 sum_j :a_j a_(k-j):, against which ``virasoro_op``,
+the box ladder and the rim-hook ladders are checked.
+
+Every operator acts by ``op.apply(v)``, exactly and with no truncation
+bound: it maps each basis state of degree d into degree d - k.
 
 Adjoint rule, in the pairing where the Maya basis is orthonormal:
 ``Bilinear(k, f, o)* = Bilinear(-k, f(x + k), o)`` (the reversed jump
@@ -85,10 +91,6 @@ the test suite:
 * M-fold quadratic sums run over ordered index tuples weighted 1/M!
   (equivalently multisets weighted by inverse multiplicity factorials);
   this is the unique weighting that reproduces ``virasoro_op`` at M = 2.
-
-The definitional quadratic boson sum ``_virasoro_state`` is kept only as
-the reference oracle the verification suites and tests compare the
-bilinear form against.
 """
 
 from __future__ import annotations
@@ -126,13 +128,6 @@ def virasoro_params_for_rimhook(p: KerovParams, r: int) -> VirasoroParams:
     """Parameters matching length-r hook operators: alpha scales with r."""
     half = Fraction(1, 2)
     return VirasoroParams(alpha=(p.z + p.w) * Fraction(r, 2), gamma=(p.w - p.z) * half)
-
-
-def _check_trunc(v: FockVector, trunc: Optional[int], shift: int) -> None:
-    if trunc is not None and trunc < v.degree() + abs(shift):
-        raise ValueError(
-            f"truncation {trunc} insufficient for degree {v.degree()} + |{shift}|"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +171,7 @@ class Bilinear:
             val = val + self.weight[i] * Fraction(sums, 1 << i)
         return val
 
-    def apply(self, v: FockVector, trunc: Optional[int] = None) -> FockVector:
-        """Exact action; a given ``trunc`` must cover degree(v) + |k|."""
-        _check_trunc(v, trunc, self.k)
+    def apply(self, v: FockVector) -> FockVector:
         if self.k == 0:
             return v.linear_apply(lambda st: ((st, self._diagonal(st)),))
         k, top, lower = self.k, self.weight[-1], self.weight[-2::-1]
@@ -262,7 +255,7 @@ def kerov_l(p: KerovParams) -> Bilinear:
 
 
 # ---------------------------------------------------------------------------
-# quadratic boson sums: the M-fold modes and the reference oracle
+# the M-fold tuple sum: the M >= 4 modes and the reference oracle
 # ---------------------------------------------------------------------------
 
 def _acc(acc: Dict[MayaState, Scalar], state: MayaState, coeff: Scalar) -> None:
@@ -276,36 +269,6 @@ def _acc(acc: Dict[MayaState, Scalar], state: MayaState, coeff: Scalar) -> None:
 
 def _sorted_items(acc: Dict[MayaState, Scalar]) -> Tuple[Tuple[MayaState, Scalar], ...]:
     return tuple((s, acc[s]) for s in sorted(acc, key=MayaState.sort_key))
-
-
-@lru_cache(maxsize=None)
-def _virasoro_state(k: int, alpha: Scalar, gamma: Scalar, state: MayaState):
-    """Reference oracle: mode-k action on one basis state, from the
-    quadratic boson sum gamma*k*a_k + 1/2 sum_j :a_j a_(k-j):."""
-    d = state.degree
-    a0 = alpha + state.charge
-    acc: Dict[MayaState, Scalar] = {}
-    if k == 0:
-        _acc(acc, state, (a0 * a0 - gamma * gamma) * Fraction(1, 2))
-        for j in range(1, d + 1):
-            for s1, sign1, _ in boson_moves(j, state):
-                for s2, sign2, _ in boson_moves(-j, s1):
-                    _acc(acc, s2, Fraction(sign1 * sign2))
-        return _sorted_items(acc)
-    # linear part: the modified term plus the two zero-mode pairings
-    lead = gamma * k + a0
-    for s1, sign, _ in boson_moves(k, state):
-        _acc(acc, s1, lead * sign)
-    half = Fraction(1, 2)
-    for j in range(k - d, d + 1):
-        m = k - j
-        if j == 0 or m == 0:
-            continue
-        first, second = (m, j) if (j < 0 < m) else (j, m)  # annihilator first
-        for s1, sign1, _ in boson_moves(first, state):
-            for s2, sign2, _ in boson_moves(second, s1):
-                _acc(acc, s2, half * Fraction(sign1 * sign2))
-    return _sorted_items(acc)
 
 
 def _descending_tuples(length: int, total: int, bound: int, pos_budget: int, cap: int):
@@ -399,8 +362,7 @@ class MVirasoro:
         # a_k* = a_(-k) turns mode k into mode -k and flips gamma
         return MVirasoro(self.order, -self.k, self.alpha, -self.gamma)
 
-    def apply(self, v: FockVector, trunc: Optional[int] = None) -> FockVector:
-        _check_trunc(v, trunc, self.k)
+    def apply(self, v: FockVector) -> FockVector:
         return v.linear_apply(
             lambda s: _m_virasoro_state(self.order, self.k, self.alpha, self.gamma, s))
 
@@ -476,47 +438,24 @@ def exp_lowering_bra(terms: Combo, lam: Partition, max_degree: int) -> Scalar:
 ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
-    lhs: Operator
-    rhs: Operator
-    degree: int
-    discrepancies: Tuple[Tuple[Partition, FockVector], ...]
+def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo,
+                     degree: int) -> List[Tuple[Partition, FockVector]]:
+    """The (lam, [a, b]v - expected(v)) pairs, v = |lam>, over every
+    basis vector up to degree whose delta is nonzero.
 
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-    def to_json(self):
-        return {
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "degree": self.degree,
-            "discrepancies": [
-                {"basis": lam.to_json(), "delta": delta.to_json()}
-                for lam, delta in self.discrepancies
-            ],
-        }
-
-
-def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo, degree: int) -> CommutatorReport:
-    """Evaluate [a, b]v - expected(v) on every basis vector up to degree.
-
-    Empty discrepancy list means the identity holds exactly there.
+    An empty list means the identity holds exactly there.
     """
-    sa, sb = abs(a.degree_shift), abs(b.degree_shift)
-    trunc = degree + sa + sb
     found: List[Tuple[Partition, FockVector]] = []
     for d in range(degree + 1):
         for lam in partitions_of(d):
             v = FockVector.from_partition(lam)
-            lhs = a.apply(b.apply(v, trunc), trunc) - b.apply(a.apply(v, trunc), trunc)
+            lhs = a.apply(b.apply(v)) - b.apply(a.apply(v))
             rhs = FockVector.zero()
             for coeff, op in expected:
                 if is_zero(coeff):
                     continue
-                rhs = rhs + (op.apply(v, trunc) if op is not None else v).scale(coeff)
+                rhs = rhs + (op.apply(v) if op is not None else v).scale(coeff)
             delta = lhs - rhs
             if delta:
                 found.append((lam, delta))
-    return CommutatorReport(lhs=a, rhs=b, degree=degree, discrepancies=tuple(found))
+    return found

@@ -114,14 +114,6 @@ class Partition:
 EMPTY = Partition()
 
 
-def contains_particle(lam: Partition, x: HalfInt) -> bool:
-    """Whether the configuration of lam occupies position x."""
-    if any(2 * (p - i) + 1 == x.doubled for i, p in enumerate(lam.parts, 1)):
-        return True
-    # vacuum tail below the listed rows
-    return x.doubled <= -2 * len(lam) - 1
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order."""

@@ -31,15 +31,13 @@ class GradedMatrix:
 
 def matrix_of(op: Operator, n: int) -> GradedMatrix:
     """Exact matrix of the operator restricted to degree n."""
-    shift = op.degree_shift
     cols = partitions_of(n)
-    target = n + shift
+    target = n + op.degree_shift
     rows = partitions_of(target) if target >= 0 else ()
     index = {lam: i for i, lam in enumerate(rows)}
     entries = [[Fraction(0)] * len(cols) for _ in rows]
-    trunc = n + abs(shift)
     for j, lam in enumerate(cols):
-        image = op.apply(FockVector.from_partition(lam), trunc)
+        image = op.apply(FockVector.from_partition(lam))
         for state, coeff in image.terms():
             entries[index[state.to_partition()]][j] = coeff
     return GradedMatrix(rows=tuple(rows), cols=tuple(cols),

@@ -53,10 +53,6 @@ class Poly:
         """The indeterminate itself."""
         return cls((0, 1))
 
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -158,6 +158,22 @@ def test_usage_error_exits_two(capsys):
     assert main(["bogus-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--kind=schur", "--seed=1"],
+    ["convert", "--x=1=1", "--seed=1"],
+    ["correlations", "--kind=schur", '--points=["1/2"]', "--seed=1"],
+    ["convert", "--x=1=1", "--output=csv"],
+    ["correlations", "--kind=schur", '--points=["1/2"]', "--output=csv"],
+    ["verify", "--suite=heisenberg", "--max-degree=1", "--output=csv"],
+    ["decompose", "--z=1", "--w=1", "--output=csv"],
+])
+def test_flags_a_command_does_not_read_exit_two(argv, capsys):
+    # --seed only drives verify and --output only formats measure
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "usage:" in err and "unrecognized arguments" in err
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["measure", "--kind", "virasoro", "--z", "2/3", "--w", "-1/5",
             "--x", "1=1,2=1/3", "--y", "1=1/2", "--max-degree", "4"]

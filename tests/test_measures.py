@@ -13,13 +13,12 @@ from youngfock.measures import (
     m_virasoro_weight_table,
     schur_polynomial,
     schur_weight,
-    schur_weight_by_operators,
     schur_weight_table,
     virasoro_weight_table,
     weight_table,
 )
 from youngfock.operators import KerovParams, VirasoroParams, exp_raising, virasoro_op
-from youngfock.partitions import HalfInt, Partition, contains_particle, partitions_up_to
+from youngfock.partitions import HalfInt, Partition, partitions_up_to
 from youngfock.rings import Poly
 
 from .conftest import rand_q
@@ -51,14 +50,21 @@ def test_complete_homogeneous_matches_row_schur():
         assert schur_polynomial(P(n), x) == h[n]
 
 
+def _boson_route_table(p, degree):
+    # the boson exponentials: m_virasoro_op(1, k) at gamma = 0 is boson_op(k)
+    return m_virasoro_weight_table(MeasureSpec(kind="m-virasoro", params=p,
+                                               truncation=degree, m_order=1))
+
+
 def test_schur_weight_dual_route(rng):
     for _ in range(3):
         p = MiwaParams(
             x={k: rand_q(rng) for k in (1, 2, 3)},
             y={k: rand_q(rng) for k in (1, 2, 3)},
         )
+        table = _boson_route_table(p, 6)
         for lam in partitions_up_to(6):
-            assert schur_weight(lam, p) == schur_weight_by_operators(lam, p), lam
+            assert schur_weight(lam, p) == table.weights[lam], lam
 
 
 def test_schur_weight_trivial():
@@ -214,10 +220,11 @@ def test_correlation_against_independent_enumeration():
     p = MiwaParams(x={1: a}, y={1: b})
     table = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=4))
     # independent route: operator-route weights and conf-prefix membership
+    ops = _boson_route_table(p, 4)
     total = Fraction(0)
     norm = Fraction(0)
     for lam in partitions_up_to(4):
-        wgt = schur_weight_by_operators(lam, p)
+        wgt = ops.weights[lam]
         norm += wgt
         positions = {x.doubled for x in conf(lam, len(lam) + 2)}
         if 1 in positions:
@@ -232,7 +239,8 @@ def test_correlation_counts_expected_particles():
     by_points = sum((correlation([x], table) for x in window), Fraction(0))
     direct = Fraction(0)
     for lam in partitions_up_to(4):
-        count = sum(1 for x in window if contains_particle(lam, x))
+        occ = {x.doubled for x in conf(lam, len(lam) + 5)}
+        count = sum(1 for x in window if x.doubled in occ)
         direct += table.normalized(lam) * count
     assert by_points == direct
 

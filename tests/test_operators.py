@@ -26,7 +26,6 @@ from youngfock.operators import (
 )
 from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
-from youngfock.suites import quadratic_mode
 
 from .oracles import addable_boxes, inner, removable_boxes, rim_hooks_addable, rim_hooks_removable
 
@@ -104,22 +103,16 @@ def test_rimhook_triple_closes():
 
 def test_virasoro_vacuum_examples():
     a, g = VP.alpha, VP.gamma
-    assert virasoro_op(-1, VP).apply(vacuum(), 1) == ket(1).scale(a - g)
-    got = virasoro_op(-2, VP).apply(vacuum(), 2)
+    assert virasoro_op(-1, VP).apply(vacuum()) == ket(1).scale(a - g)
+    got = virasoro_op(-2, VP).apply(vacuum())
     want = ket(2).scale(a - 2 * g + Fraction(1, 2)) - ket(1, 1).scale(a - 2 * g - Fraction(1, 2))
     assert got == want
 
 
 def test_virasoro_bracket_on_vacuum():
-    t = 4
     up, down = virasoro_op(-1, VP), virasoro_op(1, VP)
-    lhs = down.apply(up.apply(vacuum(), t), t) - up.apply(down.apply(vacuum(), t), t)
-    assert lhs == virasoro_op(0, VP).apply(vacuum(), t).scale(2)
-
-
-def test_virasoro_trunc_error():
-    with pytest.raises(ValueError):
-        virasoro_op(-3, VP).apply(vacuum(), 2)
+    lhs = down.apply(up.apply(vacuum())) - up.apply(down.apply(vacuum()))
+    assert lhs == virasoro_op(0, VP).apply(vacuum()).scale(2)
 
 
 def test_virasoro_closed_hook_form():
@@ -135,27 +128,28 @@ def test_virasoro_closed_hook_form():
                     sign = Fraction(-1 if (mv.height - 1) % 2 else 1)
                     coeff = z_k + mv.start.as_fraction() + Fraction(k, 2)
                     raised = raised + FockVector.from_partition(mv.result, sign * coeff)
-                assert virasoro_op(-k, VP).apply(v, n + k) == raised, ("raise", k, lam)
+                assert virasoro_op(-k, VP).apply(v) == raised, ("raise", k, lam)
                 lowered = FockVector.zero()
                 for mv in rim_hooks_removable(lam, k):
                     sign = Fraction(-1 if (mv.height - 1) % 2 else 1)
                     coeff = w_k + mv.start.as_fraction() - Fraction(k, 2)
                     lowered = lowered + FockVector.from_partition(mv.result, sign * coeff)
-                assert virasoro_op(k, VP).apply(v, n + k) == lowered, ("lower", k, lam)
+                assert virasoro_op(k, VP).apply(v) == lowered, ("lower", k, lam)
 
 
 def test_kerov_virasoro_equivalence():
     # box ladder (kernel) against the quadratic boson sum (oracle)
+    m_u, m_d, m_l = (MVirasoro(2, k, VP.alpha, VP.gamma) for k in (-1, 1, 0))
     for n in range(0, 8):
         for lam in partitions_of(n):
             v = FockVector.from_partition(lam)
-            assert quadratic_mode(-1, VP, v) == kerov_u(KP).apply(v)
-            assert quadratic_mode(1, VP, v) == kerov_d(KP).apply(v)
-            assert quadratic_mode(0, VP, v).scale(2) == kerov_l(KP).apply(v)
+            assert m_u.apply(v) == kerov_u(KP).apply(v)
+            assert m_d.apply(v) == kerov_d(KP).apply(v)
+            assert m_l.apply(v).scale(2) == kerov_l(KP).apply(v)
     # the diagonal off the diagrams: L = 2 L_0 = (z + c)(w + c) + 2*degree in charge c
     for state in charged_states(5, (-2, -1, 1, 2)):
         v, c = FockVector.basis(state), state.charge
-        assert quadratic_mode(0, VP, v).scale(2) == kerov_l(KP).apply(v), state
+        assert m_l.apply(v).scale(2) == kerov_l(KP).apply(v), state
         assert kerov_l(KP).apply(v) == v.scale((Z + c) * (W + c) + 2 * state.degree)
 
 
@@ -163,11 +157,12 @@ def test_rimhook_virasoro_scale():
     # hook ladder (kernel) against the quadratic boson sum (oracle)
     for r in range(1, 5):
         vpr = virasoro_params_for_rimhook(KP, r)
+        m_up, m_down = (MVirasoro(2, k, vpr.alpha, vpr.gamma) for k in (-r, r))
         for n in range(0, 7):
             for lam in partitions_of(n):
                 v = FockVector.from_partition(lam)
-                assert quadratic_mode(-r, vpr, v) == hook_raise(r, KP).apply(v).scale(r)
-                assert quadratic_mode(r, vpr, v) == hook_lower(r, KP).apply(v).scale(r)
+                assert m_up.apply(v) == hook_raise(r, KP).apply(v).scale(r)
+                assert m_down.apply(v) == hook_lower(r, KP).apply(v).scale(r)
 
 
 def test_m_virasoro_reduces_to_virasoro_at_order2():
@@ -176,16 +171,15 @@ def test_m_virasoro_reduces_to_virasoro_at_order2():
         for n in range(0, 6):
             for lam in partitions_of(n):
                 v = FockVector.from_partition(lam)
-                t = n + abs(k)
-                want = virasoro_op(k, p).apply(v, t)
-                assert MVirasoro(2, k, p.alpha, p.gamma).apply(v, t) == want, (k, lam)
+                want = virasoro_op(k, p).apply(v)
+                assert MVirasoro(2, k, p.alpha, p.gamma).apply(v) == want, (k, lam)
 
 
 def test_m_virasoro_order1():
     p = VirasoroParams(alpha=Fraction(1, 3), gamma=Fraction(2, 5))
     for k in (1, 2, 3):
-        got = m_virasoro_op(1, -k, p).apply(vacuum(), k)
-        want = boson_op(-k).apply(vacuum(), k).scale(1 - p.gamma * k)
+        got = m_virasoro_op(1, -k, p).apply(vacuum())
+        want = boson_op(-k).apply(vacuum()).scale(1 - p.gamma * k)
         assert got == want
 
 
@@ -195,20 +189,17 @@ def test_m_virasoro_order3_support_and_probe():
     for k in (1, 2, 3):
         for n in range(0, 6):
             for lam in partitions_of(n):
-                img = m_virasoro_op(3, -k, p).apply(FockVector.from_partition(lam), n + k)
+                img = m_virasoro_op(3, -k, p).apply(FockVector.from_partition(lam))
                 allowed = {mv.result for mv in rim_hooks_addable(lam, k)}
                 assert set(img.as_partition_dict()) <= allowed, (k, lam)
     # the plain power form overshoots: vacuum coefficient is alpha^2/2, not alpha^2
-    img = m_virasoro_op(3, -1, p).apply(vacuum(), 1)
+    img = m_virasoro_op(3, -1, p).apply(vacuum())
     assert img == FockVector.from_partition(P(1), p.alpha * p.alpha * Fraction(1, 2))
 
 
-def test_m_virasoro_trunc_and_order_errors():
-    p = VirasoroParams()
+def test_m_virasoro_order_error():
     with pytest.raises(ValueError):
-        m_virasoro_op(0, 1, p)
-    with pytest.raises(ValueError):
-        m_virasoro_op(2, -4, p).apply(vacuum(), 2)
+        m_virasoro_op(0, 1, VirasoroParams())
 
 
 def test_bilinear_offset_only_on_the_diagonal():
@@ -321,18 +312,14 @@ def test_adjoint_pairing(op):
 
 def test_commutator_check_examples():
     u_op, d_op, l_op = kerov_u(KP), kerov_d(KP), kerov_l(KP)
-    rep = commutator_check(d_op, u_op, [(Fraction(1), l_op)], 6)
-    assert rep.ok
-    rep = commutator_check(boson_op(1), boson_op(-1), [(Fraction(1), None)], 6)
-    assert rep.ok
-    # a falsified identity surfaces structured discrepancies
-    rep = commutator_check(d_op, u_op, [(Fraction(2), l_op)], 2)
-    assert not rep.ok
-    data = rep.to_json()
-    assert data["degree"] == 2
-    assert data["lhs"] == {"k": 1, "weight": ["-5/4", "1"], "offset": "0"}
-    assert data["discrepancies"][0]["basis"] == []
-    assert "delta" in data["discrepancies"][0]
+    assert commutator_check(d_op, u_op, [(Fraction(1), l_op)], 6) == []
+    assert commutator_check(boson_op(1), boson_op(-1), [(Fraction(1), None)], 6) == []
+    # a falsified identity surfaces (partition, delta) discrepancies
+    found = commutator_check(d_op, u_op, [(Fraction(2), l_op)], 2)
+    assert found
+    lam, delta = found[0]
+    assert lam == P()
+    assert delta == l_op.apply(vacuum()).scale(-1)
 
 
 def test_operator_degree_shift_and_json():
@@ -353,7 +340,7 @@ def test_operator_degree_shift_and_json():
 def test_virasoro_over_polynomial_ring():
     t = Poly.gen()
     vp = VirasoroParams(alpha=t, gamma=Fraction(0))
-    got = virasoro_op(-2, vp).apply(vacuum(), 2)
+    got = virasoro_op(-2, vp).apply(vacuum())
     c2 = got.coefficient_of_partition(P(2))
     c11 = got.coefficient_of_partition(P(1, 1))
     assert c2 == t + Fraction(1, 2)
@@ -391,7 +378,7 @@ def _brute_quadratic_mode(k, p, state, pad):
 
 
 def test_virasoro_window_sufficiency_incl_charged_states():
-    # kernel and quadratic oracle against the wide-window brute sum,
+    # kernel and M = 2 tuple-sum oracle against the wide-window brute sum,
     # including the diagonal k = 0 in charged sectors
     rng = random.Random(5)
     draws = [VirasoroParams(alpha=Fraction(2, 3), gamma=Fraction(-1, 5))]
@@ -400,12 +387,12 @@ def test_virasoro_window_sufficiency_incl_charged_states():
     states = charged_states(5)
     for p in draws:
         for k in range(-4, 5):
-            op = virasoro_op(k, p)
+            op, oracle = virasoro_op(k, p), MVirasoro(2, k, p.alpha, p.gamma)
             for state in states:
                 v = FockVector.basis(state)
                 want = _brute_quadratic_mode(k, p, state, pad=2)
-                assert op.apply(v, state.degree + abs(k)) == want, (p, k, state)
-                assert quadratic_mode(k, p, v) == want, (p, k, state)
+                assert op.apply(v) == want, (p, k, state)
+                assert oracle.apply(v) == want, (p, k, state)
 
 
 def _brute_m_mode(order, k, p, state, pad):
@@ -455,7 +442,7 @@ def test_m_virasoro_matches_plain_tuple_sum():
         for k in (-2, -1, 1, 2):
             for lam in partitions_up_to(2):
                 v = FockVector.from_partition(lam)
-                got = m_virasoro_op(order, k, p).apply(v, lam.size + abs(k))
+                got = m_virasoro_op(order, k, p).apply(v)
                 want = _brute_m_mode(order, k, p, MayaState.from_partition(lam), pad=2)
                 assert got == want, (order, k, lam)
 

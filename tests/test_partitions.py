@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from youngfock.fock import MayaState
 from youngfock.partitions import (
     HalfInt,
     Partition,
-    contains_particle,
     partitions_of,
     partitions_up_to,
 )
@@ -215,8 +215,9 @@ def test_partitions_up_to():
 def test_contains_particle_against_conf(lam):
     window = conf(lam, len(lam) + 4)
     occ = {x.doubled for x in window}
+    state = MayaState.from_partition(lam)
     for d in range(window[-1].doubled, 2 * max([lam.part(1), 1]) + 3, 2):
-        assert contains_particle(lam, HalfInt(d)) == (d in occ)
+        assert state.occupied(HalfInt(d)) == (d in occ)
 
 
 @given(partitions(max_size=8))
