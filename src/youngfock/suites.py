@@ -101,13 +101,13 @@ def suite_sl2(seed: int = 0, max_degree: int = 6, draws: int = 5) -> dict:
     for t in range(draws):
         p = KerovParams(z=random_rational(rng), w=random_rational(rng))
         u_op, l_op, d_op = kerov_u(p), kerov_l(p), kerov_d(p)
-        rep1 = commutator_check(d_op, u_op, [(Fraction(1), l_op)], max_degree)
-        rep2 = commutator_check(l_op, u_op, [(Fraction(2), u_op)], max_degree)
-        rep3 = commutator_check(l_op, d_op, [(Fraction(-2), d_op)], max_degree)
+        bad1 = commutator_check(d_op, u_op, [(Fraction(1), l_op)], max_degree)
+        bad2 = commutator_check(l_op, u_op, [(Fraction(2), u_op)], max_degree)
+        bad3 = commutator_check(l_op, d_op, [(Fraction(-2), d_op)], max_degree)
         tag = f"draw {t} (z={rational_str(p.z)}, w={rational_str(p.w)})"
-        checks.append(_check(f"[D,U] = L, {tag}", not rep1))
-        checks.append(_check(f"[L,U] = 2U, {tag}", not rep2))
-        checks.append(_check(f"[L,D] = -2D, {tag}", not rep3))
+        checks.append(_check(f"[D,U] = L, {tag}", not bad1))
+        checks.append(_check(f"[L,U] = 2U, {tag}", not bad2))
+        checks.append(_check(f"[L,D] = -2D, {tag}", not bad3))
     return _report(
         "sl2",
         "box ladder operators close into an sl2 triple",
