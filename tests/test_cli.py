@@ -312,8 +312,15 @@ GOLDEN_STDOUT = [
 ]
 
 
+def _golden_id(argv):
+    # the first two words name a case; a run without --max-degree is marked,
+    # so the default-degree suites keep ids apart from their small-degree ones
+    default = not any(a.startswith("--max-degree") for a in argv)
+    return " ".join(argv[:2]) + (" default-degree" if default else "")
+
+
 @pytest.mark.parametrize("code,digest,argv", GOLDEN_STDOUT,
-                         ids=[" ".join(g[2][:2]) for g in GOLDEN_STDOUT])
+                         ids=[_golden_id(g[2]) for g in GOLDEN_STDOUT])
 def test_golden_stdout_digest(code, digest, argv, capsys):
     got_code, out, err = run_cli(argv, capsys)
     assert (got_code, err) == (code, "")
