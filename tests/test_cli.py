@@ -309,6 +309,21 @@ GOLDEN_STDOUT = [
     (0, "6f9b7ef0b0b123922426f337e5a6c02f1b3c45429bdf04fe60394618eace256f",
      ["correlations", "--kind=m-virasoro", "--m=3", "--gamma=1/4", "--z=1/2", "--w=-1/3",
       "--x=1=1,2=1/2", "--y=1=1,2=1/3", '--points=["1/2","-3/2"]', "--max-degree=4"]),
+    # the integer-numerator exponential on modes 1-3 over denominators 3, 5
+    # and 7 (virasoro at degree 12, M = 3 with gamma set) and the
+    # per-table complete-homogeneous series of the Schur side
+    (0, "637d9ff4b8ccb4f69bd1435bcfc1eb317b33d9fae092b6092af09941febe690a",
+     ["measure", "--z=1/2", "--kind=virasoro", "--w=-2/3", "--x=1=1/3,2=-2/5,3=1/7",
+      "--y=1=-1/5,2=2/7,3=1/3", "--max-degree=12"]),
+    (0, "49f19bc9765a4d2fa3d74d565707f267f86cba073cc3b54573374575db2745ec",
+     ["measure", "--gamma=-1/5", "--kind=m-virasoro", "--m=3", "--z=2/3", "--w=1/2",
+      "--x=1=1/3,2=1/5,3=-1/7", "--y=1=-2/7,3=1/3", "--max-degree=8"]),
+    (0, "241e170255985f5fdc3c3824d8752909485bbcd6acdbfbfb3521a5a004993cb0",
+     ["measure", "--x=1=1/3,2=-1/2,4=2/5", "--kind=schur", "--y=1=1/2,3=-1/7",
+      "--max-degree=12"]),
+    (0, "4e081f8da913f5d9b819c2eb439bd99896fe0889a5dfd8345ab7f430085b6bd3",
+     ["correlations", "--max-degree=8", "--kind=virasoro", "--z=-1/3", "--w=2/5",
+      "--x=1=1/3,2=-1/5,3=2/7", "--y=1=1/5,2=1/3", '--points=["1/2","-3/2"]']),
 ]
 
 
