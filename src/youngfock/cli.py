@@ -28,7 +28,8 @@ from .measures import (
     MeasureSpec,
     MiwaParams,
     cauchy_normalizer,
-    correlation,
+    occupied_weight,
+    quotient_json,
     weight_table,
 )
 from .operators import KerovParams
@@ -284,10 +285,10 @@ def _run_convert(cfg: RunConfig) -> int:
 def _run_correlations(cfg: RunConfig) -> int:
     spec = _measure_spec(cfg)
     table = weight_table(spec)
-    prob = correlation(cfg.points, table)
+    # null where the probability is undefined, as measure's "normalized"
+    prob = quotient_json(occupied_weight(cfg.points, table), table.z_trunc)
     lines = [
-        _dump({"points": [str(x) for x in cfg.points],
-               "probability": scalar_to_json(prob)}),
+        _dump({"points": [str(x) for x in cfg.points], "probability": prob}),
         _dump({"command": "correlations", "kind": spec.kind,
                "degree": table.degree, "ok": True}),
     ]

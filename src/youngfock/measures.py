@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 from .fock import MayaState, vacuum
 from .operators import (
@@ -78,12 +78,8 @@ class WeightTable:
         rows = []
         for lam in self.partitions():
             w = self.weights[lam]
-            row = {"partition": lam.to_json(), "weight": scalar_to_json(w)}
-            try:
-                row["normalized"] = scalar_to_json(self.normalized(lam))
-            except (ValueError, ZeroDivisionError):
-                row["normalized"] = None
-            rows.append(row)
+            rows.append({"partition": lam.to_json(), "weight": scalar_to_json(w),
+                         "normalized": quotient_json(w, self.z_trunc)})
         return {"kind": self.kind, "degree": self.degree,
                 "z_trunc": scalar_to_json(self.z_trunc), "weights": rows}
 
@@ -97,6 +93,15 @@ class WeightTable:
                 _flat(norm) if norm is not None else "",
             ])
         return out
+
+
+def quotient_json(a: Scalar, b: Scalar) -> Optional[object]:
+    """a / b as JSON, or None where the quotient is undefined: b is zero,
+    or b does not divide a in the polynomial ring."""
+    try:
+        return scalar_to_json(divexact(a, b))
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def _flat(value) -> str:
@@ -118,14 +123,12 @@ def complete_homogeneous(x: Mapping[int, Scalar], order: int) -> List[Scalar]:
     return series_exp(a, order)
 
 
-def schur_polynomial(lam: Partition, x: Mapping[int, Scalar]) -> Scalar:
-    """s_lam in Miwa coordinates: det[s_(lam_i - i + j)] over the
-    complete-homogeneous sequence."""
+def _jacobi_trudi(lam: Partition, h: List[Scalar]) -> Scalar:
+    """det[h_(lam_i - i + j)] over a complete-homogeneous list reaching
+    index lam_1 + len(lam) - 1."""
     rows = len(lam)
     if rows == 0:
         return Fraction(1)
-    order = lam.part(1) + rows - 1
-    h = complete_homogeneous(x, order)
 
     def entry(i: int, j: int) -> Scalar:
         idx = lam.part(i) - i + j
@@ -135,6 +138,12 @@ def schur_polynomial(lam: Partition, x: Mapping[int, Scalar]) -> Scalar:
 
     matrix = [[entry(i, j) for j in range(1, rows + 1)] for i in range(1, rows + 1)]
     return det(matrix)
+
+
+def schur_polynomial(lam: Partition, x: Mapping[int, Scalar]) -> Scalar:
+    """s_lam in Miwa coordinates: det[s_(lam_i - i + j)] over the
+    complete-homogeneous sequence."""
+    return _jacobi_trudi(lam, complete_homogeneous(x, max(lam.part(1) + len(lam) - 1, 0)))
 
 
 def schur_weight(lam: Partition, p: MiwaParams) -> Scalar:
@@ -185,7 +194,12 @@ def schur_weight_table(spec: MeasureSpec) -> WeightTable:
     if spec.kind != "schur":
         raise ValueError("spec.kind must be schur")
     degree = spec.truncation
-    weights = {lam: schur_weight(lam, spec.params) for lam in partitions_up_to(degree)}
+    # lam_1 + len(lam) - 1 <= |lam|, so one series per side to the table
+    # degree covers every diagram
+    hx = complete_homogeneous(spec.params.x, degree)
+    hy = complete_homogeneous(spec.params.y, degree)
+    weights = {lam: _jacobi_trudi(lam, hx) * _jacobi_trudi(lam, hy)
+               for lam in partitions_up_to(degree)}
     total: Scalar = Fraction(0)
     for w in weights.values():
         total = total + w
@@ -220,13 +234,19 @@ def weight_table(spec: MeasureSpec) -> WeightTable:
 # correlations
 # ---------------------------------------------------------------------------
 
-def correlation(points: Iterable[HalfInt], table: WeightTable) -> Scalar:
-    """Probability that every listed position is occupied, within the
-    truncated table: sum of normalized weights over matching diagrams."""
+def occupied_weight(points: Iterable[HalfInt], table: WeightTable) -> Scalar:
+    """Sum of the unnormalized weights of the diagrams in the table that
+    occupy every listed position."""
     pts = list(points)
     total: Scalar = Fraction(0)
     for lam in table.partitions():
         state = MayaState.from_partition(lam)
         if all(state.occupied(x) for x in pts):
             total = total + table.weights[lam]
-    return divexact(total, table.z_trunc)
+    return total
+
+
+def correlation(points: Iterable[HalfInt], table: WeightTable) -> Scalar:
+    """Probability that every listed position is occupied, within the
+    truncated table: sum of normalized weights over matching diagrams."""
+    return divexact(occupied_weight(points, table), table.z_trunc)

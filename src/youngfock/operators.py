@@ -395,17 +395,29 @@ Combo = Sequence[Tuple[Scalar, Operator]]
 # exponentials
 # ---------------------------------------------------------------------------
 
+def _rational(c) -> bool:
+    return isinstance(c, (int, Fraction))
+
+
 def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     """sum_m (1/m!) (sum_i c_i * op_i)**m v over (c_i, op_i) pairs,
     truncated by degree.
 
     Every operator must strictly raise degree, so dropping components
-    above the bound is exact and the sum terminates.
+    above the bound is exact and the sum terminates.  When every scalar
+    (the coefficients of v, each c_i and each bilinear weight) is
+    rational, the sum runs on integer numerators (:func:`_exp_integer`);
+    ``Poly`` scalars and :class:`MVirasoro` modes take the generic loop
+    over ring elements.
     """
     active = [(c, op) for c, op in terms if not is_zero(c)]
     for _, op in active:
         if op.degree_shift < 1:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
+    if (all(_rational(c) for _, c in v.terms())
+            and all(_rational(c) and isinstance(op, Bilinear) and all(map(_rational, op.weight))
+                    for c, op in active)):
+        return _exp_integer(active, v, max_degree)
     result = v.truncate(max_degree)
     current = result
     m = 0
@@ -417,6 +429,61 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
         current = step.truncate(max_degree).scale(Fraction(1, m))
         result = result + current
     return result
+
+
+def _exp_integer(active: Sequence[Tuple[Scalar, Bilinear]], v: FockVector,
+                 max_degree: int) -> FockVector:
+    """exp_raising over rational scalars, on integer numerators.
+
+    Each c*f(x) is g(d)/L with g an integer polynomial in the doubled
+    start position d = 2x (an odd integer: the numerator of x) and L one
+    common denominator.  The power A**m v / m! is a dict of int numerators
+    over one denominator, den_m = den_(m-1) * L * m reduced by the gcd of
+    the numerators; moves that would leave the degree bound are skipped
+    before their weight is evaluated.  One Fraction per state is built,
+    after the powers are summed over a common denominator.
+    """
+    scaled = [(op.k, [Fraction(c) * w / (1 << i) for i, w in enumerate(op.weight)])
+              for c, op in active]
+    lcm = math.lcm(*(q.denominator for _, qs in scaled for q in qs))
+    # g's coefficients highest degree first, for Horner's rule
+    modes = [(k, -k, [int(q * lcm) for q in reversed(qs)]) for k, qs in scaled]
+    start = [(st, Fraction(c)) for st, c in v.terms() if st.degree <= max_degree]
+    den = math.lcm(*(c.denominator for _, c in start))
+    current = {st: int(c * den) for st, c in start}
+    degree = {st: st.degree for st in current}
+    powers = [(current, den)]
+    m = 0
+    while current:
+        m += 1
+        nxt: Dict[MayaState, int] = {}
+        for st, num in current.items():
+            for k, shift, g in modes:
+                deg = degree[st] + shift
+                if deg > max_degree:
+                    continue
+                for new, sign, x in boson_moves(k, st):
+                    d = x.numerator
+                    val = g[0]
+                    for c in g[1:]:
+                        val = val * d + c
+                    if val:
+                        nxt[new] = nxt.get(new, 0) + sign * val * num
+                        degree[new] = deg
+        current = {st: n for st, n in nxt.items() if n}
+        den *= lcm * m
+        common = math.gcd(den, *current.values())
+        if common > 1:
+            den //= common
+            current = {st: n // common for st, n in current.items()}
+        powers.append((current, den))
+    total_den = math.lcm(*(dn for _, dn in powers))
+    total: Dict[MayaState, int] = {}
+    for power, dn in powers:
+        factor = total_den // dn
+        for st, n in power.items():
+            total[st] = total.get(st, 0) + n * factor
+    return FockVector({st: Fraction(n, total_den) for st, n in total.items() if n})
 
 
 def exp_lowering_bra(terms: Combo, lam: Partition, max_degree: int) -> Scalar:

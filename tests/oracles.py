@@ -6,7 +6,8 @@ recurrence, border strips from explicit cell geometry, wedge signs
 from a literal prefix-list model of the semi-infinite wedge, and
 determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
-explicit sums over all 2^(N-1) jump compositions.  The box helpers
+explicit sums over all 2^(N-1) jump compositions.  The truncated
+exponential is summed power by power through ``op.apply``.  The box helpers
 describe single-box moves for the tests of the box ladder; the rim-hook
 moves, read off the particle configuration of a diagram, are the
 reference for the jump kernel ``fock.boson_moves``.
@@ -19,6 +20,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import List, Sequence, Tuple
 
+from youngfock.fock import FockVector
 from youngfock.partitions import HalfInt, Partition
 from youngfock.rings import is_zero, series_exp
 
@@ -181,6 +183,22 @@ def inner(u, v):
     if cu is not None and cv is not None and cu != cv:
         raise ValueError(f"charge mismatch: {cu} vs {cv}")
     return sum((c * v.coefficient(s) for s, c in u.terms()), Fraction(0))
+
+
+def exp_by_powers(terms, v, max_degree):
+    """sum_m (1/m!) A**m v, A = sum_i c_i op_i, one power at a time
+    through ``op.apply`` and ``truncate``, over any scalar ring.  Every
+    operator must raise degree, so the sum stops."""
+    result = power = v.truncate(max_degree)
+    m = 0
+    while power:
+        m += 1
+        step = FockVector.zero()
+        for c, op in terms:
+            step = step + op.apply(power).scale(c)
+        power = step.truncate(max_degree).scale(Fraction(1, m))
+        result = result + power
+    return result
 
 
 # -- literal prefix-list model of the wedge ---------------------------------

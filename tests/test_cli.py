@@ -129,6 +129,26 @@ def test_correlations_vacuum_point(capsys):
     assert first == {"points": ["-1/2"], "probability": "1"}
 
 
+@pytest.mark.parametrize("table", [
+    # the truncated normalizer 1 + x_1*y_1 is zero
+    ["--kind=schur", "--x=1=1", "--y=1=-1", "--max-degree=1"],
+    # over the polynomial ring the normalizer does not divide the weights
+    ["--kind=virasoro", "--x=1=1/3", "--y=1=1/5", "--w=1/2", "--max-degree=3",
+     "--ring=poly-z"],
+])
+def test_undefined_normalization_prints_null(table, capsys):
+    # measure and correlations report an undefined quotient the same way
+    code, out, err = run_cli(["measure"] + table, capsys)
+    assert (code, err) == (0, "")
+    rows = [json.loads(l) for l in out.strip().splitlines()[:-1]]
+    assert any(r["normalized"] is None for r in rows)
+    code, out, err = run_cli(["correlations"] + table + ['--points=["1/2"]'], capsys)
+    assert (code, err) == (0, "")
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert lines[0] == {"points": ["1/2"], "probability": None}
+    assert lines[-1]["command"] == "correlations" and lines[-1]["ok"] is True
+
+
 def test_verify_ok_and_exit_codes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "sl2", "--seed", "7"], capsys)
     assert code == 0

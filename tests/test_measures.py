@@ -63,8 +63,10 @@ def test_schur_weight_dual_route(rng):
             y={k: rand_q(rng) for k in (1, 2, 3)},
         )
         table = _boson_route_table(p, 6)
+        # the Schur table's one series per side against the per-diagram route
+        schur = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=6))
         for lam in partitions_up_to(6):
-            assert schur_weight(lam, p) == table.weights[lam], lam
+            assert schur_weight(lam, p) == table.weights[lam] == schur.weights[lam], lam
 
 
 def test_schur_weight_trivial():

@@ -27,7 +27,8 @@ from youngfock.operators import (
 from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
 
-from .oracles import addable_boxes, inner, removable_boxes, rim_hooks_addable, rim_hooks_removable
+from .oracles import (addable_boxes, exp_by_powers, inner, removable_boxes, rim_hooks_addable,
+                      rim_hooks_removable)
 
 
 def P(*parts):
@@ -238,6 +239,78 @@ def test_exp_raising_grading_depends_on_low_modes_only():
     low = [(Fraction(1), boson_op(-1)), (Fraction(1, 3), boson_op(-2))]
     full = exp_raising(low + [(Fraction(7), boson_op(-5))], vacuum(), 3)
     assert full == exp_raising(low, vacuum(), 3)  # x_5 cannot reach degree <= 3
+
+
+def _raising_family(name, k, alpha):
+    kp = KerovParams(z=alpha, w=Fraction(2, 5))
+    vp = VirasoroParams(alpha=alpha, gamma=Fraction(-1, 3))
+    if name == "boson":
+        return boson_op(-k)
+    if name == "virasoro":
+        return virasoro_op(-k, vp)
+    if name == "virasoro-adjoint":
+        return virasoro_op(k, vp).adjoint()
+    if name == "kerov":
+        return kerov_u(kp)
+    if name == "hook":
+        return hook_raise(k, kp)
+    if name == "m3-adjoint":
+        return m_virasoro_op(3, k, vp).adjoint()
+    return m_virasoro_op(int(name[1]), -k, vp)  # "m1", "m2", "m3"
+
+
+def _exp_cases():
+    rng = random.Random(8)
+    coeffs = (Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7))
+    x = Poly.gen()
+    starts = (
+        ("vacuum", vacuum()),
+        ("charge+1", FockVector.basis(MayaState.from_partition(P(2, 1), charge=1))),
+        ("charge-1", FockVector.basis(MayaState.from_partition(P(1), charge=-1))),
+        ("two-term", ket(1).scale(Fraction(2, 3)) + ket(2).scale(Fraction(-5, 7))),
+    )
+    families = ("boson", "virasoro", "virasoro-adjoint", "kerov", "hook", "m1", "m2", "m3",
+                "m3-adjoint")
+    cases = []
+    for i in range(27):
+        family = families[i % len(families)]
+        start_name, start = starts[i % len(starts)]
+        max_degree = i % 10
+        # modes up to k = 5, which cannot fire below degree 5
+        ks = [1] if family == "kerov" else rng.sample(range(1, 6), 3)
+        terms = [(rng.choice(coeffs), _raising_family(family, k, Fraction(1, 2))) for k in ks]
+        if i % 5 == 0:
+            terms[-1] = (Fraction(0), terms[-1][1])
+        cases.append((f"{family}-{start_name}-d{max_degree}", terms, start, max_degree, True))
+    # the generic ring loop: Poly coefficients, a Poly weight, M = 4
+    cases.append(("poly-coefficient", [(x, boson_op(-1)), (Fraction(1, 3), virasoro_op(
+        -2, VirasoroParams(Fraction(1, 5))))], vacuum(), 5, False))
+    cases.append(("poly-alpha", [(Fraction(2, 3), _raising_family("m3", k, x)) for k in (1, 2)],
+                  starts[3][1], 5, False))
+    cases.append(("m4", [(Fraction(1, 3), MVirasoro(4, -1, Fraction(1, 2), Fraction(1, 5))),
+                         (Fraction(-2, 7), MVirasoro(4, -2, Fraction(1, 2), Fraction(1, 5)))],
+                  vacuum(), 4, False))
+    return cases
+
+
+EXP_CASES = _exp_cases()
+
+
+@pytest.mark.parametrize("terms,start,max_degree,integer",
+                         [c[1:] for c in EXP_CASES], ids=[c[0] for c in EXP_CASES])
+def test_exp_raising_matches_power_oracle(terms, start, max_degree, integer, monkeypatch):
+    # rational input runs on integer numerators, anything else on the ring
+    # loop; both must equal the power-by-power sum through op.apply
+    import youngfock.operators as ops
+
+    calls = []
+    kernel = ops._exp_integer
+    monkeypatch.setattr(ops, "_exp_integer", lambda *a: calls.append(1) or kernel(*a))
+    got = exp_raising(terms, start, max_degree)
+    assert len(calls) == int(integer)
+    want = exp_by_powers(terms, start, max_degree)
+    assert got == want
+    assert all(type(c) is type(want.coefficient(s)) for s, c in got.terms())
 
 
 def test_exp_lowering_bra_examples():

@@ -1,7 +1,10 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,3 +18,28 @@ def test_measure_demo_runs_clean():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    base = [3.0, 3.2, 3.4, 3.1, 3.3]
+    change = [2.4, 2.5, 3.4, 2.3, 3.5]
+    runs = [{"pair": i, "seed": 0, "side": side, "metrics": {"tables.wall_s": v,
+                                                            "tables.suites.checks": v}}
+            for i, (b, c) in enumerate(zip(base, change)) for side, v in (("base", b), ("change", c))]
+    runs.append({"pair": 5, "seed": 0, "side": "base", "metrics": {"tables.wall_s": 9.0}})
+    summary = _bench_pairs().summarize(runs, {"wall_s": "lower", "suites.checks": "higher"})
+    wall = summary["tables.wall_s"]
+    # the unpaired sixth run is left out; the tie at 3.4 counts for neither side
+    assert wall["pairs"] == 5 and (wall["wins"], wall["losses"]) == (3, 1)
+    assert wall["base"] == {"median": 3.2, "q1": 3.1, "q3": 3.3, "iqr": pytest.approx(0.2)}
+    assert wall["change"]["median"] == 2.5
+    assert (wall["change"]["q1"], wall["change"]["q3"]) == (2.4, 3.4)
+    checks = summary["tables.suites.checks"]
+    assert checks["better"] == "higher" and (checks["wins"], checks["losses"]) == (1, 3)
