@@ -344,6 +344,14 @@ GOLDEN_STDOUT = [
     (0, "4e081f8da913f5d9b819c2eb439bd99896fe0889a5dfd8345ab7f430085b6bd3",
      ["correlations", "--max-degree=8", "--kind=virasoro", "--z=-1/3", "--w=2/5",
       "--x=1=1/3,2=-1/5,3=2/7", "--y=1=1/5,2=1/3", '--points=["1/2","-3/2"]']),
+    # the M = 4 tuple sum over the polynomial ring, and the M = 1 boson
+    # modes with a gamma rescale
+    (0, "8922a8682ba6fea5f2ca93f06bc12a07ec9ff32036a50ac8217a0425b7ed7905",
+     ["measure", "--gamma=1/3", "--kind=m-virasoro", "--m=4", "--ring=poly-z", "--w=-1/3",
+      "--x=1=1,2=1/2", "--y=1=1,2=1/3", "--max-degree=4"]),
+    (0, "fcd26304933575eea4b8215f30f8b65c62a55a6e04fdb617645195bda45c8c78",
+     ["measure", "--m=1", "--kind=m-virasoro", "--gamma=1/4", "--z=1/2", "--w=-1/3",
+      "--x=1=1/3,2=-1/2,3=1/5", "--y=1=1,3=2/7", "--max-degree=6"]),
 ]
 
 
