@@ -9,7 +9,7 @@ from youngfock.measures import (
     MeasureSpec,
     MiwaParams,
     correlation,
-    virasoro_weight_table,
+    weight_table,
 )
 from youngfock.operators import KerovParams
 from youngfock.partitions import HalfInt
@@ -22,7 +22,7 @@ def main() -> None:
     y = {1: Fraction(1)}
     spec = MeasureSpec(kind="virasoro", params=MiwaParams(x=x, y=y),
                        kerov=KerovParams(z=z, w=w), truncation=4)
-    table = virasoro_weight_table(spec)
+    table = weight_table(spec)
 
     print(f"weight table (z={z}, w={w}), degree <= {table.degree}")
     for lam in table.partitions():

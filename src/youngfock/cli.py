@@ -85,6 +85,8 @@ def _parse_miwa(text: Optional[str]) -> Dict[int, Fraction]:
         k = int(key)
         if k < 1:
             raise _CliError(f"parameter index {k} must be >= 1")
+        if k in out:
+            raise _CliError(f"parameter index {k} given twice")
         out[k] = parse_rational(value)
     return out
 
@@ -117,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("measure", help="tabulate unnormalized and normalized weights")
     m.add_argument("--kind", choices=["schur", "virasoro", "m-virasoro"], required=True)
     m.add_argument("--m", type=int, default=2, help="order for the m-virasoro kind")
-    m.add_argument("--z", default="0")
-    m.add_argument("--w", default="0")
+    m.add_argument("--z")
+    m.add_argument("--w")
     m.add_argument("--gamma", default="0")
     m.add_argument("--x", default="")
     m.add_argument("--y", default="")
@@ -128,15 +130,15 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("convert", help="equivalent Schur parameters X_N (and Y_N)")
     c.add_argument("--x", default="")
     c.add_argument("--y", default="")
-    c.add_argument("--z", default="0")
-    c.add_argument("--w", default="0")
+    c.add_argument("--z")
+    c.add_argument("--w")
     common(c)
 
     r = sub.add_parser("correlations", help="brute-force correlation of a point set")
     r.add_argument("--kind", choices=["schur", "virasoro", "m-virasoro"], required=True)
     r.add_argument("--m", type=int, default=2)
-    r.add_argument("--z", default="0")
-    r.add_argument("--w", default="0")
+    r.add_argument("--z")
+    r.add_argument("--w")
     r.add_argument("--gamma", default="0")
     r.add_argument("--x", default="")
     r.add_argument("--y", default="")
@@ -182,6 +184,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
 
 
+# the points --ring=poly-z keeps as polynomial variables, per command:
+# measure and correlations tabulate over z, convert prints both sides
+_FORMAL_UNDER_POLY = {"measure": ("z",), "correlations": ("z",), "convert": ("z", "w")}
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(
         command=args.command,
@@ -198,6 +205,12 @@ def _config_from_args(args) -> RunConfig:
         raw = getattr(args, name, None)
         if raw is not None:
             cfg.params[name] = parse_rational(raw)
+    if cfg.ring == "poly-z":
+        given = [f"--{name}" for name in _FORMAL_UNDER_POLY.get(cfg.command, ())
+                 if name in cfg.params]
+        if given:
+            raise _CliError(f"{' and '.join(given)} cannot be used with --ring=poly-z, "
+                            "which keeps the point formal")
     cfg.x = _parse_miwa(getattr(args, "x", None))
     cfg.y = _parse_miwa(getattr(args, "y", None))
     cfg.points = _parse_points(getattr(args, "points", None))

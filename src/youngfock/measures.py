@@ -1,6 +1,14 @@
 """Weights of Schur / Virasoro / M-Virasoro measures and brute-force
 correlation functions of the induced point process.
 
+Every table is built one way, by :func:`weight_table`: the weight of lam
+is <lam|exp(sum x_k M_-k)|vac> <vac|exp(sum y_k M_k)|lam>, one
+:func:`~youngfock.operators.exp_raising` per side, with M_k the boson
+mode a_k for a Schur measure (Okounkov's vertex-operator form), the
+oscillator mode L_k for a Virasoro measure and the M-fold mode for the
+m-virasoro kind.  :func:`schur_polynomial` (Jacobi-Trudi) is the
+per-diagram route and the oracle of the Schur table.
+
 Measure parameters are Miwa coordinates: ``x`` with generating function
 exp(sum_k x_k t**k) for the complete-homogeneous sequence.  Weights are
 ring elements, not probabilities; nothing here enforces positivity.
@@ -17,6 +25,7 @@ from .operators import (
     KerovParams,
     Operator,
     VirasoroParams,
+    boson_op,
     exp_raising,
     m_virasoro_op,
     virasoro_op,
@@ -123,27 +132,13 @@ def complete_homogeneous(x: Mapping[int, Scalar], order: int) -> List[Scalar]:
     return series_exp(a, order)
 
 
-def _jacobi_trudi(lam: Partition, h: List[Scalar]) -> Scalar:
-    """det[h_(lam_i - i + j)] over a complete-homogeneous list reaching
-    index lam_1 + len(lam) - 1."""
-    rows = len(lam)
-    if rows == 0:
-        return Fraction(1)
-
-    def entry(i: int, j: int) -> Scalar:
-        idx = lam.part(i) - i + j
-        if idx < 0:
-            return Fraction(0)
-        return h[idx]
-
-    matrix = [[entry(i, j) for j in range(1, rows + 1)] for i in range(1, rows + 1)]
-    return det(matrix)
-
-
 def schur_polynomial(lam: Partition, x: Mapping[int, Scalar]) -> Scalar:
-    """s_lam in Miwa coordinates: det[s_(lam_i - i + j)] over the
-    complete-homogeneous sequence."""
-    return _jacobi_trudi(lam, complete_homogeneous(x, max(lam.part(1) + len(lam) - 1, 0)))
+    """s_lam in Miwa coordinates: the Jacobi-Trudi determinant
+    det[h_(lam_i - i + j)] over the complete-homogeneous sequence h."""
+    n = len(lam)
+    h = complete_homogeneous(x, max(lam.part(1) + n - 1, 0))
+    return det([[h[lam.part(i) - i + j] if lam.part(i) - i + j >= 0 else Fraction(0)
+                 for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
 def schur_weight(lam: Partition, p: MiwaParams) -> Scalar:
@@ -190,44 +185,17 @@ def _exp_table(spec: MeasureSpec, mode: Callable[[Scalar, int], Operator]) -> We
     return WeightTable(kind=spec.kind, degree=degree, weights=weights, z_trunc=total)
 
 
-def schur_weight_table(spec: MeasureSpec) -> WeightTable:
-    if spec.kind != "schur":
-        raise ValueError("spec.kind must be schur")
-    degree = spec.truncation
-    # lam_1 + len(lam) - 1 <= |lam|, so one series per side to the table
-    # degree covers every diagram
-    hx = complete_homogeneous(spec.params.x, degree)
-    hy = complete_homogeneous(spec.params.y, degree)
-    weights = {lam: _jacobi_trudi(lam, hx) * _jacobi_trudi(lam, hy)
-               for lam in partitions_up_to(degree)}
-    total: Scalar = Fraction(0)
-    for w in weights.values():
-        total = total + w
-    return WeightTable(kind="schur", degree=degree, weights=weights, z_trunc=total)
-
-
-def virasoro_weight_table(spec: MeasureSpec) -> WeightTable:
-    """Oscillator modes at gamma = 0: the parametrization in which the
-    per-jump factor is uniformly (z + position + k/2) across all mode
-    lengths."""
-    if spec.kind != "virasoro":
-        raise ValueError("spec.kind must be virasoro")
-    return _exp_table(spec, lambda alpha, k: virasoro_op(k, VirasoroParams(alpha, Fraction(0))))
-
-
-def m_virasoro_weight_table(spec: MeasureSpec) -> WeightTable:
-    if spec.kind != "m-virasoro":
-        raise ValueError("spec.kind must be m-virasoro")
+def weight_table(spec: MeasureSpec) -> WeightTable:
+    """The table of ``spec.kind``: boson modes a_k for schur, oscillator
+    modes at gamma = 0 for virasoro (the parametrization in which the
+    per-jump factor is uniformly z + position + k/2 across all mode
+    lengths), M-fold modes at ``spec.gamma`` for m-virasoro."""
+    if spec.kind == "schur":
+        return _exp_table(spec, lambda alpha, k: boson_op(k))
+    if spec.kind == "virasoro":
+        return _exp_table(spec, lambda alpha, k: virasoro_op(k, VirasoroParams(alpha, Fraction(0))))
     return _exp_table(spec, lambda alpha, k: m_virasoro_op(
         spec.m_order, k, VirasoroParams(alpha, spec.gamma)))
-
-
-def weight_table(spec: MeasureSpec) -> WeightTable:
-    if spec.kind == "schur":
-        return schur_weight_table(spec)
-    if spec.kind == "virasoro":
-        return virasoro_weight_table(spec)
-    return m_virasoro_weight_table(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .fock import FockVector, MayaState, boson_moves, vacuum
 from .partitions import Partition, partitions_of
-from .rings import Scalar, is_zero, scalar_to_json
+from .rings import Poly, Scalar, is_zero, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -395,8 +395,15 @@ Combo = Sequence[Tuple[Scalar, Operator]]
 # exponentials
 # ---------------------------------------------------------------------------
 
-def _rational(c) -> bool:
-    return isinstance(c, (int, Fraction))
+def _rationals(s: Scalar) -> Sequence[Union[int, Fraction]]:
+    """The rational numbers inside a scalar: itself, or a Poly's coefficients."""
+    return s.coeffs if isinstance(s, Poly) else (s,)
+
+
+def _cleared(s: Scalar, den: int) -> Scalar:
+    """s * den, an int when s is rational (den clears its denominator)."""
+    s = s * den
+    return s if isinstance(s, Poly) else int(s)
 
 
 def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
@@ -404,63 +411,52 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     truncated by degree.
 
     Every operator must strictly raise degree, so dropping components
-    above the bound is exact and the sum terminates.  When every scalar
-    (the coefficients of v, each c_i and each bilinear weight) is
-    rational, the sum runs on integer numerators (:func:`_exp_integer`);
-    ``Poly`` scalars and :class:`MVirasoro` modes take the generic loop
-    over ring elements.
+    above the bound is exact and the sum terminates.  One loop serves
+    every operator and scalar ring: the power A**m v / m! is a dict of
+    numerators over one int denominator, den_m = den_(m-1) * L * m.  A
+    bilinear's c*f(x) is g(d)/L, with g a polynomial in the doubled start
+    d = 2x (an odd integer: the numerator of x) and L the lcm of the
+    denominators in every c*weight[i]/2**i, a ``Poly``'s coefficients
+    included; an :class:`MVirasoro` term adds c*L times the coefficients
+    of its per-state action.  Numerators are ints when every scalar is
+    rational (then each power is reduced by their gcd), ``Poly`` with
+    ``Poly`` input and ``Fraction`` with an ``MVirasoro`` term.  Moves
+    that would pass the degree bound are skipped before they are
+    enumerated, and one division per state ends the sum.
     """
     active = [(c, op) for c, op in terms if not is_zero(c)]
     for _, op in active:
         if op.degree_shift < 1:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
-    if (all(_rational(c) for _, c in v.terms())
-            and all(_rational(c) and isinstance(op, Bilinear) and all(map(_rational, op.weight))
-                    for c, op in active)):
-        return _exp_integer(active, v, max_degree)
-    result = v.truncate(max_degree)
-    current = result
-    m = 0
-    while current:
-        m += 1
-        step = FockVector.zero()
-        for c, op in active:
-            step = step + op.apply(current).scale(c)
-        current = step.truncate(max_degree).scale(Fraction(1, m))
-        result = result + current
-    return result
-
-
-def _exp_integer(active: Sequence[Tuple[Scalar, Bilinear]], v: FockVector,
-                 max_degree: int) -> FockVector:
-    """exp_raising over rational scalars, on integer numerators.
-
-    Each c*f(x) is g(d)/L with g an integer polynomial in the doubled
-    start position d = 2x (an odd integer: the numerator of x) and L one
-    common denominator.  The power A**m v / m! is a dict of int numerators
-    over one denominator, den_m = den_(m-1) * L * m reduced by the gcd of
-    the numerators; moves that would leave the degree bound are skipped
-    before their weight is evaluated.  One Fraction per state is built,
-    after the powers are summed over a common denominator.
-    """
-    scaled = [(op.k, [Fraction(c) * w / (1 << i) for i, w in enumerate(op.weight)])
-              for c, op in active]
-    lcm = math.lcm(*(q.denominator for _, qs in scaled for q in qs))
-    # g's coefficients highest degree first, for Horner's rule
-    modes = [(k, -k, [int(q * lcm) for q in reversed(qs)]) for k, qs in scaled]
-    start = [(st, Fraction(c)) for st, c in v.terms() if st.degree <= max_degree]
-    den = math.lcm(*(c.denominator for _, c in start))
-    current = {st: int(c * den) for st, c in start}
+    # a bilinear's c*weight[i]/2**i, an MVirasoro term's c
+    scaled = [(op, [c * w * Fraction(1, 1 << i) for i, w in enumerate(op.weight)]
+               if isinstance(op, Bilinear) else c) for c, op in active]
+    lcm = math.lcm(*(q.denominator for op, qs in scaled if isinstance(op, Bilinear)
+                     for s in qs for q in _rationals(s)))
+    # (k, g, MVirasoro or None): g is a bilinear's coefficient list, highest
+    # degree first for Horner's rule, or an MVirasoro term's c*L
+    modes = [(op.k, [_cleared(q, lcm) for q in reversed(qs)], None) if isinstance(op, Bilinear)
+             else (op.k, qs * lcm, op) for op, qs in scaled]
+    start = [(st, c) for st, c in v.terms() if st.degree <= max_degree]
+    den = math.lcm(*(q.denominator for _, c in start for q in _rationals(c)))
+    current = {st: _cleared(c, den) for st, c in start}
+    integral = all(type(n) is int for n in current.values()) and all(
+        mv is None and all(type(q) is int for q in g) for _, g, mv in modes)
     degree = {st: st.degree for st in current}
     powers = [(current, den)]
     m = 0
     while current:
         m += 1
-        nxt: Dict[MayaState, int] = {}
+        nxt: Dict[MayaState, Scalar] = {}
         for st, num in current.items():
-            for k, shift, g in modes:
-                deg = degree[st] + shift
+            for k, g, mv in modes:
+                deg = degree[st] - k
                 if deg > max_degree:
+                    continue
+                if mv is not None:
+                    for new, coeff in _m_virasoro_state(mv.order, k, mv.alpha, mv.gamma, st):
+                        nxt[new] = nxt.get(new, 0) + g * coeff * num
+                        degree[new] = deg
                     continue
                 for new, sign, x in boson_moves(k, st):
                     d = x.numerator
@@ -472,18 +468,19 @@ def _exp_integer(active: Sequence[Tuple[Scalar, Bilinear]], v: FockVector,
                         degree[new] = deg
         current = {st: n for st, n in nxt.items() if n}
         den *= lcm * m
-        common = math.gcd(den, *current.values())
+        common = math.gcd(den, *current.values()) if integral else 1
         if common > 1:
             den //= common
             current = {st: n // common for st, n in current.items()}
         powers.append((current, den))
     total_den = math.lcm(*(dn for _, dn in powers))
-    total: Dict[MayaState, int] = {}
+    total: Dict[MayaState, Scalar] = {}
     for power, dn in powers:
         factor = total_den // dn
         for st, n in power.items():
             total[st] = total.get(st, 0) + n * factor
-    return FockVector({st: Fraction(n, total_den) for st, n in total.items() if n})
+    return FockVector({st: Fraction(n, total_den) if type(n) is int else n / total_den
+                       for st, n in total.items() if n})
 
 
 def exp_lowering_bra(terms: Combo, lam: Partition, max_degree: int) -> Scalar:

@@ -22,8 +22,7 @@ from youngfock.measures import (
     MiwaParams,
     cauchy_normalizer,
     schur_polynomial,
-    schur_weight_table,
-    virasoro_weight_table,
+    weight_table,
 )
 from youngfock.operators import KerovParams, boson_op
 from youngfock.partitions import partitions_of
@@ -31,6 +30,10 @@ from youngfock.rings import random_rational, series_exp
 from youngfock.suites import run_suite
 
 from .oracles import rim_hooks_addable
+
+# c07 is a falsified identity that stays red with its body exactly as
+# written; it builds its virasoro table under this name
+virasoro_weight_table = weight_table
 
 
 class Timer:
@@ -190,7 +193,7 @@ def test_c13_cauchy_normalizer():
                 x={k: random_rational(rng) for k in (1, 2, 3)},
                 y={k: random_rational(rng) for k in (1, 2, 3)},
             )
-            table = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=6))
+            table = weight_table(MeasureSpec(kind="schur", params=p, truncation=6))
             assert cauchy_normalizer(p, 6) == table.z_trunc
     report(13, "truncated exp(sum k x_k y_k) equals the weight sum", t.elapsed)
 

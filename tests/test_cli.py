@@ -194,6 +194,41 @@ def test_flags_a_command_does_not_read_exit_two(argv, capsys):
     assert "usage:" in err and "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--kind=schur", "--x=1=1,1=2", "--max-degree=2"],
+    ["measure", "--kind=virasoro", "--x=1=1", "--y=2=1,02=1/3", "--max-degree=2"],
+    ["convert", "--x=2=1,1=1/2,2=1", "--max-degree=2"],
+    ["convert", "--x=1=1", "--y=1=1/2,1=1/2", "--max-degree=2"],
+])
+def test_repeated_miwa_index_exits_two(argv, capsys):
+    # a second value for the same x_k or y_k is an error, not an overwrite
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "given twice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--kind=virasoro", "--z=1/2", "--w=1/3"],
+    ["measure", "--kind=schur", "--z=0"],
+    ["correlations", "--kind=virasoro", "--z=1/2", '--points=["1/2"]'],
+    ["convert", "--z=1/2"],
+    ["convert", "--w=1/3"],
+    ["convert", "--z=0", "--w=0"],
+])
+def test_poly_ring_rejects_a_point_it_keeps_formal(argv, capsys):
+    # poly-z keeps z formal in the tables and both points formal in convert,
+    # so an explicit value there, even the default 0, would go unread
+    code, out, err = run_cli(argv + ["--x=1=1", "--y=1=1", "--max-degree=2",
+                                     "--ring=poly-z"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--ring=poly-z" in err
+    # the same command with the point left out runs
+    point_free = [a for a in argv if not a.startswith(("--z=", "--w="))]
+    code, _, err = run_cli(point_free + ["--x=1=1", "--y=1=1", "--max-degree=2",
+                                         "--ring=poly-z"], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["measure", "--kind", "virasoro", "--z", "2/3", "--w", "-1/5",
             "--x", "1=1,2=1/3", "--y", "1=1/2", "--max-degree", "4"]

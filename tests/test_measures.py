@@ -10,11 +10,8 @@ from youngfock.measures import (
     cauchy_normalizer,
     complete_homogeneous,
     correlation,
-    m_virasoro_weight_table,
     schur_polynomial,
     schur_weight,
-    schur_weight_table,
-    virasoro_weight_table,
     weight_table,
 )
 from youngfock.operators import KerovParams, VirasoroParams, exp_raising, virasoro_op
@@ -50,23 +47,18 @@ def test_complete_homogeneous_matches_row_schur():
         assert schur_polynomial(P(n), x) == h[n]
 
 
-def _boson_route_table(p, degree):
-    # the boson exponentials: m_virasoro_op(1, k) at gamma = 0 is boson_op(k)
-    return m_virasoro_weight_table(MeasureSpec(kind="m-virasoro", params=p,
-                                               truncation=degree, m_order=1))
-
-
 def test_schur_weight_dual_route(rng):
     for _ in range(3):
         p = MiwaParams(
             x={k: rand_q(rng) for k in (1, 2, 3)},
             y={k: rand_q(rng) for k in (1, 2, 3)},
         )
-        table = _boson_route_table(p, 6)
-        # the Schur table's one series per side against the per-diagram route
-        schur = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=6))
+        # the boson exponential (and its M = 1, gamma = 0 spelling) against
+        # the per-diagram Jacobi-Trudi route
+        schur = weight_table(MeasureSpec(kind="schur", params=p, truncation=6))
+        m1 = weight_table(MeasureSpec(kind="m-virasoro", params=p, truncation=6, m_order=1))
         for lam in partitions_up_to(6):
-            assert schur_weight(lam, p) == table.weights[lam] == schur.weights[lam], lam
+            assert schur_weight(lam, p) == schur.weights[lam] == m1.weights[lam], lam
 
 
 def test_schur_weight_trivial():
@@ -102,7 +94,7 @@ def test_cauchy_normalizer_examples(rng):
             x={k: rand_q(rng) for k in (1, 2, 3)},
             y={k: rand_q(rng) for k in (1, 2, 3)},
         )
-        table = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=6))
+        table = weight_table(MeasureSpec(kind="schur", params=p, truncation=6))
         assert cauchy_normalizer(p, 6) == table.z_trunc
 
 
@@ -110,7 +102,7 @@ def test_virasoro_table_empty_y_kills_everything():
     spec = MeasureSpec(kind="virasoro", params=MiwaParams(x={1: Fraction(1)}),
                        kerov=KerovParams(z=Fraction(1, 2), w=Fraction(1, 3)),
                        truncation=3)
-    table = virasoro_weight_table(spec)
+    table = weight_table(spec)
     assert table.weights[P()] == 1
     assert all(table.weights[lam] == 0 for lam in table.partitions() if lam.size > 0)
     assert table.z_trunc == 1
@@ -122,7 +114,7 @@ def test_virasoro_table_row_two_value():
     spec = MeasureSpec(kind="virasoro",
                        params=MiwaParams(x={1: x1, 2: x2}, y={1: y1}),
                        kerov=KerovParams(z=z, w=w), truncation=2)
-    table = virasoro_weight_table(spec)
+    table = weight_table(spec)
     ket = x2 * (z + Fraction(1, 2)) + x1 * x1 / 2 * z * (z + 1)
     bra = y1 * y1 / 2 * w * (w + 1)
     assert table.weights[P(2)] == ket * bra
@@ -134,7 +126,7 @@ def test_virasoro_table_polynomial_ring_degree_bound():
                        params=MiwaParams(x={1: Fraction(1), 2: Fraction(1, 2)},
                                          y={1: Fraction(1)}),
                        kerov=KerovParams(z=t, w=Fraction(1, 3)), truncation=4)
-    table = virasoro_weight_table(spec)
+    table = weight_table(spec)
     raising = [(c, virasoro_op(-k, VirasoroParams(alpha=t))) for k, c in spec.params.x.items()]
     ket = exp_raising(raising, vacuum(), 4)
     for lam in table.partitions():
@@ -148,12 +140,12 @@ def test_table_polynomial_specialization_commutes(rng):
     y = {1: Fraction(1, 2), 2: Fraction(1, 5)}
     w = Fraction(1, 3)
     t = Poly.gen()
-    poly_table = virasoro_weight_table(MeasureSpec(
+    poly_table = weight_table(MeasureSpec(
         kind="virasoro", params=MiwaParams(x=x, y=y),
         kerov=KerovParams(z=t, w=w), truncation=4))
     for _ in range(3):
         q = rand_q(rng)
-        num_table = virasoro_weight_table(MeasureSpec(
+        num_table = weight_table(MeasureSpec(
             kind="virasoro", params=MiwaParams(x=x, y=y),
             kerov=KerovParams(z=q, w=w), truncation=4))
         for lam in poly_table.partitions():
@@ -169,8 +161,8 @@ def test_m_virasoro_table_order2_equals_virasoro():
     base = MeasureSpec(kind="virasoro", params=MiwaParams(x=x, y=y), kerov=kp, truncation=5)
     two = MeasureSpec(kind="m-virasoro", params=MiwaParams(x=x, y=y), kerov=kp,
                       truncation=5, m_order=2)
-    t_v = virasoro_weight_table(base)
-    t_m = m_virasoro_weight_table(two)
+    t_v = weight_table(base)
+    t_m = weight_table(two)
     assert t_v.weights == t_m.weights
 
 
@@ -181,13 +173,13 @@ def test_m_virasoro_table_order1_is_rescaled_schur():
     spec = MeasureSpec(kind="m-virasoro", params=MiwaParams(x=x, y=y),
                        kerov=KerovParams(z=Fraction(9, 5), w=Fraction(-1, 2)),
                        truncation=4, m_order=1, gamma=g)
-    got = m_virasoro_weight_table(spec)
+    got = weight_table(spec)
     rescaled = MiwaParams(
         x={k: v * (1 - g * k) for k, v in x.items()},
         y={k: v * (1 + g * k) for k, v in y.items()},
     )
-    want = schur_weight_table(MeasureSpec(kind="schur", params=rescaled, truncation=4))
-    assert got.weights == want.weights
+    # per diagram, so the check does not rest on the exponential
+    assert got.weights == {lam: schur_weight(lam, rescaled) for lam in got.partitions()}
 
 
 def test_m_virasoro_table_order3_runs_with_z_degree_bound():
@@ -196,7 +188,7 @@ def test_m_virasoro_table_order3_runs_with_z_degree_bound():
                        params=MiwaParams(x={1: Fraction(1)}, y={1: Fraction(1)}),
                        kerov=KerovParams(z=t, w=Fraction(1, 2)),
                        truncation=4, m_order=3)
-    table = m_virasoro_weight_table(spec)
+    table = weight_table(spec)
     for lam in table.partitions():
         coeff = table.weights[lam]
         deg = coeff.degree if isinstance(coeff, Poly) else 0
@@ -211,7 +203,7 @@ def test_weight_table_dispatch_and_validation():
 
 
 def test_correlation_examples():
-    trivial = schur_weight_table(MeasureSpec(kind="schur", params=MiwaParams(), truncation=3))
+    trivial = weight_table(MeasureSpec(kind="schur", params=MiwaParams(), truncation=3))
     assert correlation([], trivial) == 1
     assert correlation([HalfInt(-1)], trivial) == 1
     assert correlation([HalfInt(1)], trivial) == 0
@@ -220,13 +212,12 @@ def test_correlation_examples():
 def test_correlation_against_independent_enumeration():
     a, b = Fraction(1, 2), Fraction(1, 3)
     p = MiwaParams(x={1: a}, y={1: b})
-    table = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=4))
-    # independent route: operator-route weights and conf-prefix membership
-    ops = _boson_route_table(p, 4)
+    table = weight_table(MeasureSpec(kind="schur", params=p, truncation=4))
+    # independent route: Jacobi-Trudi weights and conf-prefix membership
     total = Fraction(0)
     norm = Fraction(0)
     for lam in partitions_up_to(4):
-        wgt = ops.weights[lam]
+        wgt = schur_weight(lam, p)
         norm += wgt
         positions = {x.doubled for x in conf(lam, len(lam) + 2)}
         if 1 in positions:
@@ -236,7 +227,7 @@ def test_correlation_against_independent_enumeration():
 
 def test_correlation_counts_expected_particles():
     p = MiwaParams(x={1: Fraction(1, 2)}, y={1: Fraction(1, 2)})
-    table = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=4))
+    table = weight_table(MeasureSpec(kind="schur", params=p, truncation=4))
     window = [HalfInt(d) for d in range(-9, 10, 2)]
     by_points = sum((correlation([x], table) for x in window), Fraction(0))
     direct = Fraction(0)
@@ -249,7 +240,7 @@ def test_correlation_counts_expected_particles():
 
 def test_weight_table_serialization():
     p = MiwaParams(x={1: Fraction(1)}, y={1: Fraction(1, 2)})
-    table = schur_weight_table(MeasureSpec(kind="schur", params=p, truncation=2))
+    table = weight_table(MeasureSpec(kind="schur", params=p, truncation=2))
     data = table.to_json()
     assert data["kind"] == "schur" and data["degree"] == 2
     assert data["weights"][0]["partition"] == []

@@ -281,33 +281,37 @@ def _exp_cases():
         terms = [(rng.choice(coeffs), _raising_family(family, k, Fraction(1, 2))) for k in ks]
         if i % 5 == 0:
             terms[-1] = (Fraction(0), terms[-1][1])
-        cases.append((f"{family}-{start_name}-d{max_degree}", terms, start, max_degree, True))
-    # the generic ring loop: Poly coefficients, a Poly weight, M = 4
+        cases.append((f"{family}-{start_name}-d{max_degree}", terms, start, max_degree))
+    # Poly numerators (Poly coefficients, a Poly weight, a Poly start) and
+    # Fraction numerators (the M = 4 tuple sum, alone and beside a bilinear)
     cases.append(("poly-coefficient", [(x, boson_op(-1)), (Fraction(1, 3), virasoro_op(
-        -2, VirasoroParams(Fraction(1, 5))))], vacuum(), 5, False))
+        -2, VirasoroParams(Fraction(1, 5))))], vacuum(), 5))
     cases.append(("poly-alpha", [(Fraction(2, 3), _raising_family("m3", k, x)) for k in (1, 2)],
-                  starts[3][1], 5, False))
+                  starts[3][1], 5))
     cases.append(("m4", [(Fraction(1, 3), MVirasoro(4, -1, Fraction(1, 2), Fraction(1, 5))),
                          (Fraction(-2, 7), MVirasoro(4, -2, Fraction(1, 2), Fraction(1, 5)))],
-                  vacuum(), 4, False))
+                  vacuum(), 4))
+    cases.append(("m4-poly-alpha", [(Fraction(1, 3), MVirasoro(4, -1, x, Fraction(1, 5))),
+                                    (Fraction(-2, 7), MVirasoro(4, -2, x, Fraction(-1, 3)))],
+                  vacuum(), 4))
+    cases.append(("poly-start", [(Fraction(1, 3), virasoro_op(-1, VirasoroParams(
+        Fraction(1, 5), Fraction(-1, 3)))), (Fraction(-2, 5), boson_op(-2))],
+        ket(1).scale(x * Fraction(2, 3)) + ket(2).scale(Fraction(-5, 7)), 6))
+    cases.append(("bilinear-and-m4", [(Fraction(2, 3), virasoro_op(-1, VirasoroParams(
+        Fraction(1, 5), Fraction(-1, 3)))), (Fraction(-1, 7), MVirasoro(
+            4, -2, Fraction(1, 2), Fraction(1, 5)))], starts[3][1], 5))
     return cases
 
 
 EXP_CASES = _exp_cases()
 
 
-@pytest.mark.parametrize("terms,start,max_degree,integer",
+@pytest.mark.parametrize("terms,start,max_degree",
                          [c[1:] for c in EXP_CASES], ids=[c[0] for c in EXP_CASES])
-def test_exp_raising_matches_power_oracle(terms, start, max_degree, integer, monkeypatch):
-    # rational input runs on integer numerators, anything else on the ring
-    # loop; both must equal the power-by-power sum through op.apply
-    import youngfock.operators as ops
-
-    calls = []
-    kernel = ops._exp_integer
-    monkeypatch.setattr(ops, "_exp_integer", lambda *a: calls.append(1) or kernel(*a))
+def test_exp_raising_matches_power_oracle(terms, start, max_degree):
+    # the one numerator loop must equal the power-by-power sum through
+    # op.apply over every scalar ring, scalar types included
     got = exp_raising(terms, start, max_degree)
-    assert len(calls) == int(integer)
     want = exp_by_powers(terms, start, max_degree)
     assert got == want
     assert all(type(c) is type(want.coefficient(s)) for s, c in got.terms())
