@@ -19,12 +19,12 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .conversion import schur_params_from_vir, split_linear
 from .measures import (
+    KINDS,
     MeasureSpec,
     MiwaParams,
     cauchy_normalizer,
@@ -35,31 +35,10 @@ from .measures import (
 from .operators import KerovParams
 from .partitions import HalfInt
 from .repstructure import decomposition_report
-from .rings import Poly, Scalar, parse_rational, rational_str, scalar_to_json
+from .rings import Poly, parse_rational, rational_str, scalar_to_json
 from .suites import SUITES, run_suite
 
 OUT_DIR_ENV = "YOUNGFOCK_OUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: Dict[str, Fraction] = field(default_factory=dict)
-    x: Dict[int, Fraction] = field(default_factory=dict)
-    y: Dict[int, Fraction] = field(default_factory=dict)
-    max_degree: Optional[int] = None
-    ring: str = "rational"
-    output: str = "json"
-    seed: int = 0
-    kind: str = "schur"
-    m_order: int = 2
-    points: List[HalfInt] = field(default_factory=list)
-    suite: str = ""
-    out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.max_degree is not None and self.max_degree < 0:
-            raise ValueError("max-degree must be >= 0")
 
 
 class _CliError(Exception):
@@ -111,53 +90,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--max-degree", type=int, default=4)
-        p.add_argument("--ring", choices=["rational", "poly-z"], default="rational")
+    def command(name, run, help, max_degree=4, ring=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--max-degree", type=int, default=max_degree)
+        if ring:
+            p.add_argument("--ring", choices=["rational", "poly-z"], default="rational")
         p.add_argument("--out", default=None, help="write to this file instead of stdout")
+        return p
 
-    m = sub.add_parser("measure", help="tabulate unnormalized and normalized weights")
-    m.add_argument("--kind", choices=["schur", "virasoro", "m-virasoro"], required=True)
-    m.add_argument("--m", type=int, default=2, help="order for the m-virasoro kind")
-    m.add_argument("--z")
-    m.add_argument("--w")
-    m.add_argument("--gamma", default="0")
-    m.add_argument("--x", default="")
-    m.add_argument("--y", default="")
+    def table(p):
+        p.add_argument("--kind", choices=list(KINDS), required=True)
+        p.add_argument("--m", type=int, help="order for the m-virasoro kind (default 2)")
+        for flag in ("--z", "--w", "--gamma", "--x", "--y"):
+            p.add_argument(flag)
+        return p
+
+    m = table(command("measure", _run_measure, "tabulate unnormalized and normalized weights"))
     m.add_argument("--output", choices=["json", "csv"], default="json")
-    common(m)
-
-    c = sub.add_parser("convert", help="equivalent Schur parameters X_N (and Y_N)")
-    c.add_argument("--x", default="")
-    c.add_argument("--y", default="")
-    c.add_argument("--z")
-    c.add_argument("--w")
-    common(c)
-
-    r = sub.add_parser("correlations", help="brute-force correlation of a point set")
-    r.add_argument("--kind", choices=["schur", "virasoro", "m-virasoro"], required=True)
-    r.add_argument("--m", type=int, default=2)
-    r.add_argument("--z")
-    r.add_argument("--w")
-    r.add_argument("--gamma", default="0")
-    r.add_argument("--x", default="")
-    r.add_argument("--y", default="")
+    c = command("convert", _run_convert, "equivalent Schur parameters X_N (and Y_N)")
+    for flag in ("--x", "--y", "--z", "--w"):
+        c.add_argument(flag)
+    r = table(command("correlations", _run_correlations,
+                      "brute-force correlation of a point set"))
     r.add_argument("--points", required=True,
                    help='JSON list of half-integers, e.g. \'["1/2","-3/2"]\'')
-    common(r)
-
-    v = sub.add_parser("verify", help="run a named identity suite")
+    v = command("verify", _run_verify, "run a named identity suite", max_degree=None, ring=False)
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
-    v.add_argument("--max-degree", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--out", default=None)
-
-    d = sub.add_parser("decompose", help="parameter-plane structure report")
+    d = command("decompose", _run_decompose, "parameter-plane structure report",
+                max_degree=6, ring=False)
     d.add_argument("--z", required=True)
     d.add_argument("--w", required=True)
-    d.add_argument("--max-degree", type=int, default=6)
-    d.add_argument("--out", default=None)
-
     return parser
 
 
@@ -175,64 +139,54 @@ def _emit(lines: List[str], out: Optional[str]) -> None:
     target = _resolve_out(out)
     if target is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(target, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {target!r}: {exc.strerror}")
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
 
 
-# the points --ring=poly-z keeps as polynomial variables, per command:
-# measure and correlations tabulate over z, convert prints both sides
-_FORMAL_UNDER_POLY = {"measure": ("z",), "correlations": ("z",), "convert": ("z", "w")}
+def _rational(text: Optional[str]) -> Fraction:
+    return Fraction(0) if text is None else parse_rational(text)
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        max_degree=getattr(args, "max_degree", None),
-        ring=getattr(args, "ring", "rational"),
-        output=getattr(args, "output", "json"),
-        seed=getattr(args, "seed", 0) or 0,
-        kind=getattr(args, "kind", "schur"),
-        m_order=getattr(args, "m", 2),
-        suite=getattr(args, "suite", "") or "",
-        out=getattr(args, "out", None),
-    )
-    for name in ("z", "w", "gamma"):
-        raw = getattr(args, name, None)
-        if raw is not None:
-            cfg.params[name] = parse_rational(raw)
-    if cfg.ring == "poly-z":
-        given = [f"--{name}" for name in _FORMAL_UNDER_POLY.get(cfg.command, ())
-                 if name in cfg.params]
-        if given:
-            raise _CliError(f"{' and '.join(given)} cannot be used with --ring=poly-z, "
-                            "which keeps the point formal")
-    cfg.x = _parse_miwa(getattr(args, "x", None))
-    cfg.y = _parse_miwa(getattr(args, "y", None))
-    cfg.points = _parse_points(getattr(args, "points", None))
-    return cfg
+def _reject_unread(args, reads: Sequence[str], formal: Sequence[str]) -> None:
+    """Exit 2 on an explicit --z, --w, --gamma or --m that the run would not
+    read: a point in ``formal`` under --ring=poly-z (checked first), or a
+    setting outside ``reads``."""
+    given = [name for name in ("z", "w", "gamma", "m") if getattr(args, name, None) is not None]
+    kept = [f"--{name}" for name in given if name in formal and args.ring == "poly-z"]
+    if kept:
+        raise _CliError(f"{' and '.join(kept)} cannot be used with --ring=poly-z, "
+                        "which keeps the point formal")
+    unread = [f"--{name}" for name in given if name not in reads]
+    if unread:
+        raise _CliError(f"--kind={args.kind} does not read {', '.join(unread)}")
 
 
-def _measure_spec(cfg: RunConfig) -> MeasureSpec:
-    z: Scalar = cfg.params.get("z", Fraction(0))
-    if cfg.ring == "poly-z":
-        z = Poly.gen()
+def _spec(args, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> MeasureSpec:
+    """The table a measure or correlations run asks for; under poly-z, z is
+    the polynomial variable."""
+    _reject_unread(args, KINDS[args.kind][1], formal=("z",))
     return MeasureSpec(
-        kind=cfg.kind,
-        params=MiwaParams(x=dict(cfg.x), y=dict(cfg.y)),
-        kerov=KerovParams(z=z, w=cfg.params.get("w", Fraction(0))),
-        truncation=cfg.max_degree,
-        m_order=cfg.m_order,
-        gamma=cfg.params.get("gamma", Fraction(0)),
+        kind=args.kind,
+        params=MiwaParams(x=x, y=y),
+        kerov=KerovParams(z=Poly.gen() if args.ring == "poly-z" else _rational(args.z),
+                          w=_rational(args.w)),
+        truncation=args.max_degree,
+        m_order=2 if args.m is None else args.m,
+        gamma=_rational(args.gamma),
     )
 
 
-def _run_measure(cfg: RunConfig) -> int:
-    spec = _measure_spec(cfg)
+def _run_measure(args) -> int:
+    x, y = _parse_miwa(args.x), _parse_miwa(args.y)
+    spec = _spec(args, x, y)
     table = weight_table(spec)
     payload = table.to_json()
     summary = {
@@ -242,48 +196,50 @@ def _run_measure(cfg: RunConfig) -> int:
         "params": {
             "z": scalar_to_json(spec.kerov.z),
             "w": scalar_to_json(spec.kerov.w),
-            "x": {str(k): rational_str(v) for k, v in sorted(cfg.x.items())},
-            "y": {str(k): rational_str(v) for k, v in sorted(cfg.y.items())},
+            "x": {str(k): rational_str(v) for k, v in sorted(x.items())},
+            "y": {str(k): rational_str(v) for k, v in sorted(y.items())},
         },
         "z_trunc": payload["z_trunc"],
         "ok": True,
     }
     if spec.kind == "m-virasoro":
         summary["m"] = spec.m_order
-        summary["params"]["gamma"] = rational_str(cfg.params.get("gamma", Fraction(0)))
+        summary["params"]["gamma"] = rational_str(spec.gamma)
     if spec.kind == "schur":
         summary["cauchy_normalizer"] = scalar_to_json(
             cauchy_normalizer(spec.params, table.degree))
-    if cfg.output == "csv":
+    if args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in table.to_csv_rows():
             writer.writerow(row)
-        _emit([buf.getvalue().rstrip("\n")], cfg.out)
+        _emit([buf.getvalue().rstrip("\n")], args.out)
         return 0
     lines = [_dump(r) for r in payload["weights"]]
     lines.append(_dump(summary))
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0
 
 
-def _run_convert(cfg: RunConfig) -> int:
+def _run_convert(args) -> int:
     """One inversion over the polynomial ring per side: its values under
     poly-z, else A_N*z + B_N (C_N*w + D_N) at the given point.  A level of
     z-degree above 1 falsifies the linearity: the rows before it are
     printed, then a verdict with ok false, and the exit code is 1."""
+    _reject_unread(args, ("z", "w"), formal=("z", "w"))
     lines = []
-    n_max = cfg.max_degree
+    n_max = args.max_degree
     verdict = {"command": "convert", "max_degree": n_max, "ok": True}
-    sides = ((cfg.x, "z", ("A", "B", "X")), (cfg.y, "w", ("C", "D", "Y")))
-    for params, var, (a_key, b_key, value_key) in sides:
+    sides = ((args.x, "z", ("A", "B", "X")), (args.y, "w", ("C", "D", "Y")))
+    for text, var, (a_key, b_key, value_key) in sides:
+        params = _parse_miwa(text)
         if not params:
             continue
-        point = cfg.params.get(var, Fraction(0))
+        point = _rational(getattr(args, var))
         xs = schur_params_from_vir(params, Poly.gen(), n_max)
         try:
             for n, (val, wit) in enumerate(zip(xs, split_linear(xs, value_key, var)), start=1):
-                if cfg.ring != "poly-z":
+                if args.ring != "poly-z":
                     val = wit.a * point + wit.b
                 lines.append(_dump({"N": n, a_key: scalar_to_json(wit.a),
                                     b_key: scalar_to_json(wit.b), value_key: scalar_to_json(val)}))
@@ -291,28 +247,28 @@ def _run_convert(cfg: RunConfig) -> int:
             verdict.update(ok=False, error=str(exc))
             break
     lines.append(_dump(verdict))
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0 if verdict["ok"] else 1
 
 
-def _run_correlations(cfg: RunConfig) -> int:
-    spec = _measure_spec(cfg)
-    table = weight_table(spec)
+def _run_correlations(args) -> int:
+    table = weight_table(_spec(args, _parse_miwa(args.x), _parse_miwa(args.y)))
+    points = _parse_points(args.points)
     # null where the probability is undefined, as measure's "normalized"
-    prob = quotient_json(occupied_weight(cfg.points, table), table.z_trunc)
+    prob = quotient_json(occupied_weight(points, table), table.z_trunc)
     lines = [
-        _dump({"points": [str(x) for x in cfg.points], "probability": prob}),
-        _dump({"command": "correlations", "kind": spec.kind,
+        _dump({"points": [str(x) for x in points], "probability": prob}),
+        _dump({"command": "correlations", "kind": table.kind,
                "degree": table.degree, "ok": True}),
     ]
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    report = run_suite(cfg.suite, seed=cfg.seed, max_degree=cfg.max_degree)
+def _run_verify(args) -> int:
+    report = run_suite(args.suite, seed=args.seed, max_degree=args.max_degree)
     if not report["checks"]:
-        raise _CliError(f"suite {cfg.suite!r} ran no checks at max-degree {cfg.max_degree}")
+        raise _CliError(f"suite {args.suite!r} ran no checks at max-degree {args.max_degree}")
     lines = [_dump({"check": c["name"], "ok": c["ok"],
                     **({"detail": c["detail"]} if "detail" in c else {})})
              for c in report["checks"]]
@@ -326,29 +282,14 @@ def _run_verify(cfg: RunConfig) -> int:
         "params": report["params"],
         "ok": report["ok"],
     }))
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0 if report["ok"] else 1
 
 
-def _run_decompose(cfg: RunConfig) -> int:
-    rep = decomposition_report(cfg.params["z"], cfg.params["w"], cfg.max_degree)
-    _emit([_dump(rep.to_json())], cfg.out)
+def _run_decompose(args) -> int:
+    rep = decomposition_report(parse_rational(args.z), parse_rational(args.w), args.max_degree)
+    _emit([_dump(rep.to_json())], args.out)
     return 0
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed configuration; returns the process exit code."""
-    if config.command == "measure":
-        return _run_measure(config)
-    if config.command == "convert":
-        return _run_convert(config)
-    if config.command == "correlations":
-        return _run_correlations(config)
-    if config.command == "verify":
-        return _run_verify(config)
-    if config.command == "decompose":
-        return _run_decompose(config)
-    raise _CliError(f"unknown command {config.command!r}")
 
 
 def main(argv=None) -> int:
@@ -358,8 +299,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
+        if (args.max_degree or 0) < 0:
+            raise _CliError("max-degree must be >= 0")
+        return args.run(args)
     except (_CliError, ValueError, KeyError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write("run with --help for usage\n")

@@ -3,11 +3,12 @@ correlation functions of the induced point process.
 
 Every table is built one way, by :func:`weight_table`: the weight of lam
 is <lam|exp(sum x_k M_-k)|vac> <vac|exp(sum y_k M_k)|lam>, one
-:func:`~youngfock.operators.exp_raising` per side, with M_k the boson
-mode a_k for a Schur measure (Okounkov's vertex-operator form), the
-oscillator mode L_k for a Virasoro measure and the M-fold mode for the
-m-virasoro kind.  :func:`schur_polynomial` (Jacobi-Trudi) is the
-per-diagram route and the oracle of the Schur table.
+:func:`~youngfock.operators.exp_raising` per side, with M_k the M-fold
+mode at (M, gamma): (1, 0) gives the boson mode a_k of a Schur measure
+(Okounkov's vertex-operator form), (2, 0) the oscillator mode L_k of a
+Virasoro measure, and the m-virasoro kind takes both from its spec.
+:func:`schur_polynomial` (Jacobi-Trudi) is the per-diagram route and the
+oracle of the Schur table.
 
 Measure parameters are Miwa coordinates: ``x`` with generating function
 exp(sum_k x_k t**k) for the complete-homogeneous sequence.  Weights are
@@ -18,17 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .fock import MayaState, vacuum
 from .operators import (
     KerovParams,
     Operator,
     VirasoroParams,
-    boson_op,
     exp_raising,
     m_virasoro_op,
-    virasoro_op,
 )
 from .partitions import HalfInt, Partition, partitions_up_to
 from .rings import Scalar, det, divexact, is_zero, scalar_to_json, series_exp
@@ -49,20 +48,33 @@ class MiwaParams:
                 raise ValueError(f"Miwa index {k} must be >= 1")
 
 
+# Every kind is the M-fold family at some (M, gamma): kind -> the (M, gamma)
+# it fixes, or None where the spec gives them, and the settings among
+# z, w, gamma and m that its table reads.  At (1, 0) the mode is the boson
+# a_k, which reads no point; at (2, 0) it is the oscillator mode L_k, the
+# parametrization in which the per-jump factor is uniformly
+# z + position + k/2 across all mode lengths.
+KINDS: Dict[str, Tuple[Optional[Tuple[int, Scalar]], Tuple[str, ...]]] = {
+    "schur": ((1, Fraction(0)), ()),
+    "virasoro": ((2, Fraction(0)), ("z", "w")),
+    "m-virasoro": (None, ("z", "w", "gamma", "m")),
+}
+
+
 @dataclass
 class MeasureSpec:
     """What to tabulate: the measure kind, its parameters, and the degree
     bound of the table."""
 
-    kind: str  # "schur" | "virasoro" | "m-virasoro"
+    kind: str  # a key of KINDS
     params: MiwaParams
     kerov: KerovParams = field(default_factory=KerovParams)
     truncation: int = 0
-    m_order: int = 2
-    gamma: Scalar = Fraction(0)  # extra knob for the m-virasoro kind only
+    m_order: int = 2  # read by the m-virasoro kind only, as is gamma
+    gamma: Scalar = Fraction(0)
 
     def __post_init__(self):
-        if self.kind not in ("schur", "virasoro", "m-virasoro"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
@@ -167,10 +179,16 @@ def cauchy_normalizer(p: MiwaParams, degree: int) -> Scalar:
 # table builders
 # ---------------------------------------------------------------------------
 
-def _exp_table(spec: MeasureSpec, mode: Callable[[Scalar, int], Operator]) -> WeightTable:
+def weight_table(spec: MeasureSpec) -> WeightTable:
     """Weights <lam|exp(sum x_k M_{-k})|vac> <vac|exp(sum y_k M_k)|lam>,
-    with ``mode(alpha, k)`` the mode-k operator: the ket side runs at
-    alpha = z, the bra side at alpha = w through the adjoint action."""
+    with M_k the M-fold mode at the kind's (M, gamma) (see :data:`KINDS`):
+    the ket side runs at alpha = z, the bra side at alpha = w through the
+    adjoint action."""
+    order, gamma = KINDS[spec.kind][0] or (spec.m_order, spec.gamma)
+
+    def mode(alpha: Scalar, k: int) -> Operator:
+        return m_virasoro_op(order, k, VirasoroParams(alpha, gamma))
+
     degree = spec.truncation
     ket = exp_raising([(c, mode(spec.kerov.z, -k)) for k, c in spec.params.x.items()],
                       vacuum(), degree)
@@ -183,19 +201,6 @@ def _exp_table(spec: MeasureSpec, mode: Callable[[Scalar, int], Operator]) -> We
         weights[lam] = w
         total = total + w
     return WeightTable(kind=spec.kind, degree=degree, weights=weights, z_trunc=total)
-
-
-def weight_table(spec: MeasureSpec) -> WeightTable:
-    """The table of ``spec.kind``: boson modes a_k for schur, oscillator
-    modes at gamma = 0 for virasoro (the parametrization in which the
-    per-jump factor is uniformly z + position + k/2 across all mode
-    lengths), M-fold modes at ``spec.gamma`` for m-virasoro."""
-    if spec.kind == "schur":
-        return _exp_table(spec, lambda alpha, k: boson_op(k))
-    if spec.kind == "virasoro":
-        return _exp_table(spec, lambda alpha, k: virasoro_op(k, VirasoroParams(alpha, Fraction(0))))
-    return _exp_table(spec, lambda alpha, k: m_virasoro_op(
-        spec.m_order, k, VirasoroParams(alpha, spec.gamma)))
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,21 @@ def _report(suite: str, identity: str, params: dict, checks: List[dict],
     }
 
 
-def _basis(max_degree: int):
+def _failed(name: str, bad, key: str = "failures", **extra) -> dict:
+    """A check that holds when ``bad`` (a count or a list) is empty, and
+    otherwise carries it under ``key``, with ``extra``, as its detail."""
+    return _check(name, not bad, {key: bad, **extra} if bad else None)
+
+
+def _disagree(pairs, max_degree: int) -> List[list]:
+    """The diagrams up to max_degree, as JSON, on which some pair (f, g) of
+    linear maps differs: f|lam> != g|lam>."""
+    out = []
     for lam in partitions_up_to(max_degree):
-        yield lam, FockVector.from_partition(lam)
+        v = FockVector.from_partition(lam)
+        if any(f(v) != g(v) for f, g in pairs):
+            out.append(lam.to_json())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +96,7 @@ def suite_heisenberg(seed: int = 0, max_degree: int = 6, mode_bound: int = 4) ->
                 continue
             expected = [(Fraction(n), None)] if n + m == 0 else []
             bad = len(commutator_check(boson_op(n), boson_op(m), expected, max_degree))
-            checks.append(_check(f"[a_{n}, a_{m}] = {n if n + m == 0 else 0}", bad == 0,
-                                 None if bad == 0 else {"failures": bad}))
+            checks.append(_failed(f"[a_{n}, a_{m}] = {n if n + m == 0 else 0}", bad))
     return _report(
         "heisenberg",
         "oscillator bracket [a_n, a_m] = n delta(n+m) on the wedge space",
@@ -100,13 +111,12 @@ def suite_sl2(seed: int = 0, max_degree: int = 6, draws: int = 5) -> dict:
     for t in range(draws):
         p = KerovParams(z=random_rational(rng), w=random_rational(rng))
         u_op, l_op, d_op = kerov_u(p), kerov_l(p), kerov_d(p)
-        bad1 = commutator_check(d_op, u_op, [(Fraction(1), l_op)], max_degree)
-        bad2 = commutator_check(l_op, u_op, [(Fraction(2), u_op)], max_degree)
-        bad3 = commutator_check(l_op, d_op, [(Fraction(-2), d_op)], max_degree)
         tag = f"draw {t} (z={rational_str(p.z)}, w={rational_str(p.w)})"
-        checks.append(_check(f"[D,U] = L, {tag}", not bad1))
-        checks.append(_check(f"[L,U] = 2U, {tag}", not bad2))
-        checks.append(_check(f"[L,D] = -2D, {tag}", not bad3))
+        for name, a, b, c, rhs in (("[D,U] = L", d_op, u_op, 1, l_op),
+                                   ("[L,U] = 2U", l_op, u_op, 2, u_op),
+                                   ("[L,D] = -2D", l_op, d_op, -2, d_op)):
+            bad = len(commutator_check(a, b, [(Fraction(c), rhs)], max_degree))
+            checks.append(_failed(f"{name}, {tag}", bad))
     return _report(
         "sl2",
         "box ladder operators close into an sl2 triple",
@@ -133,9 +143,9 @@ def suite_virasoro_cc(seed: int = 0, max_degree: int = 5, mode_bound: int = 3,
                 if commutator_check(a, b, expected, max_degree):
                     bad_pairs.append([m, n])
         tag = f"draw {t} (alpha={rational_str(p.alpha)}, gamma={rational_str(p.gamma)})"
-        checks.append(_check(
+        checks.append(_failed(
             f"[L_m, L_n] = (m-n) L_(m+n) + delta(m+n) (m^3-m)/12 (1 - 12 gamma^2), {tag}",
-            not bad_pairs, None if not bad_pairs else {"pairs": bad_pairs}))
+            bad_pairs, "pairs"))
     return _report(
         "virasoro-cc",
         "oscillator quadratic modes close with central charge 1 - 12 gamma^2",
@@ -152,17 +162,11 @@ def suite_kerov_equiv(seed: int = 0, max_degree: int = 7, draws: int = 5) -> dic
         vp = virasoro_params_from_kerov(p)
         u_op, d_op, l_op = kerov_u(p), kerov_d(p), kerov_l(p)
         m_u, m_d, m_l = (MVirasoro(2, k, vp.alpha, vp.gamma) for k in (-1, 1, 0))
-        bad = []
-        for lam, v in _basis(max_degree):
-            t_u = m_u.apply(v) == u_op.apply(v)
-            t_d = m_d.apply(v) == d_op.apply(v)
-            t_l = m_l.apply(v).scale(2) == l_op.apply(v)
-            if not (t_u and t_d and t_l):
-                bad.append(lam.to_json())
+        bad = _disagree([(m_u.apply, u_op.apply), (m_d.apply, d_op.apply),
+                         (lambda v: m_l.apply(v).scale(2), l_op.apply)], max_degree)
         tag = f"draw {t} (z={rational_str(p.z)}, w={rational_str(p.w)})"
-        checks.append(_check(
-            f"mode -1/0/+1 match box raise / half-diagonal / box lower, {tag}",
-            not bad, None if not bad else {"basis": bad}))
+        checks.append(_failed(
+            f"mode -1/0/+1 match box raise / half-diagonal / box lower, {tag}", bad, "basis"))
     return _report(
         "kerov-equiv",
         "box ladder triple equals oscillator modes -1, 0, +1 at "
@@ -182,17 +186,12 @@ def suite_rimhook_equiv(seed: int = 0, max_degree: int = 6, hook_bound: int = 4,
             vp = virasoro_params_for_rimhook(p, r)
             up, down, diag = hook_raise(r, p), hook_lower(r, p), hook_diagonal(r, p)
             m_up, m_down = (MVirasoro(2, k, vp.alpha, vp.gamma) for k in (-r, r))
-            bad = []
-            for lam, v in _basis(max_degree):
-                t_u = m_up.apply(v) == up.apply(v).scale(r)
-                t_d = m_down.apply(v) == down.apply(v).scale(r)
-                if not (t_u and t_d):
-                    bad.append(lam.to_json())
+            bad = _disagree([(m_up.apply, lambda v: up.apply(v).scale(r)),
+                             (m_down.apply, lambda v: down.apply(v).scale(r))], max_degree)
             # sl2 closure of the hook triple itself
             diag_ok = not commutator_check(down, up, [(Fraction(1), diag)], max(max_degree - r, 0))
-            checks.append(_check(
-                f"hook length {r}: modes -+r equal {r} x hook ladder, draw {t}",
-                not bad, None if not bad else {"basis": bad}))
+            checks.append(_failed(
+                f"hook length {r}: modes -+r equal {r} x hook ladder, draw {t}", bad, "basis"))
             checks.append(_check(
                 f"hook length {r}: [lower, raise] = diagonal, draw {t}", diag_ok))
     return _report(
@@ -229,13 +228,14 @@ def suite_determinancy(seed: int = 0, max_degree: int = 6, draws: int = 5) -> di
         xm = {i + 1: v for i, v in enumerate(xs)}
         ym = {i + 1: v for i, v in enumerate(ys)}
 
-        vx, vy = vir_rows(x, z, max_degree), vir_rows(y, w, max_degree)
-        row_ok = all(
-            vx[n] == schur_polynomial(Partition((n,)), xm)
-            and vy[n] == schur_polynomial(Partition((n,)), ym)
-            for n in range(1, max_degree + 1)
-        )
-        checks.append(_check(f"single-row weights equal their Schur values, draw {t}", row_ok))
+        if max_degree >= 1:  # rows 1..max_degree
+            vx, vy = vir_rows(x, z, max_degree), vir_rows(y, w, max_degree)
+            row_ok = all(
+                vx[n] == schur_polynomial(Partition((n,)), xm)
+                and vy[n] == schur_polynomial(Partition((n,)), ym)
+                for n in range(1, max_degree + 1)
+            )
+            checks.append(_check(f"single-row weights equal their Schur values, draw {t}", row_ok))
 
         mism = []
         for lam in table.partitions():
@@ -287,7 +287,8 @@ def suite_z_linearity(seed: int = 0, max_degree: int = 6, draws: int = 3) -> dic
     rng = random.Random(seed)
     checks = []
     probes = []
-    for t in range(draws):
+    # every check below covers X_1..X_N, so degree 0 leaves none
+    for t in range(draws if max_degree >= 1 else 0):
         x = {k: random_rational(rng) for k in (1, 2, 3)}
         try:
             wit = z_linearity_witness(x, max_degree)
@@ -306,11 +307,13 @@ def suite_z_linearity(seed: int = 0, max_degree: int = 6, draws: int = 3) -> dic
         rhs = series_exp(b_series, max_degree)
         checks.append(_check(
             f"1 + sum v_N u^N = exp(sum B_n u^n) truncated, draw {t}", lhs == rhs))
-        # printed base values
-        x1, x2 = x.get(1, Fraction(0)), x.get(2, Fraction(0))
-        base_ok = (wit[0].a == x1 and wit[0].b == 0 and
-                   wit[1].a == x1 * x1 / 2 + x2 and wit[1].b == x2 / 2)
-        checks.append(_check(f"X_1 = x_1 z and X_2 = (x_1^2/2 + x_2) z + x_2/2, draw {t}", base_ok))
+        # printed base values, once both levels are in range
+        if max_degree >= 2:
+            x1, x2 = x.get(1, Fraction(0)), x.get(2, Fraction(0))
+            base_ok = (wit[0].a == x1 and wit[0].b == 0 and
+                       wit[1].a == x1 * x1 / 2 + x2 and wit[1].b == x2 / 2)
+            checks.append(_check(f"X_1 = x_1 z and X_2 = (x_1^2/2 + x_2) z + x_2/2, draw {t}",
+                                 base_ok))
         # w-side mirror
         yw = {k: random_rational(rng) for k in (1, 2)}
         try:
@@ -364,16 +367,11 @@ def suite_kernels(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
     zs = [random_rational(rng, nonzero=True) for _ in range(draws)]
     zs += [Fraction(i) for i in range(-4, 5)]
     for z in zs:
-        w = random_rational(rng)
-        p = KerovParams(z=z, w=w)
-        bad = []
-        for n in range(1, max_degree + 1):
-            kern = kernel_basis(kerov_u(p), n)
-            if kern:
-                bad.append(n)
-        checks.append(_check(
-            f"raising kernel trivial in degrees 1..{max_degree} at z={rational_str(z)}",
-            not bad, None if not bad else {"degrees": bad}))
+        u_op = kerov_u(KerovParams(z=z, w=random_rational(rng)))
+        if max_degree >= 1:  # degrees 1..max_degree
+            checks.append(_failed(
+                f"raising kernel trivial in degrees 1..{max_degree} at z={rational_str(z)}",
+                [n for n in range(1, max_degree + 1) if kernel_basis(u_op, n)], "degrees"))
     # highest-weight structure for a generic draw
     z = random_rational(rng, nonzero=True)
     w = random_rational(rng, nonzero=True)
@@ -425,14 +423,9 @@ def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
     probes = []
     p = VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
     # M = 2 collapses to the quadratic modes
-    bad = []
-    for k in range(-3, 4):
-        m2, l_k = MVirasoro(2, k, p.alpha, p.gamma), virasoro_op(k, p)
-        for lam, v in _basis(max_degree):
-            if m2.apply(v) != l_k.apply(v):
-                bad.append([k, lam.to_json()])
-    checks.append(_check("order 2 equals the quadratic modes, |k| <= 3", not bad,
-                         None if not bad else {"failures": bad[:5]}))
+    bad = [[k, lam] for k in range(-3, 4) for lam in _disagree(
+        [(MVirasoro(2, k, p.alpha, p.gamma).apply, virasoro_op(k, p).apply)], max_degree)]
+    checks.append(_failed("order 2 equals the quadratic modes, |k| <= 3", bad[:5]))
     # M = 1 measure table is a rescaled product table
     g = Fraction(1, 3)
     x = {k: random_rational(rng) for k in (1, 2)}
@@ -452,23 +445,23 @@ def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
     bad_support = []
     for k in range(1, 4):
         m3 = MVirasoro(3, -k, p.alpha, p.gamma)
-        for lam, v in _basis(max_degree):
+        for lam in partitions_up_to(max_degree):
             allowed = {new for new, _, _ in boson_moves(-k, MayaState.from_partition(lam))}
-            if not {s for s, _ in m3.apply(v).terms()} <= allowed:
+            support = {s for s, _ in m3.apply(FockVector.from_partition(lam)).terms()}
+            if not support <= allowed:
                 bad_support.append([k, lam.to_json()])
-    checks.append(_check(
-        "order 3 raising support lies inside single k-hook additions, k <= 3",
-        not bad_support, None if not bad_support else {"failures": bad_support[:5]}))
+    checks.append(_failed(
+        "order 3 raising support lies inside single k-hook additions, k <= 3", bad_support[:5]))
     # probe: claimed power-form coefficients at M = 3; a jump from x adds a
     # k-hook with sign (-1)**(height - 1) and leftmost content x + 1/2
     deltas = 0
     for k in range(1, 4):
         m3 = m_virasoro_op(3, -k, p)
-        for lam, v in _basis(3):
+        for lam in partitions_up_to(3):
             claimed = FockVector(
                 (new, sign * (p.alpha - p.gamma * k + x + Fraction(k, 2)) ** 2)
                 for new, sign, x in boson_moves(-k, MayaState.from_partition(lam)))
-            deltas += len(claimed - m3.apply(v))
+            deltas += len(claimed - m3.apply(FockVector.from_partition(lam)))
     probes.append({
         "name": "claimed power-form action at order 3",
         "holds": not deltas,
@@ -512,10 +505,7 @@ def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dic
     states = _charged_states(max_degree)
     for k in range(1, mode_bound + 1):
         l_raise, a_lower, a_raise = virasoro_op(-k, p), boson_op(k), boson_op(-k)
-        bad = 0
-        raw_bad = 0
-        corrected_bad = 0
-        total = 0
+        bad = raw_bad = corrected_bad = total = 0
         for x in xs:
             coeff = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
             zk = p.alpha - p.gamma * k
@@ -525,18 +515,12 @@ def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dic
                 shifted = psi(x, v)
                 lhs = psi(x, l_raise.apply(v)) - l_raise.apply(shifted)
                 total += 1
-                if lhs != psi(x + k, v).scale(coeff):
-                    bad += 1
+                bad += lhs != psi(x + k, v).scale(coeff)
                 # printed form: a_k psi_x + (z + x + k/2 - 1) psi_(x+k)
-                raw = a_lower.apply(shifted) + psi(x + k, v).scale(raw_coeff)
-                if lhs != raw:
-                    raw_bad += 1
-                corrected = a_raise.apply(shifted) + psi(x + k, v).scale(raw_coeff)
-                if lhs != corrected:
-                    corrected_bad += 1
-        checks.append(_check(
-            f"[psi_x, L_(-{k})] = -((alpha - gamma k) + x + k/2) psi_(x+k)",
-            bad == 0, None if bad == 0 else {"failures": bad, "of": total}))
+                raw_bad += lhs != a_lower.apply(shifted) + psi(x + k, v).scale(raw_coeff)
+                corrected_bad += lhs != a_raise.apply(shifted) + psi(x + k, v).scale(raw_coeff)
+        checks.append(_failed(
+            f"[psi_x, L_(-{k})] = -((alpha - gamma k) + x + k/2) psi_(x+k)", bad, of=total))
         probes.append({"name": f"printed form with lowering boson term, k={k}",
                        "holds": raw_bad == 0, "failures": raw_bad, "of": total})
         probes.append({"name": f"index-corrected form with raising boson term, k={k}",
@@ -568,14 +552,10 @@ def suite_prop62(seed: int = 0, max_degree: int = 3, mode_bound: int = 2) -> dic
                 v = FockVector.basis(state)
                 shifted = psi(x, v)
                 lhs = psi(x, m2.apply(v)) - m2.apply(shifted)
-                if lhs != psi(x + k, v).scale(cx):
-                    bad += 1
-    checks.append(_check(
-        "order 2 bracket matches the verified quadratic-mode identity", bad == 0,
-        None if bad == 0 else {"failures": bad}))
+                bad += lhs != psi(x + k, v).scale(cx)
+    checks.append(_failed("order 2 bracket matches the verified quadratic-mode identity", bad))
     # probe the printed order-3 shape
-    deltas = 0
-    total = 0
+    deltas = total = 0
     for k in range(1, mode_bound + 1):
         zk = p.alpha - p.gamma * k
         m1, m2, m3 = (m_virasoro_op(order, -k, p) for order in (1, 2, 3))
@@ -590,8 +570,7 @@ def suite_prop62(seed: int = 0, max_degree: int = 3, mode_bound: int = 2) -> dic
                 rhs = (m2.apply(shifted) + m1.apply(shifted)
                        + psi(x + k, v).scale(raw_coeff))
                 total += 1
-                if lhs != rhs:
-                    deltas += 1
+                deltas += lhs != rhs
     probes.append({"name": "printed order-3 bracket shape", "holds": deltas == 0,
                    "failures": deltas, "of": total})
     return _report(

@@ -5,6 +5,7 @@ import pytest
 
 from youngfock import conversion
 from youngfock.cli import main
+from youngfock.measures import KINDS
 
 
 def run_cli(argv, capsys):
@@ -229,6 +230,57 @@ def test_poly_ring_rejects_a_point_it_keeps_formal(argv, capsys):
     assert (code, err) == (0, "")
 
 
+# a non-default value for each table flag that a kind may read
+TABLE_FLAGS = {"--z": "2/5", "--w": "-3/7", "--gamma": "1/6", "--m": "3"}
+
+
+@pytest.mark.parametrize("flag", sorted(TABLE_FLAGS))
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_table_flag_is_read_or_rejected(kind, flag, capsys):
+    # no table flag can be ignored silently: it changes stdout when the
+    # kind reads it and exits 2, printing nothing, when it does not
+    argv = ["measure", f"--kind={kind}", "--x=1=1/3,2=-1/2", "--y=1=1,2=2/7", "--max-degree=3"]
+    code, base, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, err = run_cli(argv + [f"{flag}={TABLE_FLAGS[flag]}"], capsys)
+    if flag[2:] in KINDS[kind][1]:
+        assert (code, err) == (0, "") and out != base
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"--kind={kind} does not read {flag}" in err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["measure", "--kind=schur", "--z=1/2", "--w=1/3", "--gamma=5", "--x=1=1", "--y=1=1",
+      "--max-degree=1"], "30ae5b09aafa3cfd433f11c646707ec83f208d6f9170bcd5c6c979c8c80817c7"),
+    (["measure", "--kind=virasoro", "--gamma=5", "--m=7", "--x=1=1", "--y=1=1",
+      "--max-degree=1"], "f91140192a913cdbfdfec0724a83f87c317d011ccf353b2cce68b64574a64615"),
+    (["correlations", "--kind=virasoro", "--z=1/2", "--w=1/3", "--gamma=5", "--x=1=1,2=1/2",
+      "--y=1=1", '--points=["1/2"]', "--max-degree=3"],
+     "ac0c67608d5eebda9074b683ab2496857dfd8a9a760431c175c61cb769394891"),
+])
+def test_a_flag_the_kind_does_not_read_exits_two(argv, digest, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "does not read" in err
+    # without the unread flags the run prints what it printed before the rule
+    kind = argv[1].partition("=")[2]
+    read = [a for a in argv if not a.startswith(("--z=", "--w=", "--gamma=", "--m="))
+            or a.partition("=")[0][2:] in KINDS[kind][1]]
+    code, out, err = run_cli(read, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("target", ["missing/result.jsonl", "."])
+def test_unopenable_out_exits_two(target, tmp_path, capsys):
+    # a missing directory, or a directory in place of a file
+    code, out, err = run_cli(["convert", "--x=1=1", "--max-degree=1",
+                              "--out", str(tmp_path / target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write")
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["measure", "--kind", "virasoro", "--z", "2/3", "--w", "-1/5",
             "--x", "1=1,2=1/3", "--y", "1=1/2", "--max-degree", "4"]
@@ -416,6 +468,30 @@ def test_verify_with_no_checks_is_a_usage_error(capsys):
     code, out, err = run_cli(["verify", "--suite=rank", "--max-degree=0"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "no checks" in err
+
+
+def test_z_linearity_at_degrees_zero_and_one(capsys):
+    # degree 0 covers no level, so no check; degree 1 has no X_2 to check
+    code, out, err = run_cli(["verify", "--suite=z-linearity", "--max-degree=0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no checks" in err
+    code, out, err = run_cli(["verify", "--suite=z-linearity", "--max-degree=1"], capsys)
+    assert (code, err) == (0, "")
+    checks = [json.loads(l)["check"] for l in out.splitlines() if '"check"' in l]
+    assert len(checks) == 9 and not any(c.startswith("X_1 = ") for c in checks)
+
+
+@pytest.mark.parametrize("suite,dropped", [
+    ("determinancy", "single-row weights"),
+    ("kernels", "raising kernel trivial"),
+])
+def test_max_degree_zero_drops_checks_over_no_cases(suite, dropped, capsys):
+    code, out, err = run_cli(["verify", f"--suite={suite}", "--max-degree=0"], capsys)
+    assert (code, err) == (0, "")
+    checks = [json.loads(l)["check"] for l in out.splitlines() if '"check"' in l]
+    assert checks and not any(c.startswith(dropped) for c in checks)
+    code, out, _ = run_cli(["verify", f"--suite={suite}", "--max-degree=1"], capsys)
+    assert any(json.loads(l).get("check", "").startswith(dropped) for l in out.splitlines())
 
 
 @pytest.mark.parametrize("argv", [

@@ -184,6 +184,17 @@ def test_m_virasoro_order1():
         assert got == want
 
 
+def test_boson_and_virasoro_modes_are_m_fold_modes_at_gamma_zero():
+    # the schur and virasoro measure kinds are the M-fold family at
+    # (M, gamma) = (1, 0) and (2, 0)
+    for alpha in (Fraction(0), Fraction(-2, 3), Poly.gen()):
+        p = VirasoroParams(alpha=alpha, gamma=Fraction(0))
+        for k in range(-3, 4):
+            if k:
+                assert m_virasoro_op(1, k, p) == boson_op(k)
+            assert m_virasoro_op(2, k, p) == virasoro_op(k, p)
+
+
 def test_m_virasoro_order3_support_and_probe():
     p = VirasoroParams(alpha=Fraction(1, 2), gamma=Fraction(0))
     # support inside single k-hook additions
