@@ -273,21 +273,37 @@ def _sorted_items(acc: Dict[MayaState, Scalar]) -> Tuple[Tuple[MayaState, Scalar
 
 def _descending_tuples(length: int, total: int, bound: int, pos_budget: int, cap: int):
     """Descending integer tuples in [-bound, cap] summing to total, with
-    the positive entries summing to at most pos_budget."""
+    the positive entries summing to at most pos_budget, in decreasing
+    lexicographic order.  Iterative, so any length works."""
     if length == 0:
         if total == 0:
             yield ()
         return
-    for head in range(min(cap, bound), -bound - 1, -1):
-        rest = total - head
+    tup = [0] * length
+    # totals[i], budgets[i]: what entries i, i+1, ... still have to sum to,
+    # and the positive budget they share
+    totals, budgets = [total] + [0] * length, [pos_budget] + [0] * length
+    i, head = 0, min(cap, bound)
+    while True:
+        if head < -bound:  # entry i has no candidates left: back up one
+            if i == 0:
+                return
+            i -= 1
+            head = tup[i] - 1
+            continue
+        rest, left = totals[i] - head, length - 1 - i
+        budget = budgets[i] - max(head, 0)
         # remaining entries are each <= head and >= -bound
-        if rest > head * (length - 1) or rest < -bound * (length - 1):
+        if rest > head * left or rest < -bound * left or budget < 0:
+            head -= 1
             continue
-        budget = pos_budget - max(head, 0)
-        if budget < 0:
-            continue
-        for tail in _descending_tuples(length - 1, rest, bound, budget, head):
-            yield (head,) + tail
+        tup[i] = head
+        if left == 0:
+            yield tuple(tup)
+            head -= 1
+        else:  # the next entry starts from head, its cap
+            i += 1
+            totals[i], budgets[i] = rest, budget
 
 
 @lru_cache(maxsize=None)

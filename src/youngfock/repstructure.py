@@ -5,7 +5,8 @@ through the one fraction-free elimination, :func:`rings.echelon`;
 highest-weight vectors; and the four-case decomposition report over the
 (z, w) parameter plane.  The report builds and eliminates the removal
 matrix once per degree: its rank is p(N) - dim ker, and applying the
-operator to every kernel vector certifies that kernel.
+operator once to every kernel vector certifies that kernel; the
+rank-nullity and highest-weight verdicts both read that one image.
 """
 
 from __future__ import annotations
@@ -66,17 +67,36 @@ def kernel_basis(op: Operator, n: int) -> List[FockVector]:
     return out
 
 
+def _kernel_checks(n: int, p: KerovParams) -> Tuple[List[FockVector], bool, bool]:
+    """Kernel vectors of the removal operator at degree n; whether D kills
+    every one (D applied once per vector); and whether every one carries
+    the diagonal eigenvalue z*w + 2n."""
+    d_op, l_op = kerov_d(p), kerov_l(p)
+    expected = p.z * p.w + 2 * n
+    kernel = kernel_basis(d_op, n)
+    killed = all(d_op.apply(vec).is_zero() for vec in kernel)
+    eigen = all(l_op.apply(vec) == vec.scale(expected) for vec in kernel)
+    return kernel, killed, eigen
+
+
 def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector], bool]:
     """Kernel vectors of the removal operator at degree n, and whether
     every one is killed by it and carries the diagonal eigenvalue
     z*w + 2n."""
-    p = KerovParams(z=z, w=w)
-    d_op, l_op = kerov_d(p), kerov_l(p)
-    expected = z * w + 2 * n
-    kernel = kernel_basis(d_op, n)
-    ok = all(not d_op.apply(vec) and l_op.apply(vec) == vec.scale(expected)
-             for vec in kernel)
-    return kernel, ok
+    kernel, killed, eigen = _kernel_checks(n, KerovParams(z=z, w=w))
+    return kernel, killed and eigen
+
+
+def image_rows(op: Operator, vectors: List[FockVector], n: int) -> List[List[Scalar]]:
+    """The images op(v) as coefficient rows in the degree-n basis."""
+    index = {lam: i for i, lam in enumerate(partitions_of(n))}
+    rows = []
+    for vec in vectors:
+        row: List[Scalar] = [Fraction(0)] * len(index)
+        for state, coeff in op.apply(vec).terms():
+            row[index[state.to_partition()]] = coeff
+        rows.append(row)
+    return rows
 
 
 @dataclass
@@ -154,26 +174,20 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
     per_degree = []
     for n in range(n_max + 1):
         p_n = len(partitions_of(n))
-        kernel, hw_ok = highest_weight_check(n, z, w)
+        kernel, killed, eigen = _kernel_checks(n, p)
         ker_dim = len(kernel)
         # raising the kernel stays independent (first Verma level is free)
-        basis = {lam: i for i, lam in enumerate(partitions_of(n + 1))}
-        rows = []
-        for vec in kernel:
-            row = [Fraction(0)] * len(basis)
-            for state, coeff in u_op.apply(vec).terms():
-                row[basis[state.to_partition()]] = coeff
-            rows.append(row)
+        u_rank = len(echelon(image_rows(u_op, kernel, n + 1))[1])
         per_degree.append({
             "degree": n,
             "dimension": p_n,
             "rank_D": p_n - ker_dim,
             "kernel_dim": ker_dim,
-            "rank_nullity_ok": all(d_op.apply(vec).is_zero() for vec in kernel),
+            "rank_nullity_ok": killed,
             "hw_eigenvalue": scalar_to_json(z * w + 2 * n),
-            "hw_ok": hw_ok,
+            "hw_ok": killed and eigen,
             "verma_multiplicity": ker_dim if n >= 2 else None,
-            "u_image_independent": len(echelon(rows)[1]) == ker_dim,
+            "u_image_independent": u_rank == ker_dim,
         })
 
     return DecompositionReport(case=case, z=z, w=w, relations=relations,

@@ -7,9 +7,12 @@ formal (degree-in-z bookkeeping, specialization checks); it interoperates
 with ints and Fractions through the normal operator protocol, so generic
 operator code never needs to know which ring it runs over.
 
-:func:`echelon` is the package's one exact elimination (fraction-free
-Bareiss); ranks are its pivot counts, and :func:`det` and
-:func:`nullspace` (over Q only) are built on it.  Truncated power series
+:func:`echelon` is the package's one exact elimination: fraction-free
+Bareiss on sparse rows that hold only their nonzero entries, in int
+arithmetic once rational rows are cleared of denominators.  Ranks are its
+pivot counts, and :func:`det` and :func:`nullspace` (over Q only) are
+built on it; ``nullspace`` back-substitutes in integers over one common
+denominator per vector.  Truncated power series
 are plain coefficient lists over either ring; :func:`series_exp` and its
 inverse :func:`series_log` each cost O(order^2) ring operations.  No
 floating point anywhere.
@@ -216,33 +219,39 @@ def divexact(a: Scalar, b: Scalar) -> Scalar:
 
 # -- fraction-free elimination -------------------------------------------------
 
-def echelon(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[list], List[int], Fraction]:
-    """Row echelon form by Bareiss elimination.
+def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[dict], List[int], Fraction]:
+    """Bareiss elimination on sparse rows, {column: value} of the nonzeros.
 
     Rows of ints and Fractions are first cleared to integers by the lcm of
     their denominators, so the elimination runs in int arithmetic; Poly rows
     stay as they are.  Pivots are taken column by column from the first
-    nonzero row.  Every division in the update is exact, so the entries stay
-    in the ring, and after k pivots each entry is a k+1 minor of the scaled
-    matrix.  Returns (rows, pivot columns, factor): det of the original
-    square matrix is the last pivot times ``factor``, which undoes the row
+    row below the last pivot row that has the column.  Every later row is
+    multiplied by pivot/prev, and those with an entry in the pivot column
+    also lose lead/prev times the pivot row.  Every division is exact, so
+    the entries stay in the ring, and after k pivots each entry is a k+1
+    minor of the scaled matrix; zeros left by an update are dropped.
+    Returns (rows, pivot columns, factor), where ``factor`` undoes the row
     scalings and the sign of the row swaps.
     """
-    rows: List[list] = []
+    rows: List[dict] = []
     factor = Fraction(1)
+    integral = True
     for row in matrix:
         if all(isinstance(v, (int, Fraction)) for v in row):
-            scale = math.lcm(*(Fraction(v).denominator for v in row))
-            rows.append([int(v * scale) for v in row])
+            scale = math.lcm(*(v.denominator for v in row if v))
+            rows.append({c: v.numerator * (scale // v.denominator)
+                         for c, v in enumerate(row) if v})
             factor /= scale
         else:
-            rows.append(list(row))
-    n_cols = len(rows[0]) if rows else 0
+            integral = False
+            rows.append({c: v for c, v in enumerate(row) if not is_zero(v)})
+    div = int.__floordiv__ if integral else divexact
+    n_cols = len(matrix[0]) if rows else 0
     pivots: List[int] = []
     prev: Scalar = 1
     for col in range(n_cols):
         top = len(pivots)
-        pivot_row = next((r for r in range(top, len(rows)) if not is_zero(rows[r][col])), None)
+        pivot_row = next((r for r in range(top, len(rows)) if col in rows[r]), None)
         if pivot_row is None:
             continue
         if pivot_row != top:
@@ -250,14 +259,30 @@ def echelon(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[list], List[int], 
             factor = -factor
         head = rows[top]
         pivot = head[col]
-        for row in rows[top + 1:]:
-            lead = row[col]
-            for c in range(col + 1, n_cols):
-                row[c] = divexact(row[c] * pivot - lead * head[c], prev)
-            row[col] = 0
+        rest = [(c, v) for c, v in head.items() if c != col]
+        for r in range(top + 1, len(rows)):
+            row = rows[r]
+            lead = row.pop(col, None)
+            if lead is None:
+                rows[r] = {c: div(v * pivot, prev) for c, v in row.items()}
+                continue
+            new = {c: v * pivot for c, v in row.items()}
+            for c, v in rest:
+                new[c] = new.get(c, 0) - lead * v
+            rows[r] = {c: q for c, v in new.items() if (q := div(v, prev))}
         prev = pivot
         pivots.append(col)
     return rows, pivots, factor
+
+
+def echelon(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[list], List[int], Fraction]:
+    """Row echelon form by fraction-free (Bareiss) elimination on sparse
+    rows, see :func:`_eliminate`, written out densely.  Returns (rows,
+    pivot columns, factor): det of the original square matrix is the last
+    pivot times ``factor``."""
+    rows, pivots, factor = _eliminate(matrix)
+    n_cols = len(matrix[0]) if rows else 0
+    return [[row.get(c, 0) for c in range(n_cols)] for row in rows], pivots, factor
 
 
 def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -270,19 +295,34 @@ def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
 def nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Fraction]]:
     """Kernel basis over the rationals, by back-substitution in the echelon
     form: one vector per free column in column order, 1 at that column and
-    0 at the other free columns."""
+    0 at the other free columns.  Each vector is solved in integers, as
+    numerators over one common denominator, and becomes Fractions at the
+    end."""
     if any(len(row) != n_cols for row in matrix):
         raise ValueError("ragged matrix")
     if any(isinstance(v, Poly) for row in matrix for v in row):
         raise ValueError("nullspace is computed over Q; the matrix has Poly entries")
-    rows, pivots, _ = echelon(matrix)
+    rows, pivots, _ = _eliminate(matrix)
     bottom_up = list(zip(rows, pivots))[::-1]
+    pivot_set = set(pivots)
     basis = []
-    for f in (c for c in range(n_cols) if c not in pivots):
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
+    for f in (c for c in range(n_cols) if c not in pivot_set):
+        num, den = {f: 1}, 1
         for row, p in bottom_up:
-            vec[p] = -sum(row[c] * vec[c] for c in range(p + 1, n_cols)) / Fraction(row[p])
+            # row . vec = 0 fixes vec[p] = -s / (den * row[p])
+            s = sum(v * num[c] for c, v in row.items() if c in num)
+            if not s:
+                continue
+            g = math.gcd(s, row[p])
+            s, a = s // g, row[p] // g
+            if a != 1:
+                for c in num:
+                    num[c] *= a
+                den *= a
+            num[p] = -s
+        vec = [Fraction(0)] * n_cols
+        for c, v in num.items():
+            vec[c] = Fraction(v, den)
         basis.append(vec)
     return basis
 

@@ -7,7 +7,10 @@ from a literal prefix-list model of the semi-infinite wedge, and
 determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
 explicit sums over all 2^(N-1) jump compositions.  The truncated
-exponential is summed power by power through ``op.apply``.  The box helpers
+exponential is summed power by power through ``op.apply``.  The dense
+Bareiss loop and the recursive M-fold tuple enumeration are the
+library's earlier forms, kept as the references for the sparse
+elimination and the iterative enumeration.  The box helpers
 describe single-box moves for the tests of the box ladder; the rim-hook
 moves, read off the particle configuration of a diagram, are the
 reference for the jump kernel ``fock.boson_moves``.
@@ -22,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 from youngfock.fock import FockVector
 from youngfock.partitions import HalfInt, Partition
-from youngfock.rings import is_zero, series_exp
+from youngfock.rings import Poly, Scalar, divexact, is_zero, series_exp
 
 
 @lru_cache(maxsize=None)
@@ -327,6 +330,97 @@ def minor_rank(matrix):
                 if leibniz_determinant([[matrix[r][c] for c in cols] for r in rows]) != 0:
                     return k
     return 0
+
+
+# -- the dense Bareiss elimination ------------------------------------------
+#
+# The package's elimination before it kept its rows sparse, unchanged: the
+# reference for rings.echelon and rings.nullspace, which must give the same
+# rows, pivots, factor and kernel vectors.
+
+def dense_echelon(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[list], List[int], Fraction]:
+    """Row echelon form by Bareiss elimination.
+
+    Rows of ints and Fractions are first cleared to integers by the lcm of
+    their denominators, so the elimination runs in int arithmetic; Poly rows
+    stay as they are.  Pivots are taken column by column from the first
+    nonzero row.  Every division in the update is exact, so the entries stay
+    in the ring, and after k pivots each entry is a k+1 minor of the scaled
+    matrix.  Returns (rows, pivot columns, factor): det of the original
+    square matrix is the last pivot times ``factor``, which undoes the row
+    scalings and the sign of the row swaps.
+    """
+    rows: List[list] = []
+    factor = Fraction(1)
+    for row in matrix:
+        if all(isinstance(v, (int, Fraction)) for v in row):
+            scale = math.lcm(*(Fraction(v).denominator for v in row))
+            rows.append([int(v * scale) for v in row])
+            factor /= scale
+        else:
+            rows.append(list(row))
+    n_cols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    prev: Scalar = 1
+    for col in range(n_cols):
+        top = len(pivots)
+        pivot_row = next((r for r in range(top, len(rows)) if not is_zero(rows[r][col])), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            factor = -factor
+        head = rows[top]
+        pivot = head[col]
+        for row in rows[top + 1:]:
+            lead = row[col]
+            for c in range(col + 1, n_cols):
+                row[c] = divexact(row[c] * pivot - lead * head[c], prev)
+            row[col] = 0
+        prev = pivot
+        pivots.append(col)
+    return rows, pivots, factor
+
+
+def dense_nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Fraction]]:
+    """Kernel basis over the rationals, by back-substitution in the echelon
+    form: one vector per free column in column order, 1 at that column and
+    0 at the other free columns."""
+    if any(len(row) != n_cols for row in matrix):
+        raise ValueError("ragged matrix")
+    if any(isinstance(v, Poly) for row in matrix for v in row):
+        raise ValueError("nullspace is computed over Q; the matrix has Poly entries")
+    rows, pivots, _ = dense_echelon(matrix)
+    bottom_up = list(zip(rows, pivots))[::-1]
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[f] = Fraction(1)
+        for row, p in bottom_up:
+            vec[p] = -sum(row[c] * vec[c] for c in range(p + 1, n_cols)) / Fraction(row[p])
+        basis.append(vec)
+    return basis
+
+
+# -- the M-fold tuple enumeration, recursively -------------------------------
+
+def recursive_descending_tuples(length: int, total: int, bound: int, pos_budget: int, cap: int):
+    """Descending integer tuples in [-bound, cap] summing to total, with
+    the positive entries summing to at most pos_budget."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(min(cap, bound), -bound - 1, -1):
+        rest = total - head
+        # remaining entries are each <= head and >= -bound
+        if rest > head * (length - 1) or rest < -bound * (length - 1):
+            continue
+        budget = pos_budget - max(head, 0)
+        if budget < 0:
+            continue
+        for tail in recursive_descending_tuples(length - 1, rest, bound, budget, head):
+            yield (head,) + tail
 
 
 # -- conversion by sums over jump compositions -------------------------------

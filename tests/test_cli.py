@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -439,6 +443,12 @@ GOLDEN_STDOUT = [
     (0, "fcd26304933575eea4b8215f30f8b65c62a55a6e04fdb617645195bda45c8c78",
      ["measure", "--m=1", "--kind=m-virasoro", "--gamma=1/4", "--z=1/2", "--w=-1/3",
       "--x=1=1/3,2=-1/2,3=1/5", "--y=1=1,3=2/7", "--max-degree=6"]),
+    # the elimination at a degree where its rows are sparse: the removal
+    # matrix, its kernel and the u-image rank up to p(12) = 77 columns
+    (0, "b3026fb2997e4b8f3e7b82ed8feb5ded60c6e721aff21bcb698963d5fb9acfad",
+     ["decompose", "--z=1/3", "--w=-2/5", "--max-degree=12"]),
+    (0, "fe45cc471855aa8dbce68169b263fb51363e22423dcc7bbbda6ec0e3d93802ad",
+     ["decompose", "--z=2/7", "--w=0", "--max-degree=12"]),
 ]
 
 
@@ -530,3 +540,16 @@ def test_kernels_reports_a_wrong_highest_weight(monkeypatch, capsys):
     checks = {l["check"]: l["ok"] for l in lines if "check" in l}
     assert checks["kernel vectors carry eigenvalue z*w + 2N"] is False
     assert lines[-1]["ok"] is False
+
+
+def test_m_fold_mode_of_high_order_runs_clean():
+    # the M-fold tuple enumeration is iterative: a tuple of 1500 entries
+    # must not exhaust the interpreter's recursion limit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, "-m", "youngfock", "measure", "--kind=m-virasoro",
+                           "--m=1500", "--x=1=1", "--y=1=1", "--max-degree=2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "Traceback" not in proc.stdout and proc.stdout

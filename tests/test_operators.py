@@ -9,6 +9,7 @@ from youngfock.operators import (
     KerovParams,
     MVirasoro,
     VirasoroParams,
+    _descending_tuples,
     boson_op,
     commutator_check,
     exp_lowering_bra,
@@ -27,8 +28,8 @@ from youngfock.operators import (
 from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
 
-from .oracles import (addable_boxes, exp_by_powers, inner, removable_boxes, rim_hooks_addable,
-                      rim_hooks_removable)
+from .oracles import (addable_boxes, exp_by_powers, inner, recursive_descending_tuples,
+                      removable_boxes, rim_hooks_addable, rim_hooks_removable)
 
 
 def P(*parts):
@@ -559,3 +560,19 @@ def test_m_virasoro_order4_stays_a_tuple_sum():
              for new, _ in op.apply(FockVector.basis(st)).terms()
              if new not in {s for s, _, _ in boson_moves(1, st)}]
     assert multi
+
+
+def test_descending_tuples_match_the_recursive_enumeration():
+    # same tuples in the same order, over small lengths, totals and bounds,
+    # including caps above and below the bound and empty enumerations
+    count = 0
+    for length in range(6):
+        for total in range(-5, 6):
+            for bound in range(4):
+                for budget in range(5):
+                    for cap in range(-1, 5):
+                        args = (length, total, bound, budget, cap)
+                        got = list(_descending_tuples(*args))
+                        assert got == list(recursive_descending_tuples(*args)), args
+                        count += len(got)
+    assert count > 1000

@@ -8,14 +8,15 @@ from youngfock.partitions import Partition, partitions_of
 from youngfock.repstructure import (
     decomposition_report,
     highest_weight_check,
+    image_rows,
     kernel_basis,
     matrix_of,
     rank_of_D,
 )
-from youngfock.rings import Poly, echelon
+from youngfock.rings import Poly, echelon, nullspace
 
 from .conftest import rand_q
-from .oracles import pentagonal_count
+from .oracles import dense_echelon, dense_nullspace, pentagonal_count
 
 
 def P(*parts):
@@ -168,3 +169,19 @@ def test_decomposition_report_cases(rng):
     payload = rep.to_json()
     assert payload["case"] == "w-zero"
     assert len(payload["per_degree"]) == 4
+
+
+@pytest.mark.parametrize("z,w", [(Fraction(2, 3), Fraction(-5, 7)), (Fraction(0), Fraction(3, 4)),
+                                 (Fraction(-1, 2), Fraction(0)), (Fraction(0), Fraction(0))],
+                         ids=["both-nonzero", "z-zero", "w-zero", "both-zero"])
+def test_sparse_elimination_matches_dense_on_ladder_matrices(z, w):
+    p = KerovParams(z=z, w=w)
+    d_op, u_op = kerov_d(p), kerov_u(p)
+    for n in range(10):
+        for op in (d_op, u_op):
+            gm = matrix_of(op, n)
+            assert echelon(gm.entries) == dense_echelon(gm.entries), (op, n)
+            assert nullspace(gm.entries, len(gm.cols)) == dense_nullspace(gm.entries, len(gm.cols))
+        # the u-image rows of the decomposition report
+        rows = image_rows(u_op, kernel_basis(d_op, n), n + 1)
+        assert echelon(rows) == dense_echelon(rows), n

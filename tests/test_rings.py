@@ -20,7 +20,7 @@ from youngfock.rings import (
 )
 
 from .conftest import small_rationals
-from .oracles import leibniz_determinant, minor_rank, series_mul
+from .oracles import dense_echelon, dense_nullspace, leibniz_determinant, minor_rank, series_mul
 
 coeff_lists = st.lists(small_rationals, min_size=0, max_size=5)
 
@@ -229,3 +229,15 @@ def test_echelon_against_leibniz_and_minors(kind, shape):
     for k, v in enumerate(basis):
         assert all(sum(row[c] * v[c] for c in range(n_cols)) == 0 for row in m)
         assert [v[f] for f in free] == [int(i == k) for i in range(len(free))]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 3), (5, 6), (8, 8), (6, 11)])
+@pytest.mark.parametrize("kind", ["rational", "zero-corner", "zero-row", "dup-row",
+                                  "zero-col", "dup-col", "poly", "poly-dup-row"])
+def test_sparse_elimination_matches_dense(kind, shape):
+    for draw in range(3):
+        rng = random.Random(f"sparse{kind}{shape}{draw}")
+        m = _random_matrix(kind, *shape, rng)
+        assert echelon(m) == dense_echelon(m)
+        if not kind.startswith("poly"):
+            assert nullspace(m, shape[1]) == dense_nullspace(m, shape[1])
