@@ -12,10 +12,10 @@ Bareiss on sparse rows that hold only their nonzero entries, in int
 arithmetic once rational rows are cleared of denominators.  Ranks are its
 pivot counts, and :func:`det` and :func:`nullspace` (over Q only) are
 built on it; ``nullspace`` back-substitutes in integers over one common
-denominator per vector.  Truncated power series
-are plain coefficient lists over either ring; :func:`series_exp` and its
-inverse :func:`series_log` each cost O(order^2) ring operations.  No
-floating point anywhere.
+denominator per vector.  Truncated power series are plain coefficient
+lists over either ring; :func:`series_exp` and its inverse
+:func:`series_log` each cost O(order^2) ring operations.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -245,6 +245,7 @@ def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[dict], List[int
         else:
             integral = False
             rows.append({c: v for c, v in enumerate(row) if not is_zero(v)})
+    # the quotients are minors, so on int rows floor division is exact
     div = int.__floordiv__ if integral else divexact
     n_cols = len(matrix[0]) if rows else 0
     pivots: List[int] = []
