@@ -449,6 +449,12 @@ GOLDEN_STDOUT = [
      ["decompose", "--z=1/3", "--w=-2/5", "--max-degree=12"]),
     (0, "fe45cc471855aa8dbce68169b263fb51363e22423dcc7bbbda6ec0e3d93802ad",
      ["decompose", "--z=2/7", "--w=0", "--max-degree=12"]),
+    # the k = 0 bilinear action: the L_0 diagonal of every central-charge
+    # bracket to degree 4, and the kerov_l diagonal of the sl2 triple
+    (0, "49b1d7a97b90d3bb334533671b7ef78ed8a7b7d9152b6f60622417b0e05a3eac",
+     ["verify", "--seed=7", "--suite=virasoro-cc", "--max-degree=4"]),
+    (0, "a320d856f7b612dd1ddd24de8029a907ba574d86a89841ca6a9b9376b17fd22b",
+     ["verify", "--suite=sl2", "--seed=7"]),
 ]
 
 
