@@ -1,7 +1,7 @@
 """Exact operator calculus on the Fock space of Young diagrams."""
 
 from .partitions import HalfInt, Partition
-from .fock import FockVector, MayaState, psi, psi_star, vacuum
+from .fock import FockVector, MayaState, psi, vacuum
 from .operators import (
     Bilinear,
     KerovParams,

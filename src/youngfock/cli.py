@@ -179,8 +179,8 @@ def _spec(args, x: Dict[int, Fraction], y: Dict[int, Fraction]) -> MeasureSpec:
         kerov=KerovParams(z=Poly.gen() if args.ring == "poly-z" else _rational(args.z),
                           w=_rational(args.w)),
         truncation=args.max_degree,
-        m_order=2 if args.m is None else args.m,
-        gamma=_rational(args.gamma),
+        m_order=args.m,
+        gamma=None if args.gamma is None else parse_rational(args.gamma),
     )
 
 
@@ -225,14 +225,23 @@ def _run_convert(args) -> int:
     """One inversion over the polynomial ring per side: its values under
     poly-z, else A_N*z + B_N (C_N*w + D_N) at the given point.  A level of
     z-degree above 1 falsifies the linearity: the rows before it are
-    printed, then a verdict with ok false, and the exit code is 1."""
+    printed, then a verdict with ok false, and the exit code is 1.  A run
+    that would print no level (no side, or max-degree 0) or would not
+    read a point (--z without --x, --w without --y) exits 2."""
     _reject_unread(args, ("z", "w"), formal=("z", "w"))
-    lines = []
+    sides = ((_parse_miwa(args.x), "z", ("A", "B", "X")),
+             (_parse_miwa(args.y), "w", ("C", "D", "Y")))
+    if not any(params for params, _, _ in sides):
+        raise _CliError("convert needs --x or --y")
+    for params, var, keys in sides:
+        if getattr(args, var) is not None and not params:
+            raise _CliError(f"--{var} is read only with --{keys[2].lower()}")
     n_max = args.max_degree
+    if n_max < 1:
+        raise _CliError("convert prints no level at max-degree 0")
+    lines = []
     verdict = {"command": "convert", "max_degree": n_max, "ok": True}
-    sides = ((args.x, "z", ("A", "B", "X")), (args.y, "w", ("C", "D", "Y")))
-    for text, var, (a_key, b_key, value_key) in sides:
-        params = _parse_miwa(text)
+    for params, var, (a_key, b_key, value_key) in sides:
         if not params:
             continue
         point = _rational(getattr(args, var))

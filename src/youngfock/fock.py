@@ -288,19 +288,12 @@ def psi(x: HalfInt, v: FockVector) -> FockVector:
     return v.linear_apply(act)
 
 
-def psi_star(x: HalfInt, v: FockVector) -> FockVector:
-    """Annihilate the particle at x; adjoint of :func:`psi`."""
-    def act(state):
-        res = state.remove(x)
-        return [(res[1], Fraction(res[0]))] if res else []
-    return v.linear_apply(act)
-
-
 @lru_cache(maxsize=None)
-def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, Fraction], ...]:
+def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, int], ...]:
     """Every particle jump x -> x - k out of one basis state, as
-    (state, sign, x) triples: the single enumeration behind every
-    fermion bilinear, the mode-k boson being the sum of the signs.
+    (state, sign, d) triples with d = 2x the doubled start: the single
+    enumeration behind every fermion bilinear, the mode-k boson being the
+    sum of the signs.
 
     Candidates outside the deviation window act trivially.
     """
@@ -314,11 +307,9 @@ def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, Fractio
     for d in sorted(candidates, reverse=True):
         if d % 2 == 0:
             continue
-        x = HalfInt(d)
-        target = HalfInt(d - 2 * k)
         if not state._occupied_d(d) or state._occupied_d(d - 2 * k):
             continue
-        s1, mid = state.remove(x)
-        s2, new = mid.insert(target)
-        out.append((new, s1 * s2, x.as_fraction()))
+        s1, mid = state.remove(HalfInt(d))
+        s2, new = mid.insert(HalfInt(d - 2 * k))
+        out.append((new, s1 * s2, d))
     return tuple(out)

@@ -70,14 +70,19 @@ class MeasureSpec:
     params: MiwaParams
     kerov: KerovParams = field(default_factory=KerovParams)
     truncation: int = 0
-    m_order: int = 2  # read by the m-virasoro kind only, as is gamma
-    gamma: Scalar = Fraction(0)
+    m_order: Optional[int] = None  # the m-virasoro kind's M (default 2)
+    gamma: Optional[Scalar] = None  # and its gamma (default 0)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
+        if KINDS[self.kind][0] is None:
+            self.m_order = 2 if self.m_order is None else self.m_order
+            self.gamma = Fraction(0) if self.gamma is None else self.gamma
+        elif self.m_order is not None or self.gamma is not None:
+            raise ValueError(f"kind {self.kind!r} fixes (M, gamma); leave m_order and gamma unset")
 
 
 @dataclass

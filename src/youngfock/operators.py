@@ -49,8 +49,16 @@ three closed forms: at M = 2 it is the quadratic boson sum
 gamma*k*a_k + 1/2 sum_j :a_j a_(k-j):, against which ``virasoro_op``,
 the box ladder and the rim-hook ladders are checked.
 
-Every operator acts by ``op.apply(v)``, exactly and with no truncation
-bound: it maps each basis state of degree d into degree d - k.
+Every operator has one per-state action, ``op.numerators(state)``: the
+(state, numerator) pairs of its image over one int denominator
+``op.den``.  A bilinear clears its weight once, to f(x) = g(d)/den in the
+doubled start d = 2x (an odd integer), with g's coefficients ints, or
+``Poly`` over a ``Poly`` parameter; each jump gives sign*g(d), and the
+diagonal is den*offset plus the sum of g(d) over occupied d > 0 minus
+the same over vacated d < 0.  :class:`MVirasoro` has ``den = 1``.
+``op.apply(v)`` extends numerator/den linearly, exactly and with no
+truncation bound: it maps each basis state of degree d into degree
+d - k.  :func:`exp_raising` reads the same numerators.
 
 Adjoint rule, in the pairing where the Maya basis is orthonormal:
 ``Bilinear(k, f, o)* = Bilinear(-k, f(x + k), o)`` (the reversed jump
@@ -96,7 +104,7 @@ the test suite:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -134,18 +142,38 @@ def virasoro_params_for_rimhook(p: KerovParams, r: int) -> VirasoroParams:
 # the fermion bilinear
 # ---------------------------------------------------------------------------
 
+def _rationals(s: Scalar) -> Sequence[Union[int, Fraction]]:
+    """The rational numbers inside a scalar: itself, or a Poly's coefficients."""
+    return s.coeffs if isinstance(s, Poly) else (s,)
+
+
+def _cleared(s: Scalar, den: int) -> Scalar:
+    """s * den, an int when s is rational (den clears its denominator)."""
+    s = s * den
+    return s if isinstance(s, Poly) else int(s)
+
+
 @dataclass(frozen=True)
 class Bilinear:
     """sum_x f(x) :psi_(x-k) psi*_x:, f = sum_i weight[i] x**i, plus
-    ``offset`` at k = 0."""
+    ``offset`` at k = 0; both cleared once over ``den`` (module docstring)."""
 
     k: int
     weight: Tuple[Scalar, ...]
     offset: Scalar = Fraction(0)
+    den: int = field(init=False, compare=False, repr=False)
+    _g: Tuple[Scalar, ...] = field(init=False, compare=False, repr=False)  # highest degree first
+    _offset: Scalar = field(init=False, compare=False, repr=False)  # den * offset
 
     def __post_init__(self):
         if self.k != 0 and not is_zero(self.offset):
             raise ValueError("only the diagonal (k = 0) bilinear carries an offset")
+        # weight[i] * x**i = (weight[i] / 2**i) * d**i
+        scaled = [w * Fraction(1, 1 << i) for i, w in enumerate(self.weight)]
+        den = math.lcm(*(q.denominator for s in scaled + [self.offset] for q in _rationals(s)))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_g", tuple(_cleared(s, den) for s in reversed(scaled)))
+        object.__setattr__(self, "_offset", _cleared(self.offset, den))
 
     @property
     def degree_shift(self) -> int:
@@ -158,33 +186,30 @@ class Bilinear:
                         for j in range(len(w)))
         return Bilinear(-k, shifted, self.offset)
 
-    def _diagonal(self, st: MayaState) -> Scalar:
-        # integer power sums of the doubled positions d, one per weight term;
-        # the i = 0 sum is the charge
-        above, below = st.above, st.below
-        val = self.offset + self.weight[0] * (len(above) - len(below))
-        for i in range(1, len(self.weight)):
-            if i == 1:
-                sums = sum(above) - sum(below)
-            else:
-                sums = sum([d ** i for d in above]) - sum([d ** i for d in below])
-            val = val + self.weight[i] * Fraction(sums, 1 << i)
+    def _g_at(self, d: int) -> Scalar:
+        val = self._g[0]  # Horner's rule
+        for c in self._g[1:]:
+            val = val * d + c
         return val
 
-    def apply(self, v: FockVector) -> FockVector:
+    def numerators(self, st: MayaState) -> Sequence[Tuple[MayaState, Scalar]]:
+        """The action on one basis state, as (state, numerator) pairs over
+        ``den``: sign*g(d) per jump from d, or at k = 0 the one pair
+        den*offset + the sum of g over occupied positive d - the same over
+        vacated negative d."""
         if self.k == 0:
-            return v.linear_apply(lambda st: ((st, self._diagonal(st)),))
-        k, top, lower = self.k, self.weight[-1], self.weight[-2::-1]
+            val = self._offset
+            for d in st.above:
+                val = val + self._g_at(d)
+            for d in st.below:
+                val = val - self._g_at(d)
+            return ((st, val),)
+        return [(new, sign * self._g_at(d)) for new, sign, d in boson_moves(self.k, st)]
 
-        def jumps(st):
-            out = []
-            for new, sign, x in boson_moves(k, st):
-                f = top  # Horner's rule for f(x)
-                for c in lower:
-                    f = f * x + c
-                out.append((new, f * sign))
-            return out
-        return v.linear_apply(jumps)
+    def apply(self, v: FockVector) -> FockVector:
+        den = self.den
+        return v.linear_apply(lambda st: [(new, Fraction(n, den) if type(n) is int else n / den)
+                                          for new, n in self.numerators(st)])
 
     def to_json(self):
         return {"k": self.k, "weight": [scalar_to_json(c) for c in self.weight],
@@ -258,19 +283,6 @@ def kerov_l(p: KerovParams) -> Bilinear:
 # the M-fold tuple sum: the M >= 4 modes and the reference oracle
 # ---------------------------------------------------------------------------
 
-def _acc(acc: Dict[MayaState, Scalar], state: MayaState, coeff: Scalar) -> None:
-    cur = acc.get(state)
-    cur = coeff if cur is None else cur + coeff
-    if is_zero(cur):
-        acc.pop(state, None)
-    else:
-        acc[state] = cur
-
-
-def _sorted_items(acc: Dict[MayaState, Scalar]) -> Tuple[Tuple[MayaState, Scalar], ...]:
-    return tuple((s, acc[s]) for s in sorted(acc, key=MayaState.sort_key))
-
-
 def _descending_tuples(length: int, total: int, bound: int, pos_budget: int, cap: int):
     """Descending integer tuples in [-bound, cap] summing to total, with
     the positive entries summing to at most pos_budget, in decreasing
@@ -313,10 +325,10 @@ def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: M
     acc: Dict[MayaState, Scalar] = {}
     if k != 0:
         for s1, sign, _ in boson_moves(k, state):
-            _acc(acc, s1, gamma * k * sign)
+            acc[s1] = gamma * k * sign
     elif order == 2:
         # zero-mode constant shared with virasoro_op(0) so M = 2 matches exactly
-        _acc(acc, state, -(gamma * gamma) * Fraction(1, 2))
+        acc[state] = -(gamma * gamma) * Fraction(1, 2)
     bound = d + abs(k)
     for tup in _descending_tuples(order, k, bound, d, bound):
         weight = Fraction(1)
@@ -346,8 +358,8 @@ def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: M
         if dead:
             continue
         for s, g in current.items():
-            _acc(acc, s, coeff * g)
-    return _sorted_items(acc)
+            acc[s] = acc.get(s, 0) + coeff * g
+    return tuple((s, c) for s, c in acc.items() if c)
 
 
 @dataclass(frozen=True)
@@ -365,6 +377,7 @@ class MVirasoro:
     k: int
     alpha: Scalar
     gamma: Scalar
+    den = 1  # the per-state action is exact as it stands
 
     def __post_init__(self):
         if self.order < 1:
@@ -378,9 +391,12 @@ class MVirasoro:
         # a_k* = a_(-k) turns mode k into mode -k and flips gamma
         return MVirasoro(self.order, -self.k, self.alpha, -self.gamma)
 
+    def numerators(self, st: MayaState) -> Sequence[Tuple[MayaState, Scalar]]:
+        """The action on one basis state, as (state, coefficient) pairs."""
+        return _m_virasoro_state(self.order, self.k, self.alpha, self.gamma, st)
+
     def apply(self, v: FockVector) -> FockVector:
-        return v.linear_apply(
-            lambda s: _m_virasoro_state(self.order, self.k, self.alpha, self.gamma, s))
+        return v.linear_apply(self.numerators)
 
     def to_json(self):
         return {"order": self.order, "k": self.k, "alpha": scalar_to_json(self.alpha),
@@ -411,17 +427,6 @@ Combo = Sequence[Tuple[Scalar, Operator]]
 # exponentials
 # ---------------------------------------------------------------------------
 
-def _rationals(s: Scalar) -> Sequence[Union[int, Fraction]]:
-    """The rational numbers inside a scalar: itself, or a Poly's coefficients."""
-    return s.coeffs if isinstance(s, Poly) else (s,)
-
-
-def _cleared(s: Scalar, den: int) -> Scalar:
-    """s * den, an int when s is rational (den clears its denominator)."""
-    s = s * den
-    return s if isinstance(s, Poly) else int(s)
-
-
 def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     """sum_m (1/m!) (sum_i c_i * op_i)**m v over (c_i, op_i) pairs,
     truncated by degree.
@@ -429,35 +434,25 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     Every operator must strictly raise degree, so dropping components
     above the bound is exact and the sum terminates.  One loop serves
     every operator and scalar ring: the power A**m v / m! is a dict of
-    numerators over one int denominator, den_m = den_(m-1) * L * m.  A
-    bilinear's c*f(x) is g(d)/L, with g a polynomial in the doubled start
-    d = 2x (an odd integer: the numerator of x) and L the lcm of the
-    denominators in every c*weight[i]/2**i, a ``Poly``'s coefficients
-    included; an :class:`MVirasoro` term adds c*L times the coefficients
-    of its per-state action.  Numerators are ints when every scalar is
-    rational (then each power is reduced by their gcd), ``Poly`` with
-    ``Poly`` input and ``Fraction`` with an ``MVirasoro`` term.  Moves
+    numerators over one int denominator, den_m = den_(m-1) * L * m.  Each
+    mode is read through ``op.numerators`` over ``op.den``, so c*op adds
+    (c*L/op.den) * numerator per move, with L the lcm of the denominators
+    of every c/op.den, a ``Poly``'s coefficients included.  A power whose
+    numerators are all ints (every scalar rational and every operator a
+    bilinear) is reduced by their gcd; they are ``Poly`` with ``Poly``
+    input and may be ``Fraction`` with an :class:`MVirasoro` term.  Moves
     that would pass the degree bound are skipped before they are
     enumerated, and one division per state ends the sum.
     """
-    active = [(c, op) for c, op in terms if not is_zero(c)]
+    active = [(c * Fraction(1, op.den), op) for c, op in terms if not is_zero(c)]
     for _, op in active:
         if op.degree_shift < 1:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
-    # a bilinear's c*weight[i]/2**i, an MVirasoro term's c
-    scaled = [(op, [c * w * Fraction(1, 1 << i) for i, w in enumerate(op.weight)]
-               if isinstance(op, Bilinear) else c) for c, op in active]
-    lcm = math.lcm(*(q.denominator for op, qs in scaled if isinstance(op, Bilinear)
-                     for s in qs for q in _rationals(s)))
-    # (k, g, MVirasoro or None): g is a bilinear's coefficient list, highest
-    # degree first for Horner's rule, or an MVirasoro term's c*L
-    modes = [(op.k, [_cleared(q, lcm) for q in reversed(qs)], None) if isinstance(op, Bilinear)
-             else (op.k, qs * lcm, op) for op, qs in scaled]
+    lcm = math.lcm(*(q.denominator for r, _ in active for q in _rationals(r)))
+    modes = [(op.k, _cleared(r, lcm), op) for r, op in active]
     start = [(st, c) for st, c in v.terms() if st.degree <= max_degree]
     den = math.lcm(*(q.denominator for _, c in start for q in _rationals(c)))
     current = {st: _cleared(c, den) for st, c in start}
-    integral = all(type(n) is int for n in current.values()) and all(
-        mv is None and all(type(q) is int for q in g) for _, g, mv in modes)
     degree = {st: st.degree for st in current}
     powers = [(current, den)]
     m = 0
@@ -465,27 +460,18 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
         m += 1
         nxt: Dict[MayaState, Scalar] = {}
         for st, num in current.items():
-            for k, g, mv in modes:
+            for k, scale, op in modes:
                 deg = degree[st] - k
                 if deg > max_degree:
                     continue
-                if mv is not None:
-                    for new, coeff in _m_virasoro_state(mv.order, k, mv.alpha, mv.gamma, st):
-                        nxt[new] = nxt.get(new, 0) + g * coeff * num
-                        degree[new] = deg
-                    continue
-                for new, sign, x in boson_moves(k, st):
-                    d = x.numerator
-                    val = g[0]
-                    for c in g[1:]:
-                        val = val * d + c
-                    if val:
-                        nxt[new] = nxt.get(new, 0) + sign * val * num
-                        degree[new] = deg
+                scaled = scale * num
+                for new, n in op.numerators(st):
+                    nxt[new] = nxt.get(new, 0) + n * scaled
+                    degree[new] = deg
         current = {st: n for st, n in nxt.items() if n}
         den *= lcm * m
-        common = math.gcd(den, *current.values()) if integral else 1
-        if common > 1:
+        if all(type(n) is int for n in current.values()):
+            common = math.gcd(den, *current.values())
             den //= common
             current = {st: n // common for st, n in current.items()}
         powers.append((current, den))

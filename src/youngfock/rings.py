@@ -111,6 +111,8 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a constant scales each coefficient
+            return Poly(tuple(c * other for c in self.coeffs))
         other = _coerce(other)
         if other is None:
             return NotImplemented

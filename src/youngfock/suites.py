@@ -452,15 +452,15 @@ def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
                 bad_support.append([k, lam.to_json()])
     checks.append(_failed(
         "order 3 raising support lies inside single k-hook additions, k <= 3", bad_support[:5]))
-    # probe: claimed power-form coefficients at M = 3; a jump from x adds a
+    # probe: claimed power-form coefficients at M = 3; a jump from x = d/2 adds a
     # k-hook with sign (-1)**(height - 1) and leftmost content x + 1/2
     deltas = 0
     for k in range(1, 4):
         m3 = m_virasoro_op(3, -k, p)
         for lam in partitions_up_to(3):
             claimed = FockVector(
-                (new, sign * (p.alpha - p.gamma * k + x + Fraction(k, 2)) ** 2)
-                for new, sign, x in boson_moves(-k, MayaState.from_partition(lam)))
+                (new, sign * (p.alpha - p.gamma * k + Fraction(d + k, 2)) ** 2)
+                for new, sign, d in boson_moves(-k, MayaState.from_partition(lam)))
             deltas += len(claimed - m3.apply(FockVector.from_partition(lam)))
     probes.append({
         "name": "claimed power-form action at order 3",

@@ -8,12 +8,15 @@ determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
 explicit sums over all 2^(N-1) jump compositions.  The truncated
 exponential is summed power by power through ``op.apply``.  The dense
-Bareiss loop and the recursive M-fold tuple enumeration are the
-library's earlier forms, kept as the references for the sparse
-elimination and the iterative enumeration.  The box helpers
-describe single-box moves for the tests of the box ladder; the rim-hook
-moves, read off the particle configuration of a diagram, are the
-reference for the jump kernel ``fock.boson_moves``.
+Bareiss loop, the recursive M-fold tuple enumeration and the Fraction
+evaluation of a bilinear's weight (Horner's rule per jump, power sums on
+the diagonal) are the library's earlier forms, kept as the references
+for the sparse elimination, the iterative enumeration and the cleared
+integer numerators.  The box helpers describe single-box moves for the
+tests of the box ladder; the rim-hook moves, read off the particle
+configuration of a diagram, are the reference for the jump kernel
+``fock.boson_moves``.  The annihilator ``psi_star`` is only a partner
+to test ``fock.psi`` against.
 """
 
 import math
@@ -23,7 +26,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import List, Sequence, Tuple
 
-from youngfock.fock import FockVector
+from youngfock.fock import FockVector, boson_moves
 from youngfock.partitions import HalfInt, Partition
 from youngfock.rings import Poly, Scalar, divexact, is_zero, series_exp
 
@@ -186,6 +189,36 @@ def inner(u, v):
     if cu is not None and cv is not None and cu != cv:
         raise ValueError(f"charge mismatch: {cu} vs {cv}")
     return sum((c * v.coefficient(s) for s, c in u.terms()), Fraction(0))
+
+
+def psi_star(x: HalfInt, v: FockVector) -> FockVector:
+    """Annihilate the particle at x; the adjoint of ``fock.psi``."""
+    def act(state):
+        res = state.remove(x)
+        return [(res[1], Fraction(res[0]))] if res else []
+    return v.linear_apply(act)
+
+
+def bilinear_action(op, state) -> FockVector:
+    """A ``Bilinear`` on one basis state, read off its weight as given: per
+    jump from d, f(x) by Horner's rule at the Fraction x = d/2; at k = 0,
+    offset + sum_i weight[i] * (the sum of (d/2)**i over occupied positive
+    d - the same over vacated negative d).  The library's earlier form,
+    the reference for ``Bilinear.numerators``."""
+    w = op.weight
+    if op.k == 0:
+        val = op.offset + w[0] * (len(state.above) - len(state.below))
+        for i in range(1, len(w)):
+            sums = sum(d ** i for d in state.above) - sum(d ** i for d in state.below)
+            val = val + w[i] * Fraction(sums, 1 << i)
+        return FockVector({state: val})
+    out = {}
+    for new, sign, d in boson_moves(op.k, state):
+        f = w[-1]
+        for c in w[-2::-1]:
+            f = f * Fraction(d, 2) + c
+        out[new] = f * sign
+    return FockVector(out)
 
 
 def exp_by_powers(terms, v, max_degree):

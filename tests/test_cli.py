@@ -276,6 +276,23 @@ def test_a_flag_the_kind_does_not_read_exits_two(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["convert", "--max-degree=2"], "convert needs --x or --y"),
+    (["convert", "--x=1=1", "--max-degree=0"], "no level at max-degree 0"),
+    (["convert", "--x=1=1", "--w=1/3", "--max-degree=2"], "--w is read only with --y"),
+    (["convert", "--y=1=1", "--z=1/3", "--max-degree=2"], "--z is read only with --x"),
+    # the poly-z rule is checked first
+    (["convert", "--x=1=1", "--w=1/3", "--max-degree=2", "--ring=poly-z"],
+     "--w cannot be used with --ring=poly-z"),
+], ids=["no-side", "max-degree-0", "w-without-y", "z-without-x", "poly-z-first"])
+def test_convert_with_no_level_or_an_unread_point_exits_two(argv, message, capsys):
+    # no side, no level, or a point whose side is not given: an ok verdict
+    # there would cover nothing or ignore a setting
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("target", ["missing/result.jsonl", "."])
 def test_unopenable_out_exits_two(target, tmp_path, capsys):
     # a missing directory, or a directory in place of a file

@@ -9,7 +9,6 @@ from youngfock.fock import (
     MayaState,
     VACUUM_STATE,
     psi,
-    psi_star,
     vacuum,
 )
 from youngfock.operators import boson_op
@@ -23,6 +22,7 @@ from .oracles import (
     naive_insert,
     naive_remove,
     prefix_of_partition,
+    psi_star,
     rim_hooks_addable,
 )
 

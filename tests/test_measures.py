@@ -64,16 +64,24 @@ def test_schur_weight_dual_route(rng):
 
 @pytest.mark.parametrize("kind,order", [("schur", 1), ("virasoro", 2)])
 def test_kind_is_a_preset_of_the_m_fold_family(kind, order):
-    # schur and virasoro fix (M, gamma): a spec's m_order and gamma are not
-    # read, and the table is the m-virasoro table at (order, 0)
+    # schur and virasoro fix (M, gamma): a spec that sets m_order or gamma
+    # is rejected, and the table is the m-virasoro table at (order, 0)
     assert KINDS[kind][0] == (order, 0) and "gamma" not in KINDS[kind][1]
     p = MiwaParams(x={1: Fraction(1, 3), 2: Fraction(-1, 2)}, y={1: Fraction(2), 3: Fraction(1, 5)})
     kp = KerovParams(z=Fraction(1, 2), w=Fraction(-1, 3))
-    got = weight_table(MeasureSpec(kind=kind, params=p, kerov=kp, truncation=5,
-                                   m_order=4, gamma=Fraction(1, 3)))
+    for unread in ({"m_order": 4}, {"gamma": Fraction(1, 3)}, {"gamma": Fraction(0)},
+                   {"m_order": order, "gamma": Fraction(1, 3)}):
+        with pytest.raises(ValueError, match="fixes"):
+            MeasureSpec(kind=kind, params=p, kerov=kp, truncation=5, **unread)
+    got = weight_table(MeasureSpec(kind=kind, params=p, kerov=kp, truncation=5))
     want = weight_table(MeasureSpec(kind="m-virasoro", params=p, kerov=kp, truncation=5,
                                     m_order=order))
     assert (got.weights, got.z_trunc) == (want.weights, want.z_trunc)
+
+
+def test_m_virasoro_spec_fills_in_its_defaults():
+    spec = MeasureSpec(kind="m-virasoro", params=MiwaParams())
+    assert (spec.m_order, spec.gamma) == (2, 0)
 
 
 def test_schur_weight_trivial():

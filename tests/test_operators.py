@@ -28,8 +28,9 @@ from youngfock.operators import (
 from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
 
-from .oracles import (addable_boxes, exp_by_powers, inner, recursive_descending_tuples,
-                      removable_boxes, rim_hooks_addable, rim_hooks_removable)
+from .oracles import (addable_boxes, bilinear_action, exp_by_powers, inner,
+                      recursive_descending_tuples, removable_boxes, rim_hooks_addable,
+                      rim_hooks_removable)
 
 
 def P(*parts):
@@ -220,6 +221,37 @@ def test_bilinear_offset_only_on_the_diagonal():
         Bilinear(1, (Fraction(1), Fraction(0)), Fraction(1))
     with pytest.raises(ValueError):
         boson_op(0)
+
+
+def _numerator_cases(t):
+    """Every bilinear constructor for k in -3..3, with t as the first
+    parameter: the Virasoro modes and their adjoints, the box and hook
+    ladders for r <= 4, the M = 1, 2, 3 modes, and a direct cubic weight
+    with an offset on the diagonal."""
+    kp, vp = KerovParams(z=t, w=Fraction(-3, 4)), VirasoroParams(alpha=t, gamma=Fraction(2, 3))
+    ks = range(-3, 4)
+    ops = [boson_op(k) for k in ks if k]
+    ops += [virasoro_op(k, vp) for k in ks] + [virasoro_op(k, vp).adjoint() for k in ks]
+    ops += [kerov_u(kp), kerov_d(kp), kerov_l(kp)]
+    for r in range(1, 5):
+        ops += [hook_raise(r, kp), hook_lower(r, kp), hook_diagonal(r, kp)]
+    ops += [m_virasoro_op(order, k, vp) for order in (1, 2, 3) for k in ks]
+    cubic = (Fraction(1, 3), t, Fraction(3, 7), Fraction(5, 6))
+    ops += [Bilinear(k, cubic, Fraction(2, 9) if k == 0 else Fraction(0)) for k in ks]
+    return ops
+
+
+@pytest.mark.parametrize("t", [Fraction(5, 7), Poly.gen()], ids=["fraction", "poly"])
+def test_numerators_over_den_match_the_fraction_weight(t):
+    # the cleared integer form against the weight evaluated as given, on
+    # every state of charge -2..2 up to degree 5
+    states = charged_states(5, range(-2, 3))
+    for op in _numerator_cases(t):
+        assert isinstance(op, Bilinear)
+        for st in states:
+            got = FockVector((new, Fraction(n, op.den) if type(n) is int else n / op.den)
+                             for new, n in op.numerators(st))
+            assert got == bilinear_action(op, st), (op, st)
 
 
 def test_exp_raising_boson_example():
