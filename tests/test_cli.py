@@ -472,6 +472,15 @@ GOLDEN_STDOUT = [
      ["verify", "--seed=7", "--suite=virasoro-cc", "--max-degree=4"]),
     (0, "a320d856f7b612dd1ddd24de8029a907ba574d86a89841ca6a9b9376b17fd22b",
      ["verify", "--suite=sl2", "--seed=7"]),
+    # vector sums and matrix assembly at the default degrees: kernel vectors,
+    # u-images and highest weights to degree 8, the charge +-1 psi brackets
+    # to degree 4, and the removal matrix up to p(8) = 22 columns
+    (0, "da6e61295e416281bd6735e287dadc0e32f146b3a644e21e235ac4a07cae46cf",
+     ["verify", "--suite=kernels", "--seed=11"]),
+    (0, "8d19e09c2d5f6fb489b5ddd5ef4e06b69c69e7b2dee170fbd28bf0b7abe14bae",
+     ["verify", "--suite=prop52", "--seed=5"]),
+    (0, "551ea0d50574e6c297af8a76c0e74e1d62bad0711c2889ece43f7d1cd8becddd",
+     ["verify", "--suite=rank", "--seed=2"]),
 ]
 
 
