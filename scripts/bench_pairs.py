@@ -17,7 +17,10 @@ object) is read.  The output file holds every run's
 metrics and, per (workload, metric), the medians, quartiles and wins of
 the change over all pairs and per seed.  A pair's win goes to the side
 whose value is better in the metric's direction (``BENCHMARK.json``;
-lower when it names none); ties count for neither side.
+lower when it names none); ties count for neither side.  The record also
+counts the runs that were not correct and the jobs that failed over all
+runs; when either is nonzero the script names each run at fault on
+stderr and exits 1, after writing the record.
 """
 
 from __future__ import annotations
@@ -125,13 +128,19 @@ def main(argv=None) -> int:
         "base": args.base, "base_commit": base_commit,
         "change_commit": change_commit,
         "workload": args.workload,
+        "incorrect_runs": sum(1 for r in runs if not r["correct"]),
+        "failed_jobs": sum(r["failed"] for r in runs),
         "runs": runs,
         "summary": summarize(runs, directions),
         "by_seed": {str(s): summarize([r for r in runs if r["seed"] == s], directions)
                     for s in sorted(set(plan))},
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    for r in runs:
+        if not r["correct"] or r["failed"]:
+            print(f"at fault: pair {r['pair']} side {r['side']} seed {r['seed']}: "
+                  f"correct={r['correct']} failed={r['failed']}", file=sys.stderr)
+    return 1 if record["incorrect_runs"] or record["failed_jobs"] else 0
 
 
 if __name__ == "__main__":

@@ -79,7 +79,11 @@ def _parse_points(text: Optional[str]) -> List[HalfInt]:
         raise _CliError(f"points must be a JSON list of half-integer strings: {exc}")
     if not isinstance(entries, list):
         raise _CliError("points must be a JSON list")
-    return [HalfInt.parse(str(e)) for e in entries]
+    points = [HalfInt.parse(str(e)) for e in entries]
+    for i, x in enumerate(points):
+        if x in points[:i]:
+            raise _CliError(f"point {x} given twice")
+    return points
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Tuple
 
-from .rings import Poly, Scalar, is_zero, scalar_to_json, series_log
+from .rings import Poly, Scalar, is_zero, series_log
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class LinearInZ:
 
     a: Scalar
     b: Scalar
-
-    def to_json(self):
-        return {"A": scalar_to_json(self.a), "B": scalar_to_json(self.b)}
 
 
 def _live_jumps(x: Mapping[int, Scalar], n_max: int) -> List[Tuple[int, Scalar]]:

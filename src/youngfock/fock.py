@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .partitions import HalfInt, Partition
@@ -131,7 +132,11 @@ class FockVector:
     """Finitely supported linear combination of Maya states.
 
     Zero coefficients are never stored; all keys share one charge.
-    Immutable value semantics.
+    Immutable value semantics.  The constructor is the one merge: it sums
+    the coefficients of each state, then drops the zero sums, so neither a
+    coefficient nor its type depends on the order of the terms (a sum is a
+    ``Poly`` when any of its terms is).  Sums, differences and
+    ``linear_apply`` each hand it one stream of (state, scalar) pairs.
     """
 
     __slots__ = ("_terms",)
@@ -141,14 +146,9 @@ class FockVector:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for state, coeff in items:
-                if is_zero(coeff):
-                    continue
-                if state in data:
-                    coeff = data[state] + coeff
-                    if is_zero(coeff):
-                        del data[state]
-                        continue
-                data[state] = coeff
+                acc = data.get(state)
+                data[state] = coeff if acc is None else acc + coeff
+            data = {s: c for s, c in data.items() if not is_zero(c)}
         charges = {s.charge for s in data}
         if len(charges) > 1:
             raise ValueError(f"mixed charge sectors {sorted(charges)}")
@@ -166,10 +166,6 @@ class FockVector:
     @classmethod
     def from_partition(cls, lam: Partition, coeff: Scalar = Fraction(1)) -> "FockVector":
         return cls({MayaState.from_partition(lam): coeff})
-
-    @classmethod
-    def from_partition_terms(cls, terms: Mapping[Partition, Scalar]) -> "FockVector":
-        return cls({MayaState.from_partition(lam): c for lam, c in terms.items()})
 
     @classmethod
     def zero(cls) -> "FockVector":
@@ -214,18 +210,10 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         if not isinstance(other, FockVector):
             return NotImplemented
-        out = dict(self._terms)
-        for s, c in other._terms.items():
-            acc = out.get(s)
-            acc = c if acc is None else acc + c
-            if is_zero(acc):
-                out.pop(s, None)
-            else:
-                out[s] = acc
-        return FockVector(out)
+        return FockVector(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-1)
+        return FockVector(chain(self._terms.items(), ((s, -c) for s, c in other._terms.items())))
 
     def scale(self, coeff: Scalar) -> "FockVector":
         if is_zero(coeff):
@@ -246,17 +234,8 @@ class FockVector:
 
     def linear_apply(self, fn) -> "FockVector":
         """Extend ``fn: state -> iterable of (state, scalar)`` linearly."""
-        out: Dict[MayaState, Scalar] = {}
-        for state, coeff in self._terms.items():
-            for new_state, c in fn(state):
-                acc = out.get(new_state)
-                term = coeff * c
-                acc = term if acc is None else acc + term
-                if is_zero(acc):
-                    out.pop(new_state, None)
-                else:
-                    out[new_state] = acc
-        return FockVector(out)
+        return FockVector((new, coeff * c) for state, coeff in self._terms.items()
+                          for new, c in fn(state))
 
     def __repr__(self):
         inner = ", ".join(f"{s}: {c}" for s, c in self.terms())

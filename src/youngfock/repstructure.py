@@ -1,48 +1,57 @@
 """Exact linear-algebra diagnostics of the ladder-operator representation.
 
-Graded matrices in the deterministic reverse-lex bases; ranks and kernels
-through the one fraction-free elimination, :func:`rings.echelon`;
-highest-weight vectors; and the four-case decomposition report over the
-(z, w) parameter plane.  The report builds and eliminates the removal
-matrix once per degree: its rank is p(N) - dim ker, and applying the
-operator once to every kernel vector certifies that kernel; the
-rank-nullity and highest-weight verdicts both read that one image.
+One matrix assembly, :func:`image_rows`: the images of some vectors as
+coefficient rows over the reverse-lex basis ``partitions_of(n)``, each
+image state read off by its Maya state.  :func:`matrix_of` is its
+transpose over the basis vectors of one degree.  Ranks and kernels go
+through the one fraction-free elimination, :func:`rings.echelon`.
+:func:`highest_weight_check` returns the kernel of the removal matrix at
+one degree, whether the operator kills every kernel vector (applied once
+per vector) and whether each carries the highest weight z*w + 2N; the
+four-case decomposition report reads that triple, with rank p(N) - dim
+ker, so it builds and eliminates the removal matrix once per degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
-from .fock import FockVector
+from .fock import FockVector, MayaState
 from .operators import KerovParams, Operator, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
 from .rings import Scalar, echelon, is_zero, nullspace, scalar_to_json
 
 
-@dataclass(frozen=True)
-class GradedMatrix:
-    """Matrix of a graded operator from degree N to its target degree."""
-
-    rows: Tuple[Partition, ...]
-    cols: Tuple[Partition, ...]
-    entries: Tuple[Tuple[Scalar, ...], ...]
+@lru_cache(maxsize=None)
+def _basis_index(n: int) -> Dict[MayaState, int]:
+    """The column of each degree-n basis state, in ``partitions_of(n)``."""
+    return {MayaState.from_partition(lam): i for i, lam in enumerate(partitions_of(n))}
 
 
-def matrix_of(op: Operator, n: int) -> GradedMatrix:
-    """Exact matrix of the operator restricted to degree n."""
-    cols = partitions_of(n)
+def image_rows(op: Operator, vectors: List[FockVector], n: int) -> List[List[Scalar]]:
+    """The images op(v) as coefficient rows in the degree-n basis
+    ``partitions_of(n)``."""
+    index = _basis_index(n)
+    rows = []
+    for vec in vectors:
+        row: List[Scalar] = [Fraction(0)] * len(index)
+        for state, coeff in op.apply(vec).terms():
+            row[index[state]] = coeff
+        rows.append(row)
+    return rows
+
+
+def matrix_of(op: Operator, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
+    """Exact matrix of the operator restricted to degree n: one row per
+    partition of the target degree, one column per ``partitions_of(n)``."""
     target = n + op.degree_shift
-    rows = partitions_of(target) if target >= 0 else ()
-    index = {lam: i for i, lam in enumerate(rows)}
-    entries = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, lam in enumerate(cols):
-        image = op.apply(FockVector.from_partition(lam))
-        for state, coeff in image.terms():
-            entries[index[state.to_partition()]][j] = coeff
-    return GradedMatrix(rows=tuple(rows), cols=tuple(cols),
-                        entries=tuple(tuple(r) for r in entries))
+    if target < 0:
+        return ()
+    basis = [FockVector.basis(st) for st in _basis_index(n)]
+    return tuple(zip(*image_rows(op, basis, target)))
 
 
 # ---------------------------------------------------------------------------
@@ -52,51 +61,25 @@ def matrix_of(op: Operator, n: int) -> GradedMatrix:
 def rank_of_D(n: int, w: Scalar) -> int:
     """Exact rank of the box-removal operator on degree n."""
     op = kerov_d(KerovParams(z=Fraction(0), w=w))
-    return len(echelon(matrix_of(op, n).entries)[1])
+    return len(echelon(matrix_of(op, n))[1])
 
 
 def kernel_basis(op: Operator, n: int) -> List[FockVector]:
     """Exact kernel of the graded matrix at degree n, as vectors."""
-    gm = matrix_of(op, n)
-    vectors = nullspace(gm.entries, len(gm.cols))
-    out = []
-    for vec in vectors:
-        out.append(FockVector.from_partition_terms(
-            {lam: c for lam, c in zip(gm.cols, vec) if c != 0}
-        ))
-    return out
+    states = _basis_index(n)
+    return [FockVector(zip(states, vec)) for vec in nullspace(matrix_of(op, n), len(states))]
 
 
-def _kernel_checks(n: int, p: KerovParams) -> Tuple[List[FockVector], bool, bool]:
-    """Kernel vectors of the removal operator at degree n; whether D kills
-    every one (D applied once per vector); and whether every one carries
-    the diagonal eigenvalue z*w + 2n."""
+def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector], bool, bool]:
+    """Kernel vectors of the removal operator at degree n; whether it
+    kills every one (applied once per vector); and whether every one
+    carries the diagonal eigenvalue z*w + 2n."""
+    p = KerovParams(z=z, w=w)
     d_op, l_op = kerov_d(p), kerov_l(p)
-    expected = p.z * p.w + 2 * n
     kernel = kernel_basis(d_op, n)
     killed = all(d_op.apply(vec).is_zero() for vec in kernel)
-    eigen = all(l_op.apply(vec) == vec.scale(expected) for vec in kernel)
+    eigen = all(l_op.apply(vec) == vec.scale(z * w + 2 * n) for vec in kernel)
     return kernel, killed, eigen
-
-
-def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector], bool]:
-    """Kernel vectors of the removal operator at degree n, and whether
-    every one is killed by it and carries the diagonal eigenvalue
-    z*w + 2n."""
-    kernel, killed, eigen = _kernel_checks(n, KerovParams(z=z, w=w))
-    return kernel, killed and eigen
-
-
-def image_rows(op: Operator, vectors: List[FockVector], n: int) -> List[List[Scalar]]:
-    """The images op(v) as coefficient rows in the degree-n basis."""
-    index = {lam: i for i, lam in enumerate(partitions_of(n))}
-    rows = []
-    for vec in vectors:
-        row: List[Scalar] = [Fraction(0)] * len(index)
-        for state, coeff in op.apply(vec).terms():
-            row[index[state.to_partition()]] = coeff
-        rows.append(row)
-    return rows
 
 
 @dataclass
@@ -174,7 +157,7 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
     per_degree = []
     for n in range(n_max + 1):
         p_n = len(partitions_of(n))
-        kernel, killed, eigen = _kernel_checks(n, p)
+        kernel, killed, eigen = highest_weight_check(n, z, w)
         ker_dim = len(kernel)
         # raising the kernel stays independent (first Verma level is free)
         u_rank = len(echelon(image_rows(u_op, kernel, n + 1))[1])

@@ -378,8 +378,8 @@ def suite_kernels(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
     hw_ok = True
     mult_ok = True
     for n in range(0, min(max_degree, 6) + 1):
-        vectors, ok = highest_weight_check(n, z, w)
-        hw_ok = hw_ok and ok
+        vectors, killed, eigen = highest_weight_check(n, z, w)
+        hw_ok = hw_ok and killed and eigen
         p_n = len(partitions_of(n))
         p_prev = len(partitions_of(n - 1)) if n >= 1 else 0
         if len(vectors) != p_n - p_prev:

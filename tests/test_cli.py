@@ -212,6 +212,17 @@ def test_repeated_miwa_index_exits_two(argv, capsys):
     assert err.startswith("error:") and "given twice" in err
 
 
+@pytest.mark.parametrize("points", ['["1/2","1/2"]', '["-3/2","1/2","-3/2"]', '["1/2","2/4"]'])
+def test_repeated_point_exits_two(points, capsys):
+    # a point set names each point once; a repeat is a usage error, not a
+    # second factor of the same occupation event
+    code, out, err = run_cli(["correlations", "--kind=schur", "--x=1=1", "--y=1=1",
+                              f"--points={points}", "--max-degree=2"], capsys)
+    assert code == 2 and out == ""
+    repeated = "-3/2" if "-3/2" in points else "1/2"
+    assert err.splitlines()[0] == f"error: point {repeated} given twice"
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "--kind=virasoro", "--z=1/2", "--w=1/3"],
     ["measure", "--kind=schur", "--z=0"],

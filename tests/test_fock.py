@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, example, given, settings
 import hypothesis.strategies as st
 
 from youngfock.fock import (
@@ -13,8 +13,9 @@ from youngfock.fock import (
 )
 from youngfock.operators import boson_op
 from youngfock.partitions import HalfInt, Partition, partitions_of, partitions_up_to
+from youngfock.rings import Poly, scalar_to_json
 
-from .conftest import partitions
+from .conftest import partitions, small_rationals
 from .oracles import (
     boson_zero_eigenvalue,
     inner,
@@ -118,8 +119,9 @@ def test_psi_adjointness_random(rng):
     coords = [h(d) for d in range(-9, 10, 2)]
     pool = partitions_up_to(5)
     for _ in range(20):
-        u = FockVector.from_partition_terms({
-            pool[rng.randrange(len(pool))]: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        u = FockVector({
+            MayaState.from_partition(pool[rng.randrange(len(pool))]):
+                Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             for _ in range(3)
         })
         v_charged = psi(coords[rng.randrange(len(coords))], FockVector.from_partition(
@@ -227,3 +229,56 @@ def test_fockvector_json_shape():
     assert data["charge"] == 0
     assert data["terms"][0] == {"partition": [], "coeff": "1"}
     assert data["terms"][1] == {"partition": [2, 1], "coeff": "3/4"}
+
+
+# -- the one merge: sums, differences and linear_apply against a plain dict --
+
+_POOL = [MayaState.from_partition(lam) for lam in partitions_up_to(3)]  # the vacuum first
+_coeffs = st.one_of(small_rationals, small_rationals.map(lambda q: Poly((q,))),
+                    st.lists(small_rationals, max_size=3).map(Poly))
+_pairs = st.lists(st.tuples(st.sampled_from(_POOL), _coeffs), max_size=8)
+
+
+def _dict_sum(pairs):
+    """Sum per state in a plain dict, then drop the zero sums."""
+    out = {}
+    for state, c in pairs:
+        out[state] = out[state] + c if state in out else c
+    return {s: c for s, c in out.items() if c != 0}
+
+
+def _json(sums):
+    # the shape of FockVector.to_json for charge-0 terms, built without a
+    # FockVector, so a fault in the constructor shows on one side only
+    terms = [{"partition": s.to_partition().to_json(), "coeff": scalar_to_json(c)}
+             for s, c in sorted(sums.items(), key=lambda item: item[0].sort_key())]
+    return {"charge": 0, "terms": terms}
+
+
+# no explain phase: on a failure it takes minutes over these nested lists,
+# and the shrunk example already names the terms at fault
+@settings(phases=[p for p in Phase if p is not Phase.explain])
+# a sum is a Poly when any of its terms is, whatever their order: a zero
+# Poly term first, or a Poly term that cancels before the last one
+@example([(VACUUM_STATE, Poly(())), (VACUUM_STATE, Fraction(1))], [], [], [[]] * len(_POOL))
+@example([(VACUUM_STATE, Fraction(1))], [], [],
+         [[(VACUUM_STATE, Fraction(1)), (VACUUM_STATE, Poly((-1,))), (VACUUM_STATE, Fraction(2))]]
+         + [[]] * (len(_POOL) - 1))
+@given(_pairs, _pairs, st.lists(st.booleans(), max_size=8),
+       st.lists(_pairs, min_size=len(_POOL), max_size=len(_POOL)))
+def test_vector_sums_match_a_plain_dict_sum(pa, pb, cancel, images):
+    a = FockVector(pa)
+    assert a.to_json() == _json(_dict_sum(pa))
+    # b repeats some of a's terms with the opposite sign, so sums cancel
+    # exactly, down to the empty vector when every term is repeated
+    terms_a = list(a.terms())
+    b = FockVector(pb + [(s, -c) for (s, c), neg in zip(terms_a, cancel) if neg])
+    terms_b = list(b.terms())
+    assert (a + b).to_json() == _json(_dict_sum(terms_a + terms_b))
+    assert (a - b).to_json() == _json(_dict_sum(terms_a + [(s, -c) for s, c in terms_b]))
+    assert (a - a).to_json() == {"charge": 0, "terms": []}
+
+    def fn(state):
+        return images[_POOL.index(state)]
+    want = _dict_sum((new, c * x) for s, c in terms_a for new, x in fn(s))
+    assert a.linear_apply(fn).to_json() == _json(want)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from youngfock.fock import FockVector, MayaState, boson_moves, vacuum
+from youngfock.fock import VACUUM_STATE, FockVector, MayaState, boson_moves, vacuum
 from youngfock.operators import (
     Bilinear,
     KerovParams,
@@ -244,14 +244,28 @@ def _numerator_cases(t):
 @pytest.mark.parametrize("t", [Fraction(5, 7), Poly.gen()], ids=["fraction", "poly"])
 def test_numerators_over_den_match_the_fraction_weight(t):
     # the cleared integer form against the weight evaluated as given, on
-    # every state of charge -2..2 up to degree 5
+    # every state of charge -2..2 up to degree 5; apply is also compared in
+    # JSON, which tells a Fraction from a constant Poly where == does not
     states = charged_states(5, range(-2, 3))
+    cubic_poly_diagonal = Bilinear(0, (Fraction(1, 3), t, Fraction(3, 7), Fraction(5, 6)),
+                                   Fraction(2, 9))
     for op in _numerator_cases(t):
         assert isinstance(op, Bilinear)
         for st in states:
+            want = bilinear_action(op, st)
             got = FockVector((new, Fraction(n, op.den) if type(n) is int else n / op.den)
                              for new, n in op.numerators(st))
-            assert got == bilinear_action(op, st), (op, st)
+            assert got == want, (op, st)
+            applied = op.apply(FockVector.basis(st)).to_json()
+            if isinstance(t, Poly) and op == cubic_poly_diagonal and st == VACUUM_STATE:
+                # the one known difference: on the charge-0 vacuum no position
+                # is summed, so apply keeps the rational offset as a Fraction
+                # where the oracle has added the Poly weight times 0
+                assert applied["terms"] == [{"partition": [], "coeff": "2/9"}]
+                assert want.to_json()["terms"] == [{"partition": [],
+                                                    "coeff": {"poly": ["2/9"]}}]
+            else:
+                assert applied == want.to_json(), (op, st)
 
 
 def test_exp_raising_boson_example():

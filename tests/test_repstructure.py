@@ -27,19 +27,21 @@ KP = KerovParams(z=Fraction(2, 3), w=Fraction(5, 7))
 
 
 def test_matrix_of_examples():
-    gm = matrix_of(kerov_d(KP), 2)
-    assert gm.rows == (P(1),)
-    assert gm.cols == (P(2), P(1, 1))
-    assert gm.entries == ((KP.w + 1, KP.w - 1),)
+    # one row per partition of the target degree, columns partitions_of(n)
+    assert partitions_of(2) == (P(2), P(1, 1)) and partitions_of(1) == (P(1),)
+    assert matrix_of(kerov_d(KP), 2) == ((KP.w + 1, KP.w - 1),)
+    assert matrix_of(kerov_u(KP), 0) == ((KP.z,),)
+    assert matrix_of(kerov_d(KP), 0) == ()
 
-    gm = matrix_of(kerov_u(KP), 0)
-    assert gm.entries == ((KP.z,),)
-
-    gm = matrix_of(kerov_l(KP), 3)
+    m = matrix_of(kerov_l(KP), 3)
     diag = KP.z * KP.w + 6
-    for i in range(3):
-        for j in range(3):
-            assert gm.entries[i][j] == (diag if i == j else 0)
+    assert m == tuple(tuple(diag if i == j else 0 for j in range(3)) for i in range(3))
+
+    # the transpose of image_rows over the basis vectors of the degree
+    for op, n in ((kerov_u(KP), 4), (kerov_d(KP), 5)):
+        basis = [FockVector.from_partition(lam) for lam in partitions_of(n)]
+        rows = image_rows(op, basis, n + op.degree_shift)
+        assert matrix_of(op, n) == tuple(zip(*rows))
 
 
 def test_rank_of_D_examples(rng):
@@ -113,16 +115,17 @@ def test_rank_nullity_per_degree(rng):
 
 
 def test_highest_weight_check(rng):
+    # (kernel, killed, eigen): both verdicts hold on the true kernel
     z, w = rand_q(rng), rand_q(rng)
-    vectors, ok = highest_weight_check(2, z, w)
-    assert ok and len(vectors) == 1
+    vectors, killed, eigen = highest_weight_check(2, z, w)
+    assert killed and eigen and len(vectors) == 1
     assert kerov_l(KerovParams(z=z, w=w)).apply(vectors[0]) == vectors[0].scale(z * w + 4)
-    vectors, ok = highest_weight_check(0, z, w)
-    assert ok and vectors == [FockVector.from_partition(P())]
+    vectors, killed, eigen = highest_weight_check(0, z, w)
+    assert killed and eigen and vectors == [FockVector.from_partition(P())]
     for n in range(0, 7):
-        got, ok = highest_weight_check(n, z, w)
+        got, killed, eigen = highest_weight_check(n, z, w)
         expected_count = pentagonal_count(n) - (pentagonal_count(n - 1) if n else 0)
-        assert ok and len(got) == expected_count
+        assert killed and eigen and len(got) == expected_count
 
 
 def test_u_maps_kernel_to_independent_vectors(rng):
@@ -179,9 +182,9 @@ def test_sparse_elimination_matches_dense_on_ladder_matrices(z, w):
     d_op, u_op = kerov_d(p), kerov_u(p)
     for n in range(10):
         for op in (d_op, u_op):
-            gm = matrix_of(op, n)
-            assert echelon(gm.entries) == dense_echelon(gm.entries), (op, n)
-            assert nullspace(gm.entries, len(gm.cols)) == dense_nullspace(gm.entries, len(gm.cols))
+            m, cols = matrix_of(op, n), len(partitions_of(n))
+            assert echelon(m) == dense_echelon(m), (op, n)
+            assert nullspace(m, cols) == dense_nullspace(m, cols)
         # the u-image rows of the decomposition report
         rows = image_rows(u_op, kernel_basis(d_op, n), n + 1)
         assert echelon(rows) == dense_echelon(rows), n

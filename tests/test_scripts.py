@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -43,3 +44,43 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert (wall["change"]["q1"], wall["change"]["q3"]) == (2.4, 3.4)
     checks = summary["tables.suites.checks"]
     assert checks["better"] == "higher" and (checks["wins"], checks["losses"]) == (1, 3)
+
+
+def _fake_bench(module, monkeypatch, results):
+    """Run ``main`` with the git calls and the perfbench runs replaced:
+    results[i] is (correct, failed) of the i-th run, in run order."""
+    it = iter(results)
+
+    def run(tree, workload, seed):
+        correct, failed = next(it)
+        return {"correct": correct, "attempted": 4, "failed": failed,
+                "metrics": {"rank.wall_s": 2.0}}
+
+    monkeypatch.setattr(module, "_run", run)
+    monkeypatch.setattr(module, "_git",
+                        lambda *args: "" if args[0] in ("status", "worktree") else "0123abc")
+
+
+def test_bench_pairs_exits_1_and_names_the_runs_at_fault(tmp_path, monkeypatch, capsys):
+    module = _bench_pairs()
+    # pairs 0 and 2 run change first, pair 1 base first: the third run is
+    # pair 1's base side and the fourth its change side
+    _fake_bench(module, monkeypatch, [(True, 0), (True, 0), (False, 0), (True, 2),
+                                      (True, 0), (True, 0)])
+    out = tmp_path / "record.json"
+    code = module.main(["--base", "HEAD~1", "--workload", "rank", "--seed-pairs", "0:2",
+                        "--seed-pairs", "3:1", "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert code == 1
+    assert (record["incorrect_runs"], record["failed_jobs"]) == (1, 2)
+    assert len(record["runs"]) == 6
+    faults = [l for l in capsys.readouterr().err.splitlines() if l.startswith("at fault")]
+    assert faults == ["at fault: pair 1 side base seed 0: correct=False failed=0",
+                      "at fault: pair 1 side change seed 0: correct=True failed=2"]
+
+    _fake_bench(module, monkeypatch, [(True, 0)] * 2)
+    code = module.main(["--base", "HEAD~1", "--workload", "rank", "--seed-pairs", "0:1",
+                        "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert code == 0 and (record["incorrect_runs"], record["failed_jobs"]) == (0, 0)
+    assert "at fault" not in capsys.readouterr().err
