@@ -492,6 +492,13 @@ GOLDEN_STDOUT = [
      ["verify", "--suite=prop52", "--seed=5"]),
     (0, "551ea0d50574e6c297af8a76c0e74e1d62bad0711c2889ece43f7d1cd8becddd",
      ["verify", "--suite=rank", "--seed=2"]),
+    # the commutator harness at the default degrees: every [a_n, a_m] with
+    # |n|, |m| <= 4 to degree 6, and every [L_m, L_n] with |m|, |n| <= 3
+    # and its central term to degree 5
+    (0, "ae3eef4bb7f2fc0b49909d285c36a5d86d8700c2dd80ff0dced5cf927541da59",
+     ["verify", "--suite=heisenberg", "--seed=4"]),
+    (0, "b158e065bb8113ca7e74b8294730047ebe49d7b22f405ed57fc3cf4ffbca0cef",
+     ["verify", "--suite=virasoro-cc", "--seed=4"]),
 ]
 
 
