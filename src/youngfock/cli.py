@@ -265,8 +265,9 @@ def _run_convert(args) -> int:
 
 
 def _run_correlations(args) -> int:
-    table = weight_table(_spec(args, _parse_miwa(args.x), _parse_miwa(args.y)))
-    points = _parse_points(args.points)
+    spec = _spec(args, _parse_miwa(args.x), _parse_miwa(args.y))
+    points = _parse_points(args.points)  # a usage error exits before the table is built
+    table = weight_table(spec)
     # null where the probability is undefined, as measure's "normalized"
     prob = quotient_json(occupied_weight(points, table), table.z_trunc)
     lines = [

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-from .partitions import HalfInt, Partition
+from .partitions import HalfInt, Partition, partitions_of
 from .rings import Scalar, is_zero, scalar_to_json
 
 
@@ -253,6 +253,13 @@ class FockVector:
                                 "below": [f"{d}/2" for d in state.below],
                                 "coeff": scalar_to_json(coeff)})
         return {"charge": charge, "terms": entries}
+
+
+@lru_cache(maxsize=None)
+def basis_index(n: int) -> Dict[MayaState, int]:
+    """The charge-0 basis states of degree n, each mapped to the position
+    of its diagram in ``partitions_of(n)`` (and iterated in that order)."""
+    return {MayaState.from_partition(lam): i for i, lam in enumerate(partitions_of(n))}
 
 
 def vacuum() -> FockVector:

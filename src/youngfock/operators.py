@@ -58,7 +58,9 @@ diagonal is den*offset plus the sum of g(d) over occupied d > 0 minus
 the same over vacated d < 0.  :class:`MVirasoro` has ``den = 1``.
 ``op.apply(v)`` extends numerator/den linearly, exactly and with no
 truncation bound: it maps each basis state of degree d into degree
-d - k.  :func:`exp_raising` reads the same numerators.
+d - k.  :func:`exp_raising` and :func:`commutator_check` read the same
+numerators, each summing them over one int denominator cleared by one
+rule (``_clear``) and dividing once at the end.
 
 Adjoint rule, in the pairing where the Maya basis is orthonormal:
 ``Bilinear(k, f, o)* = Bilinear(-k, f(x + k), o)`` (the reversed jump
@@ -109,7 +111,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .fock import FockVector, MayaState, boson_moves, vacuum
+from .fock import FockVector, MayaState, basis_index, boson_moves, vacuum
 from .partitions import Partition, partitions_of
 from .rings import Poly, Scalar, is_zero, scalar_to_json
 
@@ -151,6 +153,11 @@ def _cleared(s: Scalar, den: int) -> Scalar:
     """s * den, an int when s is rational (den clears its denominator)."""
     s = s * den
     return s if isinstance(s, Poly) else int(s)
+
+
+def _divided(n: Scalar, den: int) -> Scalar:
+    """The numerator n over den: a Fraction for an int n, else n / den."""
+    return Fraction(n, den) if type(n) is int else n / den
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,7 @@ class Bilinear:
 
     def apply(self, v: FockVector) -> FockVector:
         den = self.den
-        return v.linear_apply(lambda st: [(new, Fraction(n, den) if type(n) is int else n / den)
-                                          for new, n in self.numerators(st)])
+        return v.linear_apply(lambda st: [(new, _divided(n, den)) for new, n in self.numerators(st)])
 
     def to_json(self):
         return {"k": self.k, "weight": [scalar_to_json(c) for c in self.weight],
@@ -421,6 +427,22 @@ def m_virasoro_op(order: int, k: int, p: VirasoroParams) -> Operator:
 
 Operator = Union[Bilinear, MVirasoro]
 Combo = Sequence[Tuple[Scalar, Operator]]
+ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
+
+
+def _clear(terms: ExpectedCombo, base: int = 1) -> Tuple[int, ExpectedCombo]:
+    """One int denominator L for a list of (c, op) pairs, and each pair's
+    scale c*L/op.den over it.
+
+    L is the lcm of ``base`` and of the denominators of every c/op.den, a
+    ``Poly``'s coefficients included; a ``None`` op is the identity, with
+    den 1.  Each scale is an int, or a ``Poly`` under a ``Poly`` c, so
+    c*op adds scale * numerator per move over L.  Pairs with a zero c are
+    dropped."""
+    active = [(c * Fraction(1, op.den if op is not None else 1), op)
+              for c, op in terms if not is_zero(c)]
+    lcm = math.lcm(base, *(q.denominator for r, _ in active for q in _rationals(r)))
+    return lcm, [(_cleared(r, lcm), op) for r, op in active]
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +458,19 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     every operator and scalar ring: the power A**m v / m! is a dict of
     numerators over one int denominator, den_m = den_(m-1) * L * m.  Each
     mode is read through ``op.numerators`` over ``op.den``, so c*op adds
-    (c*L/op.den) * numerator per move, with L the lcm of the denominators
-    of every c/op.den, a ``Poly``'s coefficients included.  A power whose
-    numerators are all ints (every scalar rational and every operator a
-    bilinear) is reduced by their gcd; they are ``Poly`` with ``Poly``
-    input and may be ``Fraction`` with an :class:`MVirasoro` term.  Moves
-    that would pass the degree bound are skipped before they are
-    enumerated, and one division per state ends the sum.
+    (c*L/op.den) * numerator per move, with L and the scales from
+    :func:`_clear`.  A power whose numerators are all ints (every scalar
+    rational and every operator a bilinear) is reduced by their gcd; they
+    are ``Poly`` with ``Poly`` input and may be ``Fraction`` with an
+    :class:`MVirasoro` term.  Moves that would pass the degree bound are
+    skipped before they are enumerated, and one division per state ends
+    the sum.
     """
-    active = [(c * Fraction(1, op.den), op) for c, op in terms if not is_zero(c)]
-    for _, op in active:
+    lcm, cleared = _clear(terms)
+    for _, op in cleared:
         if op.degree_shift < 1:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
-    lcm = math.lcm(*(q.denominator for r, _ in active for q in _rationals(r)))
-    modes = [(op.k, _cleared(r, lcm), op) for r, op in active]
+    modes = [(op.k, scale, op) for scale, op in cleared]
     start = [(st, c) for st, c in v.terms() if st.degree <= max_degree]
     den = math.lcm(*(q.denominator for _, c in start for q in _rationals(c)))
     current = {st: _cleared(c, den) for st, c in start}
@@ -481,8 +502,7 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
         factor = total_den // dn
         for st, n in power.items():
             total[st] = total.get(st, 0) + n * factor
-    return FockVector({st: Fraction(n, total_den) if type(n) is int else n / total_den
-                       for st, n in total.items() if n})
+    return FockVector({st: _divided(n, total_den) for st, n in total.items() if n})
 
 
 def exp_lowering_bra(terms: Combo, lam: Partition, max_degree: int) -> Scalar:
@@ -501,27 +521,41 @@ def exp_lowering_bra(terms: Combo, lam: Partition, max_degree: int) -> Scalar:
 # commutator harness
 # ---------------------------------------------------------------------------
 
-ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
-
-
 def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo,
                      degree: int) -> List[Tuple[Partition, FockVector]]:
     """The (lam, [a, b]v - expected(v)) pairs, v = |lam>, over every
     basis vector up to degree whose delta is nonzero.
 
-    An empty list means the identity holds exactly there.
+    An empty list means the identity holds exactly there.  Like
+    ``op.apply`` and :func:`exp_raising`, it reads ``op.numerators``: the
+    delta of each basis state is one dict of numerators over one int
+    denominator L, the lcm of a.den*b.den and of the denominators of
+    every c/op.den in ``expected`` (:func:`_clear`, a ``None`` op being
+    the identity).  a∘b adds outer*n_a*n_b per two-step path, with
+    outer = L/(a.den*b.den), b∘a subtracts the same, and each expected
+    term subtracts scale*n per move.  The numerators are ints over
+    rational parameters, ``Poly`` under a ``Poly`` one, and may be
+    ``Fraction`` with an :class:`MVirasoro` term; a vector is built only
+    for a nonzero delta.  As in one vector sum, a delta coefficient is a
+    ``Poly`` when any numerator summed into it is, even a zero one or
+    one that cancels against the other side of the bracket.
     """
+    ab_den = a.den * b.den
+    lcm, cleared = _clear(expected, ab_den)
+    outer = lcm // ab_den
     found: List[Tuple[Partition, FockVector]] = []
     for d in range(degree + 1):
-        for lam in partitions_of(d):
-            v = FockVector.from_partition(lam)
-            lhs = a.apply(b.apply(v)) - b.apply(a.apply(v))
-            rhs = FockVector.zero()
-            for coeff, op in expected:
-                if is_zero(coeff):
-                    continue
-                rhs = rhs + (op.apply(v) if op is not None else v).scale(coeff)
-            delta = lhs - rhs
+        for lam, st in zip(partitions_of(d), basis_index(d)):
+            acc: Dict[MayaState, Scalar] = {}
+            for first, second, sign in ((b, a, outer), (a, b, -outer)):
+                for mid, n in first.numerators(st):
+                    scaled = sign * n
+                    for new, m in second.numerators(mid):
+                        acc[new] = acc.get(new, 0) + m * scaled
+            for scale, op in cleared:
+                for new, n in (op.numerators(st) if op is not None else ((st, 1),)):
+                    acc[new] = acc.get(new, 0) - scale * n
+            delta = {new: _divided(n, lcm) for new, n in acc.items() if n}
             if delta:
-                found.append((lam, delta))
+                found.append((lam, FockVector(delta)))
     return found

@@ -16,25 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .fock import FockVector, MayaState
+from .fock import FockVector, basis_index
 from .operators import KerovParams, Operator, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
 from .rings import Scalar, echelon, is_zero, nullspace, scalar_to_json
 
 
-@lru_cache(maxsize=None)
-def _basis_index(n: int) -> Dict[MayaState, int]:
-    """The column of each degree-n basis state, in ``partitions_of(n)``."""
-    return {MayaState.from_partition(lam): i for i, lam in enumerate(partitions_of(n))}
-
-
 def image_rows(op: Operator, vectors: List[FockVector], n: int) -> List[List[Scalar]]:
     """The images op(v) as coefficient rows in the degree-n basis
     ``partitions_of(n)``."""
-    index = _basis_index(n)
+    index = basis_index(n)
     rows = []
     for vec in vectors:
         row: List[Scalar] = [Fraction(0)] * len(index)
@@ -50,7 +43,7 @@ def matrix_of(op: Operator, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
     target = n + op.degree_shift
     if target < 0:
         return ()
-    basis = [FockVector.basis(st) for st in _basis_index(n)]
+    basis = [FockVector.basis(st) for st in basis_index(n)]
     return tuple(zip(*image_rows(op, basis, target)))
 
 
@@ -66,7 +59,7 @@ def rank_of_D(n: int, w: Scalar) -> int:
 
 def kernel_basis(op: Operator, n: int) -> List[FockVector]:
     """Exact kernel of the graded matrix at degree n, as vectors."""
-    states = _basis_index(n)
+    states = basis_index(n)
     return [FockVector(zip(states, vec)) for vec in nullspace(matrix_of(op, n), len(states))]
 
 

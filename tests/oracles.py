@@ -7,7 +7,8 @@ from a literal prefix-list model of the semi-infinite wedge, and
 determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
 explicit sums over all 2^(N-1) jump compositions.  The truncated
-exponential is summed power by power through ``op.apply``.  The dense
+exponential is summed power by power, and a bracket identity checked
+basis vector by basis vector, through ``op.apply``.  The dense
 Bareiss loop, the recursive M-fold tuple enumeration and the Fraction
 evaluation of a bilinear's weight (Horner's rule per jump, power sums on
 the diagonal) are the library's earlier forms, kept as the references
@@ -27,7 +28,7 @@ from itertools import combinations, permutations
 from typing import List, Sequence, Tuple
 
 from youngfock.fock import FockVector, boson_moves
-from youngfock.partitions import HalfInt, Partition
+from youngfock.partitions import HalfInt, Partition, partitions_of
 from youngfock.rings import Poly, Scalar, divexact, is_zero, series_exp
 
 
@@ -219,6 +220,27 @@ def bilinear_action(op, state) -> FockVector:
             f = f * Fraction(d, 2) + c
         out[new] = f * sign
     return FockVector(out)
+
+
+def commutator_by_vectors(a, b, expected, degree):
+    """The (lam, [a, b]v - expected(v)) pairs, v = |lam>, over every
+    basis vector up to degree whose delta is nonzero, summed as
+    ``FockVector``s through ``op.apply``: the library's earlier form, the
+    reference for ``operators.commutator_check``."""
+    found = []
+    for d in range(degree + 1):
+        for lam in partitions_of(d):
+            v = FockVector.from_partition(lam)
+            lhs = a.apply(b.apply(v)) - b.apply(a.apply(v))
+            rhs = FockVector.zero()
+            for coeff, op in expected:
+                if is_zero(coeff):
+                    continue
+                rhs = rhs + (op.apply(v) if op is not None else v).scale(coeff)
+            delta = lhs - rhs
+            if delta:
+                found.append((lam, delta))
+    return found
 
 
 def exp_by_powers(terms, v, max_degree):

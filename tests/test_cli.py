@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from youngfock import conversion
+from youngfock import cli, conversion
 from youngfock.cli import main
 from youngfock.measures import KINDS
 
@@ -221,6 +221,31 @@ def test_repeated_point_exits_two(points, capsys):
     assert code == 2 and out == ""
     repeated = "-3/2" if "-3/2" in points else "1/2"
     assert err.splitlines()[0] == f"error: point {repeated} given twice"
+
+
+@pytest.mark.parametrize("points,message", [
+    ('["1/2","1/2"]', "point 1/2 given twice"),
+    ('["-3/2","1/2","2/4"]', "point 1/2 given twice"),
+    ("nope", "points must be a JSON list of half-integer strings: "
+             "Expecting value: line 1 column 1 (char 0)"),
+    ('{"1/2": 1}', "points must be a JSON list"),
+    ('["0.5"]', "not a rational of the form p/q: '0.5'"),
+])
+def test_points_are_parsed_before_the_table(points, message, monkeypatch, capsys):
+    # a usage error in --points exits 2 before any weight is computed
+    def no_table(spec):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "weight_table", no_table)
+    code, out, err = run_cli(["correlations", "--kind=virasoro", "--z=1/2", "--w=1/3",
+                              "--x=1=1", "--y=1=1/3", f"--points={points}",
+                              "--max-degree=20"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {message}"
+    # the flag rule still comes first
+    code, _, err = run_cli(["correlations", "--kind=schur", "--z=1/2", "--x=1=1", "--y=1=1",
+                            f"--points={points}", "--max-degree=20"], capsys)
+    assert (code, err.splitlines()[0]) == (2, "error: --kind=schur does not read --z")
 
 
 @pytest.mark.parametrize("argv", [

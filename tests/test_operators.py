@@ -28,7 +28,7 @@ from youngfock.operators import (
 from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
 
-from .oracles import (addable_boxes, bilinear_action, exp_by_powers, inner,
+from .oracles import (addable_boxes, bilinear_action, commutator_by_vectors, exp_by_powers, inner,
                       recursive_descending_tuples, removable_boxes, rim_hooks_addable,
                       rim_hooks_removable)
 
@@ -455,6 +455,104 @@ def test_commutator_check_examples():
     lam, delta = found[0]
     assert lam == P()
     assert delta == l_op.apply(vacuum()).scale(-1)
+
+
+def _commutator_cases():
+    x = Poly.gen()
+    cases = []
+    # boson pairs with the identity term, true and off by one
+    for n, m in ((1, -1), (3, -3), (-2, 2), (2, -1), (-3, 1)):
+        c = Fraction(n if n + m == 0 else 0)
+        cases.append((f"boson-{n},{m}", boson_op(n), boson_op(m), [(c, None)], 5))
+        cases.append((f"boson-{n},{m}-off", boson_op(n), boson_op(m), [(c + 1, None)], 4))
+    # the box triple: [D, U] = L holds, [D, U] = 2L leaves nonzero deltas
+    u_op, d_op, l_op = kerov_u(KP), kerov_d(KP), kerov_l(KP)
+    cases.append(("box-true", d_op, u_op, [(Fraction(1), l_op)], 5))
+    cases.append(("box-doubled", d_op, u_op, [(Fraction(2), l_op)], 5))
+    cases.append(("box-lu", l_op, u_op, [(Fraction(2), u_op)], 5))
+    # Virasoro modes with the central term, at a Fraction and a Poly alpha
+    # (and a Poly gamma, so the central coefficient is a Poly too)
+    for name, p in (("fraction", VirasoroParams(Fraction(2, 5), Fraction(-1, 3))),
+                    ("poly-alpha", VirasoroParams(x, Fraction(1, 4))),
+                    ("poly-gamma", VirasoroParams(Fraction(1, 3), x))):
+        central = 1 - 12 * p.gamma * p.gamma
+        for m, n in ((2, -2), (1, -2), (-1, 3), (3, -3)):
+            expected = [(Fraction(m - n), virasoro_op(m + n, p))]
+            if m + n == 0:
+                expected.append((Fraction(m ** 3 - m, 12) * central, None))
+            cases.append((f"virasoro-{name}-{m},{n}", virasoro_op(m, p), virasoro_op(n, p),
+                          expected, 4))
+        cases.append((f"virasoro-{name}-no-central", virasoro_op(2, p), virasoro_op(-2, p),
+                      [(Fraction(4), virasoro_op(0, p))], 4))
+    # the length-3 hook triple, true and with the diagonal halved
+    kp = KerovParams(z=Fraction(1, 3), w=Fraction(-2, 5))
+    up, down, diag = hook_raise(3, kp), hook_lower(3, kp), hook_diagonal(3, kp)
+    cases.append(("hook-3", down, up, [(Fraction(1), diag)], 5))
+    cases.append(("hook-3-halved", down, up, [(Fraction(1, 2), diag)], 5))
+    # the M = 4 tuple sum against a bilinear: Fraction numerators
+    vp = VirasoroParams(Fraction(1, 2), Fraction(1, 5))
+    cases.append(("m4-bilinear", MVirasoro(4, 1, vp.alpha, vp.gamma), virasoro_op(-1, vp),
+                  [(Fraction(2, 3), MVirasoro(4, 0, vp.alpha, vp.gamma)), (Fraction(1), None)], 3))
+    cases.append(("bilinear-m4", boson_op(2), MVirasoro(4, -1, vp.alpha, vp.gamma),
+                  [(Fraction(-1, 3), virasoro_op(1, vp))], 3))
+    # a zero expected coefficient is skipped, in a true and a false identity
+    cases.append(("zero-coefficient", d_op, u_op, [(Fraction(1), l_op), (Fraction(0), u_op)], 4))
+    cases.append(("zero-coefficient-off", boson_op(2), boson_op(-2),
+                  [(Fraction(0), l_op), (Fraction(3), None)], 4))
+    # a 1/7 coprime to both operators' dens (2 and 6 here)
+    kp7 = KerovParams(z=Fraction(5, 3), w=Fraction(1, 2))
+    cases.append(("coprime-seventh", kerov_d(kp7), kerov_u(kp7),
+                  [(Fraction(1, 7), kerov_l(kp7)), (Fraction(3, 7), None)], 4))
+    return cases
+
+
+COMMUTATOR_CASES = _commutator_cases()
+
+
+@pytest.mark.parametrize("a,b,fraction_at", [
+    # x*charge + 2*degree is diagonal, so it commutes with L and its Poly
+    # terms cancel; on the vacuum its numerator is the int offset 0
+    (Bilinear(0, (Poly.gen(), 1)), kerov_l(KP), [[]]),
+    # a Poly weight that vanishes on the vacuum's one jump (x = -1/2)
+    (Bilinear(-1, (Poly.gen() * Fraction(1, 2), Poly.gen())), boson_op(1), []),
+])
+def test_commutator_delta_is_poly_when_a_poly_term_is_summed(a, b, fraction_at):
+    # the delta is one sum, so a Poly term makes it a Poly even where the
+    # Poly part is zero; the vector oracle drops zero partial sums between
+    # its vector operations and returns a Fraction there, of equal value
+    got = commutator_check(a, b, [(Fraction(1), None)], 2)
+    want = commutator_by_vectors(a, b, [(Fraction(1), None)], 2)
+    assert got == want
+    assert [d.to_json() for _, d in got] != [d.to_json() for _, d in want]
+    for lam, delta in got:
+        kind = Fraction if lam.to_json() in fraction_at else Poly
+        assert all(type(c) is kind for _, c in delta.terms()), lam
+
+
+def test_commutator_check_builds_no_vector_for_a_zero_delta(monkeypatch):
+    # a true identity leaves every delta zero, so no vector is built
+    import youngfock.operators as ops
+
+    def no_vector(*args):
+        raise AssertionError("a FockVector was built")
+
+    monkeypatch.setattr(ops, "FockVector", no_vector)
+    assert commutator_check(kerov_d(KP), kerov_u(KP), [(Fraction(1), kerov_l(KP))], 5) == []
+    vp = VirasoroParams(Fraction(2, 5), Fraction(-1, 3))
+    assert commutator_check(virasoro_op(2, vp), virasoro_op(-2, vp),
+                            [(Fraction(4), virasoro_op(0, vp)),
+                             (Fraction(1, 2) * (1 - 12 * vp.gamma ** 2), None)], 4) == []
+
+
+@pytest.mark.parametrize("a,b,expected,degree", [c[1:] for c in COMMUTATOR_CASES],
+                         ids=[c[0] for c in COMMUTATOR_CASES])
+def test_commutator_check_matches_the_vector_oracle(a, b, expected, degree):
+    # the cleared-numerator harness against the FockVector sums, JSON
+    # included, so a Poly delta cannot come back as a Fraction or back
+    got = commutator_check(a, b, expected, degree)
+    want = commutator_by_vectors(a, b, expected, degree)
+    assert ([(lam.to_json(), delta.to_json()) for lam, delta in got]
+            == [(lam.to_json(), delta.to_json()) for lam, delta in want])
 
 
 def test_operator_degree_shift_and_json():
