@@ -524,6 +524,13 @@ GOLDEN_STDOUT = [
      ["verify", "--suite=heisenberg", "--seed=4"]),
     (0, "b158e065bb8113ca7e74b8294730047ebe49d7b22f405ed57fc3cf4ffbca0cef",
      ["verify", "--suite=virasoro-cc", "--seed=4"]),
+    # the M-fold tuple sum: the order-2 oracle and the order-3 support at
+    # the default degree 5, and an M = 5 table to degree 6 on both sides
+    (0, "f77dfec533f7afb5bb647c2b36a589692047d5952a884b738cdd41fc91fbc2a5",
+     ["verify", "--suite=m-virasoro", "--seed=9"]),
+    (0, "d4e9df5c3b2437562e96faad60c0b4f7cdaebaece6b9bb0fd887dbad05837a11",
+     ["measure", "--m=5", "--kind=m-virasoro", "--gamma=1/5", "--z=1/2", "--w=-1/3",
+      "--x=1=1/3,2=-2/5", "--y=1=2/5,2=1/7", "--max-degree=6"]),
 ]
 
 
