@@ -11,11 +11,12 @@ input.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .partitions import HalfInt, Partition, partitions_of
 from .rings import Scalar, is_zero, scalar_to_json

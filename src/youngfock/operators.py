@@ -325,33 +325,34 @@ def _descending_tuples(length: int, total: int, bound: int, pos_budget: int, cap
 
 
 @lru_cache(maxsize=None)
-def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: MayaState):
+def _m_virasoro_state(order: int, k: int, state: MayaState):
+    """The parameter-free part of the M-fold mode on one basis state: per
+    target state, the sign of its parameter term (gamma*k*a_k at k != 0,
+    -gamma**2/2 at k = 0 and order 2; 0 for none) and the (j, sum) pairs,
+    the sum of weight*sign over the tuples with j zero indices that reach
+    it.  A tuple's weight 1/prod(run!) is summed as the int M!/prod(run!)
+    over M!.  A pair is kept even when its sum is zero."""
     d = state.degree
-    a0 = alpha + state.charge
-    acc: Dict[MayaState, Scalar] = {}
+    acc: Dict[MayaState, Tuple[int, Dict[int, int]]] = {}
     if k != 0:
         for s1, sign, _ in boson_moves(k, state):
-            acc[s1] = gamma * k * sign
+            acc[s1] = (sign, {})
     elif order == 2:
-        # zero-mode constant shared with virasoro_op(0) so M = 2 matches exactly
-        acc[state] = -(gamma * gamma) * Fraction(1, 2)
+        acc[state] = (1, {})
     bound = d + abs(k)
     for tup in _descending_tuples(order, k, bound, d, bound):
-        weight = Fraction(1)
+        weight = math.factorial(order)
         run = 1
         for i in range(1, len(tup) + 1):
             if i < len(tup) and tup[i] == tup[i - 1]:
                 run += 1
             else:
-                weight /= math.factorial(run)
+                weight //= math.factorial(run)
                 run = 1
-        coeff: Scalar = weight
-        for _ in range(sum(1 for t in tup if t == 0)):
-            coeff = coeff * a0
+        zeros = sum(1 for t in tup if t == 0)
         indices = [t for t in tup if t != 0]
         # descending order puts annihilators (positive indices) first
         current: Dict[MayaState, int] = {state: 1}
-        dead = False
         for idx in indices:
             nxt: Dict[MayaState, int] = {}
             for s, sgn in current.items():
@@ -359,13 +360,13 @@ def _m_virasoro_state(order: int, k: int, alpha: Scalar, gamma: Scalar, state: M
                     nxt[s2] = nxt.get(s2, 0) + sgn * sgn2
             current = {s: g for s, g in nxt.items() if g}
             if not current:
-                dead = True
                 break
-        if dead:
-            continue
         for s, g in current.items():
-            acc[s] = acc.get(s, 0) + coeff * g
-    return tuple((s, c) for s, c in acc.items() if c)
+            sums = acc.setdefault(s, (0, {}))[1]
+            sums[zeros] = sums.get(zeros, 0) + weight * g
+    scale = math.factorial(order)
+    return tuple((s, sign, tuple((j, Fraction(n, scale)) for j, n in sums.items()))
+                 for s, (sign, sums) in acc.items())
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,11 @@ class MVirasoro:
 
     Any tuple whose annihilating part exceeds the state's degree kills
     it, so indices are enumerated inside [-(degree+|k|), degree+|k|]; the
-    grading argument makes this exact.
+    grading argument makes this exact.  A tuple with j zero indices
+    carries a0**j, a0 = alpha + charge, and nothing else in it depends on
+    the parameters, so the tuple sum is enumerated once per (order, k,
+    state) as per-j sums (:func:`_m_virasoro_state`) and evaluated here at
+    (alpha + charge, gamma).
     """
 
     order: int
@@ -398,8 +403,22 @@ class MVirasoro:
         return MVirasoro(self.order, -self.k, self.alpha, -self.gamma)
 
     def numerators(self, st: MayaState) -> Sequence[Tuple[MayaState, Scalar]]:
-        """The action on one basis state, as (state, coefficient) pairs."""
-        return _m_virasoro_state(self.order, self.k, self.alpha, self.gamma, st)
+        """The action on one basis state, as (state, coefficient) pairs:
+        per target, its parameter term plus sum_j (per-j sum) * a0**j."""
+        g, k = self.gamma, self.k
+        # at k = 0 the zero-mode constant of virasoro_op(0), so M = 2 matches exactly
+        lead = g * k if k else -(g * g) * Fraction(1, 2)
+        powers = [1, self.alpha + st.charge]  # a0**j, extended on demand
+        out = []
+        for new, sign, sums in _m_virasoro_state(self.order, k, st):
+            val: Scalar = lead * sign if sign else 0
+            for j, total in sums:
+                while len(powers) <= j:
+                    powers.append(powers[-1] * powers[1])
+                val = val + total * powers[j]
+            if val:
+                out.append((new, val))
+        return out
 
     def apply(self, v: FockVector) -> FockVector:
         return v.linear_apply(self.numerators)

@@ -20,7 +20,7 @@ from .conversion import (
     y_side_params,
     z_linearity_witness,
 )
-from .fock import FockVector, MayaState, boson_moves, psi, vacuum
+from .fock import FockVector, MayaState, basis_index, boson_moves, psi, vacuum
 from .measures import (
     MeasureSpec,
     MiwaParams,
@@ -32,6 +32,7 @@ from .operators import (
     KerovParams,
     MVirasoro,
     VirasoroParams,
+    _clear,
     boson_op,
     commutator_check,
     exp_raising,
@@ -76,14 +77,24 @@ def _failed(name: str, bad, key: str = "failures", **extra) -> dict:
 
 
 def _disagree(pairs, max_degree: int) -> List[list]:
-    """The diagrams up to max_degree, as JSON, on which some pair (f, g) of
-    linear maps differs: f|lam> != g|lam>."""
-    out = []
-    for lam in partitions_up_to(max_degree):
-        v = FockVector.from_partition(lam)
-        if any(f(v) != g(v) for f, g in pairs):
-            out.append(lam.to_json())
-    return out
+    """The diagrams up to max_degree, as JSON, on which some pair
+    ((c, op), (e, op')) differs: c*op|lam> != e*op'|lam>.
+
+    Like :func:`commutator_check`, each pair is read through
+    ``op.numerators``: per basis state, one dict of numerators over the
+    pair's int denominator (``_clear``), c*op adding and e*op'
+    subtracting scale*numerator per move.  No vector is built."""
+    def differs(terms, st) -> bool:
+        acc = {}
+        for scale, op in terms:
+            for new, n in op.numerators(st):
+                acc[new] = acc.get(new, 0) + scale * n
+        return any(acc.values())
+
+    cleared = [_clear([lhs, (-rhs[0], rhs[1])])[1] for lhs, rhs in pairs]
+    return [lam.to_json() for d in range(max_degree + 1)
+            for lam, st in zip(partitions_of(d), basis_index(d))
+            if any(differs(terms, st) for terms in cleared)]
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +173,8 @@ def suite_kerov_equiv(seed: int = 0, max_degree: int = 7, draws: int = 5) -> dic
         vp = virasoro_params_from_kerov(p)
         u_op, d_op, l_op = kerov_u(p), kerov_d(p), kerov_l(p)
         m_u, m_d, m_l = (MVirasoro(2, k, vp.alpha, vp.gamma) for k in (-1, 1, 0))
-        bad = _disagree([(m_u.apply, u_op.apply), (m_d.apply, d_op.apply),
-                         (lambda v: m_l.apply(v).scale(2), l_op.apply)], max_degree)
+        bad = _disagree([((1, m_u), (1, u_op)), ((1, m_d), (1, d_op)),
+                         ((2, m_l), (1, l_op))], max_degree)
         tag = f"draw {t} (z={rational_str(p.z)}, w={rational_str(p.w)})"
         checks.append(_failed(
             f"mode -1/0/+1 match box raise / half-diagonal / box lower, {tag}", bad, "basis"))
@@ -186,8 +197,7 @@ def suite_rimhook_equiv(seed: int = 0, max_degree: int = 6, hook_bound: int = 4,
             vp = virasoro_params_for_rimhook(p, r)
             up, down, diag = hook_raise(r, p), hook_lower(r, p), hook_diagonal(r, p)
             m_up, m_down = (MVirasoro(2, k, vp.alpha, vp.gamma) for k in (-r, r))
-            bad = _disagree([(m_up.apply, lambda v: up.apply(v).scale(r)),
-                             (m_down.apply, lambda v: down.apply(v).scale(r))], max_degree)
+            bad = _disagree([((1, m_up), (r, up)), ((1, m_down), (r, down))], max_degree)
             # sl2 closure of the hook triple itself
             diag_ok = not commutator_check(down, up, [(Fraction(1), diag)], max(max_degree - r, 0))
             checks.append(_failed(
@@ -424,7 +434,7 @@ def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
     p = VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
     # M = 2 collapses to the quadratic modes
     bad = [[k, lam] for k in range(-3, 4) for lam in _disagree(
-        [(MVirasoro(2, k, p.alpha, p.gamma).apply, virasoro_op(k, p).apply)], max_degree)]
+        [((1, MVirasoro(2, k, p.alpha, p.gamma)), (1, virasoro_op(k, p)))], max_degree)]
     checks.append(_failed("order 2 equals the quadratic modes, |k| <= 3", bad[:5]))
     # M = 1 measure table is a rescaled product table
     g = Fraction(1, 3)
@@ -446,8 +456,9 @@ def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
     for k in range(1, 4):
         m3 = MVirasoro(3, -k, p.alpha, p.gamma)
         for lam in partitions_up_to(max_degree):
-            allowed = {new for new, _, _ in boson_moves(-k, MayaState.from_partition(lam))}
-            support = {s for s, _ in m3.apply(FockVector.from_partition(lam)).terms()}
+            st = MayaState.from_partition(lam)
+            allowed = {new for new, _, _ in boson_moves(-k, st)}
+            support = {s for s, _ in m3.numerators(st)}
             if not support <= allowed:
                 bad_support.append([k, lam.to_json()])
     checks.append(_failed(

@@ -7,13 +7,16 @@ from a literal prefix-list model of the semi-infinite wedge, and
 determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
 explicit sums over all 2^(N-1) jump compositions.  The truncated
-exponential is summed power by power, and a bracket identity checked
-basis vector by basis vector, through ``op.apply``.  The dense
-Bareiss loop, the recursive M-fold tuple enumeration and the Fraction
+exponential is summed power by power, and a bracket identity and an
+equivalence pair checked basis vector by basis vector, through
+``op.apply``.  The dense
+Bareiss loop, the recursive M-fold tuple enumeration, the M-fold tuple
+sum evaluated tuple by tuple at fixed parameters and the Fraction
 evaluation of a bilinear's weight (Horner's rule per jump, power sums on
 the diagonal) are the library's earlier forms, kept as the references
-for the sparse elimination, the iterative enumeration and the cleared
-integer numerators.  The box helpers describe single-box moves for the
+for the sparse elimination, the iterative enumeration, the per-j sums
+evaluated at (alpha + charge, gamma) and the cleared integer
+numerators.  The box helpers describe single-box moves for the
 tests of the box ladder; the rim-hook moves, read off the particle
 configuration of a diagram, are the reference for the jump kernel
 ``fock.boson_moves``.  The annihilator ``psi_star`` is only a partner
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from youngfock.fock import FockVector, boson_moves
+from youngfock.fock import FockVector, MayaState, boson_moves
+from youngfock.operators import _descending_tuples
 from youngfock.partitions import HalfInt, Partition, partitions_of
 from youngfock.rings import Poly, Scalar, divexact, is_zero, series_exp
 
@@ -241,6 +245,20 @@ def commutator_by_vectors(a, b, expected, degree):
             if delta:
                 found.append((lam, delta))
     return found
+
+
+def disagree_by_vectors(pairs, max_degree):
+    """The diagrams up to max_degree, as JSON, on which some pair
+    ((c, op), (e, op')) differs, compared as ``FockVector``s through
+    ``op.apply`` and ``scale``: the library's earlier form, the reference
+    for ``suites._disagree``."""
+    out = []
+    for d in range(max_degree + 1):
+        for lam in partitions_of(d):
+            v = FockVector.from_partition(lam)
+            if any(f.apply(v).scale(c) != g.apply(v).scale(e) for (c, f), (e, g) in pairs):
+                out.append(lam.to_json())
+    return out
 
 
 def exp_by_powers(terms, v, max_degree):
@@ -476,6 +494,53 @@ def recursive_descending_tuples(length: int, total: int, bound: int, pos_budget:
             continue
         for tail in recursive_descending_tuples(length - 1, rest, bound, budget, head):
             yield (head,) + tail
+
+
+def m_virasoro_state_by_tuples(order: int, k: int, alpha: Scalar, gamma: Scalar,
+                               state: MayaState):
+    """The M-fold mode on one basis state, as (state, coefficient) pairs,
+    summed tuple by tuple at the given alpha and gamma: the library's
+    earlier form, the reference for ``MVirasoro.numerators``."""
+    d = state.degree
+    a0 = alpha + state.charge
+    acc: Dict[MayaState, Scalar] = {}
+    if k != 0:
+        for s1, sign, _ in boson_moves(k, state):
+            acc[s1] = gamma * k * sign
+    elif order == 2:
+        # zero-mode constant shared with virasoro_op(0) so M = 2 matches exactly
+        acc[state] = -(gamma * gamma) * Fraction(1, 2)
+    bound = d + abs(k)
+    for tup in _descending_tuples(order, k, bound, d, bound):
+        weight = Fraction(1)
+        run = 1
+        for i in range(1, len(tup) + 1):
+            if i < len(tup) and tup[i] == tup[i - 1]:
+                run += 1
+            else:
+                weight /= math.factorial(run)
+                run = 1
+        coeff: Scalar = weight
+        for _ in range(sum(1 for t in tup if t == 0)):
+            coeff = coeff * a0
+        indices = [t for t in tup if t != 0]
+        # descending order puts annihilators (positive indices) first
+        current: Dict[MayaState, int] = {state: 1}
+        dead = False
+        for idx in indices:
+            nxt: Dict[MayaState, int] = {}
+            for s, sgn in current.items():
+                for s2, sgn2, _ in boson_moves(idx, s):
+                    nxt[s2] = nxt.get(s2, 0) + sgn * sgn2
+            current = {s: g for s, g in nxt.items() if g}
+            if not current:
+                dead = True
+                break
+        if dead:
+            continue
+        for s, g in current.items():
+            acc[s] = acc.get(s, 0) + coeff * g
+    return tuple((s, c) for s, c in acc.items() if c)
 
 
 # -- conversion by sums over jump compositions -------------------------------

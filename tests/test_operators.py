@@ -29,8 +29,8 @@ from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
 
 from .oracles import (addable_boxes, bilinear_action, commutator_by_vectors, exp_by_powers, inner,
-                      recursive_descending_tuples, removable_boxes, rim_hooks_addable,
-                      rim_hooks_removable)
+                      m_virasoro_state_by_tuples, recursive_descending_tuples, removable_boxes,
+                      rim_hooks_addable, rim_hooks_removable)
 
 
 def P(*parts):
@@ -694,6 +694,30 @@ def test_m_virasoro_bilinear_matches_tuple_sum(order, alpha):
             v = FockVector.basis(st)
             assert op.apply(v) == oracle.apply(v), (k, st)
             assert op.adjoint().apply(v) == oracle.adjoint().apply(v), (k, st)
+
+
+@pytest.mark.parametrize("alpha,gamma,max_degree", [
+    (Fraction(2, 3), Fraction(-1, 5), 4),
+    (Poly.gen(), Fraction(1, 3), 3),
+    (Fraction(-1, 2), Poly.gen(), 3),
+], ids=["fraction", "poly-alpha", "poly-gamma"])
+def test_m_virasoro_numerators_match_the_tuple_sum_oracle(alpha, gamma, max_degree):
+    """The per-j sums evaluated at (alpha + charge, gamma) against the tuple
+    sum evaluated tuple by tuple, orders 1-5, k in -4..4, charges -2..2.
+    Compared as JSON, so the order of the image states and the scalar type
+    of every coefficient are pinned too: a coefficient is a Poly whenever a
+    Poly term is summed into it, a zero-valued one included."""
+    states = charged_states(max_degree, charges=(-2, -1, 0, 1, 2))
+    polys = 0
+    for order in range(1, 6):
+        for k in range(-4, 5):
+            op = MVirasoro(order, k, alpha, gamma)
+            for st in states:
+                got = FockVector(op.numerators(st)).to_json()
+                want = m_virasoro_state_by_tuples(order, k, alpha, gamma, st)
+                assert got == FockVector(want).to_json(), (order, k, st)
+                polys += sum(isinstance(c, Poly) for _, c in want)
+    assert polys if isinstance(alpha, Poly) or isinstance(gamma, Poly) else not polys
 
 
 def test_m_virasoro_order4_stays_a_tuple_sum():

@@ -1,8 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from youngfock.operators import (KerovParams, MVirasoro, VirasoroParams, hook_lower, hook_raise,
+                                 virasoro_op, virasoro_params_for_rimhook,
+                                 virasoro_params_from_kerov)
+from youngfock.partitions import partitions_up_to
+from youngfock.rings import Poly
 from youngfock.suites import SUITES, run_suite
+
+from .oracles import disagree_by_vectors
 
 
 def test_suite_registry_complete():
@@ -51,12 +59,51 @@ def test_failed_and_disagree_helpers():
     assert _failed("c", [], "basis") == {"name": "c", "ok": True}
     assert _failed("c", 2, of=5) == {"name": "c", "ok": False,
                                      "detail": {"failures": 2, "of": 5}}
-    a1 = boson_op(1).apply
-    assert _disagree([(a1, a1)], 3) == []
+    a1 = boson_op(1)
+    assert _disagree([((1, a1), (1, a1))], 3) == []
     # a_1 removes a box: it differs from twice itself on every diagram but
     # the empty one
-    twice = [(a1, a1), (a1, lambda v: a1(v).scale(2))]
+    twice = [((1, a1), (1, a1)), ((1, a1), (2, a1))]
     assert _disagree(twice, 2) == [[1], [2], [1, 1]]
+
+
+def _equivalence_pairs():
+    """Pairs as the equivalence suites pass them, true and false: the hook
+    ladder at its scalar r and at r + 1, and the order-2 tuple sum against
+    virasoro_op at its gamma and at a wrong one, in both scalar rings."""
+    cases = []
+    for z in (Fraction(2, 3), Poly.gen()):
+        p = KerovParams(z=z, w=Fraction(-1, 4))
+        for r in (1, 2, 3):
+            vp = virasoro_params_for_rimhook(p, r)
+            m_up = MVirasoro(2, -r, vp.alpha, vp.gamma)
+            m_down = MVirasoro(2, r, vp.alpha, vp.gamma)
+            cases.append((f"hooks r={r} {z}", True,
+                          [((1, m_up), (r, hook_raise(r, p))), ((1, m_down), (r, hook_lower(r, p)))]))
+            cases.append((f"hooks r+1={r + 1} {z}", False,
+                          [((1, m_up), (r + 1, hook_raise(r, p)))]))
+        vp = virasoro_params_from_kerov(p)
+        wrong = VirasoroParams(alpha=vp.alpha, gamma=vp.gamma + Fraction(1, 3))
+        for k in (-2, 0, 1):
+            m = MVirasoro(2, k, vp.alpha, vp.gamma)
+            cases.append((f"virasoro k={k} {z}", True, [((1, m), (1, virasoro_op(k, vp)))]))
+            cases.append((f"wrong gamma k={k} {z}", False, [((1, m), (1, virasoro_op(k, wrong)))]))
+    return cases
+
+
+@pytest.mark.parametrize("name,holds,pairs", _equivalence_pairs(),
+                         ids=[c[0] for c in _equivalence_pairs()])
+def test_disagree_matches_the_vector_oracle(name, holds, pairs):
+    from youngfock.suites import _disagree
+
+    got = _disagree(pairs, 4)
+    assert got == disagree_by_vectors(pairs, 4)
+    assert (got == []) == holds
+    if not holds:
+        # every diagram the false side moves is flagged: a_1 alone spares
+        # the empty diagram
+        everything = [lam.to_json() for lam in partitions_up_to(4)]
+        assert got == (everything[1:] if name.startswith("wrong gamma k=1") else everything)
 
 
 def test_a_failing_suite_reports_a_json_detail(monkeypatch):
