@@ -331,8 +331,13 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
     -gamma**2/2 at k = 0 and order 2; 0 for none) and the (j, sum) pairs,
     the sum of weight*sign over the tuples with j zero indices that reach
     it.  A tuple's weight 1/prod(run!) is summed as the int M!/prod(run!)
-    over M!.  A pair is kept even when its sum is zero."""
+    over M!.  A target whose sums all cancel and that has no parameter
+    term is dropped, since its coefficient is zero at every parameter
+    value.  Otherwise a pair is kept even when its sum is zero, so that
+    under a Poly a0 the coefficient is a Poly, as in the tuple-by-tuple
+    sum."""
     d = state.degree
+    full = math.factorial(order)
     acc: Dict[MayaState, Tuple[int, Dict[int, int]]] = {}
     if k != 0:
         for s1, sign, _ in boson_moves(k, state):
@@ -341,7 +346,7 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
         acc[state] = (1, {})
     bound = d + abs(k)
     for tup in _descending_tuples(order, k, bound, d, bound):
-        weight = math.factorial(order)
+        weight = full
         run = 1
         for i in range(1, len(tup) + 1):
             if i < len(tup) and tup[i] == tup[i - 1]:
@@ -364,9 +369,8 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
         for s, g in current.items():
             sums = acc.setdefault(s, (0, {}))[1]
             sums[zeros] = sums.get(zeros, 0) + weight * g
-    scale = math.factorial(order)
-    return tuple((s, sign, tuple((j, Fraction(n, scale)) for j, n in sums.items()))
-                 for s, (sign, sums) in acc.items())
+    return tuple((s, sign, tuple((j, Fraction(n, full)) for j, n in sums.items()))
+                 for s, (sign, sums) in acc.items() if sign or any(sums.values()))
 
 
 @dataclass(frozen=True)

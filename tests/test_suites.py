@@ -100,8 +100,9 @@ def test_disagree_matches_the_vector_oracle(name, holds, pairs):
     assert got == disagree_by_vectors(pairs, 4)
     assert (got == []) == holds
     if not holds:
-        # every diagram the false side moves is flagged: a_1 alone spares
-        # the empty diagram
+        # each false pair differs by a nonzero multiple of a hook raise, a
+        # boson mode or a scalar, so every diagram is flagged but the empty
+        # one, which a_1 kills
         everything = [lam.to_json() for lam in partitions_up_to(4)]
         assert got == (everything[1:] if name.startswith("wrong gamma k=1") else everything)
 
