@@ -531,6 +531,16 @@ GOLDEN_STDOUT = [
     (0, "d4e9df5c3b2437562e96faad60c0b4f7cdaebaece6b9bb0fd887dbad05837a11",
      ["measure", "--m=5", "--kind=m-virasoro", "--gamma=1/5", "--z=1/2", "--w=-1/3",
       "--x=1=1/3,2=-2/5", "--y=1=2/5,2=1/7", "--max-degree=6"]),
+    # the integer removal rows at larger degree: kernel vectors and the
+    # u-image rank up to p(15) = 176 columns, the both-zero case, where
+    # every box weight vanishes at the vacuum, and the determinancy suite
+    # at its default degree (exit 1: c07's falsified identity)
+    (0, "9ebb3c6fb4fcbfefd79bc5247b11ef06c11c7d2fd3c0ef26d17d5c2de3724d5c",
+     ["decompose", "--z=-1/2", "--w=2/7", "--max-degree=14"]),
+    (0, "0c2d23add1205a2f9b745165e5ffd31c953a866d1071da149f0a98be1534c051",
+     ["decompose", "--max-degree=10", "--z=0", "--w=0"]),
+    (1, "ebef35134c03d91e9142b3d280ed78818e6bdaffb25deeadcf6b97f41daca800",
+     ["verify", "--suite=determinancy", "--seed=6"]),
 ]
 
 
