@@ -8,8 +8,10 @@ Usage, from the root of a checkout:
 
 For each ``SEED:N`` it runs ``perfbench/run.py --workload W --seed SEED``
 N times on each side, alternating which side runs first, at the run
-length ``perfbench`` sets.  The base side is a temporary ``git worktree``
-of ``--base`` (under ``TMPDIR``), removed afterwards; the change side is
+length ``perfbench`` sets.  The base side is a ``git archive`` copy of
+the tracked files of ``--base`` in a temporary directory (under
+``TMPDIR``), removed afterwards, so nothing under ``.git`` is written and
+no worktree is registered; the change side is
 this checkout's ``HEAD``, and the script refuses to start while tracked
 files differ from it, so that both commits in the record name the code
 that was measured.  Only the last stdout line of each run (its result
@@ -88,6 +90,13 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
+def _extract(commit: str, dest: Path) -> None:
+    """Write the tracked files of commit into dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
@@ -107,9 +116,10 @@ def main(argv=None) -> int:
     change_commit = _git("rev-parse", "HEAD")
     tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
     base_tree = tmp / "base"
-    _git("worktree", "add", "--detach", str(base_tree), base_commit)
+    base_tree.mkdir()
     runs = []
     try:
+        _extract(base_commit, base_tree)
         for pair, seed in enumerate(plan):
             order = ("change", "base") if pair % 2 == 0 else ("base", "change")
             for position, side in enumerate(order):
@@ -120,7 +130,6 @@ def main(argv=None) -> int:
                 print(f"pair {pair} seed {seed} {side}: correct={run['correct']} "
                       f"failed={run['failed']}", file=sys.stderr)
     finally:
-        _git("worktree", "remove", "--force", str(base_tree))
         shutil.rmtree(tmp, ignore_errors=True)
 
     directions = _directions()

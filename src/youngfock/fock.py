@@ -203,9 +203,6 @@ class FockVector:
     def coefficient_of_partition(self, lam: Partition) -> Scalar:
         return self.coefficient(MayaState.from_partition(lam))
 
-    def as_partition_dict(self) -> Dict[Partition, Scalar]:
-        return {s.to_partition(): c for s, c in self._terms.items()}
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "FockVector") -> "FockVector":
@@ -229,9 +226,6 @@ class FockVector:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FockVector) and self._terms == other._terms
-
-    def truncate(self, max_degree: int) -> "FockVector":
-        return FockVector({s: c for s, c in self._terms.items() if s.degree <= max_degree})
 
     def linear_apply(self, fn) -> "FockVector":
         """Extend ``fn: state -> iterable of (state, scalar)`` linearly."""

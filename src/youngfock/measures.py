@@ -8,7 +8,8 @@ mode at (M, gamma): (1, 0) gives the boson mode a_k of a Schur measure
 (Okounkov's vertex-operator form), (2, 0) the oscillator mode L_k of a
 Virasoro measure, and the m-virasoro kind takes both from its spec.
 :func:`schur_polynomial` (Jacobi-Trudi) is the per-diagram route and the
-oracle of the Schur table.
+oracle of the Schur table; over many diagrams, :func:`_jacobi_trudi`
+reads one complete-homogeneous series.
 
 Measure parameters are Miwa coordinates: ``x`` with generating function
 exp(sum_k x_k t**k) for the complete-homogeneous sequence.  Weights are
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fock import MayaState, vacuum
 from .operators import (
@@ -149,13 +150,18 @@ def complete_homogeneous(x: Mapping[int, Scalar], order: int) -> List[Scalar]:
     return series_exp(a, order)
 
 
+def _jacobi_trudi(lam: Partition, h: Sequence[Scalar]) -> Scalar:
+    """det[h_(lam_i - i + j)] over a complete-homogeneous sequence h that
+    reaches index lam_1 + len(lam) - 1 (|lam| always suffices)."""
+    n = len(lam)
+    return det([[h[lam.part(i) - i + j] if lam.part(i) - i + j >= 0 else Fraction(0)
+                 for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
 def schur_polynomial(lam: Partition, x: Mapping[int, Scalar]) -> Scalar:
     """s_lam in Miwa coordinates: the Jacobi-Trudi determinant
     det[h_(lam_i - i + j)] over the complete-homogeneous sequence h."""
-    n = len(lam)
-    h = complete_homogeneous(x, max(lam.part(1) + n - 1, 0))
-    return det([[h[lam.part(i) - i + j] if lam.part(i) - i + j >= 0 else Fraction(0)
-                 for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return _jacobi_trudi(lam, complete_homogeneous(x, max(lam.part(1) + len(lam) - 1, 0)))
 
 
 def schur_weight(lam: Partition, p: MiwaParams) -> Scalar:

@@ -1,50 +1,71 @@
-"""Exact linear-algebra diagnostics of the ladder-operator representation.
+"""Exact linear-algebra diagnostics of the ladder-operator representation,
+on integer rows.
 
-One matrix assembly, :func:`image_rows`: the images of some vectors as
-coefficient rows over the reverse-lex basis ``partitions_of(n)``, each
-image state read off by its Maya state.  :func:`matrix_of` is its
-transpose over the basis vectors of one degree.  Ranks and kernels go
-through the one fraction-free elimination, :func:`rings.echelon`.
-:func:`highest_weight_check` returns the kernel of the removal matrix at
-one degree, whether the operator kills every kernel vector (applied once
-per vector) and whether each carries the highest weight z*w + 2N; the
-four-case decomposition report reads that triple, with rank p(N) - dim
-ker, so it builds and eliminates the removal matrix once per degree.
+An operator's matrix at degree n is assembled once from
+``op.numerators``: sparse rows {column: numerator}, columns the
+reverse-lex ``partitions_of(n)``, each image state read off by its Maya
+state.  That is ``op.den`` times the matrix, with ``int`` entries
+(``Poly`` under a ``Poly`` parameter).  A nonzero row scale changes
+neither rank nor kernel, so ranks, kernels and the u-image rank
+eliminate these rows directly (:func:`rings.rank`, :func:`rings.kernel`);
+kernel vectors are primitive integer vectors, one per free column.
+:func:`matrix_of` divides by ``den`` once per entry.  D*v = 0 is one
+integer sum per kernel vector, and L is diagonal, so L*v = (z*w + 2N)v
+holds when each support state's numerator is (z*w + 2N)*den.  A
+``FockVector`` is built only where a public function returns one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .fock import FockVector, basis_index
-from .operators import KerovParams, Operator, kerov_d, kerov_l, kerov_u
+from .fock import FockVector, MayaState, basis_index
+from .operators import KerovParams, Operator, _divided, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
-from .rings import Scalar, echelon, is_zero, nullspace, scalar_to_json
+from .rings import Scalar, is_zero, kernel, rank, scalar_to_json
+
+Vector = Dict[MayaState, Scalar]  # basis state -> integer (or Poly) entry
 
 
-def image_rows(op: Operator, vectors: List[FockVector], n: int) -> List[List[Scalar]]:
-    """The images op(v) as coefficient rows in the degree-n basis
-    ``partitions_of(n)``."""
+def _image(op: Operator, vec: Vector) -> Vector:
+    """den * op(vec) as numerators, zero sums dropped."""
+    acc: Vector = {}
+    for st, c in vec.items():
+        for new, n in op.numerators(st):
+            acc[new] = acc.get(new, 0) + c * n
+    return {st: n for st, n in acc.items() if n}
+
+
+def image_rows(op: Operator, vectors: List[Vector], n: int) -> List[Dict[int, Scalar]]:
+    """The images den * op(v) as sparse rows {column: numerator} over the
+    degree-n basis ``partitions_of(n)``."""
     index = basis_index(n)
-    rows = []
-    for vec in vectors:
-        row: List[Scalar] = [Fraction(0)] * len(index)
-        for state, coeff in op.apply(vec).terms():
-            row[index[state]] = coeff
-        rows.append(row)
+    return [{index[st]: c for st, c in _image(op, vec).items()} for vec in vectors]
+
+
+def _rows(op: Operator, n: int) -> List[Dict[int, Scalar]]:
+    """den times the matrix of op at degree n: one sparse row per
+    partition of the target degree, one column per ``partitions_of(n)``."""
+    target = n + op.degree_shift
+    if target < 0:
+        return []
+    index = basis_index(target)
+    rows: List[Dict[int, Scalar]] = [{} for _ in index]
+    for col, st in enumerate(basis_index(n)):
+        for new, num in op.numerators(st):
+            if num:
+                rows[index[new]][col] = num
     return rows
 
 
 def matrix_of(op: Operator, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
     """Exact matrix of the operator restricted to degree n: one row per
     partition of the target degree, one column per ``partitions_of(n)``."""
-    target = n + op.degree_shift
-    if target < 0:
-        return ()
-    basis = [FockVector.basis(st) for st in basis_index(n)]
-    return tuple(zip(*image_rows(op, basis, target)))
+    width = len(basis_index(n))
+    return tuple(tuple(_divided(row[c], op.den) if c in row else Fraction(0)
+                       for c in range(width)) for row in _rows(op, n))
 
 
 # ---------------------------------------------------------------------------
@@ -53,26 +74,39 @@ def matrix_of(op: Operator, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
 
 def rank_of_D(n: int, w: Scalar) -> int:
     """Exact rank of the box-removal operator on degree n."""
-    op = kerov_d(KerovParams(z=Fraction(0), w=w))
-    return len(echelon(matrix_of(op, n))[1])
+    return rank(_rows(kerov_d(KerovParams(z=Fraction(0), w=w)), n))
+
+
+def _kernel(op: Operator, n: int) -> List[Vector]:
+    """The kernel at degree n as primitive integer vectors over states."""
+    states = list(basis_index(n))
+    return [{states[c]: v for c, v in vec.items()}
+            for vec in kernel(_rows(op, n), len(states))]
 
 
 def kernel_basis(op: Operator, n: int) -> List[FockVector]:
-    """Exact kernel of the graded matrix at degree n, as vectors."""
-    states = basis_index(n)
-    return [FockVector(zip(states, vec)) for vec in nullspace(matrix_of(op, n), len(states))]
+    """Exact kernel of the operator at degree n: one primitive integer
+    vector per free column of its integer rows."""
+    return [FockVector({st: Fraction(v) for st, v in vec.items()}) for vec in _kernel(op, n)]
+
+
+def _highest_weight(n: int, z: Scalar, w: Scalar) -> Tuple[List[Vector], bool, bool]:
+    p = KerovParams(z=z, w=w)
+    d_op, l_op = kerov_d(p), kerov_l(p)
+    vectors = _kernel(d_op, n)
+    killed = not any(_image(d_op, vec) for vec in vectors)
+    weight = (z * w + 2 * n) * l_op.den
+    eigen = all(num == weight for vec in vectors for st in vec
+                for _, num in l_op.numerators(st))
+    return vectors, killed, eigen
 
 
 def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector], bool, bool]:
     """Kernel vectors of the removal operator at degree n; whether it
-    kills every one (applied once per vector); and whether every one
-    carries the diagonal eigenvalue z*w + 2n."""
-    p = KerovParams(z=z, w=w)
-    d_op, l_op = kerov_d(p), kerov_l(p)
-    kernel = kernel_basis(d_op, n)
-    killed = all(d_op.apply(vec).is_zero() for vec in kernel)
-    eigen = all(l_op.apply(vec) == vec.scale(z * w + 2 * n) for vec in kernel)
-    return kernel, killed, eigen
+    kills every one; and whether every one carries the diagonal
+    eigenvalue z*w + 2n."""
+    vectors, killed, eigen = _highest_weight(n, z, w)
+    return [FockVector({st: Fraction(v) for st, v in vec.items()}) for vec in vectors], killed, eigen
 
 
 @dataclass
@@ -150,10 +184,10 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
     per_degree = []
     for n in range(n_max + 1):
         p_n = len(partitions_of(n))
-        kernel, killed, eigen = highest_weight_check(n, z, w)
-        ker_dim = len(kernel)
+        vectors, killed, eigen = _highest_weight(n, z, w)
+        ker_dim = len(vectors)
         # raising the kernel stays independent (first Verma level is free)
-        u_rank = len(echelon(image_rows(u_op, kernel, n + 1))[1])
+        u_rank = rank(image_rows(u_op, vectors, n + 1))
         per_degree.append({
             "degree": n,
             "dimension": p_n,

@@ -7,12 +7,14 @@ formal (degree-in-z bookkeeping, specialization checks); it interoperates
 with ints and Fractions through the normal operator protocol, so generic
 operator code never needs to know which ring it runs over.
 
-:func:`echelon` is the package's one exact elimination: fraction-free
+:func:`_eliminate` is the package's one exact elimination: fraction-free
 Bareiss on sparse rows that hold only their nonzero entries, in int
 arithmetic once rational rows are cleared of denominators.  Ranks are its
-pivot counts, and :func:`det` and :func:`nullspace` (over Q only) are
-built on it; ``nullspace`` back-substitutes in integers over one common
-denominator per vector.  Truncated power series are plain coefficient
+pivot counts.  :func:`rank` and :func:`kernel` (over Q only) take sparse
+rows {column: value}; :func:`echelon`, :func:`det` and :func:`nullspace`
+take dense matrices.  ``kernel`` back-substitutes in integers and gives
+primitive integer vectors; ``nullspace`` divides each by its entry at
+its free column.  Truncated power series are plain coefficient
 lists over either ring; :func:`series_exp` and its inverse
 :func:`series_log` each cost O(order^2) ring operations.  No floating
 point anywhere.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, "Poly"]
 
@@ -221,38 +223,40 @@ def divexact(a: Scalar, b: Scalar) -> Scalar:
 
 # -- fraction-free elimination -------------------------------------------------
 
-def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[dict], List[int], Fraction]:
+def _eliminate(rows: Sequence[Mapping[int, Scalar]]) -> Tuple[List[dict], List[int], Fraction]:
     """Bareiss elimination on sparse rows, {column: value} of the nonzeros.
 
     Rows of ints and Fractions are first cleared to integers by the lcm of
-    their denominators, so the elimination runs in int arithmetic; Poly rows
-    stay as they are.  Pivots are taken column by column from the first
-    row below the last pivot row that has the column.  Every later row is
-    multiplied by pivot/prev, and those with an entry in the pivot column
-    also lose lead/prev times the pivot row.  Every division is exact, so
-    the entries stay in the ring, and after k pivots each entry is a k+1
-    minor of the scaled matrix; zeros left by an update are dropped.
-    Returns (rows, pivot columns, factor), where ``factor`` undoes the row
-    scalings and the sign of the row swaps.
+    their denominators (int rows pass as they are), so the elimination
+    runs in int arithmetic; Poly rows stay as they are.  Pivots are taken
+    column by column from the first row below the last pivot row that has
+    the column.  Every later row is multiplied by pivot/prev, and those
+    with an entry in the pivot column also lose lead/prev times the pivot
+    row.  Every division is exact, so the entries stay in the ring, and
+    after k pivots each entry is a k+1 minor of the scaled matrix; zeros
+    left by an update are dropped.  Returns (rows, pivot columns, factor),
+    where ``factor`` undoes the row scalings and the sign of the row swaps.
     """
-    rows: List[dict] = []
+    out: List[dict] = []
     factor = Fraction(1)
     integral = True
-    for row in matrix:
-        if all(isinstance(v, (int, Fraction)) for v in row):
-            scale = math.lcm(*(v.denominator for v in row if v))
-            rows.append({c: v.numerator * (scale // v.denominator)
-                         for c, v in enumerate(row) if v})
+    for row in rows:
+        if all(isinstance(v, (int, Fraction)) for v in row.values()):
+            scale = math.lcm(*(v.denominator for v in row.values()))
+            out.append({c: v.numerator * (scale // v.denominator)
+                        for c, v in row.items() if v})
             factor /= scale
         else:
             integral = False
-            rows.append({c: v for c, v in enumerate(row) if not is_zero(v)})
+            out.append({c: v for c, v in row.items() if not is_zero(v)})
+    rows = out
     # the quotients are minors, so on int rows floor division is exact
     div = int.__floordiv__ if integral else divexact
-    n_cols = len(matrix[0]) if rows else 0
     pivots: List[int] = []
     prev: Scalar = 1
-    for col in range(n_cols):
+    # an update only fills columns of the pivot row, so no column outside
+    # the rows' own ever holds an entry
+    for col in sorted(set().union(*rows)):
         top = len(pivots)
         pivot_row = next((r for r in range(top, len(rows)) if col in rows[r]), None)
         if pivot_row is None:
@@ -278,14 +282,24 @@ def _eliminate(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[dict], List[int
     return rows, pivots, factor
 
 
+def _sparse(matrix: Sequence[Sequence[Scalar]]) -> List[dict]:
+    return [{c: v for c, v in enumerate(row) if not is_zero(v)} for row in matrix]
+
+
 def echelon(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[list], List[int], Fraction]:
     """Row echelon form by fraction-free (Bareiss) elimination on sparse
     rows, see :func:`_eliminate`, written out densely.  Returns (rows,
     pivot columns, factor): det of the original square matrix is the last
     pivot times ``factor``."""
-    rows, pivots, factor = _eliminate(matrix)
+    rows, pivots, factor = _eliminate(_sparse(matrix))
     n_cols = len(matrix[0]) if rows else 0
     return [[row.get(c, 0) for c in range(n_cols)] for row in rows], pivots, factor
+
+
+def rank(rows: Sequence[Mapping[int, Scalar]]) -> int:
+    """Rank of sparse rows {column: value}, the pivot count of
+    :func:`_eliminate`."""
+    return len(_eliminate(rows)[1])
 
 
 def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -295,24 +309,23 @@ def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     return (rows[-1][-1] if rows else 1) * factor
 
 
-def nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Fraction]]:
-    """Kernel basis over the rationals, by back-substitution in the echelon
-    form: one vector per free column in column order, 1 at that column and
-    0 at the other free columns.  Each vector is solved in integers, as
-    numerators over one common denominator, and becomes Fractions at the
-    end."""
-    if any(len(row) != n_cols for row in matrix):
-        raise ValueError("ragged matrix")
-    if any(isinstance(v, Poly) for row in matrix for v in row):
+def kernel(rows: Sequence[Mapping[int, Scalar]], n_cols: int) -> List[Dict[int, int]]:
+    """Kernel basis of sparse rational rows {column: value} over n_cols
+    columns, by back-substitution in their echelon form, in integers: one
+    vector {column: entry} per free column f, in column order, zero at the
+    other free columns.  Each vector is primitive (gcd 1) and positive at
+    f, its largest column: every pivot column it solves for lies left of
+    a column already in it."""
+    if any(isinstance(v, Poly) for row in rows for v in row.values()):
         raise ValueError("nullspace is computed over Q; the matrix has Poly entries")
-    rows, pivots, _ = _eliminate(matrix)
-    bottom_up = list(zip(rows, pivots))[::-1]
+    echelon_rows, pivots, _ = _eliminate(rows)
+    bottom_up = list(zip(echelon_rows, pivots))[::-1]
     pivot_set = set(pivots)
     basis = []
     for f in (c for c in range(n_cols) if c not in pivot_set):
-        num, den = {f: 1}, 1
+        num = {f: 1}
         for row, p in bottom_up:
-            # row . vec = 0 fixes vec[p] = -s / (den * row[p])
+            # row . vec = 0 fixes vec[p] = -s / row[p]
             s = sum(v * num[c] for c, v in row.items() if c in num)
             if not s:
                 continue
@@ -321,11 +334,23 @@ def nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Frac
             if a != 1:
                 for c in num:
                     num[c] *= a
-                den *= a
             num[p] = -s
-        vec = [Fraction(0)] * n_cols
+        g = math.gcd(*num.values()) * (1 if num[f] > 0 else -1)
+        basis.append({c: v // g for c, v in num.items()})
+    return basis
+
+
+def nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Fraction]]:
+    """Kernel basis over the rationals: one vector per free column in
+    column order, 1 at that column and 0 at the other free columns; the
+    integer vectors of :func:`kernel` over their entry there."""
+    if any(len(row) != n_cols for row in matrix):
+        raise ValueError("ragged matrix")
+    basis = []
+    for num in kernel(_sparse(matrix), n_cols):
+        vec, lead = [Fraction(0)] * n_cols, num[max(num)]
         for c, v in num.items():
-            vec[c] = Fraction(v, den)
+            vec[c] = Fraction(v, lead)
         basis.append(vec)
     return basis
 

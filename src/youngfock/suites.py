@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .conversion import (
     a_coeff_closed,
@@ -20,10 +20,12 @@ from .conversion import (
     y_side_params,
     z_linearity_witness,
 )
-from .fock import FockVector, MayaState, basis_index, boson_moves, psi, vacuum
+from .fock import FockVector, MayaState, basis_index, boson_moves, vacuum
 from .measures import (
     MeasureSpec,
     MiwaParams,
+    _jacobi_trudi,
+    complete_homogeneous,
     schur_polynomial,
     schur_weight,
     weight_table,
@@ -31,6 +33,7 @@ from .measures import (
 from .operators import (
     KerovParams,
     MVirasoro,
+    Operator,
     VirasoroParams,
     _clear,
     boson_op,
@@ -48,7 +51,7 @@ from .operators import (
     virasoro_params_from_kerov,
 )
 from .partitions import HalfInt, Partition, partitions_of, partitions_up_to
-from .rings import random_rational, rational_str, scalar_to_json, series_exp
+from .rings import Scalar, random_rational, rational_str, scalar_to_json, series_exp
 
 
 def _check(name: str, ok: bool, detail=None) -> dict:
@@ -235,21 +238,22 @@ def suite_determinancy(seed: int = 0, max_degree: int = 6, draws: int = 5) -> di
         table = weight_table(spec)
         xs = schur_params_from_vir(x, z, max_degree)
         ys, _ = y_side_params(y, w, max_degree)
-        xm = {i + 1: v for i, v in enumerate(xs)}
-        ym = {i + 1: v for i, v in enumerate(ys)}
+        # one complete-homogeneous series per side reaches every |lam| <= max_degree
+        hx = complete_homogeneous({i + 1: v for i, v in enumerate(xs)}, max_degree)
+        hy = complete_homogeneous({i + 1: v for i, v in enumerate(ys)}, max_degree)
 
         if max_degree >= 1:  # rows 1..max_degree
             vx, vy = vir_rows(x, z, max_degree), vir_rows(y, w, max_degree)
             row_ok = all(
-                vx[n] == schur_polynomial(Partition((n,)), xm)
-                and vy[n] == schur_polynomial(Partition((n,)), ym)
+                vx[n] == _jacobi_trudi(Partition((n,)), hx)
+                and vy[n] == _jacobi_trudi(Partition((n,)), hy)
                 for n in range(1, max_degree + 1)
             )
             checks.append(_check(f"single-row weights equal their Schur values, draw {t}", row_ok))
 
         mism = []
         for lam in table.partitions():
-            expect = schur_polynomial(lam, xm) * schur_polynomial(lam, ym)
+            expect = _jacobi_trudi(lam, hx) * _jacobi_trudi(lam, hy)
             got = table.weights[lam]
             if got != expect:
                 mism.append({"partition": lam.to_json(),
@@ -264,8 +268,8 @@ def suite_determinancy(seed: int = 0, max_degree: int = 6, draws: int = 5) -> di
     x1 = {1: random_rational(rng, nonzero=True)}
     ket = exp_raising([(x1[1], virasoro_op(-1, VirasoroParams(alpha=z)))], vacuum(), max_degree)
     xs = schur_params_from_vir(x1, z, max_degree)
-    xm = {i + 1: v for i, v in enumerate(xs)}
-    ok1 = all(ket.coefficient_of_partition(lam) == schur_polynomial(lam, xm)
+    hx = complete_homogeneous({i + 1: v for i, v in enumerate(xs)}, max_degree)
+    ok1 = all(ket.coefficient_of_partition(lam) == _jacobi_trudi(lam, hx)
               for lam in partitions_up_to(max_degree))
     probes.append({"name": "reduction holds when only x_1 is nonzero", "holds": ok1})
     # the two-row gap pattern, recomputed here: s_(1,1)(X) - ket(1,1) = -x_2
@@ -370,7 +374,7 @@ def suite_rank(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
 
 
 def suite_kernels(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
-    from .repstructure import decomposition_report, highest_weight_check, kernel_basis
+    from .repstructure import _highest_weight, _kernel, decomposition_report
     rng = random.Random(seed)
     checks = []
     # raising operator injectivity
@@ -381,14 +385,14 @@ def suite_kernels(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
         if max_degree >= 1:  # degrees 1..max_degree
             checks.append(_failed(
                 f"raising kernel trivial in degrees 1..{max_degree} at z={rational_str(z)}",
-                [n for n in range(1, max_degree + 1) if kernel_basis(u_op, n)], "degrees"))
+                [n for n in range(1, max_degree + 1) if _kernel(u_op, n)], "degrees"))
     # highest-weight structure for a generic draw
     z = random_rational(rng, nonzero=True)
     w = random_rational(rng, nonzero=True)
     hw_ok = True
     mult_ok = True
     for n in range(0, min(max_degree, 6) + 1):
-        vectors, killed, eigen = highest_weight_check(n, z, w)
+        vectors, killed, eigen = _highest_weight(n, z, w)
         hw_ok = hw_ok and killed and eigen
         p_n = len(partitions_of(n))
         p_prev = len(partitions_of(n - 1)) if n >= 1 else 0
@@ -498,6 +502,55 @@ def _charged_states(max_degree: int, charges=(-1, 0, 1)):
     return out
 
 
+def _psi_bracket(op: Operator, c: Scalar, after=()):
+    """The terms of [psi_x, op] = c psi_(x+k) + sum of o psi_x over o in
+    ``after``, cleared over one int denominator by ``_clear``: op first,
+    then (scale, None) for the psi_(x+k) term, if c is nonzero, and
+    (scale, o) for each o."""
+    return _clear([(1, op), (-c, None)] + [(-1, o) for o in after])[1]
+
+
+def _psi_bracket_differs(terms, x: HalfInt, k: int, state: MayaState) -> bool:
+    """Whether an identity of :func:`_psi_bracket` fails on one basis
+    state: psi_x is one (sign, state) per state, so [psi_x, op]|state>
+    minus the right side is one dict of numerators, and the identity
+    holds when every entry is zero.  No vector is built."""
+    (scale, op), rest = terms[0], terms[1:]
+    acc: Dict[MayaState, Scalar] = {}
+    for new, n in op.numerators(state):
+        hit = new.insert(x)
+        if hit:
+            acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * scale * n
+    hit = state.insert(x)
+    if hit:
+        sign, mid = hit
+        for s, o in [(-scale, op)] + [t for t in rest if t[1] is not None]:
+            for new, n in o.numerators(mid):
+                acc[new] = acc.get(new, 0) + sign * s * n
+    hit = state.insert(x + k)
+    if hit:
+        for s, _ in (t for t in rest if t[1] is None):
+            acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * s
+    return any(acc.values())
+
+
+def _prop52_verdicts(p: VirasoroParams, k: int, max_degree: int):
+    """Per (x, state): whether the verified, printed and index-corrected
+    forms of [psi_x, L_(-k)] fail there."""
+    l_raise, a_lower, a_raise = virasoro_op(-k, p), boson_op(k), boson_op(-k)
+    states = _charged_states(max_degree)
+    out = []
+    for x in (HalfInt(d) for d in range(-7, 8, 2)):
+        coeff = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
+        raw_coeff = p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1
+        # printed form: a_k psi_x + (z + x + k/2 - 1) psi_(x+k)
+        forms = [_psi_bracket(l_raise, coeff), _psi_bracket(l_raise, raw_coeff, [a_lower]),
+                 _psi_bracket(l_raise, raw_coeff, [a_raise])]
+        for state in states:
+            out.append(((x, state), tuple(_psi_bracket_differs(t, x, k, state) for t in forms)))
+    return out
+
+
 def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dict:
     """Bracket of a creation operator with a raising mode.
 
@@ -512,24 +565,10 @@ def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dic
     p = VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
     checks = []
     probes = []
-    xs = [HalfInt(d) for d in range(-7, 8, 2)]
-    states = _charged_states(max_degree)
     for k in range(1, mode_bound + 1):
-        l_raise, a_lower, a_raise = virasoro_op(-k, p), boson_op(k), boson_op(-k)
-        bad = raw_bad = corrected_bad = total = 0
-        for x in xs:
-            coeff = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
-            zk = p.alpha - p.gamma * k
-            raw_coeff = zk + x.as_fraction() + Fraction(k, 2) - 1
-            for state in states:
-                v = FockVector.basis(state)
-                shifted = psi(x, v)
-                lhs = psi(x, l_raise.apply(v)) - l_raise.apply(shifted)
-                total += 1
-                bad += lhs != psi(x + k, v).scale(coeff)
-                # printed form: a_k psi_x + (z + x + k/2 - 1) psi_(x+k)
-                raw_bad += lhs != a_lower.apply(shifted) + psi(x + k, v).scale(raw_coeff)
-                corrected_bad += lhs != a_raise.apply(shifted) + psi(x + k, v).scale(raw_coeff)
+        verdicts = [v for _, v in _prop52_verdicts(p, k, max_degree)]
+        total = len(verdicts)
+        bad, raw_bad, corrected_bad = (sum(col) for col in zip(*verdicts))
         checks.append(_failed(
             f"[psi_x, L_(-{k})] = -((alpha - gamma k) + x + k/2) psi_(x+k)", bad, of=total))
         probes.append({"name": f"printed form with lowering boson term, k={k}",
@@ -546,44 +585,35 @@ def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dic
     )
 
 
+def _prop62_verdicts(p: VirasoroParams, k: int, max_degree: int):
+    """Per (x, state): whether the order-2 bracket fails there, and
+    whether the printed order-3 shape does (None where psi_x kills the
+    state, which the probe skips)."""
+    m1, m2, m3 = (m_virasoro_op(order, -k, p) for order in (1, 2, 3))
+    states = _charged_states(max_degree)
+    out = []
+    for x in (HalfInt(d) for d in range(-5, 6, 2)):
+        cx = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
+        raw_coeff = (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1) ** 2
+        order2, order3 = _psi_bracket(m2, cx), _psi_bracket(m3, raw_coeff, [m2, m1])
+        for state in states:
+            probe = _psi_bracket_differs(order3, x, k, state) if state.insert(x) else None
+            out.append(((x, state), (_psi_bracket_differs(order2, x, k, state), probe)))
+    return out
+
+
 def suite_prop62(seed: int = 0, max_degree: int = 3, mode_bound: int = 2) -> dict:
     rng = random.Random(seed)
     p = VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
-    checks = []
-    probes = []
-    xs = [HalfInt(d) for d in range(-5, 6, 2)]
-    states = _charged_states(max_degree)
-    # base case M = 2: must agree with the quadratic-mode bracket
-    bad = 0
-    for k in range(1, mode_bound + 1):
-        m2 = m_virasoro_op(2, -k, p)
-        for x in xs:
-            cx = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
-            for state in states:
-                v = FockVector.basis(state)
-                shifted = psi(x, v)
-                lhs = psi(x, m2.apply(v)) - m2.apply(shifted)
-                bad += lhs != psi(x + k, v).scale(cx)
-    checks.append(_failed("order 2 bracket matches the verified quadratic-mode identity", bad))
-    # probe the printed order-3 shape
-    deltas = total = 0
-    for k in range(1, mode_bound + 1):
-        zk = p.alpha - p.gamma * k
-        m1, m2, m3 = (m_virasoro_op(order, -k, p) for order in (1, 2, 3))
-        for x in xs:
-            raw_coeff = (zk + x.as_fraction() + Fraction(k, 2) - 1) ** 2
-            for state in states:
-                v = FockVector.basis(state)
-                shifted = psi(x, v)
-                if not shifted:
-                    continue
-                lhs = psi(x, m3.apply(v)) - m3.apply(shifted)
-                rhs = (m2.apply(shifted) + m1.apply(shifted)
-                       + psi(x + k, v).scale(raw_coeff))
-                total += 1
-                deltas += lhs != rhs
-    probes.append({"name": "printed order-3 bracket shape", "holds": deltas == 0,
-                   "failures": deltas, "of": total})
+    # base case M = 2: must agree with the quadratic-mode bracket; and
+    # the printed order-3 shape, probed
+    verdicts = [v for k in range(1, mode_bound + 1) for _, v in _prop62_verdicts(p, k, max_degree)]
+    bad = sum(order2 for order2, _ in verdicts)
+    probed = [order3 for _, order3 in verdicts if order3 is not None]
+    deltas, total = sum(probed), len(probed)
+    checks = [_failed("order 2 bracket matches the verified quadratic-mode identity", bad)]
+    probes = [{"name": "printed order-3 bracket shape", "holds": deltas == 0,
+               "failures": deltas, "of": total}]
     return _report(
         "prop62",
         "creation operator bracket with M-fold raising modes: order-2 base "

@@ -7,9 +7,10 @@ from a literal prefix-list model of the semi-infinite wedge, and
 determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
 explicit sums over all 2^(N-1) jump compositions.  The truncated
-exponential is summed power by power, and a bracket identity and an
-equivalence pair checked basis vector by basis vector, through
-``op.apply``.  The dense
+exponential is summed power by power, and a bracket identity, an
+equivalence pair and the psi brackets of prop52 and prop62 checked basis
+vector by basis vector, through ``op.apply``; so are the earlier matrix
+assembly, kernel and highest-weight check of ``repstructure``.  The dense
 Bareiss loop, the recursive M-fold tuple enumeration, the M-fold tuple
 sum evaluated tuple by tuple at fixed parameters and the Fraction
 evaluation of a bilinear's weight (Horner's rule per jump, power sums on
@@ -30,8 +31,17 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, List, Sequence, Tuple
 
-from youngfock.fock import FockVector, MayaState, boson_moves
-from youngfock.operators import _descending_tuples
+from youngfock.fock import FockVector, MayaState, basis_index, boson_moves, psi
+from youngfock.operators import (
+    KerovParams,
+    Operator,
+    _descending_tuples,
+    boson_op,
+    kerov_d,
+    kerov_l,
+    m_virasoro_op,
+    virasoro_op,
+)
 from youngfock.partitions import HalfInt, Partition, partitions_of
 from youngfock.rings import Poly, Scalar, divexact, is_zero, series_exp
 
@@ -261,18 +271,130 @@ def disagree_by_vectors(pairs, max_degree):
     return out
 
 
+def truncate(v, max_degree):
+    """The components of v of degree at most max_degree."""
+    return FockVector({s: c for s, c in v.terms() if s.degree <= max_degree})
+
+
+def as_partition_dict(v):
+    """A charge-0 vector as {partition: coefficient}."""
+    return {s.to_partition(): c for s, c in v.terms()}
+
+
+def image_rows_by_vectors(op: Operator, vectors: List[FockVector], n: int) -> List[List[Scalar]]:
+    """The images op(v) as coefficient rows in the degree-n basis
+    ``partitions_of(n)``.  This and the three below are the library's
+    earlier ``repstructure`` forms, through ``op.apply`` and
+    ``FockVector``: the references for the integer rows."""
+    index = basis_index(n)
+    rows = []
+    for vec in vectors:
+        row: List[Scalar] = [Fraction(0)] * len(index)
+        for state, coeff in op.apply(vec).terms():
+            row[index[state]] = coeff
+        rows.append(row)
+    return rows
+
+
+def matrix_of_by_vectors(op: Operator, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
+    """Exact matrix of the operator restricted to degree n: one row per
+    partition of the target degree, one column per ``partitions_of(n)``."""
+    target = n + op.degree_shift
+    if target < 0:
+        return ()
+    basis = [FockVector.basis(st) for st in basis_index(n)]
+    return tuple(zip(*image_rows_by_vectors(op, basis, target)))
+
+
+def kernel_basis_by_vectors(op: Operator, n: int) -> List[FockVector]:
+    """Exact kernel of the graded matrix at degree n, as vectors."""
+    states = basis_index(n)
+    return [FockVector(zip(states, vec))
+            for vec in dense_nullspace(matrix_of_by_vectors(op, n), len(states))]
+
+
+def highest_weight_check_by_vectors(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector], bool, bool]:
+    """Kernel vectors of the removal operator at degree n; whether it
+    kills every one (applied once per vector); and whether every one
+    carries the diagonal eigenvalue z*w + 2n."""
+    p = KerovParams(z=z, w=w)
+    d_op, l_op = kerov_d(p), kerov_l(p)
+    kernel = kernel_basis_by_vectors(d_op, n)
+    killed = all(d_op.apply(vec).is_zero() for vec in kernel)
+    eigen = all(l_op.apply(vec) == vec.scale(z * w + 2 * n) for vec in kernel)
+    return kernel, killed, eigen
+
+
+def prop52_verdicts_by_vectors(p, k, max_degree):
+    """Per (x, state): whether the verified, printed and index-corrected
+    forms of [psi_x, L_(-k)] fail there, compared as ``FockVector``s
+    through ``fock.psi`` and ``op.apply``: the library's earlier bracket
+    loop, the reference for ``suites._prop52_verdicts``."""
+    xs = [HalfInt(d) for d in range(-7, 8, 2)]
+    states = charged_states(max_degree)
+    l_raise, a_lower, a_raise = virasoro_op(-k, p), boson_op(k), boson_op(-k)
+    out = []
+    for x in xs:
+        coeff = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
+        zk = p.alpha - p.gamma * k
+        raw_coeff = zk + x.as_fraction() + Fraction(k, 2) - 1
+        for state in states:
+            v = FockVector.basis(state)
+            shifted = psi(x, v)
+            lhs = psi(x, l_raise.apply(v)) - l_raise.apply(shifted)
+            bad = lhs != psi(x + k, v).scale(coeff)
+            # printed form: a_k psi_x + (z + x + k/2 - 1) psi_(x+k)
+            raw_bad = lhs != a_lower.apply(shifted) + psi(x + k, v).scale(raw_coeff)
+            corrected_bad = lhs != a_raise.apply(shifted) + psi(x + k, v).scale(raw_coeff)
+            out.append(((x, state), (bad, raw_bad, corrected_bad)))
+    return out
+
+
+def prop62_verdicts_by_vectors(p, k, max_degree):
+    """Per (x, state): whether the order-2 bracket fails there, and
+    whether the printed order-3 shape does (None where psi_x kills the
+    state), as ``FockVector``s: the reference for
+    ``suites._prop62_verdicts``."""
+    xs = [HalfInt(d) for d in range(-5, 6, 2)]
+    states = charged_states(max_degree)
+    zk = p.alpha - p.gamma * k
+    m1, m2, m3 = (m_virasoro_op(order, -k, p) for order in (1, 2, 3))
+    out = []
+    for x in xs:
+        cx = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
+        raw_coeff = (zk + x.as_fraction() + Fraction(k, 2) - 1) ** 2
+        for state in states:
+            v = FockVector.basis(state)
+            shifted = psi(x, v)
+            lhs = psi(x, m2.apply(v)) - m2.apply(shifted)
+            bad = lhs != psi(x + k, v).scale(cx)
+            probe = None
+            if shifted:
+                lhs = psi(x, m3.apply(v)) - m3.apply(shifted)
+                rhs = (m2.apply(shifted) + m1.apply(shifted)
+                       + psi(x + k, v).scale(raw_coeff))
+                probe = lhs != rhs
+            out.append(((x, state), (bad, probe)))
+    return out
+
+
+def charged_states(max_degree, charges=(-1, 0, 1)):
+    return [MayaState.from_partition(lam, charge=c)
+            for c in charges for d in range(max_degree + 1) for lam in partitions_of(d)]
+
+
 def exp_by_powers(terms, v, max_degree):
     """sum_m (1/m!) A**m v, A = sum_i c_i op_i, one power at a time
     through ``op.apply`` and ``truncate``, over any scalar ring.  Every
     operator must raise degree, so the sum stops."""
-    result = power = v.truncate(max_degree)
+    result = power = truncate(v, max_degree)
     m = 0
     while power:
         m += 1
         step = FockVector.zero()
         for c, op in terms:
             step = step + op.apply(power).scale(c)
-        power = step.truncate(max_degree).scale(Fraction(1, m))
+        power = truncate(step, max_degree).scale(Fraction(1, m))
         result = result + power
     return result
 

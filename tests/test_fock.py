@@ -17,6 +17,7 @@ from youngfock.rings import Poly, scalar_to_json
 
 from .conftest import partitions, small_rationals
 from .oracles import (
+    as_partition_dict,
     boson_zero_eigenvalue,
     inner,
     naive_boson,
@@ -171,7 +172,7 @@ def test_boson_against_prefix_model():
                     parts = tuple(p for p in parts if p > 0)
                     want[parts] = Fraction(coeff)
                 image = boson_op(k).apply(FockVector.from_partition(lam))
-                got = {lam2.parts: c for lam2, c in image.as_partition_dict().items()}
+                got = {lam2.parts: c for lam2, c in as_partition_dict(image).items()}
                 assert got == want, (lam, k)
 
 

@@ -8,6 +8,7 @@ from youngfock.measures import (
     KINDS,
     MeasureSpec,
     MiwaParams,
+    _jacobi_trudi,
     cauchy_normalizer,
     complete_homogeneous,
     correlation,
@@ -46,6 +47,32 @@ def test_complete_homogeneous_matches_row_schur():
     h = complete_homogeneous(x, 6)
     for n in range(1, 7):
         assert schur_polynomial(P(n), x) == h[n]
+
+
+def test_jacobi_trudi_reads_one_long_series():
+    # one series to degree 8 serves every diagram up to size 8, as the
+    # per-diagram series of schur_polynomial does, over Q and over Poly
+    for x in ({1: Fraction(2, 3), 2: Fraction(-1, 2), 3: Fraction(1, 5)},
+              {1: Poly((1, 2)), 3: Fraction(-2, 7)}):
+        h = complete_homogeneous(x, 8)
+        for lam in partitions_up_to(8):
+            assert _jacobi_trudi(lam, h) == schur_polynomial(lam, x), lam
+
+
+def test_determinancy_builds_one_series_per_side_per_draw(monkeypatch):
+    import youngfock.suites as suites
+
+    calls = []
+
+    def counted(x, order):
+        calls.append(order)
+        return complete_homogeneous(x, order)
+
+    monkeypatch.setattr(suites, "complete_homogeneous", counted)
+    rep = suites.suite_determinancy(seed=6)
+    # two sides per draw, one for the x_1-only probe
+    assert calls == [6] * (2 * 5 + 1)
+    assert not rep["ok"]
 
 
 def test_schur_weight_dual_route(rng):

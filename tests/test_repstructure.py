@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from youngfock.fock import FockVector
-from youngfock.operators import KerovParams, kerov_d, kerov_l, kerov_u
+import youngfock.repstructure as rs
+from youngfock.fock import FockVector, basis_index
+from youngfock.operators import (Bilinear, KerovParams, MVirasoro, hook_lower, hook_raise, kerov_d,
+                                 kerov_l, kerov_u)
 from youngfock.partitions import Partition, partitions_of
 from youngfock.repstructure import (
     decomposition_report,
@@ -13,10 +16,19 @@ from youngfock.repstructure import (
     matrix_of,
     rank_of_D,
 )
-from youngfock.rings import Poly, echelon, nullspace
+from youngfock.rings import Poly, echelon, nullspace, rank
 
+from . import oracles
 from .conftest import rand_q
-from .oracles import dense_echelon, dense_nullspace, pentagonal_count
+from .oracles import (
+    dense_echelon,
+    dense_nullspace,
+    highest_weight_check_by_vectors,
+    image_rows_by_vectors,
+    kernel_basis_by_vectors,
+    matrix_of_by_vectors,
+    pentagonal_count,
+)
 
 
 def P(*parts):
@@ -37,11 +49,37 @@ def test_matrix_of_examples():
     diag = KP.z * KP.w + 6
     assert m == tuple(tuple(diag if i == j else 0 for j in range(3)) for i in range(3))
 
-    # the transpose of image_rows over the basis vectors of the degree
+    # the transpose of the oracle's image rows over the basis vectors of the degree
     for op, n in ((kerov_u(KP), 4), (kerov_d(KP), 5)):
         basis = [FockVector.from_partition(lam) for lam in partitions_of(n)]
-        rows = image_rows(op, basis, n + op.degree_shift)
+        rows = image_rows_by_vectors(op, basis, n + op.degree_shift)
         assert matrix_of(op, n) == tuple(zip(*rows))
+
+
+def test_image_rows_are_den_times_the_images():
+    # integer vectors over states in, sparse numerator rows over op.den out
+    op = kerov_u(KP)
+    states = list(basis_index(3))
+    vectors = [{states[0]: 2, states[2]: -3}, {states[1]: 1}, {}]
+    rows = image_rows(op, vectors, 4)
+    assert all(type(v) is int for row in rows for v in row.values()) and rows[2] == {}
+    want = image_rows_by_vectors(op, [FockVector({st: Fraction(c) for st, c in vec.items()})
+                                      for vec in vectors], 4)
+    assert [[Fraction(row.get(c, 0), op.den) for c in range(5)] for row in rows] == want
+
+
+def test_matrix_of_matches_the_vector_oracle():
+    # exact values and scalar types, over rational and Poly parameters
+    t = Poly.gen()
+    for p in (KP, KerovParams(z=Fraction(-1, 3), w=t), KerovParams(z=t, w=Fraction(2, 5))):
+        for op in (kerov_u(p), kerov_d(p), kerov_l(p), hook_raise(2, p), hook_lower(3, p)):
+            for n in range(7):
+                got, want = matrix_of(op, n), matrix_of_by_vectors(op, n)
+                assert got == want, (op, n)
+                assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+    m3 = MVirasoro(3, 1, Fraction(1, 3), Fraction(-1, 2))
+    for n in range(5):
+        assert matrix_of(m3, n) == matrix_of_by_vectors(m3, n)
 
 
 def test_rank_of_D_examples(rng):
@@ -186,5 +224,73 @@ def test_sparse_elimination_matches_dense_on_ladder_matrices(z, w):
             assert echelon(m) == dense_echelon(m), (op, n)
             assert nullspace(m, cols) == dense_nullspace(m, cols)
         # the u-image rows of the decomposition report
-        rows = image_rows(u_op, kernel_basis(d_op, n), n + 1)
+        rows = image_rows_by_vectors(u_op, kernel_basis(d_op, n), n + 1)
         assert echelon(rows) == dense_echelon(rows), n
+
+
+CASES = [(Fraction(2, 3), Fraction(-5, 7)), (Fraction(0), Fraction(3, 4)),
+         (Fraction(-1, 2), Fraction(0)), (Fraction(0), Fraction(0))]
+CASE_IDS = ["both-nonzero", "z-zero", "w-zero", "both-zero"]
+
+
+def test_ranks_match_the_vector_oracle(rng):
+    t = Poly.gen()
+    ws = [rand_q(rng) for _ in range(3)] + [Fraction(i) for i in range(-3, 4)]
+    for w, top in [(w, 9) for w in ws] + [(t, 7), (t * t - 1, 6)]:
+        d_op = kerov_d(KerovParams(z=Fraction(0), w=w))
+        for n in range(top):
+            assert rank_of_D(n, w) == len(echelon(matrix_of_by_vectors(d_op, n))[1]), (w, n)
+
+
+@pytest.mark.parametrize("z,w", CASES, ids=CASE_IDS)
+def test_u_image_rank_matches_the_vector_oracle(z, w):
+    # rational z, and a Poly z whose u-image rows are Poly numerators
+    for zz in (z, Poly((z, 1))):
+        p = KerovParams(z=zz, w=w)
+        u_op, d_op = kerov_u(p), kerov_d(p)
+        for n in range(9):
+            got = rank(image_rows(u_op, rs._kernel(d_op, n), n + 1))
+            want = image_rows_by_vectors(u_op, kernel_basis_by_vectors(d_op, n), n + 1)
+            assert got == len(echelon(want)[1]), (zz, n)
+
+
+@pytest.mark.parametrize("z,w", CASES, ids=CASE_IDS)
+def test_kernel_vectors_are_multiples_of_the_oracle(z, w):
+    p = KerovParams(z=z, w=w)
+    for op in (kerov_d(p), kerov_u(p)):
+        for n in range(10):
+            got, want = kernel_basis(op, n), kernel_basis_by_vectors(op, n)
+            assert len(got) == len(want), (op, n)
+            for g, v in zip(got, want):
+                entries = [c for _, c in g.terms()]
+                # primitive integer vectors
+                assert all(c.denominator == 1 for c in entries)
+                assert math.gcd(*(c.numerator for c in entries)) == 1
+                state, c0 = next(v.terms())
+                ratio = g.coefficient(state) / c0
+                assert ratio != 0 and g == v.scale(ratio), (op, n)
+
+
+@pytest.mark.parametrize("z,w", CASES + [(Fraction(-3, 4), Fraction(5, 6))],
+                         ids=CASE_IDS + ["both-nonzero-2"])
+def test_highest_weight_verdicts_match_the_vector_oracle(z, w, monkeypatch):
+    d_off = kerov_d(KerovParams(z=z, w=w + 1))
+    flagged = 0
+    for n in range(8):
+        got, killed, eigen = highest_weight_check(n, z, w)
+        want, killed0, eigen0 = highest_weight_check_by_vectors(n, z, w)
+        assert (killed, eigen) == (killed0, eigen0) == (True, True), n
+        # negative control: a D built at w + 1 in the kill check
+        vectors = rs._kernel(kerov_d(KerovParams(z=z, w=w)), n)
+        off = [bool(rs._image(d_off, vec)) for vec in vectors]
+        assert off == [not d_off.apply(v).is_zero() for v in got], n
+        flagged += sum(off)
+    assert flagged
+    # negative control: a diagonal shifted by one misses z*w + 2N
+    shifted = lambda p: Bilinear(0, (p.z + p.w, 2), p.z * p.w + 1)  # noqa: E731
+    monkeypatch.setattr(rs, "kerov_l", shifted)
+    monkeypatch.setattr(oracles, "kerov_l", shifted)
+    for n in range(6):
+        got, want = highest_weight_check(n, z, w), highest_weight_check_by_vectors(n, z, w)
+        # an empty kernel (degree 1 unless w = 0) carries every weight
+        assert got[1:] == want[1:] == (True, not got[0]), n

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from youngfock.rings import (
     det,
     divexact,
     echelon,
+    kernel,
     nullspace,
     parse_rational,
     random_rational,
+    rank,
     rational_str,
     scalar_to_json,
     series_exp,
@@ -241,3 +244,28 @@ def test_sparse_elimination_matches_dense(kind, shape):
         assert echelon(m) == dense_echelon(m)
         if not kind.startswith("poly"):
             assert nullspace(m, shape[1]) == dense_nullspace(m, shape[1])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 3), (5, 6)])
+@pytest.mark.parametrize("kind", ["rational", "zero-corner", "zero-row", "dup-row",
+                                  "zero-col", "dup-col", "poly", "poly-dup-row"])
+def test_sparse_rank_and_primitive_kernel(kind, shape):
+    # rank and kernel on sparse rows: the dense pivot count, and primitive
+    # integer vectors each a positive multiple of nullspace's vector
+    rng = random.Random(f"kernel{kind}{shape}")
+    m = _random_matrix(kind, *shape, rng)
+    rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+    assert rank(rows) == len(echelon(m)[1]) == minor_rank(m)
+    if any(isinstance(v, Poly) for row in m for v in row):
+        with pytest.raises(ValueError, match="over Q"):
+            kernel(rows, shape[1])
+        return
+    basis = nullspace(m, shape[1])
+    vectors = kernel(rows, shape[1])
+    assert len(vectors) == len(basis)
+    for vec, v in zip(vectors, basis):
+        assert all(type(x) is int and x for x in vec.values())
+        assert math.gcd(*vec.values()) == 1
+        free = next(c for c, x in enumerate(v) if x == 1 and c in vec)
+        assert vec[free] > 0
+        assert [Fraction(vec.get(c, 0), vec[free]) for c in range(shape[1])] == v

@@ -57,8 +57,8 @@ def _fake_bench(module, monkeypatch, results):
                 "metrics": {"rank.wall_s": 2.0}}
 
     monkeypatch.setattr(module, "_run", run)
-    monkeypatch.setattr(module, "_git",
-                        lambda *args: "" if args[0] in ("status", "worktree") else "0123abc")
+    monkeypatch.setattr(module, "_extract", lambda commit, dest: None)
+    monkeypatch.setattr(module, "_git", lambda *args: "" if args[0] == "status" else "0123abc")
 
 
 def test_bench_pairs_exits_1_and_names_the_runs_at_fault(tmp_path, monkeypatch, capsys):
@@ -84,3 +84,48 @@ def test_bench_pairs_exits_1_and_names_the_runs_at_fault(tmp_path, monkeypatch, 
     record = json.loads(out.read_text())
     assert code == 0 and (record["incorrect_runs"], record["failed_jobs"]) == (0, 0)
     assert "at fault" not in capsys.readouterr().err
+
+
+def test_bench_pairs_base_side_is_an_archive_of_the_base_commit(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    env = {**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@example.com",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@example.com"}
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True,
+                              check=True, env=env).stdout
+
+    git("init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [], "per_layer": []}))
+    (repo / "sub").mkdir()
+    (repo / "sub" / "a.txt").write_text("base\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "sub" / "a.txt").write_text("change\n")
+    (repo / "b.txt").write_text("new\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "change")
+    (repo / "untracked.txt").write_text("not in any commit\n")
+    worktrees = git("worktree", "list", "--porcelain")
+    git_entries = sorted(p.relative_to(repo) for p in (repo / ".git").rglob("*"))
+
+    module = _bench_pairs()
+    seen = {}
+
+    def run(tree, workload, seed):
+        if tree != repo:
+            seen["files"] = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+            seen["a"] = (tree / "sub" / "a.txt").read_text()
+            seen["tree"] = tree
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"rank.wall_s": 1.0}}
+
+    monkeypatch.setattr(module, "ROOT", repo)
+    monkeypatch.setattr(module, "_run", run)
+    code = module.main(["--base", "HEAD~1", "--workload", "rank", "--seed-pairs", "0:1",
+                        "--out", str(tmp_path / "record.json")])
+    assert code == 0
+    assert seen["files"] == ["BENCHMARK.json", "sub/a.txt"] and seen["a"] == "base\n"
+    assert not seen["tree"].exists()
+    assert git("worktree", "list", "--porcelain") == worktrees
+    assert sorted(p.relative_to(repo) for p in (repo / ".git").rglob("*")) == git_entries

@@ -1,16 +1,20 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from youngfock.fock import FockVector, psi
 from youngfock.operators import (KerovParams, MVirasoro, VirasoroParams, hook_lower, hook_raise,
-                                 virasoro_op, virasoro_params_for_rimhook,
+                                 m_virasoro_op, virasoro_op, virasoro_params_for_rimhook,
                                  virasoro_params_from_kerov)
-from youngfock.partitions import partitions_up_to
-from youngfock.rings import Poly
-from youngfock.suites import SUITES, run_suite
+from youngfock.partitions import HalfInt, partitions_up_to
+from youngfock.rings import Poly, random_rational
+from youngfock.suites import (SUITES, _prop52_verdicts, _prop62_verdicts, _psi_bracket,
+                              _psi_bracket_differs, run_suite)
 
-from .oracles import disagree_by_vectors
+from .oracles import (charged_states, disagree_by_vectors, prop52_verdicts_by_vectors,
+                      prop62_verdicts_by_vectors)
 
 
 def test_suite_registry_complete():
@@ -118,3 +122,46 @@ def test_a_failing_suite_reports_a_json_detail(monkeypatch):
     assert not rep["ok"] and len(bad) == 8
     assert all(c["detail"] == {"failures": 4} for c in bad)
     json.dumps(rep)
+
+
+def _suite_params(seed):
+    # the draw that suite_prop52 and suite_prop62 make
+    rng = random.Random(seed)
+    return VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_psi_bracket_verdicts_match_the_vector_oracle(seed):
+    p = _suite_params(seed)
+    for k in (1, 2, 3):
+        got = _prop52_verdicts(p, k, 4)
+        assert got == prop52_verdicts_by_vectors(p, k, 4), k
+        # the verified form holds everywhere; the printed forms fail somewhere
+        assert not any(v[0] for _, v in got) and any(v[1] for _, v in got)
+    for k in (1, 2):
+        got = _prop62_verdicts(p, k, 3)
+        assert got == prop62_verdicts_by_vectors(p, k, 3), k
+        assert not any(v[0] for _, v in got) and any(v[1] is None for _, v in got)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_psi_bracket_flags_a_coefficient_off_by_one(seed):
+    # -((alpha - gamma k) + x + k/2) + 1 in place of the verified coefficient,
+    # for L_(-k) and for the order-2 mode: flagged exactly where the vector
+    # form flags it, which is wherever psi_(x+k) does not kill the state
+    p = _suite_params(seed)
+    states = charged_states(3)
+    for k in (1, 2):
+        for op in (virasoro_op(-k, p), m_virasoro_op(2, -k, p)):
+            flagged = 0
+            for x in (HalfInt(d) for d in range(-5, 6, 2)):
+                c = 1 - (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
+                terms = _psi_bracket(op, c)
+                for state in states:
+                    v = FockVector.basis(state)
+                    lhs = psi(x, op.apply(v)) - op.apply(psi(x, v))
+                    got = _psi_bracket_differs(terms, x, k, state)
+                    assert got == (lhs != psi(x + k, v).scale(c)), (k, x, state)
+                    assert got == (state.insert(x + k) is not None)
+                    flagged += got
+            assert flagged
