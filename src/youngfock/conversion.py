@@ -13,19 +13,19 @@ dynamic programmes, independent of the logarithm route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Tuple
 
-from .rings import Poly, Scalar, is_zero, series_log
+from .rings import Frozen, Poly, Scalar, is_zero, series_log
 
 
-@dataclass(frozen=True)
-class LinearInZ:
+class LinearInZ(Frozen):
     """An exact a*z + b decomposition."""
 
-    a: Scalar
-    b: Scalar
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: Scalar, b: Scalar):
+        self._set(a=a, b=b)
 
 
 def _live_jumps(x: Mapping[int, Scalar], n_max: int) -> List[Tuple[int, Scalar]]:

@@ -12,42 +12,50 @@ input.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .partitions import HalfInt, Partition, partitions_of
-from .rings import Scalar, is_zero, scalar_to_json
+from .rings import Frozen, Scalar, is_zero, scalar_to_json
 
 
-@dataclass(frozen=True)
-class MayaState:
+class MayaState(Frozen):
     """Charge sector plus finite deviation from the vacuum.
 
     ``above``: occupied positions > 0, ``below``: vacated positions < 0,
-    both tuples of doubled odd integers in descending order.
+    both tuples of doubled odd integers in descending order.  A dict key
+    on every hot path, so the charge and the hash are computed once.
     """
 
-    above: Tuple[int, ...] = ()
-    below: Tuple[int, ...] = ()
+    __slots__ = ("above", "below", "charge", "_hash")
+    _fields = ("above", "below")
 
-    def __post_init__(self):
-        for d in self.above:
+    def __init__(self, above: Tuple[int, ...] = (), below: Tuple[int, ...] = ()):
+        for d in above:
             if d <= 0 or d % 2 == 0:
                 raise ValueError(f"bad occupied position double {d}")
-        for d in self.below:
+        for d in below:
             if d >= 0 or d % 2 == 0:
                 raise ValueError(f"bad vacated position double {d}")
-        if tuple(sorted(self.above, reverse=True)) != self.above:
+        if tuple(sorted(above, reverse=True)) != above:
             raise ValueError("above must be sorted descending")
-        if tuple(sorted(self.below, reverse=True)) != self.below:
+        if tuple(sorted(below, reverse=True)) != below:
             raise ValueError("below must be sorted descending")
+        put = object.__setattr__  # not Frozen._set: half the cost per state
+        put(self, "above", above)
+        put(self, "below", below)
+        put(self, "charge", len(above) - len(below))
+        put(self, "_hash", hash((above, below)))
 
-    @property
-    def charge(self) -> int:
-        return len(self.above) - len(self.below)
+    def __eq__(self, other):
+        if other.__class__ is not MayaState:
+            return NotImplemented
+        return self.above == other.above and self.below == other.below
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -150,9 +158,10 @@ class FockVector:
                 acc = data.get(state)
                 data[state] = coeff if acc is None else acc + coeff
             data = {s: c for s, c in data.items() if not is_zero(c)}
-        charges = {s.charge for s in data}
-        if len(charges) > 1:
-            raise ValueError(f"mixed charge sectors {sorted(charges)}")
+        if len(data) > 1:
+            charges = {s.charge for s in data}
+            if len(charges) > 1:
+                raise ValueError(f"mixed charge sectors {sorted(charges)}")
         object.__setattr__(self, "_terms", data)
 
     def __setattr__(self, name, value):  # pragma: no cover

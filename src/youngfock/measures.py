@@ -18,7 +18,6 @@ ring elements, not probabilities; nothing here enforces positivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,16 +33,13 @@ from .partitions import HalfInt, Partition, partitions_up_to
 from .rings import Scalar, det, divexact, is_zero, scalar_to_json, series_exp
 
 
-@dataclass
 class MiwaParams:
     """Finite maps k -> coefficient for the two parameter sets."""
 
-    x: Dict[int, Scalar] = field(default_factory=dict)
-    y: Dict[int, Scalar] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.x = {int(k): v for k, v in self.x.items() if not is_zero(v)}
-        self.y = {int(k): v for k, v in self.y.items() if not is_zero(v)}
+    def __init__(self, x: Optional[Mapping[int, Scalar]] = None,
+                 y: Optional[Mapping[int, Scalar]] = None):
+        self.x = {int(k): v for k, v in (x or {}).items() if not is_zero(v)}
+        self.y = {int(k): v for k, v in (y or {}).items() if not is_zero(v)}
         for k in list(self.x) + list(self.y):
             if k < 1:
                 raise ValueError(f"Miwa index {k} must be >= 1")
@@ -62,38 +58,31 @@ KINDS: Dict[str, Tuple[Optional[Tuple[int, Scalar]], Tuple[str, ...]]] = {
 }
 
 
-@dataclass
 class MeasureSpec:
-    """What to tabulate: the measure kind, its parameters, and the degree
-    bound of the table."""
+    """What to tabulate: the measure kind (a key of KINDS), its
+    parameters, and the degree bound of the table.  ``m_order`` and
+    ``gamma`` are the m-virasoro kind's M and gamma (default 2 and 0)."""
 
-    kind: str  # a key of KINDS
-    params: MiwaParams
-    kerov: KerovParams = field(default_factory=KerovParams)
-    truncation: int = 0
-    m_order: Optional[int] = None  # the m-virasoro kind's M (default 2)
-    gamma: Optional[Scalar] = None  # and its gamma (default 0)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.truncation < 0:
+    def __init__(self, kind: str, params: MiwaParams, kerov: KerovParams = KerovParams(),
+                 truncation: int = 0, m_order: Optional[int] = None, gamma: Optional[Scalar] = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown measure kind {kind!r}")
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        if KINDS[self.kind][0] is None:
-            self.m_order = 2 if self.m_order is None else self.m_order
-            self.gamma = Fraction(0) if self.gamma is None else self.gamma
-        elif self.m_order is not None or self.gamma is not None:
-            raise ValueError(f"kind {self.kind!r} fixes (M, gamma); leave m_order and gamma unset")
+        if KINDS[kind][0] is None:
+            m_order = 2 if m_order is None else m_order
+            gamma = Fraction(0) if gamma is None else gamma
+        elif m_order is not None or gamma is not None:
+            raise ValueError(f"kind {kind!r} fixes (M, gamma); leave m_order and gamma unset")
+        self.kind, self.params, self.kerov = kind, params, kerov
+        self.truncation, self.m_order, self.gamma = truncation, m_order, gamma
 
 
-@dataclass
 class WeightTable:
     """Unnormalized weights of every diagram up to the degree bound."""
 
-    kind: str
-    degree: int
-    weights: Dict[Partition, Scalar]
-    z_trunc: Scalar
+    def __init__(self, kind: str, degree: int, weights: Dict[Partition, Scalar], z_trunc: Scalar):
+        self.kind, self.degree, self.weights, self.z_trunc = kind, degree, weights, z_trunc
 
     def normalized(self, lam: Partition) -> Scalar:
         return divexact(self.weights[lam], self.z_trunc)

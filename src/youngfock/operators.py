@@ -106,26 +106,27 @@ the test suite:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .fock import FockVector, MayaState, basis_index, boson_moves, vacuum
 from .partitions import Partition, partitions_of
-from .rings import Poly, Scalar, is_zero, scalar_to_json
+from .rings import Frozen, Poly, Scalar, is_zero, scalar_to_json
 
 
-@dataclass(frozen=True)
-class KerovParams:
-    z: Scalar = Fraction(0)
-    w: Scalar = Fraction(0)
+class KerovParams(Frozen):
+    __slots__ = _fields = ("z", "w")
+
+    def __init__(self, z: Scalar = Fraction(0), w: Scalar = Fraction(0)):
+        self._set(z=z, w=w)
 
 
-@dataclass(frozen=True)
-class VirasoroParams:
-    alpha: Scalar = Fraction(0)
-    gamma: Scalar = Fraction(0)
+class VirasoroParams(Frozen):
+    __slots__ = _fields = ("alpha", "gamma")
+
+    def __init__(self, alpha: Scalar = Fraction(0), gamma: Scalar = Fraction(0)):
+        self._set(alpha=alpha, gamma=gamma)
 
 
 def virasoro_params_from_kerov(p: KerovParams) -> VirasoroParams:
@@ -160,27 +161,23 @@ def _divided(n: Scalar, den: int) -> Scalar:
     return Fraction(n, den) if type(n) is int else n / den
 
 
-@dataclass(frozen=True)
-class Bilinear:
+class Bilinear(Frozen):
     """sum_x f(x) :psi_(x-k) psi*_x:, f = sum_i weight[i] x**i, plus
-    ``offset`` at k = 0; both cleared once over ``den`` (module docstring)."""
+    ``offset`` at k = 0; both cleared once over ``den`` (module docstring).
+    Equality, hash and repr read ``k``, ``weight`` and ``offset`` only."""
 
-    k: int
-    weight: Tuple[Scalar, ...]
-    offset: Scalar = Fraction(0)
-    den: int = field(init=False, compare=False, repr=False)
-    _g: Tuple[Scalar, ...] = field(init=False, compare=False, repr=False)  # highest degree first
-    _offset: Scalar = field(init=False, compare=False, repr=False)  # den * offset
+    # _g: the cleared weight, highest degree first; _offset: den * offset
+    __slots__ = ("k", "weight", "offset", "den", "_g", "_offset")
+    _fields = __slots__[:3]
 
-    def __post_init__(self):
-        if self.k != 0 and not is_zero(self.offset):
+    def __init__(self, k: int, weight: Tuple[Scalar, ...], offset: Scalar = Fraction(0)):
+        if k != 0 and not is_zero(offset):
             raise ValueError("only the diagonal (k = 0) bilinear carries an offset")
         # weight[i] * x**i = (weight[i] / 2**i) * d**i
-        scaled = [w * Fraction(1, 1 << i) for i, w in enumerate(self.weight)]
-        den = math.lcm(*(q.denominator for s in scaled + [self.offset] for q in _rationals(s)))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_g", tuple(_cleared(s, den) for s in reversed(scaled)))
-        object.__setattr__(self, "_offset", _cleared(self.offset, den))
+        scaled = [w * Fraction(1, 1 << i) for i, w in enumerate(weight)]
+        den = math.lcm(*(q.denominator for s in scaled + [offset] for q in _rationals(s)))
+        self._set(k=k, weight=weight, offset=offset, den=den,
+                  _g=tuple(_cleared(s, den) for s in reversed(scaled)), _offset=_cleared(offset, den))
 
     @property
     def degree_shift(self) -> int:
@@ -373,8 +370,7 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
                  for s, (sign, sums) in acc.items() if sign or any(sums.values()))
 
 
-@dataclass(frozen=True)
-class MVirasoro:
+class MVirasoro(Frozen):
     """M-fold mode: gamma*k*a_k plus the 1/M!-weighted normally ordered
     sum over index tuples with total k.  :func:`m_virasoro_op` uses it for
     M >= 4; at M <= 3 it is the reference oracle of the bilinear forms.
@@ -388,15 +384,13 @@ class MVirasoro:
     (alpha + charge, gamma).
     """
 
-    order: int
-    k: int
-    alpha: Scalar
-    gamma: Scalar
+    __slots__ = _fields = ("order", "k", "alpha", "gamma")
     den = 1  # the per-state action is exact as it stands
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, k: int, alpha: Scalar, gamma: Scalar):
+        if order < 1:
             raise ValueError("order must be at least 1")
+        self._set(order=order, k=k, alpha=alpha, gamma=gamma)
 
     @property
     def degree_shift(self) -> int:

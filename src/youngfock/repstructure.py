@@ -17,7 +17,6 @@ holds when each support state's numerator is (z*w + 2N)*den.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -109,16 +108,13 @@ def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector]
     return [FockVector({st: Fraction(v) for st, v in vec.items()}) for vec in vectors], killed, eigen
 
 
-@dataclass
 class DecompositionReport:
     """Case classification plus per-degree kernel/rank/weight data."""
 
-    case: str
-    z: Scalar
-    w: Scalar
-    relations: List[dict]
-    per_degree: List[dict]
-    notes: List[str]
+    def __init__(self, case: str, z: Scalar, w: Scalar, relations: List[dict],
+                 per_degree: List[dict], notes: List[str]):
+        self.case, self.z, self.w = case, z, w
+        self.relations, self.per_degree, self.notes = relations, per_degree, notes
 
     def to_json(self):
         return {

@@ -17,7 +17,8 @@ primitive integer vectors; ``nullspace`` divides each by its entry at
 its free column.  Truncated power series are plain coefficient
 lists over either ring; :func:`series_exp` and its inverse
 :func:`series_log` each cost O(order^2) ring operations.  No floating
-point anywhere.
+point anywhere.  :class:`Frozen`, the base of the package's immutable
+value types, lives here because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,36 @@ Scalar = Union[int, Fraction, "Poly"]
 
 def is_zero(a: Scalar) -> bool:
     return a == 0
+
+
+class Frozen:
+    """Base of the package's immutable value types.  A subclass lists its
+    slots in ``__slots__`` and, in ``_fields``, those that equality, the
+    hash and the repr read; its ``__init__`` sets them with ``_set``.  An
+    instance equals only an instance of its own class."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
 class Poly:
@@ -245,7 +276,8 @@ def _eliminate(rows: Sequence[Mapping[int, Scalar]]) -> Tuple[List[dict], List[i
             scale = math.lcm(*(v.denominator for v in row.values()))
             out.append({c: v.numerator * (scale // v.denominator)
                         for c, v in row.items() if v})
-            factor /= scale
+            if scale != 1:  # every int row
+                factor /= scale
         else:
             integral = False
             out.append({c: v for c, v in row.items() if not is_zero(v)})

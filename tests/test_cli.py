@@ -634,14 +634,28 @@ def test_kernels_reports_a_wrong_highest_weight(monkeypatch, capsys):
     assert lines[-1]["ok"] is False
 
 
-def test_m_fold_mode_of_high_order_runs_clean():
-    # the M-fold tuple enumeration is iterative: a tuple of 1500 entries
-    # must not exhaust the interpreter's recursion limit
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def test_m_fold_mode_of_high_order_runs_clean():
+    # the M-fold tuple enumeration is iterative: a tuple of 1500 entries
+    # must not exhaust the interpreter's recursion limit
     proc = subprocess.run([sys.executable, "-m", "youngfock", "measure", "--kind=m-virasoro",
                            "--m=1500", "--x=1=1", "--y=1=1", "--max-degree=2"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "Traceback" not in proc.stdout and proc.stdout
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every command is a fresh process, so the import is paid on each run;
+    # -S keeps site hooks from loading the modules themselves
+    code = "import sys, youngfock.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
