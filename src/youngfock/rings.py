@@ -276,7 +276,7 @@ def _eliminate(rows: Sequence[Mapping[int, Scalar]]) -> Tuple[List[dict], List[i
             scale = math.lcm(*(v.denominator for v in row.values()))
             out.append({c: v.numerator * (scale // v.denominator)
                         for c, v in row.items() if v})
-            if scale != 1:  # every int row
+            if scale != 1:  # never for an int row
                 factor /= scale
         else:
             integral = False
