@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 falsified identity, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -213,6 +212,8 @@ def _run_measure(args) -> int:
         summary["cauchy_normalizer"] = scalar_to_json(
             cauchy_normalizer(spec.params, table.degree))
     if args.output == "csv":
+        import csv  # only --output=csv reads it, so other runs skip the import
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in table.to_csv_rows():

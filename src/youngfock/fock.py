@@ -26,28 +26,17 @@ class MayaState(Frozen):
 
     ``above``: occupied positions > 0, ``below``: vacated positions < 0,
     both tuples of doubled odd integers in descending order.  A dict key
-    on every hot path, so the charge and the hash are computed once.
+    on every hot path, so the charge and the hash are computed once, and
+    interned: ``MayaState(above, below)`` returns the one object built
+    for that pair (:func:`_interned`), so a dict hit stops at the
+    identity check.  Equality and the hash stay field-wise.
     """
 
     __slots__ = ("above", "below", "charge", "_hash")
     _fields = ("above", "below")
 
-    def __init__(self, above: Tuple[int, ...] = (), below: Tuple[int, ...] = ()):
-        for d in above:
-            if d <= 0 or d % 2 == 0:
-                raise ValueError(f"bad occupied position double {d}")
-        for d in below:
-            if d >= 0 or d % 2 == 0:
-                raise ValueError(f"bad vacated position double {d}")
-        if tuple(sorted(above, reverse=True)) != above:
-            raise ValueError("above must be sorted descending")
-        if tuple(sorted(below, reverse=True)) != below:
-            raise ValueError("below must be sorted descending")
-        put = object.__setattr__  # not Frozen._set: half the cost per state
-        put(self, "above", above)
-        put(self, "below", below)
-        put(self, "charge", len(above) - len(below))
-        put(self, "_hash", hash((above, below)))
+    def __new__(cls, above: Tuple[int, ...] = (), below: Tuple[int, ...] = ()):
+        return _interned(above, below)
 
     def __eq__(self, other):
         if other.__class__ is not MayaState:
@@ -132,6 +121,29 @@ class MayaState(Frozen):
 
     def __str__(self):
         return f"Maya(charge={self.charge}, above={self.above}, below={self.below})"
+
+
+@lru_cache(maxsize=None)
+def _interned(above: Tuple[int, ...], below: Tuple[int, ...]) -> MayaState:
+    """The one MayaState of a configuration, checked when first built
+    (a call that raises caches nothing, so it raises on every call)."""
+    for d in above:
+        if d <= 0 or d % 2 == 0:
+            raise ValueError(f"bad occupied position double {d}")
+    for d in below:
+        if d >= 0 or d % 2 == 0:
+            raise ValueError(f"bad vacated position double {d}")
+    if tuple(sorted(above, reverse=True)) != above:
+        raise ValueError("above must be sorted descending")
+    if tuple(sorted(below, reverse=True)) != below:
+        raise ValueError("below must be sorted descending")
+    state = object.__new__(MayaState)
+    put = object.__setattr__
+    put(state, "above", above)
+    put(state, "below", below)
+    put(state, "charge", len(above) - len(below))
+    put(state, "_hash", hash((above, below)))
+    return state
 
 
 VACUUM_STATE = MayaState()
@@ -285,21 +297,32 @@ def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, int], .
     enumeration behind every fermion bilinear, the mode-k boson being the
     sum of the signs.
 
-    Candidates outside the deviation window act trivially.
+    The jump d -> t = d - 2k has the sign (-1)**(occupied positions
+    strictly between t and d), which is what removing the particle at d
+    and inserting it at t give.  Candidates outside the deviation window
+    act trivially.
     """
     if k == 0:
         raise ValueError("use the zero-mode action for k = 0")
-    candidates = set(state.above)
-    candidates.update(b + 2 * k for b in state.below)
+    above, below = state.above, state.below
+    candidates = set(above)
+    candidates.update(b + 2 * k for b in below)
     if k < 0:
         candidates.update(range(-1, 2 * k, -2))  # sea positions within reach of 0
     out = []
     for d in sorted(candidates, reverse=True):
-        if d % 2 == 0:
+        t = d - 2 * k
+        if not state._occupied_d(d) or state._occupied_d(t):
             continue
-        if not state._occupied_d(d) or state._occupied_d(d - 2 * k):
-            continue
-        s1, mid = state.remove(HalfInt(d))
-        s2, new = mid.insert(HalfInt(d - 2 * k))
-        out.append((new, s1 * s2, d))
+        lo, hi = (t, d) if t < d else (d, t)
+        between = sum(1 for a in above if lo < a < hi)
+        if lo < 0:  # sea positions in (lo, min(hi, 0)), less the vacated ones
+            between += (min(hi, 1) - lo) // 2 - 1 - sum(1 for b in below if lo < b < hi)
+        new_above = tuple(a for a in above if a != d) if d > 0 else above
+        new_below = tuple(b for b in below if b != t) if t < 0 else below
+        if t > 0:
+            new_above = tuple(sorted(new_above + (t,), reverse=True))
+        if d < 0:
+            new_below = tuple(sorted(new_below + (d,), reverse=True))
+        out.append((MayaState(new_above, new_below), -1 if between % 2 else 1, d))
     return tuple(out)

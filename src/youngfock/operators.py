@@ -166,8 +166,9 @@ class Bilinear(Frozen):
     ``offset`` at k = 0; both cleared once over ``den`` (module docstring).
     Equality, hash and repr read ``k``, ``weight`` and ``offset`` only."""
 
-    # _g: the cleared weight, highest degree first; _offset: den * offset
-    __slots__ = ("k", "weight", "offset", "den", "_g", "_offset")
+    # _g: the cleared weight, highest degree first; _offset: den * offset;
+    # _memo: state -> numerators, filled on demand for this instance only
+    __slots__ = ("k", "weight", "offset", "den", "_g", "_offset", "_memo")
     _fields = __slots__[:3]
 
     def __init__(self, k: int, weight: Tuple[Scalar, ...], offset: Scalar = Fraction(0)):
@@ -177,7 +178,8 @@ class Bilinear(Frozen):
         scaled = [w * Fraction(1, 1 << i) for i, w in enumerate(weight)]
         den = math.lcm(*(q.denominator for s in scaled + [offset] for q in _rationals(s)))
         self._set(k=k, weight=weight, offset=offset, den=den,
-                  _g=tuple(_cleared(s, den) for s in reversed(scaled)), _offset=_cleared(offset, den))
+                  _g=tuple(_cleared(s, den) for s in reversed(scaled)), _offset=_cleared(offset, den),
+                  _memo={})
 
     @property
     def degree_shift(self) -> int:
@@ -200,15 +202,21 @@ class Bilinear(Frozen):
         """The action on one basis state, as (state, numerator) pairs over
         ``den``: sign*g(d) per jump from d, or at k = 0 the one pair
         den*offset + the sum of g over occupied positive d - the same over
-        vacated negative d."""
-        if self.k == 0:
-            val = self._offset
-            for d in st.above:
-                val = val + self._g_at(d)
-            for d in st.below:
-                val = val - self._g_at(d)
-            return ((st, val),)
-        return [(new, sign * self._g_at(d)) for new, sign, d in boson_moves(self.k, st)]
+        vacated negative d.  Evaluated once per state and kept, as a
+        tuple, for the life of this operator."""
+        got = self._memo.get(st)
+        if got is None:
+            if self.k == 0:
+                val = self._offset
+                for d in st.above:
+                    val = val + self._g_at(d)
+                for d in st.below:
+                    val = val - self._g_at(d)
+                got = ((st, val),)
+            else:
+                got = tuple((new, sign * self._g_at(d)) for new, sign, d in boson_moves(self.k, st))
+            self._memo[st] = got
+        return got
 
     def apply(self, v: FockVector) -> FockVector:
         den = self.den

@@ -104,12 +104,11 @@ def _disagree(pairs, max_degree: int) -> List[list]:
 
 def suite_heisenberg(seed: int = 0, max_degree: int = 6, mode_bound: int = 4) -> dict:
     checks = []
-    for n in range(-mode_bound, mode_bound + 1):
-        for m in range(-mode_bound, mode_bound + 1):
-            if n == 0 or m == 0:
-                continue
+    ops = {n: boson_op(n) for n in range(-mode_bound, mode_bound + 1) if n}  # one memo per mode
+    for n in ops:
+        for m in ops:
             expected = [(Fraction(n), None)] if n + m == 0 else []
-            bad = len(commutator_check(boson_op(n), boson_op(m), expected, max_degree))
+            bad = len(commutator_check(ops[n], ops[m], expected, max_degree))
             checks.append(_failed(f"[a_{n}, a_{m}] = {n if n + m == 0 else 0}", bad))
     return _report(
         "heisenberg",
@@ -147,14 +146,14 @@ def suite_virasoro_cc(seed: int = 0, max_degree: int = 5, mode_bound: int = 3,
         p = VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
         central = Fraction(1) - 12 * p.gamma * p.gamma
         bad_pairs = []
+        # one operator, and so one numerator memo, per mode of the draw
+        ops = {k: virasoro_op(k, p) for k in range(-2 * mode_bound, 2 * mode_bound + 1)}
         for m in range(-mode_bound, mode_bound + 1):
             for n in range(-mode_bound, mode_bound + 1):
-                a = virasoro_op(m, p)
-                b = virasoro_op(n, p)
-                expected = [(Fraction(m - n), virasoro_op(m + n, p))]
+                expected = [(Fraction(m - n), ops[m + n])]
                 if m + n == 0:
                     expected.append((Fraction(m ** 3 - m, 12) * central, None))
-                if commutator_check(a, b, expected, max_degree):
+                if commutator_check(ops[m], ops[n], expected, max_degree):
                     bad_pairs.append([m, n])
         tag = f"draw {t} (alpha={rational_str(p.alpha)}, gamma={rational_str(p.gamma)})"
         checks.append(_failed(

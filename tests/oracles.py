@@ -19,8 +19,9 @@ for the sparse elimination, the iterative enumeration, the per-j sums
 evaluated at (alpha + charge, gamma) and the cleared integer
 numerators.  The box helpers describe single-box moves for the
 tests of the box ladder; the rim-hook moves, read off the particle
-configuration of a diagram, are the reference for the jump kernel
-``fock.boson_moves``.  The annihilator ``psi_star`` is only a partner
+configuration of a diagram, and the earlier jump through
+``MayaState.remove`` then ``insert`` are the references for the jump
+kernel ``fock.boson_moves``.  The annihilator ``psi_star`` is only a partner
 to test ``fock.psi`` against.
 """
 
@@ -448,6 +449,32 @@ def naive_boson(k, prefix):
         s2, new = naive_insert(mid, target)
         out[new] = out.get(new, 0) + s1 * s2
     return {s: c for s, c in out.items() if c}
+
+
+def boson_moves_by_remove_insert(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, int], ...]:
+    """Every particle jump x -> x - k out of one basis state, as
+    (state, sign, d) triples with d = 2x the doubled start: the single
+    enumeration behind every fermion bilinear, the mode-k boson being the
+    sum of the signs.
+
+    Candidates outside the deviation window act trivially.
+    """
+    if k == 0:
+        raise ValueError("use the zero-mode action for k = 0")
+    candidates = set(state.above)
+    candidates.update(b + 2 * k for b in state.below)
+    if k < 0:
+        candidates.update(range(-1, 2 * k, -2))  # sea positions within reach of 0
+    out = []
+    for d in sorted(candidates, reverse=True):
+        if d % 2 == 0:
+            continue
+        if not state._occupied_d(d) or state._occupied_d(d - 2 * k):
+            continue
+        s1, mid = state.remove(HalfInt(d))
+        s2, new = mid.insert(HalfInt(d - 2 * k))
+        out.append((new, s1 * s2, d))
+    return tuple(out)
 
 
 # -- boxes of a diagram ------------------------------------------------------

@@ -659,3 +659,11 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_cli_import_leaves_csv_unloaded():
+    # only --output=csv reads csv, so a plain run does not import it
+    code = "import sys, youngfock.cli; print('csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")

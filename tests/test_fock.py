@@ -8,6 +8,7 @@ from youngfock.fock import (
     FockVector,
     MayaState,
     VACUUM_STATE,
+    boson_moves,
     psi,
     vacuum,
 )
@@ -18,7 +19,9 @@ from youngfock.rings import Poly, scalar_to_json
 from .conftest import partitions, small_rationals
 from .oracles import (
     as_partition_dict,
+    boson_moves_by_remove_insert,
     boson_zero_eigenvalue,
+    charged_states,
     inner,
     naive_boson,
     naive_insert,
@@ -174,6 +177,20 @@ def test_boson_against_prefix_model():
                 image = boson_op(k).apply(FockVector.from_partition(lam))
                 got = {lam2.parts: c for lam2, c in as_partition_dict(image).items()}
                 assert got == want, (lam, k)
+
+
+@pytest.mark.parametrize("k", [k for k in range(-6, 7) if k])
+def test_direct_jumps_match_remove_then_insert(k):
+    # charges -2..2, degree <= 8: targets, signs, starts and their order
+    states = charged_states(8, charges=range(-2, 3))
+    assert len(states) == 5 * 67
+    signs = set()
+    for st in states:
+        got = boson_moves(k, st)
+        assert got == boson_moves_by_remove_insert(k, st), (st, k)
+        signs.update(sign for _, sign, _ in got)
+    # a one-step jump passes no particle; every longer one passes some
+    assert signs == ({1} if abs(k) == 1 else {-1, 1})
 
 
 def test_boson_matches_signed_hook_sum():

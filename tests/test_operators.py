@@ -268,6 +268,60 @@ def test_numerators_over_den_match_the_fraction_weight(t):
                 assert applied == want.to_json(), (op, st)
 
 
+def _typed(pairs):
+    return [(st, type(n), n) for st, n in pairs]
+
+
+@pytest.mark.parametrize("t", [Fraction(5, 7), Poly.gen()], ids=["fraction", "poly"])
+def test_numerators_memo_matches_a_fresh_operator(t):
+    # every state of charge -1..1 up to degree 6: the second read of a
+    # state comes from the operator's memo, and equals (in value and type)
+    # the first read by an equal operator built afresh
+    states = charged_states(6)
+    moved = 0
+    for op, twin, other in zip(_numerator_cases(t), _numerator_cases(t), _numerator_cases(t + 1)):
+        assert op == twin and op is not twin
+        first = [op.numerators(st) for st in states]
+        again = [op.numerators(st) for st in states]
+        assert all(type(got) is tuple for got in again)
+        assert [_typed(g) for g in again] == [_typed(twin.numerators(st)) for st in states], op
+        # the same operator at another parameter: read after op has filled
+        # its memo, and checked against the weight evaluated as given
+        for st, mine in zip(states, again):
+            theirs = other.numerators(st)
+            want = bilinear_action(other, st)
+            assert FockVector((new, Fraction(n, other.den) if type(n) is int else n / other.den)
+                              for new, n in theirs) == want, (other, st)
+            moved += _typed(theirs) != _typed(mine)
+    assert moved
+
+
+def test_virasoro_cc_evaluates_each_jump_weight_once(monkeypatch):
+    # count g(d) per (operator instance, state, jump start); instances are
+    # kept alive so that no id is reused
+    numerators, g_at = Bilinear.numerators, Bilinear._g_at
+    reading, live, seen = [], {}, {}
+
+    def counted_numerators(self, st):
+        reading.append(st)
+        try:
+            return numerators(self, st)
+        finally:
+            reading.pop()
+
+    def counted_g_at(self, d):
+        live[id(self)] = self
+        key = (id(self), reading[-1], d)
+        seen[key] = seen.get(key, 0) + 1
+        return g_at(self, d)
+
+    monkeypatch.setattr(Bilinear, "numerators", counted_numerators)
+    monkeypatch.setattr(Bilinear, "_g_at", counted_g_at)
+    from youngfock.suites import run_suite
+    assert run_suite("virasoro-cc", seed=0)["ok"]
+    assert seen and max(seen.values()) == 1
+
+
 def test_exp_raising_boson_example():
     x1 = Fraction(3, 2)
     got = exp_raising([(x1, boson_op(-1))], vacuum(), 2)

@@ -3,15 +3,16 @@ only, equal hashes for equal values, immutability, repr text, and the
 constructors' arguments, defaults and errors."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from youngfock.conversion import LinearInZ
-from youngfock.fock import MayaState, VACUUM_STATE
+from youngfock.fock import MayaState, VACUUM_STATE, boson_moves
 from youngfock.measures import MeasureSpec, MiwaParams, WeightTable
 from youngfock.operators import Bilinear, KerovParams, MVirasoro, VirasoroParams
-from youngfock.partitions import Partition
+from youngfock.partitions import HalfInt, Partition, partitions_of
 from youngfock.repstructure import DecompositionReport
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
@@ -80,6 +81,48 @@ def test_maya_state_charge_and_hash_are_set_once():
 def test_maya_state_rejects_bad_doubles(above, below, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         MayaState(above, below)
+
+
+def test_maya_state_rejects_bad_doubles_on_every_call():
+    # a failed build caches nothing, and a good one does not vouch for a bad one
+    MayaState((3, 1), (-1,))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^above must be sorted descending$"):
+            MayaState((1, 3), (-1,))
+        with pytest.raises(ValueError, match="^bad vacated position double -2$"):
+            MayaState((3, 1), (-2,))
+
+
+def test_equal_states_are_one_object():
+    # interning is only a speed-up, so `is` appears here and nowhere in src/
+    for n in range(6):
+        for lam in partitions_of(n):
+            st = MayaState.from_partition(lam)
+            assert MayaState(st.above, st.below) is st
+            assert MayaState(below=st.below, above=st.above) is st
+            assert MayaState.from_partition(lam) is st
+            for d in st.above + tuple(range(-1, -2 * n - 3, -2)):
+                if st._occupied_d(d):
+                    _, mid = st.remove(HalfInt(d))
+                    assert mid.insert(HalfInt(d))[1] is st
+            for k in (-2, -1, 1, 2):
+                for new, _, _ in boson_moves(k, st):
+                    assert MayaState.from_partition(new.to_partition()) is new
+    assert MayaState() is VACUUM_STATE
+
+
+def test_a_state_built_after_every_cache_is_cleared_equals_the_old_one():
+    st = MayaState.from_partition(Partition((2, 1)))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("youngfock"):
+            for fn in vars(mod).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+    fresh = MayaState()
+    assert fresh is not VACUUM_STATE
+    assert fresh == VACUUM_STATE and hash(fresh) == hash(VACUUM_STATE)
+    again = MayaState.from_partition(Partition((2, 1)))
+    assert again is not st and again == st and {st: 1}[again] == 1
 
 
 def test_constructor_errors():
