@@ -27,6 +27,7 @@ from youngfock.operators import (
 )
 from youngfock.partitions import Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
+from youngfock.suites import run_suite
 
 from .oracles import (addable_boxes, as_partition_dict, bilinear_action, commutator_by_vectors,
                       exp_by_powers, inner, m_virasoro_state_by_tuples, recursive_descending_tuples,
@@ -317,7 +318,6 @@ def test_virasoro_cc_evaluates_each_jump_weight_once(monkeypatch):
 
     monkeypatch.setattr(Bilinear, "numerators", counted_numerators)
     monkeypatch.setattr(Bilinear, "_g_at", counted_g_at)
-    from youngfock.suites import run_suite
     assert run_suite("virasoro-cc", seed=0)["ok"]
     assert seen and max(seen.values()) == 1
 

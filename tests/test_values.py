@@ -108,7 +108,6 @@ def test_equal_states_are_one_object():
             for k in (-2, -1, 1, 2):
                 for new, _, _ in boson_moves(k, st):
                     assert MayaState.from_partition(new.to_partition()) is new
-    assert MayaState() is VACUUM_STATE
 
 
 def test_a_state_built_after_every_cache_is_cleared_equals_the_old_one():
