@@ -2,7 +2,9 @@
 
 Every coefficient in this package lives in one of two rings: plain
 ``fractions.Fraction`` or :class:`Poly`, dense univariate polynomials with
-rational coefficients.  ``Poly`` is used whenever a parameter has to stay
+rational coefficients, each stored as an ``int`` when it is integral and
+as a ``Fraction`` otherwise, so integer polynomials multiply in int
+arithmetic.  ``Poly`` is used whenever a parameter has to stay
 formal (degree-in-z bookkeeping, specialization checks); it interoperates
 with ints and Fractions through the normal operator protocol, so generic
 operator code never needs to know which ring it runs over.
@@ -69,15 +71,18 @@ class Poly:
     """Dense univariate polynomial over the rationals.
 
     Coefficients are stored lowest degree first with trailing zeros
-    stripped; the zero polynomial has an empty coefficient tuple.
-    Immutable and hashable, so values can key caches.
+    stripped; the zero polynomial has an empty coefficient tuple.  An
+    integral coefficient is an ``int`` and any other a ``Fraction`` (kept
+    as given), never a float or a bool; :meth:`coefficient` reads either
+    as a ``Fraction``.  Immutable and hashable, so values can key caches.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Union[int, Fraction]] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int or (type(c) is Fraction and c.denominator != 1)
+              else _canonical(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -95,7 +100,8 @@ class Poly:
         return len(self.coeffs) - 1
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        c = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return c if type(c) is Fraction else Fraction(c)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -152,7 +158,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -212,6 +218,13 @@ class Poly:
         return " + ".join(parts)
 
 
+def _canonical(c) -> Union[int, Fraction]:
+    """A rational coefficient as an int when its denominator is 1."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _coerce(value):
     if isinstance(value, Poly):
         return value
@@ -226,10 +239,10 @@ def _divmod_poly(num: Poly, den: Poly):
     r = list(num.coeffs)
     d = den.coeffs
     dd = len(d) - 1
-    lead = d[-1]
+    lead = Fraction(d[-1])  # so no quotient is int / int, a float
     if len(r) <= dd:
         return Poly(), Poly(r)
-    q = [Fraction(0)] * (len(r) - dd)
+    q = [0] * (len(r) - dd)
     for i in range(len(r) - 1, dd - 1, -1):
         c = r[i] / lead
         if c:
@@ -450,7 +463,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 def rational_str(q: Union[int, Fraction]) -> str:
-    q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 

@@ -17,7 +17,9 @@ evaluation of a bilinear's weight (Horner's rule per jump, power sums on
 the diagonal) are the library's earlier forms, kept as the references
 for the sparse elimination, the iterative enumeration, the per-j sums
 evaluated at (alpha + charge, gamma) and the cleared integer
-numerators.  The box helpers describe single-box moves for the
+numerators, and the all-Fraction polynomial arithmetic on coefficient
+tuples is ``Poly``'s earlier form, the reference for its int
+coefficients.  The box helpers describe single-box moves for the
 tests of the box ladder; the rim-hook moves, read off the particle
 configuration of a diagram, and the earlier jump through
 ``MayaState.remove`` then ``insert`` are the references for the jump
@@ -792,4 +794,57 @@ def series_mul(a, b, order):
     for i, ai in enumerate(a[: order + 1]):
         for j, bj in enumerate(b[: order - i + 1]):
             out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+# -- the all-Fraction polynomial arithmetic ----------------------------------
+#
+# ``Poly``'s earlier form, on plain coefficient tuples, lowest degree first:
+# every coefficient a Fraction, trailing zeros stripped.
+
+def fraction_coeffs(coeffs) -> Tuple[Fraction, ...]:
+    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_poly_add(a, b) -> Tuple[Fraction, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return fraction_coeffs(out)
+
+
+def fraction_poly_mul(a, b) -> Tuple[Fraction, ...]:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return fraction_coeffs(out)
+
+
+def fraction_poly_divmod(num, den) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """(quotient, remainder) by long division; den must be nonzero."""
+    r, d = list(num), den
+    dd = len(d) - 1
+    if len(r) <= dd:
+        return (), fraction_coeffs(r)
+    q = [Fraction(0)] * (len(r) - dd)
+    for i in range(len(r) - 1, dd - 1, -1):
+        c = r[i] / d[-1]
+        q[i - dd] = c
+        for j in range(dd + 1):
+            r[i - dd + j] -= c * d[j]
+    return fraction_coeffs(q), fraction_coeffs(r)
+
+
+def fraction_poly_eval(a, value: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(a):
+        out = out * value + c
     return out

@@ -541,6 +541,15 @@ GOLDEN_STDOUT = [
      ["decompose", "--max-degree=10", "--z=0", "--w=0"]),
     (1, "ebef35134c03d91e9142b3d280ed78818e6bdaffb25deeadcf6b97f41daca800",
      ["verify", "--suite=determinancy", "--seed=6"]),
+    # the poly-z exponential on modes 1-3 over denominators 3, 5 and 7,
+    # whose cleared numerators are integer polynomials in z: virasoro at
+    # degree 10 and M = 3 with gamma set at degree 7
+    (0, "41f08dcf74fb1dac337ea076b0606ac0f5037cdc1e570d44202d3fd6f23c2f2c",
+     ["measure", "--w=1/3", "--kind=virasoro", "--ring=poly-z", "--x=1=1/3,2=-2/5,3=1/7",
+      "--y=1=1/5,2=-2/3,3=-2/7", "--max-degree=10"]),
+    (0, "e1f501593ade3afd7917408ae37eb757f278e2405552b4182fcf88037ba45141",
+     ["measure", "--w=1/2", "--kind=m-virasoro", "--m=3", "--gamma=-1/5", "--ring=poly-z",
+      "--x=1=1/3,2=1/5,3=-1/7", "--y=1=-2/7,3=1/3", "--max-degree=7"]),
 ]
 
 

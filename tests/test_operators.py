@@ -798,3 +798,15 @@ def test_descending_tuples_match_the_recursive_enumeration():
                         assert got == list(recursive_descending_tuples(*args)), args
                         count += len(got)
     assert count > 1000
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_poly_numerators_have_int_coefficients(order):
+    # a Poly alpha with non-integral coefficients: each weight cleared over
+    # op.den is an integer polynomial, and so is every numerator built from it
+    p = VirasoroParams(alpha=Poly((Fraction(1, 3), Fraction(-2, 5))), gamma=Fraction(3, 7))
+    for k in range(-3, 4):
+        op = virasoro_op(k, p) if order == 2 else m_virasoro_op(3, k, p)
+        for st in charged_states(6, charges=(0,)):
+            for _, n in op.numerators(st):
+                assert type(n) is Poly and all(type(c) is int for c in n.coeffs), (k, st, n)

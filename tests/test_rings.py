@@ -23,7 +23,9 @@ from youngfock.rings import (
 )
 
 from .conftest import small_rationals
-from .oracles import dense_echelon, dense_nullspace, leibniz_determinant, minor_rank, series_mul
+from .oracles import (dense_echelon, dense_nullspace, fraction_coeffs, fraction_poly_add,
+                      fraction_poly_divmod, fraction_poly_eval, fraction_poly_mul,
+                      leibniz_determinant, minor_rank, series_mul)
 
 coeff_lists = st.lists(small_rationals, min_size=0, max_size=5)
 
@@ -36,11 +38,73 @@ def test_poly_normalization_and_equality():
     assert hash(Poly((Fraction(5),))) == hash(Fraction(5))
 
 
-def test_poly_coefficients_are_fractions_and_kept_as_given():
+def _assert_canonical(p):
+    """Every coefficient an int, or a Fraction whose denominator is not 1;
+    never a float or a bool, and no trailing zero."""
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(p)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+def test_poly_coefficients_are_canonical():
     half = Fraction(1, 2)
-    p = Poly((1, half, True))
-    assert all(type(c) is Fraction for c in p.coeffs)
-    assert p.coeffs[1] is half  # a Fraction is stored, not re-wrapped
+    p = Poly((1, Fraction(4, 2), True, half))
+    assert [type(c) for c in p.coeffs] == [int, int, int, Fraction]
+    assert p.coeffs == (1, 2, 1, half)
+    assert p.coeffs[3] is half  # a non-integral Fraction is stored as given
+    assert Poly((0.5, 2.0, False)).coeffs == (half, 2)
+    for q in (p, Poly((0.5, 2.0, False)), p * p, p + p, -p, p / 3, p(half) * Poly.gen()):
+        _assert_canonical(q)
+    assert type(p.coefficient(1)) is Fraction and type(p.coefficient(7)) is Fraction
+    assert p.coefficient(3) is half
+
+
+int_or_rational = st.one_of(st.integers(min_value=-9, max_value=9), small_rationals)
+mixed_coeff_lists = st.lists(int_or_rational, min_size=0, max_size=5)
+
+
+@given(mixed_coeff_lists, mixed_coeff_lists, int_or_rational.filter(bool),
+       st.integers(min_value=0, max_value=3))
+def test_poly_arithmetic_matches_fraction_oracle(a, b, q, n):
+    pa, pb = Poly(a), Poly(b)
+    fa, fb = fraction_coeffs(a), fraction_coeffs(b)
+    power = (Fraction(1),)
+    for _ in range(n):
+        power = fraction_poly_mul(power, fa)
+    cases = [
+        (pa + pb, fraction_poly_add(fa, fb)),
+        (pa - pb, fraction_poly_add(fa, tuple(-c for c in fb))),
+        (pa * pb, fraction_poly_mul(fa, fb)),
+        (pa ** n, fraction_coeffs(power)),
+        (pa / q, fraction_poly_mul(fa, (1 / Fraction(q),))),
+        (pa * q, fraction_poly_mul(fa, (Fraction(q),))),
+    ]
+    if fb:
+        product = pa * pb
+        cases.append((divexact(product, pb), fraction_poly_divmod(fraction_poly_mul(fa, fb), fb)[0]))
+        quotient, remainder = fraction_poly_divmod(fa, fb)
+        if remainder:
+            with pytest.raises(ValueError):
+                pa / pb
+        else:
+            cases.append((pa / pb, quotient))
+    for got, want in cases:
+        assert got.coeffs == want
+        _assert_canonical(got)
+    value = pa(q)
+    assert value == fraction_poly_eval(fa, Fraction(q)) and type(value) is Fraction
+
+
+def test_poly_exact_division_of_int_coefficients():
+    q = Poly((2, 3, 1)) / Poly((1, 1))
+    assert q == Poly((2, 1)) and q.coeffs == (2, 1)
+    _assert_canonical(q)
+    # a non-integral quotient of int polynomials stays exact
+    q = Poly((1, 5, 6)) / Poly((3, 9))
+    assert q.coeffs == (Fraction(1, 3), Fraction(2, 3))
+    q = Poly((4, 2)) / Poly((3,))
+    assert q.coeffs == (Fraction(4, 3), Fraction(2, 3))
+    assert divexact(Poly((2, 4)), 4).coeffs == (Fraction(1, 2), 1)
 
 
 @given(coeff_lists, coeff_lists)
@@ -136,6 +200,9 @@ def test_parse_and_format():
     assert parse_rational(" -3/4 ") == Fraction(-3, 4)
     assert rational_str(Fraction(5)) == "5"
     assert rational_str(Fraction(-1, 3)) == "-1/3"
+    assert rational_str(-7) == "-7" and rational_str(0) == "0"
+    assert rational_str(Fraction(-6, 4)) == "-3/2"
+    assert scalar_to_json(Poly((Fraction(4, 2), -3, Fraction(-2, 6)))) == {"poly": ["2", "-3", "-1/3"]}
     assert scalar_to_json(Fraction(2, 7)) == "2/7"
     assert scalar_to_json(Poly((1, Fraction(1, 2)))) == {"poly": ["1", "1/2"]}
 
