@@ -75,7 +75,7 @@ def test_poly_arithmetic_matches_fraction_oracle(a, b, q, n):
         (pa + pb, fraction_poly_add(fa, fb)),
         (pa - pb, fraction_poly_add(fa, tuple(-c for c in fb))),
         (pa * pb, fraction_poly_mul(fa, fb)),
-        (pa ** n, fraction_coeffs(power)),
+        (pa ** n, power),
         (pa / q, fraction_poly_mul(fa, (1 / Fraction(q),))),
         (pa * q, fraction_poly_mul(fa, (Fraction(q),))),
     ]
