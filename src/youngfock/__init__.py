@@ -9,7 +9,6 @@ from .operators import (
     VirasoroParams,
     boson_op,
     commutator_check,
-    exp_lowering_bra,
     exp_raising,
     hook_diagonal,
     hook_lower,

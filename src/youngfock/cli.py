@@ -7,7 +7,8 @@ structure report).  Everything is exact: parameters are "p/q" strings,
 never floats.  Reports stream as JSON lines with a summary object last;
 identical configuration and seed give byte-identical output.
 
-Exit codes: 0 success, 1 falsified identity, 2 usage or parse error.
+Exit codes: 0 success, 1 falsified identity, 2 usage or parse error, or
+a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -140,14 +141,16 @@ def _resolve_out(path: Optional[str]):
 def _emit(lines: List[str], out: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     target = _resolve_out(out)
-    if target is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(target, "w") as fh:
-            fh.write(text)
+        if target is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # so a full or closed stdout fails here, not at exit
+        else:
+            with open(target, "w") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write {target!r}: {exc.strerror}")
+        where = "stdout" if target is None else repr(target)
+        raise _CliError(f"cannot write {where}: {exc.strerror}")
 
 
 def _dump(obj) -> str:

@@ -282,12 +282,25 @@ def vacuum() -> FockVector:
     return FockVector.basis(VACUUM_STATE)
 
 
+class Psi(Frozen):
+    """The creation operator psi_x: on a basis state, the one (state,
+    sign) pair of :meth:`MayaState.insert` over den 1, or nothing where x
+    is occupied."""
+
+    __slots__ = _fields = ("x",)
+    den = 1
+
+    def __init__(self, x: HalfInt):
+        self._set(x=x)
+
+    def numerators(self, st: MayaState) -> Tuple[Tuple[MayaState, int], ...]:
+        hit = st.insert(self.x)
+        return ((hit[1], hit[0]),) if hit else ()
+
+
 def psi(x: HalfInt, v: FockVector) -> FockVector:
     """Create a particle at x, with the wedge-reordering sign."""
-    def act(state):
-        res = state.insert(x)
-        return [(res[1], Fraction(res[0]))] if res else []
-    return v.linear_apply(act)
+    return v.linear_apply(Psi(x).numerators)
 
 
 @lru_cache(maxsize=None)

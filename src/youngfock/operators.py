@@ -58,9 +58,11 @@ diagonal is den*offset plus the sum of g(d) over occupied d > 0 minus
 the same over vacated d < 0.  :class:`MVirasoro` has ``den = 1``.
 ``op.apply(v)`` extends numerator/den linearly, exactly and with no
 truncation bound: it maps each basis state of degree d into degree
-d - k.  :func:`exp_raising` and :func:`commutator_check` read the same
-numerators, each summing them over one int denominator cleared by one
-rule (``_clear``) and dividing once at the end.
+d - k.  :func:`image` sums the numerators of (c, outer, inner) terms,
+each c*outer∘inner, over one int denominator cleared by one rule
+(``_clear``): every identity check reads it, :func:`commutator_check`
+among them.  :func:`exp_raising` clears its modes by the same rule and
+keeps its own loop, which skips moves past its degree bound.
 
 Adjoint rule, in the pairing where the Maya basis is orthonormal:
 ``Bilinear(k, f, o)* = Bilinear(-k, f(x + k), o)`` (the reversed jump
@@ -108,9 +110,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .fock import FockVector, MayaState, basis_index, boson_moves, vacuum
+from .fock import FockVector, MayaState, basis_index, boson_moves
 from .partitions import Partition, partitions_of
 from .rings import Frozen, Poly, Scalar, is_zero, scalar_to_json
 
@@ -453,21 +455,7 @@ def m_virasoro_op(order: int, k: int, p: VirasoroParams) -> Operator:
 Operator = Union[Bilinear, MVirasoro]
 Combo = Sequence[Tuple[Scalar, Operator]]
 ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
-
-
-def _clear(terms: ExpectedCombo, base: int = 1) -> Tuple[int, ExpectedCombo]:
-    """One int denominator L for a list of (c, op) pairs, and each pair's
-    scale c*L/op.den over it.
-
-    L is the lcm of ``base`` and of the denominators of every c/op.den, a
-    ``Poly``'s coefficients included; a ``None`` op is the identity, with
-    den 1.  Each scale is an int, or a ``Poly`` under a ``Poly`` c, so
-    c*op adds scale * numerator per move over L.  Pairs with a zero c are
-    dropped."""
-    active = [(c * Fraction(1, op.den if op is not None else 1), op)
-              for c, op in terms if not is_zero(c)]
-    lcm = math.lcm(base, *(q.denominator for r, _ in active for q in _rationals(r)))
-    return lcm, [(_cleared(r, lcm), op) for r, op in active]
+Term = Tuple[Scalar, Optional[Operator], Optional[Operator]]
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +479,11 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     skipped before they are enumerated, and one division per state ends
     the sum.
     """
-    lcm, cleared = _clear(terms)
-    for _, op in cleared:
+    lcm, cleared = _clear([(c, op, None) for c, op in terms])
+    for _, op, _ in cleared:
         if op.degree_shift < 1:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
-    modes = [(op.k, scale, op) for scale, op in cleared]
+    modes = [(op.k, scale, op) for scale, op, _ in cleared]
     start = [(st, c) for st, c in v.terms() if st.degree <= max_degree]
     den = math.lcm(*(q.denominator for _, c in start for q in _rationals(c)))
     current = {st: _cleared(c, den) for st, c in start}
@@ -530,57 +518,74 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     return FockVector({st: _divided(n, total_den) for st, n in total.items() if n})
 
 
-def exp_lowering_bra(terms: Combo, lam: Partition, max_degree: int) -> Scalar:
-    """<vac| exp(sum_i c_i * op_i) |lam> over lowering (c_i, op_i) pairs.
-
-    Equals the lam-coefficient of exp(sum_i c_i * op_i^adj) applied to
-    the vacuum; finite and exact by the grading.
-    """
-    if lam.size > max_degree:
-        raise ValueError(f"degree bound {max_degree} below |lam| = {lam.size}")
-    vec = exp_raising([(c, op.adjoint()) for c, op in terms], vacuum(), lam.size)
-    return vec.coefficient_of_partition(lam)
-
-
 # ---------------------------------------------------------------------------
-# commutator harness
+# the numerator harness
 # ---------------------------------------------------------------------------
+
+class _Identity:
+    """The ``None`` factor of a term: one (state, 1) pair over den 1."""
+
+    den = 1
+
+    @staticmethod
+    def numerators(st: MayaState) -> Sequence[Tuple[MayaState, int]]:
+        return ((st, 1),)
+
+
+_IDENTITY = _Identity()
+
+
+def _clear(terms: Sequence[Term]) -> Tuple[int, List[Term]]:
+    """One int denominator L for (c, outer, inner) terms, each meaning
+    c*outer∘inner with ``None`` the identity, and each term's scale
+    c*L/(outer.den*inner.den) over it: L is the lcm of the denominators
+    of every c/(outer.den*inner.den), a ``Poly``'s coefficients included,
+    and each scale is an int, or a ``Poly`` under a ``Poly`` c.  Terms
+    with a zero c are dropped."""
+    active = []
+    for c, outer, inner in terms:
+        outer = _IDENTITY if outer is None else outer
+        inner = _IDENTITY if inner is None else inner
+        if not is_zero(c):
+            active.append((c * Fraction(1, outer.den * inner.den), outer, inner))
+    lcm = math.lcm(*(q.denominator for r, _, _ in active for q in _rationals(r)))
+    return lcm, [(_cleared(r, lcm), outer, inner) for r, outer, inner in active]
+
+
+def image(cleared: Sequence[Term], vec: Mapping[MayaState, Scalar]) -> Dict[MayaState, Scalar]:
+    """L * sum_t c_t * outer_t(inner_t(vec)) as numerators over the L of
+    :func:`_clear`, which gave the terms: the sum of scale * entry *
+    n_inner * n_outer over every path, zero sums dropped.  An empty
+    result means the terms sum to zero on vec.  No vector is built."""
+    acc: Dict[MayaState, Scalar] = {}
+    for st, entry in vec.items():
+        for scale, outer, inner in cleared:
+            scaled = scale * entry
+            for mid, n in inner.numerators(st):
+                step = scaled * n
+                for new, m in outer.numerators(mid):
+                    acc[new] = acc.get(new, 0) + m * step
+    return {st: n for st, n in acc.items() if n}
+
 
 def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo,
                      degree: int) -> List[Tuple[Partition, FockVector]]:
     """The (lam, [a, b]v - expected(v)) pairs, v = |lam>, over every
     basis vector up to degree whose delta is nonzero.
 
-    An empty list means the identity holds exactly there.  Like
-    ``op.apply`` and :func:`exp_raising`, it reads ``op.numerators``: the
-    delta of each basis state is one dict of numerators over one int
-    denominator L, the lcm of a.den*b.den and of the denominators of
-    every c/op.den in ``expected`` (:func:`_clear`, a ``None`` op being
-    the identity).  a∘b adds outer*n_a*n_b per two-step path, with
-    outer = L/(a.den*b.den), b∘a subtracts the same, and each expected
-    term subtracts scale*n per move.  The numerators are ints over
-    rational parameters, ``Poly`` under a ``Poly`` one, and may be
-    ``Fraction`` with an :class:`MVirasoro` term; a vector is built only
-    for a nonzero delta.  As in one vector sum, a delta coefficient is a
-    ``Poly`` when any numerator summed into it is, even a zero one or
+    An empty list means the identity holds exactly there.  The bracket
+    and each expected (c, op) pair, a ``None`` op being the identity, are
+    one list of :func:`image` terms, so the delta of each basis state is
+    one dict of numerators over one int denominator; a vector is built
+    only for a nonzero delta.  As in one vector sum, a delta coefficient
+    is a ``Poly`` when any numerator summed into it is, even a zero one or
     one that cancels against the other side of the bracket.
     """
-    ab_den = a.den * b.den
-    lcm, cleared = _clear(expected, ab_den)
-    outer = lcm // ab_den
+    lcm, cleared = _clear([(1, a, b), (-1, b, a)] + [(-c, op, None) for c, op in expected])
     found: List[Tuple[Partition, FockVector]] = []
     for d in range(degree + 1):
         for lam, st in zip(partitions_of(d), basis_index(d)):
-            acc: Dict[MayaState, Scalar] = {}
-            for first, second, sign in ((b, a, outer), (a, b, -outer)):
-                for mid, n in first.numerators(st):
-                    scaled = sign * n
-                    for new, m in second.numerators(mid):
-                        acc[new] = acc.get(new, 0) + m * scaled
-            for scale, op in cleared:
-                for new, n in (op.numerators(st) if op is not None else ((st, 1),)):
-                    acc[new] = acc.get(new, 0) - scale * n
-            delta = {new: _divided(n, lcm) for new, n in acc.items() if n}
+            delta = {new: _divided(n, lcm) for new, n in image(cleared, {st: 1}).items()}
             if delta:
                 found.append((lam, FockVector(delta)))
     return found

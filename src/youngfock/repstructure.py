@@ -8,11 +8,11 @@ state.  That is ``op.den`` times the matrix, with ``int`` entries
 (``Poly`` under a ``Poly`` parameter).  A nonzero row scale changes
 neither rank nor kernel, so ranks, kernels and the u-image rank
 eliminate these rows directly (:func:`rings.rank`, :func:`rings.kernel`);
-kernel vectors are primitive integer vectors, one per free column.
-:func:`matrix_of` divides by ``den`` once per entry.  D*v = 0 is one
-integer sum per kernel vector, and L is diagonal, so L*v = (z*w + 2N)v
-holds when each support state's numerator is (z*w + 2N)*den.  A
-``FockVector`` is built only where a public function returns one.
+kernel vectors are primitive integer vectors {state: int}, one per free
+column.  D*v and the u-image rows are each one :func:`operators.image`
+of a kernel vector, and L is diagonal, so L*v = (z*w + 2N)v holds when
+each support state's numerator is (z*w + 2N)*den.  A ``FockVector`` is
+built only for the generator relations of :func:`decomposition_report`.
 """
 
 from __future__ import annotations
@@ -21,27 +21,18 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .fock import FockVector, MayaState, basis_index
-from .operators import KerovParams, Operator, _divided, kerov_d, kerov_l, kerov_u
+from .operators import KerovParams, Operator, _clear, image, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
 from .rings import Scalar, is_zero, kernel, rank, scalar_to_json
 
 Vector = Dict[MayaState, Scalar]  # basis state -> integer (or Poly) entry
 
 
-def _image(op: Operator, vec: Vector) -> Vector:
-    """den * op(vec) as numerators, zero sums dropped."""
-    acc: Vector = {}
-    for st, c in vec.items():
-        for new, n in op.numerators(st):
-            acc[new] = acc.get(new, 0) + c * n
-    return {st: n for st, n in acc.items() if n}
-
-
 def image_rows(op: Operator, vectors: List[Vector], n: int) -> List[Dict[int, Scalar]]:
     """The images den * op(v) as sparse rows {column: numerator} over the
     degree-n basis ``partitions_of(n)``."""
-    index = basis_index(n)
-    return [{index[st]: c for st, c in _image(op, vec).items()} for vec in vectors]
+    index, cleared = basis_index(n), _clear([(1, op, None)])[1]
+    return [{index[st]: c for st, c in image(cleared, vec).items()} for vec in vectors]
 
 
 def _rows(op: Operator, n: int) -> List[Dict[int, Scalar]]:
@@ -59,14 +50,6 @@ def _rows(op: Operator, n: int) -> List[Dict[int, Scalar]]:
     return rows
 
 
-def matrix_of(op: Operator, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
-    """Exact matrix of the operator restricted to degree n: one row per
-    partition of the target degree, one column per ``partitions_of(n)``."""
-    width = len(basis_index(n))
-    return tuple(tuple(_divided(row[c], op.den) if c in row else Fraction(0)
-                       for c in range(width)) for row in _rows(op, n))
-
-
 # ---------------------------------------------------------------------------
 # named diagnostics
 # ---------------------------------------------------------------------------
@@ -76,36 +59,27 @@ def rank_of_D(n: int, w: Scalar) -> int:
     return rank(_rows(kerov_d(KerovParams(z=Fraction(0), w=w)), n))
 
 
-def _kernel(op: Operator, n: int) -> List[Vector]:
-    """The kernel at degree n as primitive integer vectors over states."""
+def kernel_basis(op: Operator, n: int) -> List[Vector]:
+    """Exact kernel of the operator at degree n: one primitive integer
+    vector over states per free column of its integer rows."""
     states = list(basis_index(n))
     return [{states[c]: v for c, v in vec.items()}
             for vec in kernel(_rows(op, n), len(states))]
 
 
-def kernel_basis(op: Operator, n: int) -> List[FockVector]:
-    """Exact kernel of the operator at degree n: one primitive integer
-    vector per free column of its integer rows."""
-    return [FockVector({st: Fraction(v) for st, v in vec.items()}) for vec in _kernel(op, n)]
-
-
-def _highest_weight(n: int, z: Scalar, w: Scalar) -> Tuple[List[Vector], bool, bool]:
+def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[Vector], bool, bool]:
+    """Kernel vectors of the removal operator at degree n; whether it
+    kills every one; and whether every one carries the diagonal
+    eigenvalue z*w + 2n."""
     p = KerovParams(z=z, w=w)
     d_op, l_op = kerov_d(p), kerov_l(p)
-    vectors = _kernel(d_op, n)
-    killed = not any(_image(d_op, vec) for vec in vectors)
+    vectors = kernel_basis(d_op, n)
+    d_terms = _clear([(1, d_op, None)])[1]
+    killed = not any(image(d_terms, vec) for vec in vectors)
     weight = (z * w + 2 * n) * l_op.den
     eigen = all(num == weight for vec in vectors for st in vec
                 for _, num in l_op.numerators(st))
     return vectors, killed, eigen
-
-
-def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[FockVector], bool, bool]:
-    """Kernel vectors of the removal operator at degree n; whether it
-    kills every one; and whether every one carries the diagonal
-    eigenvalue z*w + 2n."""
-    vectors, killed, eigen = _highest_weight(n, z, w)
-    return [FockVector({st: Fraction(v) for st, v in vec.items()}) for vec in vectors], killed, eigen
 
 
 class DecompositionReport:
@@ -180,7 +154,7 @@ def decomposition_report(z: Scalar, w: Scalar, n_max: int) -> DecompositionRepor
     per_degree = []
     for n in range(n_max + 1):
         p_n = len(partitions_of(n))
-        vectors, killed, eigen = _highest_weight(n, z, w)
+        vectors, killed, eigen = highest_weight_check(n, z, w)
         ker_dim = len(vectors)
         # raising the kernel stays independent (first Verma level is free)
         u_rank = rank(image_rows(u_op, vectors, n + 1))

@@ -11,16 +11,15 @@ operator code never needs to know which ring it runs over.
 
 :func:`_eliminate` is the package's one exact elimination: fraction-free
 Bareiss on sparse rows that hold only their nonzero entries, in int
-arithmetic once rational rows are cleared of denominators.  Ranks are its
-pivot counts.  :func:`rank` and :func:`kernel` (over Q only) take sparse
-rows {column: value}; :func:`echelon`, :func:`det` and :func:`nullspace`
-take dense matrices.  ``kernel`` back-substitutes in integers and gives
-primitive integer vectors; ``nullspace`` divides each by its entry at
-its free column.  Truncated power series are plain coefficient
-lists over either ring; :func:`series_exp` and its inverse
-:func:`series_log` each cost O(order^2) ring operations.  No floating
-point anywhere.  :class:`Frozen`, the base of the package's immutable
-value types, lives here because every other module imports this one.
+arithmetic once rational rows are cleared of denominators.  :func:`rank`
+(its pivot count) and :func:`kernel` (over Q only) take sparse rows
+{column: value}; :func:`det` takes a dense square matrix.  ``kernel``
+back-substitutes in integers and gives primitive integer vectors.
+Truncated power series are plain coefficient lists over either ring;
+:func:`series_exp` and its inverse :func:`series_log` each cost
+O(order^2) ring operations.  No floating point anywhere.
+:class:`Frozen`, the base of the package's immutable value types, lives
+here because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -327,20 +326,6 @@ def _eliminate(rows: Sequence[Mapping[int, Scalar]]) -> Tuple[List[dict], List[i
     return rows, pivots, factor
 
 
-def _sparse(matrix: Sequence[Sequence[Scalar]]) -> List[dict]:
-    return [{c: v for c, v in enumerate(row) if not is_zero(v)} for row in matrix]
-
-
-def echelon(matrix: Sequence[Sequence[Scalar]]) -> Tuple[List[list], List[int], Fraction]:
-    """Row echelon form by fraction-free (Bareiss) elimination on sparse
-    rows, see :func:`_eliminate`, written out densely.  Returns (rows,
-    pivot columns, factor): det of the original square matrix is the last
-    pivot times ``factor``."""
-    rows, pivots, factor = _eliminate(_sparse(matrix))
-    n_cols = len(matrix[0]) if rows else 0
-    return [[row.get(c, 0) for c in range(n_cols)] for row in rows], pivots, factor
-
-
 def rank(rows: Sequence[Mapping[int, Scalar]]) -> int:
     """Rank of sparse rows {column: value}, the pivot count of
     :func:`_eliminate`."""
@@ -348,10 +333,12 @@ def rank(rows: Sequence[Mapping[int, Scalar]]) -> int:
 
 
 def det(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a square matrix; 1 for the empty one.  The last row
-    of the echelon form is zero unless that entry is the last pivot."""
-    rows, _, factor = echelon(matrix)
-    return (rows[-1][-1] if rows else 1) * factor
+    """Determinant of a square matrix; 1 for the empty one.  After
+    :func:`_eliminate`, the last row is zero unless its entry in the last
+    column is the last pivot, and that pivot times ``factor`` is det."""
+    rows, _, factor = _eliminate([{c: v for c, v in enumerate(row) if not is_zero(v)}
+                                  for row in matrix])
+    return (rows[-1].get(len(matrix) - 1, 0) if rows else 1) * factor
 
 
 def kernel(rows: Sequence[Mapping[int, Scalar]], n_cols: int) -> List[Dict[int, int]]:
@@ -382,21 +369,6 @@ def kernel(rows: Sequence[Mapping[int, Scalar]], n_cols: int) -> List[Dict[int, 
             num[p] = -s
         g = math.gcd(*num.values()) * (1 if num[f] > 0 else -1)
         basis.append({c: v // g for c, v in num.items()})
-    return basis
-
-
-def nullspace(matrix: Sequence[Sequence[Scalar]], n_cols: int) -> List[List[Fraction]]:
-    """Kernel basis over the rationals: one vector per free column in
-    column order, 1 at that column and 0 at the other free columns; the
-    integer vectors of :func:`kernel` over their entry there."""
-    if any(len(row) != n_cols for row in matrix):
-        raise ValueError("ragged matrix")
-    basis = []
-    for num in kernel(_sparse(matrix), n_cols):
-        vec, lead = [Fraction(0)] * n_cols, num[max(num)]
-        for c, v in num.items():
-            vec[c] = Fraction(v, lead)
-        basis.append(vec)
     return basis
 
 

@@ -4,13 +4,17 @@ Each suite returns a JSON-ready report: a header naming the identity it
 exercises, the parameters used, per-check results, and non-failing
 probe deltas for the open variants.  A suite is ``ok`` when every hard
 check passed; probes never fail a suite.
+
+An operator identity is one list of :func:`operators.image` terms, psi_x
+among them as :class:`fock.Psi`, and fails on each basis state where
+their image is not empty.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .conversion import (
     a_coeff_closed,
@@ -20,7 +24,7 @@ from .conversion import (
     y_side_params,
     z_linearity_witness,
 )
-from .fock import FockVector, MayaState, basis_index, boson_moves, vacuum
+from .fock import FockVector, MayaState, Psi, basis_index, boson_moves, vacuum
 from .measures import (
     MeasureSpec,
     MiwaParams,
@@ -42,6 +46,7 @@ from .operators import (
     hook_diagonal,
     hook_lower,
     hook_raise,
+    image,
     kerov_d,
     kerov_l,
     kerov_u,
@@ -81,23 +86,12 @@ def _failed(name: str, bad, key: str = "failures", **extra) -> dict:
 
 def _disagree(pairs, max_degree: int) -> List[list]:
     """The diagrams up to max_degree, as JSON, on which some pair
-    ((c, op), (e, op')) differs: c*op|lam> != e*op'|lam>.
-
-    Like :func:`commutator_check`, each pair is read through
-    ``op.numerators``: per basis state, one dict of numerators over the
-    pair's int denominator (``_clear``), c*op adding and e*op'
-    subtracting scale*numerator per move.  No vector is built."""
-    def differs(terms, st) -> bool:
-        acc = {}
-        for scale, op in terms:
-            for new, n in op.numerators(st):
-                acc[new] = acc.get(new, 0) + scale * n
-        return any(acc.values())
-
-    cleared = [_clear([lhs, (-rhs[0], rhs[1])])[1] for lhs, rhs in pairs]
+    ((c, op), (e, op')) differs: c*op|lam> != e*op'|lam>, where the
+    :func:`image` of the terms c*op and -e*op' is not empty."""
+    cleared = [_clear([(c, op, None), (-e, other, None)])[1] for (c, op), (e, other) in pairs]
     return [lam.to_json() for d in range(max_degree + 1)
             for lam, st in zip(partitions_of(d), basis_index(d))
-            if any(differs(terms, st) for terms in cleared)]
+            if any(image(terms, {st: 1}) for terms in cleared)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +367,7 @@ def suite_rank(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
 
 
 def suite_kernels(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
-    from .repstructure import _highest_weight, _kernel, decomposition_report
+    from .repstructure import decomposition_report, highest_weight_check, kernel_basis
     rng = random.Random(seed)
     checks = []
     # raising operator injectivity
@@ -384,14 +378,14 @@ def suite_kernels(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
         if max_degree >= 1:  # degrees 1..max_degree
             checks.append(_failed(
                 f"raising kernel trivial in degrees 1..{max_degree} at z={rational_str(z)}",
-                [n for n in range(1, max_degree + 1) if _kernel(u_op, n)], "degrees"))
+                [n for n in range(1, max_degree + 1) if kernel_basis(u_op, n)], "degrees"))
     # highest-weight structure for a generic draw
     z = random_rational(rng, nonzero=True)
     w = random_rational(rng, nonzero=True)
     hw_ok = True
     mult_ok = True
     for n in range(0, min(max_degree, 6) + 1):
-        vectors, killed, eigen = _highest_weight(n, z, w)
+        vectors, killed, eigen = highest_weight_check(n, z, w)
         hw_ok = hw_ok and killed and eigen
         p_n = len(partitions_of(n))
         p_prev = len(partitions_of(n - 1)) if n >= 1 else 0
@@ -501,36 +495,13 @@ def _charged_states(max_degree: int, charges=(-1, 0, 1)):
     return out
 
 
-def _psi_bracket(op: Operator, c: Scalar, after=()):
-    """The terms of [psi_x, op] = c psi_(x+k) + sum of o psi_x over o in
-    ``after``, cleared over one int denominator by ``_clear``: op first,
-    then (scale, None) for the psi_(x+k) term, if c is nonzero, and
-    (scale, o) for each o."""
-    return _clear([(1, op), (-c, None)] + [(-1, o) for o in after])[1]
-
-
-def _psi_bracket_differs(terms, x: HalfInt, k: int, state: MayaState) -> bool:
-    """Whether an identity of :func:`_psi_bracket` fails on one basis
-    state: psi_x is one (sign, state) per state, so [psi_x, op]|state>
-    minus the right side is one dict of numerators, and the identity
-    holds when every entry is zero.  No vector is built."""
-    (scale, op), rest = terms[0], terms[1:]
-    acc: Dict[MayaState, Scalar] = {}
-    for new, n in op.numerators(state):
-        hit = new.insert(x)
-        if hit:
-            acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * scale * n
-    hit = state.insert(x)
-    if hit:
-        sign, mid = hit
-        for s, o in [(-scale, op)] + [t for t in rest if t[1] is not None]:
-            for new, n in o.numerators(mid):
-                acc[new] = acc.get(new, 0) + sign * s * n
-    hit = state.insert(x + k)
-    if hit:
-        for s, _ in (t for t in rest if t[1] is None):
-            acc[hit[1]] = acc.get(hit[1], 0) + hit[0] * s
-    return any(acc.values())
+def _psi_bracket(op: Operator, x: HalfInt, k: int, c: Scalar, after=()):
+    """The :func:`image` terms of [psi_x, op] - c psi_(x+k) - sum of o
+    psi_x over o in ``after``: the identity fails on a basis state where
+    their image is not empty."""
+    psi_x = Psi(x)
+    return _clear([(1, psi_x, op), (-1, op, psi_x), (-c, Psi(x + k), None)]
+                  + [(-1, o, psi_x) for o in after])[1]
 
 
 def _prop52_verdicts(p: VirasoroParams, k: int, max_degree: int):
@@ -543,10 +514,11 @@ def _prop52_verdicts(p: VirasoroParams, k: int, max_degree: int):
         coeff = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
         raw_coeff = p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1
         # printed form: a_k psi_x + (z + x + k/2 - 1) psi_(x+k)
-        forms = [_psi_bracket(l_raise, coeff), _psi_bracket(l_raise, raw_coeff, [a_lower]),
-                 _psi_bracket(l_raise, raw_coeff, [a_raise])]
+        forms = [_psi_bracket(l_raise, x, k, coeff),
+                 _psi_bracket(l_raise, x, k, raw_coeff, [a_lower]),
+                 _psi_bracket(l_raise, x, k, raw_coeff, [a_raise])]
         for state in states:
-            out.append(((x, state), tuple(_psi_bracket_differs(t, x, k, state) for t in forms)))
+            out.append(((x, state), tuple(bool(image(t, {state: 1})) for t in forms)))
     return out
 
 
@@ -594,10 +566,10 @@ def _prop62_verdicts(p: VirasoroParams, k: int, max_degree: int):
     for x in (HalfInt(d) for d in range(-5, 6, 2)):
         cx = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
         raw_coeff = (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1) ** 2
-        order2, order3 = _psi_bracket(m2, cx), _psi_bracket(m3, raw_coeff, [m2, m1])
+        order2, order3 = _psi_bracket(m2, x, k, cx), _psi_bracket(m3, x, k, raw_coeff, [m2, m1])
         for state in states:
-            probe = _psi_bracket_differs(order3, x, k, state) if state.insert(x) else None
-            out.append(((x, state), (_psi_bracket_differs(order2, x, k, state), probe)))
+            probe = bool(image(order3, {state: 1})) if state.insert(x) else None
+            out.append(((x, state), (bool(image(order2, {state: 1})), probe)))
     return out
 
 

@@ -676,3 +676,20 @@ def test_cli_import_leaves_csv_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite=sl2", "--max-degree=1"],
+    ["measure", "--kind=schur", "--x=1=1/2", "--y=1=1/3", "--max-degree=2"],
+], ids=["verify", "measure"])
+def test_a_failed_stdout_write_exits_two(argv):
+    # exit 1 means a falsified identity; a stdout that cannot take the
+    # report is an error of the run, reported once, with no traceback
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "youngfock", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 2
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from youngfock.fock import (
     FockVector,
     MayaState,
+    Psi,
     VACUUM_STATE,
     boson_moves,
     psi,
@@ -300,3 +301,16 @@ def test_vector_sums_match_a_plain_dict_sum(pa, pb, cancel, images):
         return images[_POOL.index(state)]
     want = _dict_sum((new, c * x) for s, c in terms_a for new, x in fn(s))
     assert a.linear_apply(fn).to_json() == _json(want)
+
+
+def test_psi_numerators_are_the_insert_sign():
+    # psi_x as an operator: den 1, and on every basis state the one
+    # (state, sign) pair of MayaState.insert, or nothing
+    states = charged_states(4)
+    for x in (HalfInt(d) for d in range(-11, 12, 2)):
+        op = Psi(x)
+        assert op.den == 1 and op == Psi(x) and hash(op) == hash(Psi(x))
+        for st in states:
+            hit = st.insert(x)
+            assert op.numerators(st) == (((hit[1], hit[0]),) if hit else ()), (x, st)
+    assert Psi(HalfInt(1)) != Psi(HalfInt(-1))

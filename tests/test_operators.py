@@ -3,20 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from youngfock.fock import VACUUM_STATE, FockVector, MayaState, boson_moves, vacuum
+from youngfock.fock import VACUUM_STATE, FockVector, MayaState, Psi, boson_moves, psi, vacuum
 from youngfock.operators import (
     Bilinear,
     KerovParams,
     MVirasoro,
     VirasoroParams,
+    _clear,
     _descending_tuples,
+    _divided,
     boson_op,
     commutator_check,
-    exp_lowering_bra,
     exp_raising,
     hook_diagonal,
     hook_lower,
     hook_raise,
+    image,
     kerov_d,
     kerov_l,
     kerov_u,
@@ -25,7 +27,7 @@ from youngfock.operators import (
     virasoro_params_for_rimhook,
     virasoro_params_from_kerov,
 )
-from youngfock.partitions import Partition, partitions_of, partitions_up_to
+from youngfock.partitions import HalfInt, Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, random_rational
 from youngfock.suites import run_suite
 
@@ -429,6 +431,13 @@ def test_exp_raising_matches_power_oracle(terms, start, max_degree):
     assert all(type(c) is type(want.coefficient(s)) for s, c in got.terms())
 
 
+def exp_lowering_bra(terms, lam, max_degree):
+    """<vac| exp(sum_i c_i * op_i) |lam> over lowering (c_i, op_i) pairs:
+    the lam-coefficient of the raising exponential of the adjoints."""
+    ket = exp_raising([(c, op.adjoint()) for c, op in terms], vacuum(), max_degree)
+    return ket.coefficient_of_partition(lam)
+
+
 def test_exp_lowering_bra_examples():
     assert exp_lowering_bra([(Fraction(1), boson_op(1))], P(), 4) == 1
     y1 = Fraction(5, 3)
@@ -460,8 +469,12 @@ def test_exp_lowering_bra_equals_direct_lowering():
 
 
 def test_exp_lowering_bra_degree_error():
+    # the lowering modes themselves are refused, and a bound below |lam|
+    # truncates the diagram away
     with pytest.raises(ValueError):
-        exp_lowering_bra([(Fraction(1), boson_op(1))], P(3, 2), 2)
+        exp_raising([(Fraction(1), boson_op(1))], vacuum(), 5)
+    assert exp_lowering_bra([(Fraction(1), boson_op(1))], P(3, 2), 5) != 0
+    assert exp_lowering_bra([(Fraction(1), boson_op(1))], P(3, 2), 2) == 0
 
 
 def _adjoint_cases():
@@ -607,6 +620,61 @@ def test_commutator_check_matches_the_vector_oracle(a, b, expected, degree):
     want = commutator_by_vectors(a, b, expected, degree)
     assert ([(lam.to_json(), delta.to_json()) for lam, delta in got]
             == [(lam.to_json(), delta.to_json()) for lam, delta in want])
+
+
+def _apply(op, v):
+    """op(v) as a FockVector: ``None`` is the identity, psi_x is ``fock.psi``."""
+    if op is None:
+        return v
+    return psi(op.x, v) if isinstance(op, Psi) else op.apply(v)
+
+
+def _image_cases():
+    """Seeded (terms, vector) draws: each term list keeps the charge (no
+    psi factor) or raises it by one (one psi factor per term), and mixes
+    bilinears, an M = 4 mode and the identity, over rational or Poly
+    parameters and coefficients; integer vectors of charge -1, 0 or 1."""
+    rng = random.Random(20261019)
+    for draw in range(16):
+        poly = draw % 2 == 1
+
+        def scalar():
+            q = random_rational(rng)
+            return Poly((q, random_rational(rng))) if poly and rng.random() < 0.5 else q
+
+        vp = VirasoroParams(alpha=scalar(), gamma=random_rational(rng))
+        ops = [virasoro_op(rng.randint(-2, 2), vp), kerov_u(KerovParams(z=scalar())),
+               hook_lower(2, KerovParams(w=scalar())),
+               MVirasoro(4, rng.randint(-2, 2), vp.alpha, vp.gamma), None]
+        psi_x = Psi(HalfInt(rng.randrange(-5, 6, 2)))
+        terms = []
+        for _ in range(rng.randint(2, 5)):
+            outer, inner = rng.choice(ops), rng.choice(ops)
+            if draw % 4 >= 2:  # one psi factor, outside or inside
+                outer, inner = (psi_x, inner) if rng.random() < 0.5 else (outer, psi_x)
+            terms.append((scalar() * rng.choice([1, -1, 2]), outer, inner))
+        charge = rng.choice([-1, 0, 1])
+        states = [MayaState.from_partition(lam, charge=charge) for lam in partitions_up_to(3)]
+        vec = {st: rng.choice([-3, -2, -1, 1, 2, 3]) for st in rng.sample(states, 3)}
+        yield terms, vec
+
+
+@pytest.mark.parametrize("terms,vec", list(_image_cases()))
+def test_image_matches_the_vector_sum(terms, vec):
+    # image over L equals sum_t c_t outer_t(inner_t(v)) summed as vectors
+    lcm, cleared = _clear(terms)
+    got = FockVector({st: _divided(n, lcm) for st, n in image(cleared, vec).items()})
+    v = FockVector({st: Fraction(c) for st, c in vec.items()})
+    want = FockVector.zero()
+    for c, outer, inner in terms:
+        want = want + _apply(outer, _apply(inner, v)).scale(c)
+    assert got == want
+    # the sum must see every term: a term list and its negation cancel
+    assert not image(_clear([(-c, o, i) for c, o, i in terms] + terms)[1], vec)
+
+
+def test_image_cases_are_not_vacuous():
+    assert sum(bool(image(_clear(terms)[1], vec)) for terms, vec in _image_cases()) >= 12
 
 
 def test_operator_degree_shift_and_json():

@@ -4,19 +4,18 @@ from fractions import Fraction
 import pytest
 
 import youngfock.repstructure as rs
-from youngfock.fock import FockVector, basis_index
-from youngfock.operators import (Bilinear, KerovParams, MVirasoro, hook_lower, hook_raise, kerov_d,
-                                 kerov_l, kerov_u)
+from youngfock.fock import VACUUM_STATE, FockVector, basis_index
+from youngfock.operators import (Bilinear, KerovParams, MVirasoro, _clear, _divided, hook_lower,
+                                 hook_raise, image, kerov_d, kerov_l, kerov_u)
 from youngfock.partitions import Partition, partitions_of
 from youngfock.repstructure import (
     decomposition_report,
     highest_weight_check,
     image_rows,
     kernel_basis,
-    matrix_of,
     rank_of_D,
 )
-from youngfock.rings import Poly, echelon, nullspace, rank
+from youngfock.rings import Poly, kernel, rank
 
 from . import oracles
 from .conftest import rand_q
@@ -36,6 +35,19 @@ def P(*parts):
 
 
 KP = KerovParams(z=Fraction(2, 3), w=Fraction(5, 7))
+
+
+def matrix_of(op, n):
+    """The matrix of op at degree n: its integer rows over op.den, one
+    row per partition of the target degree, columns ``partitions_of(n)``."""
+    width = len(basis_index(n))
+    return tuple(tuple(_divided(row[c], op.den) if c in row else Fraction(0)
+                       for c in range(width)) for row in rs._rows(op, n))
+
+
+def as_vector(vec):
+    """An integer vector {state: int} as a FockVector of Fractions."""
+    return FockVector({st: Fraction(c) for st, c in vec.items()})
 
 
 def test_matrix_of_examples():
@@ -117,7 +129,7 @@ def test_kernel_basis_examples(rng):
     assert kernel_basis(kerov_u(p), 3) == []
     kern = kernel_basis(kerov_d(p), 2)
     assert len(kern) == 1
-    v = kern[0]
+    v = as_vector(kern[0])
     # proportional to (w-1)|(2)> - (w+1)|(1,1)>
     c2 = v.coefficient_of_partition(P(2))
     c11 = v.coefficient_of_partition(P(1, 1))
@@ -125,8 +137,7 @@ def test_kernel_basis_examples(rng):
     assert kerov_d(p).apply(v).is_zero()
     # z = 0 kernel at degree 0 spans the vacuum
     kern0 = kernel_basis(kerov_u(KerovParams(z=Fraction(0), w=w)), 0)
-    assert len(kern0) == 1
-    assert kern0[0].coefficient_of_partition(P()) == 1
+    assert kern0 == [{VACUUM_STATE: 1}]
 
 
 def test_kernel_basis_rejects_polynomial_entries():
@@ -157,9 +168,10 @@ def test_highest_weight_check(rng):
     z, w = rand_q(rng), rand_q(rng)
     vectors, killed, eigen = highest_weight_check(2, z, w)
     assert killed and eigen and len(vectors) == 1
-    assert kerov_l(KerovParams(z=z, w=w)).apply(vectors[0]) == vectors[0].scale(z * w + 4)
+    v = as_vector(vectors[0])
+    assert kerov_l(KerovParams(z=z, w=w)).apply(v) == v.scale(z * w + 4)
     vectors, killed, eigen = highest_weight_check(0, z, w)
-    assert killed and eigen and vectors == [FockVector.from_partition(P())]
+    assert killed and eigen and [as_vector(v) for v in vectors] == [FockVector.from_partition(P())]
     for n in range(0, 7):
         got, killed, eigen = highest_weight_check(n, z, w)
         expected_count = pentagonal_count(n) - (pentagonal_count(n - 1) if n else 0)
@@ -170,7 +182,7 @@ def test_u_maps_kernel_to_independent_vectors(rng):
     z, w = rand_q(rng, nonzero=True), rand_q(rng, nonzero=True)
     p = KerovParams(z=z, w=w)
     for n in range(2, 7):
-        kern = kernel_basis(kerov_d(p), n)
+        kern = [as_vector(v) for v in kernel_basis(kerov_d(p), n)]
         images = [kerov_u(p).apply(v) for v in kern]
         basis = partitions_of(n + 1)
         index = {lam: i for i, lam in enumerate(basis)}
@@ -180,7 +192,7 @@ def test_u_maps_kernel_to_independent_vectors(rng):
             for state, coeff in img.terms():
                 row[index[state.to_partition()]] = coeff
             rows.append(row)
-        assert len(echelon(rows)[1]) == len(kern)
+        assert len(dense_echelon(rows)[1]) == len(kern)
 
 
 def test_decomposition_report_cases(rng):
@@ -221,11 +233,16 @@ def test_sparse_elimination_matches_dense_on_ladder_matrices(z, w):
     for n in range(10):
         for op in (d_op, u_op):
             m, cols = matrix_of(op, n), len(partitions_of(n))
-            assert echelon(m) == dense_echelon(m), (op, n)
-            assert nullspace(m, cols) == dense_nullspace(m, cols)
+            rows = rs._rows(op, n)
+            assert rank(rows) == len(dense_echelon(m)[1]), (op, n)
+            # each kernel vector over its entry at its free column, its largest
+            got = [[Fraction(vec.get(c, 0), vec[max(vec)]) for c in range(cols)]
+                   for vec in kernel(rows, cols)]
+            assert got == dense_nullspace(m, cols), (op, n)
         # the u-image rows of the decomposition report
-        rows = image_rows_by_vectors(u_op, kernel_basis(d_op, n), n + 1)
-        assert echelon(rows) == dense_echelon(rows), n
+        vectors = kernel_basis(d_op, n)
+        want = image_rows_by_vectors(u_op, [as_vector(v) for v in vectors], n + 1)
+        assert rank(image_rows(u_op, vectors, n + 1)) == len(dense_echelon(want)[1]), n
 
 
 CASES = [(Fraction(2, 3), Fraction(-5, 7)), (Fraction(0), Fraction(3, 4)),
@@ -239,7 +256,7 @@ def test_ranks_match_the_vector_oracle(rng):
     for w, top in [(w, 9) for w in ws] + [(t, 7), (t * t - 1, 6)]:
         d_op = kerov_d(KerovParams(z=Fraction(0), w=w))
         for n in range(top):
-            assert rank_of_D(n, w) == len(echelon(matrix_of_by_vectors(d_op, n))[1]), (w, n)
+            assert rank_of_D(n, w) == len(dense_echelon(matrix_of_by_vectors(d_op, n))[1]), (w, n)
 
 
 @pytest.mark.parametrize("z,w", CASES, ids=CASE_IDS)
@@ -249,9 +266,9 @@ def test_u_image_rank_matches_the_vector_oracle(z, w):
         p = KerovParams(z=zz, w=w)
         u_op, d_op = kerov_u(p), kerov_d(p)
         for n in range(9):
-            got = rank(image_rows(u_op, rs._kernel(d_op, n), n + 1))
+            got = rank(image_rows(u_op, kernel_basis(d_op, n), n + 1))
             want = image_rows_by_vectors(u_op, kernel_basis_by_vectors(d_op, n), n + 1)
-            assert got == len(echelon(want)[1]), (zz, n)
+            assert got == len(dense_echelon(want)[1]), (zz, n)
 
 
 @pytest.mark.parametrize("z,w", CASES, ids=CASE_IDS)
@@ -262,13 +279,12 @@ def test_kernel_vectors_are_multiples_of_the_oracle(z, w):
             got, want = kernel_basis(op, n), kernel_basis_by_vectors(op, n)
             assert len(got) == len(want), (op, n)
             for g, v in zip(got, want):
-                entries = [c for _, c in g.terms()]
                 # primitive integer vectors
-                assert all(c.denominator == 1 for c in entries)
-                assert math.gcd(*(c.numerator for c in entries)) == 1
+                assert all(type(c) is int for c in g.values())
+                assert math.gcd(*g.values()) == 1
                 state, c0 = next(v.terms())
-                ratio = g.coefficient(state) / c0
-                assert ratio != 0 and g == v.scale(ratio), (op, n)
+                ratio = g.get(state, 0) / c0
+                assert ratio != 0 and as_vector(g) == v.scale(ratio), (op, n)
 
 
 @pytest.mark.parametrize("z,w", CASES + [(Fraction(-3, 4), Fraction(5, 6))],
@@ -281,9 +297,9 @@ def test_highest_weight_verdicts_match_the_vector_oracle(z, w, monkeypatch):
         want, killed0, eigen0 = highest_weight_check_by_vectors(n, z, w)
         assert (killed, eigen) == (killed0, eigen0) == (True, True), n
         # negative control: a D built at w + 1 in the kill check
-        vectors = rs._kernel(kerov_d(KerovParams(z=z, w=w)), n)
-        off = [bool(rs._image(d_off, vec)) for vec in vectors]
-        assert off == [not d_off.apply(v).is_zero() for v in got], n
+        d_terms = _clear([(1, d_off, None)])[1]
+        off = [bool(image(d_terms, vec)) for vec in got]
+        assert off == [not d_off.apply(as_vector(v)).is_zero() for v in got], n
         flagged += sum(off)
     assert flagged
     # negative control: a diagonal shifted by one misses z*w + 2N

@@ -9,10 +9,9 @@ import hypothesis.strategies as st
 from youngfock.rings import (
     Poly,
     det,
+    _eliminate,
     divexact,
-    echelon,
     kernel,
-    nullspace,
     parse_rational,
     random_rational,
     rank,
@@ -221,30 +220,30 @@ def test_parse_rational_accepts_only_fractions(text):
         parse_rational(text)
 
 
-def test_echelon_rank_small_cases():
-    def rank(m):
-        return len(echelon(m)[1])
+def _sparse(m):
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
 
+
+def test_echelon_rank_small_cases():
     assert rank([]) == 0
-    assert rank([[Fraction(0), Fraction(0)]]) == 0
-    assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert rank([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == 2
+    assert rank(_sparse([[Fraction(0), Fraction(0)]])) == 0
+    assert rank(_sparse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])) == 1
+    assert rank(_sparse([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])) == 2
 
 
 def test_echelon_rank_over_polynomials():
     t = Poly.gen()
     # generic rank over the polynomial ring in w
-    m = [[t + 1, t - 1]]
-    assert len(echelon(m)[1]) == 1
+    assert rank(_sparse([[t + 1, t - 1]])) == 1
     m = [[t, t * t], [Poly((1,)), t]]
-    assert len(echelon(m)[1]) == 1  # second row is the first divided by t
+    assert rank(_sparse(m)) == 1  # second row is the first divided by t
+    assert det(m) == 0
 
 
 def test_nullspace_example():
-    basis = nullspace([[Fraction(3), Fraction(5)]], 2)
-    assert len(basis) == 1
-    v = basis[0]
-    assert 3 * v[0] + 5 * v[1] == 0 and v[1] == 1
+    basis = kernel(_sparse([[Fraction(3), Fraction(5)]]), 2)
+    assert basis == [{0: -5, 1: 3}]
+    assert dense_nullspace([[Fraction(3), Fraction(5)]], 2) == [[Fraction(-5, 3), Fraction(1)]]
 
 
 def _random_matrix(kind, n_rows, n_cols, rng):
@@ -282,23 +281,19 @@ def test_echelon_against_leibniz_and_minors(kind, shape):
     rng = random.Random(f"{kind}{shape}")
     n_rows, n_cols = shape
     m = _random_matrix(kind, n_rows, n_cols, rng)
-    rows, pivots, _ = echelon(m)
-    rank = minor_rank(m)
-    assert len(pivots) == rank
-    for i, row in enumerate(rows):  # echelon shape: zeros left of each pivot, then zero rows
-        lead = pivots[i] if i < rank else n_cols
-        assert all(v == 0 for v in row[:lead]) and (i >= rank or row[lead] != 0)
+    full = minor_rank(m)
+    assert rank(_sparse(m)) == full
     if n_rows == n_cols:
         assert det(m) == leibniz_determinant(m)
-        assert kind != "zero-corner" or n_rows == 1 or rank == n_rows  # the swap is exercised
+        assert kind != "zero-corner" or n_rows == 1 or full == n_rows  # the swap is exercised
     if kind.startswith("poly"):
-        return  # nullspace runs over the rationals only
-    basis = nullspace(m, n_cols)
-    free = [c for c in range(n_cols) if c not in pivots]
-    assert len(basis) == n_cols - rank == len(free)
-    for k, v in enumerate(basis):
-        assert all(sum(row[c] * v[c] for c in range(n_cols)) == 0 for row in m)
-        assert [v[f] for f in free] == [int(i == k) for i in range(len(free))]
+        return  # kernel runs over the rationals only
+    basis = kernel(_sparse(m), n_cols)
+    free = [c for c in range(n_cols) if c not in dense_echelon(m)[1]]
+    assert len(basis) == n_cols - full == len(free)
+    for f, vec in zip(free, basis):
+        assert all(sum(row[c] * v for c, v in vec.items()) == 0 for row in m)
+        assert max(vec) == f and not any(c in vec for c in free if c != f)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 3), (5, 6), (8, 8), (6, 11)])
@@ -308,9 +303,17 @@ def test_sparse_elimination_matches_dense(kind, shape):
     for draw in range(3):
         rng = random.Random(f"sparse{kind}{shape}{draw}")
         m = _random_matrix(kind, *shape, rng)
-        assert echelon(m) == dense_echelon(m)
+        want_rows, pivots, factor = dense_echelon(m)
+        rows, got_pivots, got_factor = _eliminate(_sparse(m))
+        assert [[row.get(c, 0) for c in range(shape[1])] for row in rows] == want_rows
+        assert (got_pivots, got_factor) == (pivots, factor)
+        assert rank(_sparse(m)) == len(pivots)
+        if shape[0] == shape[1]:
+            assert det(m) == want_rows[-1][-1] * factor
         if not kind.startswith("poly"):
-            assert nullspace(m, shape[1]) == dense_nullspace(m, shape[1])
+            basis = [[Fraction(vec.get(c, 0), vec[max(vec)]) for c in range(shape[1])]
+                     for vec in kernel(_sparse(m), shape[1])]
+            assert basis == dense_nullspace(m, shape[1])
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 3), (5, 6)])
@@ -318,16 +321,16 @@ def test_sparse_elimination_matches_dense(kind, shape):
                                   "zero-col", "dup-col", "poly", "poly-dup-row"])
 def test_sparse_rank_and_primitive_kernel(kind, shape):
     # rank and kernel on sparse rows: the dense pivot count, and primitive
-    # integer vectors each a positive multiple of nullspace's vector
+    # integer vectors each a positive multiple of the dense nullspace's vector
     rng = random.Random(f"kernel{kind}{shape}")
     m = _random_matrix(kind, *shape, rng)
-    rows = [{c: v for c, v in enumerate(row) if v} for row in m]
-    assert rank(rows) == len(echelon(m)[1]) == minor_rank(m)
+    rows = _sparse(m)
+    assert rank(rows) == len(dense_echelon(m)[1]) == minor_rank(m)
     if any(isinstance(v, Poly) for row in m for v in row):
         with pytest.raises(ValueError, match="over Q"):
             kernel(rows, shape[1])
         return
-    basis = nullspace(m, shape[1])
+    basis = dense_nullspace(m, shape[1])
     vectors = kernel(rows, shape[1])
     assert len(vectors) == len(basis)
     for vec, v in zip(vectors, basis):
