@@ -15,7 +15,7 @@ from youngfock.repstructure import (
     kernel_basis,
     rank_of_D,
 )
-from youngfock.rings import Poly, kernel, rank
+from youngfock.rings import Poly, _eliminate, kernel, rank
 
 from . import oracles
 from .conftest import rand_q
@@ -233,8 +233,13 @@ def test_sparse_elimination_matches_dense_on_ladder_matrices(z, w):
     for n in range(10):
         for op in (d_op, u_op):
             m, cols = matrix_of(op, n), len(partitions_of(n))
+            want_rows, pivots, factor = dense_echelon(m)
+            got_rows, got_pivots, got_factor = _eliminate(
+                [{c: v for c, v in enumerate(row) if v} for row in m])
+            assert [[row.get(c, 0) for c in range(cols)] for row in got_rows] == want_rows
+            assert (got_pivots, got_factor) == (pivots, factor), (op, n)
             rows = rs._rows(op, n)
-            assert rank(rows) == len(dense_echelon(m)[1]), (op, n)
+            assert rank(rows) == len(pivots), (op, n)
             # each kernel vector over its entry at its free column, its largest
             got = [[Fraction(vec.get(c, 0), vec[max(vec)]) for c in range(cols)]
                    for vec in kernel(rows, cols)]
