@@ -149,6 +149,8 @@ def _emit(lines: List[str], out: Optional[str]) -> None:
             with open(target, "w") as fh:
                 fh.write(text)
     except OSError as exc:
+        if target is None:  # the text stays buffered and is flushed again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "stdout" if target is None else repr(target)
         raise _CliError(f"cannot write {where}: {exc.strerror}")
 

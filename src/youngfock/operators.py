@@ -59,8 +59,8 @@ the same over vacated d < 0.  :class:`MVirasoro` has ``den = 1``.
 ``op.apply(v)`` extends numerator/den linearly, exactly and with no
 truncation bound: it maps each basis state of degree d into degree
 d - k.  :func:`image` sums the numerators of (c, outer, inner) terms,
-each c*outer∘inner, over one int denominator cleared by one rule
-(``_clear``): every identity check reads it, :func:`commutator_check`
+each c*outer∘inner, over the one int denominator that :func:`clear`
+gives them: every identity check reads it, :func:`commutator_check`
 among them.  :func:`exp_raising` clears its modes by the same rule and
 keeps its own loop, which skips moves past its degree bound.
 
@@ -472,14 +472,14 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     numerators over one int denominator, den_m = den_(m-1) * L * m.  Each
     mode is read through ``op.numerators`` over ``op.den``, so c*op adds
     (c*L/op.den) * numerator per move, with L and the scales from
-    :func:`_clear`.  A power whose numerators are all ints (every scalar
+    :func:`clear`.  A power whose numerators are all ints (every scalar
     rational and every operator a bilinear) is reduced by their gcd; they
     are ``Poly`` with ``Poly`` input and may be ``Fraction`` with an
     :class:`MVirasoro` term.  Moves that would pass the degree bound are
     skipped before they are enumerated, and one division per state ends
     the sum.
     """
-    lcm, cleared = _clear([(c, op, None) for c, op in terms])
+    lcm, cleared = clear([(c, op, None) for c, op in terms])
     for _, op, _ in cleared:
         if op.degree_shift < 1:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
@@ -535,13 +535,13 @@ class _Identity:
 _IDENTITY = _Identity()
 
 
-def _clear(terms: Sequence[Term]) -> Tuple[int, List[Term]]:
-    """One int denominator L for (c, outer, inner) terms, each meaning
-    c*outer∘inner with ``None`` the identity, and each term's scale
-    c*L/(outer.den*inner.den) over it: L is the lcm of the denominators
-    of every c/(outer.den*inner.den), a ``Poly``'s coefficients included,
-    and each scale is an int, or a ``Poly`` under a ``Poly`` c.  Terms
-    with a zero c are dropped."""
+def clear(terms: Sequence[Term]) -> Tuple[int, List[Term]]:
+    """One int denominator L for (c, outer, inner) terms, each c*outer∘inner
+    with ``None`` the identity, and the terms :func:`image` reads, each
+    with its scale c*L/(outer.den*inner.den): L is the lcm of the
+    denominators of every c/(outer.den*inner.den), a ``Poly``'s
+    coefficients included, and each scale is an int, or a ``Poly`` under
+    a ``Poly`` c.  Terms with a zero c are dropped."""
     active = []
     for c, outer, inner in terms:
         outer = _IDENTITY if outer is None else outer
@@ -554,7 +554,7 @@ def _clear(terms: Sequence[Term]) -> Tuple[int, List[Term]]:
 
 def image(cleared: Sequence[Term], vec: Mapping[MayaState, Scalar]) -> Dict[MayaState, Scalar]:
     """L * sum_t c_t * outer_t(inner_t(vec)) as numerators over the L of
-    :func:`_clear`, which gave the terms: the sum of scale * entry *
+    :func:`clear`, which gave the terms: the sum of scale * entry *
     n_inner * n_outer over every path, zero sums dropped.  An empty
     result means the terms sum to zero on vec.  No vector is built."""
     acc: Dict[MayaState, Scalar] = {}
@@ -581,11 +581,11 @@ def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo,
     is a ``Poly`` when any numerator summed into it is, even a zero one or
     one that cancels against the other side of the bracket.
     """
-    lcm, cleared = _clear([(1, a, b), (-1, b, a)] + [(-c, op, None) for c, op in expected])
+    lcm, cleared = clear([(1, a, b), (-1, b, a)] + [(-c, op, None) for c, op in expected])
     found: List[Tuple[Partition, FockVector]] = []
     for d in range(degree + 1):
         for lam, st in zip(partitions_of(d), basis_index(d)):
-            delta = {new: _divided(n, lcm) for new, n in image(cleared, {st: 1}).items()}
+            delta = image(cleared, {st: 1})
             if delta:
-                found.append((lam, FockVector(delta)))
+                found.append((lam, FockVector({new: _divided(n, lcm) for new, n in delta.items()})))
     return found

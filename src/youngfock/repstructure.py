@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .fock import FockVector, MayaState, basis_index
-from .operators import KerovParams, Operator, _clear, image, kerov_d, kerov_l, kerov_u
+from .operators import KerovParams, Operator, clear, image, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
 from .rings import Scalar, is_zero, kernel, rank, scalar_to_json
 
@@ -31,7 +31,7 @@ Vector = Dict[MayaState, Scalar]  # basis state -> integer (or Poly) entry
 def image_rows(op: Operator, vectors: List[Vector], n: int) -> List[Dict[int, Scalar]]:
     """The images den * op(v) as sparse rows {column: numerator} over the
     degree-n basis ``partitions_of(n)``."""
-    index, cleared = basis_index(n), _clear([(1, op, None)])[1]
+    index, cleared = basis_index(n), clear([(1, op, None)])[1]
     return [{index[st]: c for st, c in image(cleared, vec).items()} for vec in vectors]
 
 
@@ -74,7 +74,7 @@ def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[Vector], bo
     p = KerovParams(z=z, w=w)
     d_op, l_op = kerov_d(p), kerov_l(p)
     vectors = kernel_basis(d_op, n)
-    d_terms = _clear([(1, d_op, None)])[1]
+    d_terms = clear([(1, d_op, None)])[1]
     killed = not any(image(d_terms, vec) for vec in vectors)
     weight = (z * w + 2 * n) * l_op.den
     eigen = all(num == weight for vec in vectors for st in vec

@@ -39,8 +39,8 @@ from .operators import (
     MVirasoro,
     Operator,
     VirasoroParams,
-    _clear,
     boson_op,
+    clear,
     commutator_check,
     exp_raising,
     hook_diagonal,
@@ -88,7 +88,7 @@ def _disagree(pairs, max_degree: int) -> List[list]:
     """The diagrams up to max_degree, as JSON, on which some pair
     ((c, op), (e, op')) differs: c*op|lam> != e*op'|lam>, where the
     :func:`image` of the terms c*op and -e*op' is not empty."""
-    cleared = [_clear([(c, op, None), (-e, other, None)])[1] for (c, op), (e, other) in pairs]
+    cleared = [clear([(c, op, None), (-e, other, None)])[1] for (c, op), (e, other) in pairs]
     return [lam.to_json() for d in range(max_degree + 1)
             for lam, st in zip(partitions_of(d), basis_index(d))
             if any(image(terms, {st: 1}) for terms in cleared)]
@@ -500,7 +500,7 @@ def _psi_bracket(op: Operator, x: HalfInt, k: int, c: Scalar, after=()):
     psi_x over o in ``after``: the identity fails on a basis state where
     their image is not empty."""
     psi_x = Psi(x)
-    return _clear([(1, psi_x, op), (-1, op, psi_x), (-c, Psi(x + k), None)]
+    return clear([(1, psi_x, op), (-1, op, psi_x), (-c, Psi(x + k), None)]
                   + [(-1, o, psi_x) for o in after])[1]
 
 

@@ -34,12 +34,13 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, List, Sequence, Tuple
 
-from youngfock.fock import FockVector, MayaState, basis_index, boson_moves, psi
+from youngfock.fock import FockVector, MayaState, basis_index, boson_moves, psi, vacuum
 from youngfock.operators import (
     KerovParams,
     Operator,
     _descending_tuples,
     boson_op,
+    exp_raising,
     kerov_d,
     kerov_l,
     m_virasoro_op,
@@ -400,6 +401,20 @@ def exp_by_powers(terms, v, max_degree):
         power = truncate(step, max_degree).scale(Fraction(1, m))
         result = result + power
     return result
+
+
+def exp_lowering_bra(terms, lam, max_degree=None):
+    """<vac| exp(sum_i c_i * op_i) |lam> over lowering (c_i, op_i) pairs:
+    the lam-coefficient of the raising exponential of the adjoints, cut at
+    ``max_degree`` (default ``lam.size``)."""
+    degree = lam.size if max_degree is None else max_degree
+    ket = exp_raising([(c, op.adjoint()) for c, op in terms], vacuum(), degree)
+    return ket.coefficient_of_partition(lam)
+
+
+def sparse_rows(matrix):
+    """Dense rows as the ``{column: entry}`` rows that ``rings`` eliminates."""
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
 
 
 # -- literal prefix-list model of the wedge ---------------------------------

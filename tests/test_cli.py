@@ -686,9 +686,11 @@ def test_cli_import_leaves_csv_unloaded():
 def test_a_failed_stdout_write_exits_two(argv):
     # exit 1 means a falsified identity; a stdout that cannot take the
     # report is an error of the run, reported once, with no traceback
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)  # the exit-time flush only fails on a buffered stdout
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "youngfock", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120)
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: cannot write stdout: ")

@@ -25,6 +25,7 @@ from .oracles import (
     a_coeff_by_compositions,
     b_coeff_by_compositions,
     compositions_of,
+    exp_lowering_bra,
     path_polynomial,
     schur_params_by_substitution,
     vir_row,
@@ -38,13 +39,6 @@ def P(*parts):
 def modes(x, alpha, sign):
     """(x_k, L_(sign*k)) pairs at (alpha, gamma=0)."""
     return [(c, virasoro_op(sign * k, VirasoroParams(alpha=alpha))) for k, c in x.items()]
-
-
-def exp_lowering_bra(terms, lam):
-    """<vac| exp(sum_i c_i * op_i) |lam> over lowering (c_i, op_i) pairs:
-    the lam-coefficient of the raising exponential of the adjoints."""
-    ket = exp_raising([(c, op.adjoint()) for c, op in terms], vacuum(), lam.size)
-    return ket.coefficient_of_partition(lam)
 
 
 def test_path_polynomial_examples():

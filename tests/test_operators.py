@@ -9,10 +9,10 @@ from youngfock.operators import (
     KerovParams,
     MVirasoro,
     VirasoroParams,
-    _clear,
     _descending_tuples,
     _divided,
     boson_op,
+    clear,
     commutator_check,
     exp_raising,
     hook_diagonal,
@@ -32,7 +32,7 @@ from youngfock.rings import Poly, random_rational
 from youngfock.suites import run_suite
 
 from .oracles import (addable_boxes, as_partition_dict, bilinear_action, commutator_by_vectors,
-                      exp_by_powers, inner, m_virasoro_state_by_tuples, recursive_descending_tuples,
+                      exp_by_powers, exp_lowering_bra, inner, m_virasoro_state_by_tuples, recursive_descending_tuples,
                       removable_boxes, rim_hooks_addable, rim_hooks_removable)
 
 
@@ -431,13 +431,6 @@ def test_exp_raising_matches_power_oracle(terms, start, max_degree):
     assert all(type(c) is type(want.coefficient(s)) for s, c in got.terms())
 
 
-def exp_lowering_bra(terms, lam, max_degree):
-    """<vac| exp(sum_i c_i * op_i) |lam> over lowering (c_i, op_i) pairs:
-    the lam-coefficient of the raising exponential of the adjoints."""
-    ket = exp_raising([(c, op.adjoint()) for c, op in terms], vacuum(), max_degree)
-    return ket.coefficient_of_partition(lam)
-
-
 def test_exp_lowering_bra_examples():
     assert exp_lowering_bra([(Fraction(1), boson_op(1))], P(), 4) == 1
     y1 = Fraction(5, 3)
@@ -662,7 +655,7 @@ def _image_cases():
 @pytest.mark.parametrize("terms,vec", list(_image_cases()))
 def test_image_matches_the_vector_sum(terms, vec):
     # image over L equals sum_t c_t outer_t(inner_t(v)) summed as vectors
-    lcm, cleared = _clear(terms)
+    lcm, cleared = clear(terms)
     got = FockVector({st: _divided(n, lcm) for st, n in image(cleared, vec).items()})
     v = FockVector({st: Fraction(c) for st, c in vec.items()})
     want = FockVector.zero()
@@ -670,11 +663,11 @@ def test_image_matches_the_vector_sum(terms, vec):
         want = want + _apply(outer, _apply(inner, v)).scale(c)
     assert got == want
     # the sum must see every term: a term list and its negation cancel
-    assert not image(_clear([(-c, o, i) for c, o, i in terms] + terms)[1], vec)
+    assert not image(clear([(-c, o, i) for c, o, i in terms] + terms)[1], vec)
 
 
 def test_image_cases_are_not_vacuous():
-    assert sum(bool(image(_clear(terms)[1], vec)) for terms, vec in _image_cases()) >= 12
+    assert sum(bool(image(clear(terms)[1], vec)) for terms, vec in _image_cases()) >= 12
 
 
 def test_operator_degree_shift_and_json():

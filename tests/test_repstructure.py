@@ -5,7 +5,7 @@ import pytest
 
 import youngfock.repstructure as rs
 from youngfock.fock import VACUUM_STATE, FockVector, basis_index
-from youngfock.operators import (Bilinear, KerovParams, MVirasoro, _clear, _divided, hook_lower,
+from youngfock.operators import (Bilinear, KerovParams, MVirasoro, _divided, clear, hook_lower,
                                  hook_raise, image, kerov_d, kerov_l, kerov_u)
 from youngfock.partitions import Partition, partitions_of
 from youngfock.repstructure import (
@@ -27,6 +27,7 @@ from .oracles import (
     kernel_basis_by_vectors,
     matrix_of_by_vectors,
     pentagonal_count,
+    sparse_rows,
 )
 
 
@@ -230,14 +231,18 @@ def test_decomposition_report_cases(rng):
 def test_sparse_elimination_matches_dense_on_ladder_matrices(z, w):
     p = KerovParams(z=z, w=w)
     d_op, u_op = kerov_d(p), kerov_u(p)
+
+    def check_elimination(m, cols, where):
+        want_rows, pivots, factor = dense_echelon(m)
+        got_rows, got_pivots, got_factor = _eliminate(sparse_rows(m))
+        assert [[row.get(c, 0) for c in range(cols)] for row in got_rows] == want_rows, where
+        assert (got_pivots, got_factor) == (pivots, factor), where
+        return pivots
+
     for n in range(10):
         for op in (d_op, u_op):
             m, cols = matrix_of(op, n), len(partitions_of(n))
-            want_rows, pivots, factor = dense_echelon(m)
-            got_rows, got_pivots, got_factor = _eliminate(
-                [{c: v for c, v in enumerate(row) if v} for row in m])
-            assert [[row.get(c, 0) for c in range(cols)] for row in got_rows] == want_rows
-            assert (got_pivots, got_factor) == (pivots, factor), (op, n)
+            pivots = check_elimination(m, cols, (op, n))
             rows = rs._rows(op, n)
             assert rank(rows) == len(pivots), (op, n)
             # each kernel vector over its entry at its free column, its largest
@@ -247,7 +252,8 @@ def test_sparse_elimination_matches_dense_on_ladder_matrices(z, w):
         # the u-image rows of the decomposition report
         vectors = kernel_basis(d_op, n)
         want = image_rows_by_vectors(u_op, [as_vector(v) for v in vectors], n + 1)
-        assert rank(image_rows(u_op, vectors, n + 1)) == len(dense_echelon(want)[1]), n
+        pivots = check_elimination(want, len(partitions_of(n + 1)), n)
+        assert rank(image_rows(u_op, vectors, n + 1)) == len(pivots), n
 
 
 CASES = [(Fraction(2, 3), Fraction(-5, 7)), (Fraction(0), Fraction(3, 4)),
@@ -302,7 +308,7 @@ def test_highest_weight_verdicts_match_the_vector_oracle(z, w, monkeypatch):
         want, killed0, eigen0 = highest_weight_check_by_vectors(n, z, w)
         assert (killed, eigen) == (killed0, eigen0) == (True, True), n
         # negative control: a D built at w + 1 in the kill check
-        d_terms = _clear([(1, d_off, None)])[1]
+        d_terms = clear([(1, d_off, None)])[1]
         off = [bool(image(d_terms, vec)) for vec in got]
         assert off == [not d_off.apply(as_vector(v)).is_zero() for v in got], n
         flagged += sum(off)

@@ -24,7 +24,7 @@ from youngfock.rings import (
 from .conftest import small_rationals
 from .oracles import (dense_echelon, dense_nullspace, fraction_coeffs, fraction_poly_add,
                       fraction_poly_divmod, fraction_poly_eval, fraction_poly_mul,
-                      leibniz_determinant, minor_rank, series_mul)
+                      leibniz_determinant, minor_rank, series_mul, sparse_rows)
 
 coeff_lists = st.lists(small_rationals, min_size=0, max_size=5)
 
@@ -220,28 +220,24 @@ def test_parse_rational_accepts_only_fractions(text):
         parse_rational(text)
 
 
-def _sparse(m):
-    return [{c: v for c, v in enumerate(row) if v} for row in m]
-
-
 def test_echelon_rank_small_cases():
     assert rank([]) == 0
-    assert rank(_sparse([[Fraction(0), Fraction(0)]])) == 0
-    assert rank(_sparse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])) == 1
-    assert rank(_sparse([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])) == 2
+    assert rank(sparse_rows([[Fraction(0), Fraction(0)]])) == 0
+    assert rank(sparse_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])) == 1
+    assert rank(sparse_rows([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])) == 2
 
 
 def test_echelon_rank_over_polynomials():
     t = Poly.gen()
     # generic rank over the polynomial ring in w
-    assert rank(_sparse([[t + 1, t - 1]])) == 1
+    assert rank(sparse_rows([[t + 1, t - 1]])) == 1
     m = [[t, t * t], [Poly((1,)), t]]
-    assert rank(_sparse(m)) == 1  # second row is the first divided by t
+    assert rank(sparse_rows(m)) == 1  # second row is the first divided by t
     assert det(m) == 0
 
 
 def test_nullspace_example():
-    basis = kernel(_sparse([[Fraction(3), Fraction(5)]]), 2)
+    basis = kernel(sparse_rows([[Fraction(3), Fraction(5)]]), 2)
     assert basis == [{0: -5, 1: 3}]
     assert dense_nullspace([[Fraction(3), Fraction(5)]], 2) == [[Fraction(-5, 3), Fraction(1)]]
 
@@ -282,13 +278,13 @@ def test_echelon_against_leibniz_and_minors(kind, shape):
     n_rows, n_cols = shape
     m = _random_matrix(kind, n_rows, n_cols, rng)
     full = minor_rank(m)
-    assert rank(_sparse(m)) == full
+    assert rank(sparse_rows(m)) == full
     if n_rows == n_cols:
         assert det(m) == leibniz_determinant(m)
         assert kind != "zero-corner" or n_rows == 1 or full == n_rows  # the swap is exercised
     if kind.startswith("poly"):
         return  # kernel runs over the rationals only
-    basis = kernel(_sparse(m), n_cols)
+    basis = kernel(sparse_rows(m), n_cols)
     free = [c for c in range(n_cols) if c not in dense_echelon(m)[1]]
     assert len(basis) == n_cols - full == len(free)
     for f, vec in zip(free, basis):
@@ -304,15 +300,15 @@ def test_sparse_elimination_matches_dense(kind, shape):
         rng = random.Random(f"sparse{kind}{shape}{draw}")
         m = _random_matrix(kind, *shape, rng)
         want_rows, pivots, factor = dense_echelon(m)
-        rows, got_pivots, got_factor = _eliminate(_sparse(m))
+        rows, got_pivots, got_factor = _eliminate(sparse_rows(m))
         assert [[row.get(c, 0) for c in range(shape[1])] for row in rows] == want_rows
         assert (got_pivots, got_factor) == (pivots, factor)
-        assert rank(_sparse(m)) == len(pivots)
+        assert rank(sparse_rows(m)) == len(pivots)
         if shape[0] == shape[1]:
             assert det(m) == want_rows[-1][-1] * factor
         if not kind.startswith("poly"):
             basis = [[Fraction(vec.get(c, 0), vec[max(vec)]) for c in range(shape[1])]
-                     for vec in kernel(_sparse(m), shape[1])]
+                     for vec in kernel(sparse_rows(m), shape[1])]
             assert basis == dense_nullspace(m, shape[1])
 
 
@@ -324,7 +320,7 @@ def test_sparse_rank_and_primitive_kernel(kind, shape):
     # integer vectors each a positive multiple of the dense nullspace's vector
     rng = random.Random(f"kernel{kind}{shape}")
     m = _random_matrix(kind, *shape, rng)
-    rows = _sparse(m)
+    rows = sparse_rows(m)
     assert rank(rows) == len(dense_echelon(m)[1]) == minor_rank(m)
     if any(isinstance(v, Poly) for row in m for v in row):
         with pytest.raises(ValueError, match="over Q"):
