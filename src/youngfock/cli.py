@@ -45,6 +45,10 @@ class _CliError(Exception):
     pass
 
 
+class _OutputError(_CliError):
+    """The report could not be written: exit 2, with no usage hint."""
+
+
 _MIWA_INDEX = re.compile(r"\s*[0-9]+\s*")
 
 
@@ -152,7 +156,7 @@ def _emit(lines: List[str], out: Optional[str]) -> None:
         if target is None:  # the text stays buffered and is flushed again at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "stdout" if target is None else repr(target)
-        raise _CliError(f"cannot write {where}: {exc.strerror}")
+        raise _OutputError(f"cannot write {where}: {exc.strerror}")
 
 
 def _dump(obj) -> str:
@@ -324,7 +328,8 @@ def main(argv=None) -> int:
         return args.run(args)
     except (_CliError, ValueError, KeyError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        sys.stderr.write("run with --help for usage\n")
+        if not isinstance(exc, _OutputError):
+            sys.stderr.write("run with --help for usage\n")
         return 2
 
 

@@ -282,7 +282,31 @@ def vacuum() -> FockVector:
     return FockVector.basis(VACUUM_STATE)
 
 
-class Psi(Frozen):
+def _divided(n: Scalar, den: int) -> Scalar:
+    """The numerator n over den: a Fraction for an int n, else n / den."""
+    return Fraction(n, den) if type(n) is int else n / den
+
+
+class StateOperator(Frozen):
+    """An operator read one basis state at a time: ``numerators(state)`` is
+    the state's image as (state, numerator) pairs over one int ``den``,
+    evaluated by the subclass's ``_numerators`` once per state and kept in
+    ``_memo`` for the life of the instance."""
+
+    __slots__ = ("_memo",)
+
+    def numerators(self, st: MayaState) -> Tuple[Tuple[MayaState, Scalar], ...]:
+        got = self._memo.get(st)
+        if got is None:
+            got = self._memo[st] = tuple(self._numerators(st))
+        return got
+
+    def apply(self, v: FockVector) -> FockVector:
+        den = self.den
+        return v.linear_apply(lambda st: [(new, _divided(n, den)) for new, n in self.numerators(st)])
+
+
+class Psi(StateOperator):
     """The creation operator psi_x: on a basis state, the one (state,
     sign) pair of :meth:`MayaState.insert` over den 1, or nothing where x
     is occupied."""
@@ -291,9 +315,9 @@ class Psi(Frozen):
     den = 1
 
     def __init__(self, x: HalfInt):
-        self._set(x=x)
+        self._set(x=x, _memo={})
 
-    def numerators(self, st: MayaState) -> Tuple[Tuple[MayaState, int], ...]:
+    def _numerators(self, st: MayaState):
         hit = st.insert(self.x)
         return ((hit[1], hit[0]),) if hit else ()
 

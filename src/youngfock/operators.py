@@ -55,7 +55,9 @@ Every operator has one per-state action, ``op.numerators(state)``: the
 doubled start d = 2x (an odd integer), with g's coefficients ints, or
 ``Poly`` over a ``Poly`` parameter; each jump gives sign*g(d), and the
 diagonal is den*offset plus the sum of g(d) over occupied d > 0 minus
-the same over vacated d < 0.  :class:`MVirasoro` has ``den = 1``.
+the same over vacated d < 0.  :class:`MVirasoro` clears its parameters
+once in the same way, and :class:`fock.Psi` has ``den = 1``; each keeps
+its numerators per state (:class:`fock.StateOperator`).
 ``op.apply(v)`` extends numerator/den linearly, exactly and with no
 truncation bound: it maps each basis state of degree d into degree
 d - k.  :func:`image` sums the numerators of (c, outer, inner) terms,
@@ -112,7 +114,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .fock import FockVector, MayaState, basis_index, boson_moves
+from .fock import FockVector, MayaState, StateOperator, _divided, basis_index, boson_moves
 from .partitions import Partition, partitions_of
 from .rings import Frozen, Poly, Scalar, is_zero, scalar_to_json
 
@@ -158,19 +160,13 @@ def _cleared(s: Scalar, den: int) -> Scalar:
     return s if isinstance(s, Poly) else int(s)
 
 
-def _divided(n: Scalar, den: int) -> Scalar:
-    """The numerator n over den: a Fraction for an int n, else n / den."""
-    return Fraction(n, den) if type(n) is int else n / den
-
-
-class Bilinear(Frozen):
+class Bilinear(StateOperator):
     """sum_x f(x) :psi_(x-k) psi*_x:, f = sum_i weight[i] x**i, plus
     ``offset`` at k = 0; both cleared once over ``den`` (module docstring).
     Equality, hash and repr read ``k``, ``weight`` and ``offset`` only."""
 
-    # _g: the cleared weight, highest degree first; _offset: den * offset;
-    # _memo: state -> numerators, filled on demand for this instance only
-    __slots__ = ("k", "weight", "offset", "den", "_g", "_offset", "_memo")
+    # _g: the cleared weight, highest degree first; _offset: den * offset
+    __slots__ = ("k", "weight", "offset", "den", "_g", "_offset")
     _fields = __slots__[:3]
 
     def __init__(self, k: int, weight: Tuple[Scalar, ...], offset: Scalar = Fraction(0)):
@@ -200,29 +196,17 @@ class Bilinear(Frozen):
             val = val * d + c
         return val
 
-    def numerators(self, st: MayaState) -> Sequence[Tuple[MayaState, Scalar]]:
-        """The action on one basis state, as (state, numerator) pairs over
-        ``den``: sign*g(d) per jump from d, or at k = 0 the one pair
-        den*offset + the sum of g over occupied positive d - the same over
-        vacated negative d.  Evaluated once per state and kept, as a
-        tuple, for the life of this operator."""
-        got = self._memo.get(st)
-        if got is None:
-            if self.k == 0:
-                val = self._offset
-                for d in st.above:
-                    val = val + self._g_at(d)
-                for d in st.below:
-                    val = val - self._g_at(d)
-                got = ((st, val),)
-            else:
-                got = tuple((new, sign * self._g_at(d)) for new, sign, d in boson_moves(self.k, st))
-            self._memo[st] = got
-        return got
-
-    def apply(self, v: FockVector) -> FockVector:
-        den = self.den
-        return v.linear_apply(lambda st: [(new, _divided(n, den)) for new, n in self.numerators(st)])
+    def _numerators(self, st: MayaState):
+        """sign*g(d) per jump from d; at k = 0, den*offset plus g summed over
+        occupied d > 0 minus g summed over vacated d < 0."""
+        if self.k == 0:
+            val = self._offset
+            for d in st.above:
+                val = val + self._g_at(d)
+            for d in st.below:
+                val = val - self._g_at(d)
+            return ((st, val),)
+        return [(new, sign * self._g_at(d)) for new, sign, d in boson_moves(self.k, st)]
 
     def to_json(self):
         return {"k": self.k, "weight": [scalar_to_json(c) for c in self.weight],
@@ -337,12 +321,12 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
     target state, the sign of its parameter term (gamma*k*a_k at k != 0,
     -gamma**2/2 at k = 0 and order 2; 0 for none) and the (j, sum) pairs,
     the sum of weight*sign over the tuples with j zero indices that reach
-    it.  A tuple's weight 1/prod(run!) is summed as the int M!/prod(run!)
-    over M!.  A target whose sums all cancel and that has no parameter
-    term is dropped, since its coefficient is zero at every parameter
-    value.  Otherwise a pair is kept even when its sum is zero, so that
-    under a Poly a0 the coefficient is a Poly, as in the tuple-by-tuple
-    sum."""
+    it, an int over M! (a tuple's weight 1/prod(run!) is M!/prod(run!)).
+    A target whose sums all cancel and that has no parameter term is
+    dropped, since its coefficient is zero at every parameter value.
+    Otherwise a pair is kept even when its sum is zero, so that under a
+    Poly a0 the coefficient is a Poly, as in the tuple-by-tuple sum.  Each
+    tuple reuses the images of the nonzero indices it shares with the last."""
     d = state.degree
     full = math.factorial(order)
     acc: Dict[MayaState, Tuple[int, Dict[int, int]]] = {}
@@ -352,6 +336,8 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
     elif order == 2:
         acc[state] = (1, {})
     bound = d + abs(k)
+    prev: List[int] = []
+    images: List[Dict[MayaState, int]] = [{state: 1}]  # images[i]: after prev[:i]
     for tup in _descending_tuples(order, k, bound, d, bound):
         weight = full
         run = 1
@@ -363,24 +349,26 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
                 run = 1
         zeros = sum(1 for t in tup if t == 0)
         indices = [t for t in tup if t != 0]
+        shared = 0
+        while shared < min(len(prev), len(indices)) and prev[shared] == indices[shared]:
+            shared += 1
+        del images[shared + 1:]
         # descending order puts annihilators (positive indices) first
-        current: Dict[MayaState, int] = {state: 1}
-        for idx in indices:
+        for idx in indices[shared:]:
             nxt: Dict[MayaState, int] = {}
-            for s, sgn in current.items():
+            for s, sgn in images[-1].items():
                 for s2, sgn2, _ in boson_moves(idx, s):
                     nxt[s2] = nxt.get(s2, 0) + sgn * sgn2
-            current = {s: g for s, g in nxt.items() if g}
-            if not current:
-                break
-        for s, g in current.items():
+            images.append({s: g for s, g in nxt.items() if g})
+        prev = indices
+        for s, g in images[-1].items():
             sums = acc.setdefault(s, (0, {}))[1]
             sums[zeros] = sums.get(zeros, 0) + weight * g
-    return tuple((s, sign, tuple((j, Fraction(n, full)) for j, n in sums.items()))
+    return tuple((s, sign, tuple(sums.items()))
                  for s, (sign, sums) in acc.items() if sign or any(sums.values()))
 
 
-class MVirasoro(Frozen):
+class MVirasoro(StateOperator):
     """M-fold mode: gamma*k*a_k plus the 1/M!-weighted normally ordered
     sum over index tuples with total k.  :func:`m_virasoro_op` uses it for
     M >= 4; at M <= 3 it is the reference oracle of the bilinear forms.
@@ -391,16 +379,25 @@ class MVirasoro(Frozen):
     carries a0**j, a0 = alpha + charge, and nothing else in it depends on
     the parameters, so the tuple sum is enumerated once per (order, k,
     state) as per-j sums (:func:`_m_virasoro_state`) and evaluated here at
-    (alpha + charge, gamma).
+    (alpha + charge, gamma).  It is cleared once, over den = lcm(M! q**M,
+    the denominator of the parameter term), where q clears alpha.
     """
 
-    __slots__ = _fields = ("order", "k", "alpha", "gamma")
-    den = 1  # the per-state action is exact as it stands
+    # _lead: den * the parameter term; _a: q * alpha; _scales[j]: den/(M! q**j)
+    __slots__ = ("order", "k", "alpha", "gamma", "den", "_lead", "_q", "_a", "_scales")
+    _fields = __slots__[:4]
 
     def __init__(self, order: int, k: int, alpha: Scalar, gamma: Scalar):
         if order < 1:
             raise ValueError("order must be at least 1")
-        self._set(order=order, k=k, alpha=alpha, gamma=gamma)
+        # at k = 0 the zero-mode constant of virasoro_op(0), so M = 2 matches exactly
+        lead = gamma * k if k else -(gamma * gamma) * Fraction(1, 2)
+        q = math.lcm(*(r.denominator for r in _rationals(alpha)))
+        full = math.factorial(order) * q ** order
+        den = math.lcm(full, *(r.denominator for r in _rationals(lead)))
+        self._set(order=order, k=k, alpha=alpha, gamma=gamma, den=den, _lead=_cleared(lead, den),
+                  _q=q, _a=_cleared(alpha, q),
+                  _scales=tuple(den // full * q ** (order - j) for j in range(order + 1)), _memo={})
 
     @property
     def degree_shift(self) -> int:
@@ -410,26 +407,19 @@ class MVirasoro(Frozen):
         # a_k* = a_(-k) turns mode k into mode -k and flips gamma
         return MVirasoro(self.order, -self.k, self.alpha, -self.gamma)
 
-    def numerators(self, st: MayaState) -> Sequence[Tuple[MayaState, Scalar]]:
-        """The action on one basis state, as (state, coefficient) pairs:
-        per target, its parameter term plus sum_j (per-j sum) * a0**j."""
-        g, k = self.gamma, self.k
-        # at k = 0 the zero-mode constant of virasoro_op(0), so M = 2 matches exactly
-        lead = g * k if k else -(g * g) * Fraction(1, 2)
-        powers = [1, self.alpha + st.charge]  # a0**j, extended on demand
-        out = []
-        for new, sign, sums in _m_virasoro_state(self.order, k, st):
-            val: Scalar = lead * sign if sign else 0
+    def _numerators(self, st: MayaState):
+        """Per target, den * (its parameter term + sum_j (per-j sum) * a0**j)."""
+        powers = [1, self._a + self._q * st.charge]  # (q*a0)**j, extended on demand
+        scales, out = self._scales, []
+        for new, sign, sums in _m_virasoro_state(self.order, self.k, st):
+            val: Scalar = self._lead * sign if sign else 0
             for j, total in sums:
                 while len(powers) <= j:
                     powers.append(powers[-1] * powers[1])
-                val = val + total * powers[j]
+                val = val + total * scales[j] * powers[j]
             if val:
                 out.append((new, val))
         return out
-
-    def apply(self, v: FockVector) -> FockVector:
-        return v.linear_apply(self.numerators)
 
     def to_json(self):
         return {"order": self.order, "k": self.k, "alpha": scalar_to_json(self.alpha),
@@ -473,11 +463,9 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     mode is read through ``op.numerators`` over ``op.den``, so c*op adds
     (c*L/op.den) * numerator per move, with L and the scales from
     :func:`clear`.  A power whose numerators are all ints (every scalar
-    rational and every operator a bilinear) is reduced by their gcd; they
-    are ``Poly`` with ``Poly`` input and may be ``Fraction`` with an
-    :class:`MVirasoro` term.  Moves that would pass the degree bound are
-    skipped before they are enumerated, and one division per state ends
-    the sum.
+    rational) is reduced by their gcd; they are ``Poly`` with ``Poly``
+    input.  Moves that would pass the degree bound are skipped before
+    they are enumerated, and one division per state ends the sum.
     """
     lcm, cleared = clear([(c, op, None) for c, op in terms])
     for _, op, _ in cleared:
@@ -546,8 +534,9 @@ def clear(terms: Sequence[Term]) -> Tuple[int, List[Term]]:
     for c, outer, inner in terms:
         outer = _IDENTITY if outer is None else outer
         inner = _IDENTITY if inner is None else inner
+        den = outer.den * inner.den
         if not is_zero(c):
-            active.append((c * Fraction(1, outer.den * inner.den), outer, inner))
+            active.append((c if den == 1 else c * Fraction(1, den), outer, inner))
     lcm = math.lcm(*(q.denominator for r, _, _ in active for q in _rationals(r)))
     return lcm, [(_cleared(r, lcm), outer, inner) for r, outer, inner in active]
 

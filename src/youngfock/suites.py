@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .conversion import (
     a_coeff_closed,
@@ -495,12 +495,12 @@ def _charged_states(max_degree: int, charges=(-1, 0, 1)):
     return out
 
 
-def _psi_bracket(op: Operator, x: HalfInt, k: int, c: Scalar, after=()):
+def _psi_bracket(op: Operator, psis: Dict[HalfInt, Psi], x: HalfInt, k: int, c: Scalar, after=()):
     """The :func:`image` terms of [psi_x, op] - c psi_(x+k) - sum of o
-    psi_x over o in ``after``: the identity fails on a basis state where
-    their image is not empty."""
-    psi_x = Psi(x)
-    return clear([(1, psi_x, op), (-1, op, psi_x), (-c, Psi(x + k), None)]
+    psi_x over o in ``after``, each psi_y the one ``psis[y]``: the identity
+    fails on a basis state where their image is not empty."""
+    psi_x = psis[x]
+    return clear([(1, psi_x, op), (-1, op, psi_x), (-c, psis[x + k], None)]
                   + [(-1, o, psi_x) for o in after])[1]
 
 
@@ -509,14 +509,15 @@ def _prop52_verdicts(p: VirasoroParams, k: int, max_degree: int):
     forms of [psi_x, L_(-k)] fail there."""
     l_raise, a_lower, a_raise = virasoro_op(-k, p), boson_op(k), boson_op(-k)
     states = _charged_states(max_degree)
+    psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-7, 8 + 2 * k, 2)}
     out = []
     for x in (HalfInt(d) for d in range(-7, 8, 2)):
         coeff = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
         raw_coeff = p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1
         # printed form: a_k psi_x + (z + x + k/2 - 1) psi_(x+k)
-        forms = [_psi_bracket(l_raise, x, k, coeff),
-                 _psi_bracket(l_raise, x, k, raw_coeff, [a_lower]),
-                 _psi_bracket(l_raise, x, k, raw_coeff, [a_raise])]
+        forms = [_psi_bracket(l_raise, psis, x, k, coeff),
+                 _psi_bracket(l_raise, psis, x, k, raw_coeff, [a_lower]),
+                 _psi_bracket(l_raise, psis, x, k, raw_coeff, [a_raise])]
         for state in states:
             out.append(((x, state), tuple(bool(image(t, {state: 1})) for t in forms)))
     return out
@@ -562,13 +563,14 @@ def _prop62_verdicts(p: VirasoroParams, k: int, max_degree: int):
     state, which the probe skips)."""
     m1, m2, m3 = (m_virasoro_op(order, -k, p) for order in (1, 2, 3))
     states = _charged_states(max_degree)
+    psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-5, 6 + 2 * k, 2)}
     out = []
     for x in (HalfInt(d) for d in range(-5, 6, 2)):
         cx = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
         raw_coeff = (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1) ** 2
-        order2, order3 = _psi_bracket(m2, x, k, cx), _psi_bracket(m3, x, k, raw_coeff, [m2, m1])
+        order2, order3 = _psi_bracket(m2, psis, x, k, cx), _psi_bracket(m3, psis, x, k, raw_coeff, [m2, m1])
         for state in states:
-            probe = bool(image(order3, {state: 1})) if state.insert(x) else None
+            probe = bool(image(order3, {state: 1})) if psis[x].numerators(state) else None
             out.append(((x, state), (bool(image(order2, {state: 1})), probe)))
     return out
 

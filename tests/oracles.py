@@ -24,7 +24,10 @@ tests of the box ladder; the rim-hook moves, read off the particle
 configuration of a diagram, and the earlier jump through
 ``MayaState.remove`` then ``insert`` are the references for the jump
 kernel ``fock.boson_moves``.  The annihilator ``psi_star`` is only a partner
-to test ``fock.psi`` against.
+to test ``fock.psi`` against.  The z-measure weight, a product over the
+boxes of their contents and hook lengths, and its normalizer summed as a
+rising factorial are the closed form of the virasoro table at one Miwa
+variable per side.
 """
 
 import math
@@ -494,6 +497,13 @@ def boson_moves_by_remove_insert(k: int, state: MayaState) -> Tuple[Tuple[MayaSt
     return tuple(out)
 
 
+def is_cleared_numerator(n, poly_ring: bool) -> bool:
+    """Whether n is a numerator of the cleared per-state protocol: an int,
+    or, under ``Poly`` parameters, also a ``Poly`` with int coefficients."""
+    return type(n) is int or (poly_ring and type(n) is Poly
+                              and all(type(c) is int for c in n.coeffs))
+
+
 # -- boxes of a diagram ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -538,6 +548,32 @@ def transpose(lam: Partition) -> Partition:
         for j in range(p):
             cols[j] += 1
     return Partition(cols)
+
+
+def z_measure_weight(lam: Partition, z: Scalar, w: Scalar, xi: Scalar) -> Scalar:
+    """The z-measure weight xi**|lam| (z)_lam (w)_lam / H(lam)**2 (Borodin &
+    Olshanski): (z)_lam is the product of z + content over the boxes of lam
+    and H(lam) the product of their hook lengths."""
+    cols = transpose(lam)
+    zs: Scalar = Fraction(1)
+    ws: Scalar = Fraction(1)
+    hooks = 1
+    for i in range(1, len(lam) + 1):
+        for j in range(1, lam.part(i) + 1):
+            zs, ws = zs * (z + (j - i)), ws * (w + (j - i))
+            hooks *= (lam.part(i) - j) + (cols.part(j) - i) + 1
+    return zs * ws * xi ** lam.size / (hooks * hooks)
+
+
+def z_measure_normalizer(z: Scalar, w: Scalar, xi: Scalar, degree: int) -> Scalar:
+    """sum_(n <= degree) (zw)_n xi**n / n!, with (zw)_n the rising factorial
+    of z*w: the truncation of (1 - xi)**(-zw)."""
+    total: Scalar = Fraction(0)
+    term: Scalar = Fraction(1)
+    for n in range(degree + 1):
+        total = total + term
+        term = term * (z * w + n) * xi / (n + 1)
+    return total
 
 
 def boson_zero_eigenvalue(alpha, v):

@@ -335,7 +335,8 @@ def test_unopenable_out_exits_two(target, tmp_path, capsys):
     code, out, err = run_cli(["convert", "--x=1=1", "--max-degree=1",
                               "--out", str(tmp_path / target)], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: cannot write")
+    # the fault is the output, not the command line: one line, no usage hint
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_determinism_byte_identical(capsys):
@@ -695,3 +696,15 @@ def test_a_failed_stdout_write_exits_two(argv):
     errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: cannot write stdout: ")
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert "run with --help" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite=sl2", "--max-degree=-1"],
+    ["measure", "--kind=schur", "--x=1=1,1=2", "--max-degree=2"],
+], ids=["negative-degree", "repeated-index"])
+def test_a_usage_fault_keeps_the_usage_hint(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [err.splitlines()[0], "run with --help for usage"]
+    assert err.startswith("error: ")

@@ -312,5 +312,7 @@ def test_psi_numerators_are_the_insert_sign():
         assert op.den == 1 and op == Psi(x) and hash(op) == hash(Psi(x))
         for st in states:
             hit = st.insert(x)
-            assert op.numerators(st) == (((hit[1], hit[0]),) if hit else ()), (x, st)
+            got = op.numerators(st)
+            assert got == (((hit[1], hit[0]),) if hit else ()), (x, st)
+            assert all(type(n) is int for _, n in got) and op.numerators(st) is got
     assert Psi(HalfInt(1)) != Psi(HalfInt(-1))

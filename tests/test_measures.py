@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from youngfock.partitions import HalfInt, Partition, partitions_up_to
 from youngfock.rings import Poly
 
 from .conftest import rand_q
-from .oracles import conf
+from .oracles import conf, z_measure_normalizer, z_measure_weight
 
 
 def P(*parts):
@@ -304,3 +305,41 @@ def test_miwa_validation():
         MiwaParams(x={0: Fraction(1)})
     p = MiwaParams(x={1: Fraction(0), 2: Fraction(1)})
     assert 1 not in p.x and 2 in p.x
+
+
+def _z_measure_mismatches(a, b, z, w, degree, ket_shift=0):
+    """The diagrams where the virasoro table at x = {1: a}, y = {1: b}
+    differs from the z-measure weight at xi = ab, with the oracle's ket
+    side at z + ket_shift, and whether the normalizers agree."""
+    spec = MeasureSpec("virasoro", MiwaParams(x={1: a}, y={1: b}), KerovParams(z, w), degree)
+    table = weight_table(spec)
+    xi = a * b
+    bad = [lam for lam in table.partitions()
+           if table.weights[lam] != z_measure_weight(lam, z + ket_shift, w, xi)]
+    return bad, table.z_trunc == z_measure_normalizer(z + ket_shift, w, xi, degree)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_virasoro_table_is_the_z_measure(seed):
+    # the paper's first result at one Miwa variable per side: weight
+    # xi**|lam| (z)_lam (w)_lam / H(lam)**2 and normalizer
+    # sum (zw)_n xi**n / n!, on every diagram of degree <= 8
+    rng = random.Random(seed)
+    a, b, z, w = (rand_q(rng, nonzero=True) for _ in range(4))
+    assert _z_measure_mismatches(a, b, z, w, 8) == ([], True)
+    # self-test: the ket side at z + 1 differs from degree 1 on
+    bad, normalizer_equal = _z_measure_mismatches(a, b, z, w, 8, ket_shift=1)
+    assert Partition((1,)) in bad and not normalizer_equal
+
+
+def test_virasoro_table_is_the_z_measure_for_every_z_and_w():
+    # Kronecker substitution (z, w) = (t, t**(N+1)): the ket weight of lam is
+    # a polynomial in z of degree <= |lam| <= N and the bra weight one in w,
+    # so the substitution is injective on their products, and this one run
+    # proves the identity for every (z, w) up to degree N
+    n = 7
+    t = Poly.gen()
+    a, b = Fraction(2, 3), Fraction(-5, 7)
+    assert _z_measure_mismatches(a, b, t, t ** (n + 1), n) == ([], True)
+    bad, normalizer_equal = _z_measure_mismatches(a, b, t, t ** (n + 1), n, ket_shift=1)
+    assert len(bad) == len(partitions_up_to(n)) - 1 and not normalizer_equal

@@ -32,7 +32,8 @@ from youngfock.rings import Poly, random_rational
 from youngfock.suites import run_suite
 
 from .oracles import (addable_boxes, as_partition_dict, bilinear_action, commutator_by_vectors,
-                      exp_by_powers, exp_lowering_bra, inner, m_virasoro_state_by_tuples, recursive_descending_tuples,
+                      exp_by_powers, exp_lowering_bra, inner, is_cleared_numerator,
+                      m_virasoro_state_by_tuples, recursive_descending_tuples,
                       removable_boxes, rim_hooks_addable, rim_hooks_removable)
 
 
@@ -255,6 +256,7 @@ def test_numerators_over_den_match_the_fraction_weight(t):
     for op in _numerator_cases(t):
         assert isinstance(op, Bilinear)
         for st in states:
+            assert all(is_cleared_numerator(n, isinstance(t, Poly)) for _, n in op.numerators(st))
             want = bilinear_action(op, st)
             got = FockVector((new, Fraction(n, op.den) if type(n) is int else n / op.den)
                              for new, n in op.numerators(st))
@@ -817,22 +819,27 @@ def test_m_virasoro_bilinear_matches_tuple_sum(order, alpha):
     (Fraction(-1, 2), Poly.gen(), 3),
 ], ids=["fraction", "poly-alpha", "poly-gamma"])
 def test_m_virasoro_numerators_match_the_tuple_sum_oracle(alpha, gamma, max_degree):
-    """The per-j sums evaluated at (alpha + charge, gamma) against the tuple
-    sum evaluated tuple by tuple, orders 1-5, k in -4..4, charges -2..2.
+    """The per-j sums evaluated at (alpha + charge, gamma), as int (or int
+    Poly) numerators read over op.den, against the tuple sum evaluated tuple
+    by tuple, orders 1-5, k in -4..4, charges -2..2.
     Compared as JSON, so the order of the image states and the scalar type
     of every coefficient are pinned too: a coefficient is a Poly whenever a
     Poly term is summed into it, a zero-valued one included."""
     states = charged_states(max_degree, charges=(-2, -1, 0, 1, 2))
+    poly_ring = isinstance(alpha, Poly) or isinstance(gamma, Poly)
     polys = 0
     for order in range(1, 6):
         for k in range(-4, 5):
             op = MVirasoro(order, k, alpha, gamma)
             for st in states:
-                got = FockVector(op.numerators(st)).to_json()
+                nums = op.numerators(st)
+                assert all(is_cleared_numerator(n, poly_ring) for _, n in nums), (order, k, st)
+                assert op.numerators(st) is nums  # kept per state
+                got = FockVector((new, _divided(n, op.den)) for new, n in nums).to_json()
                 want = m_virasoro_state_by_tuples(order, k, alpha, gamma, st)
                 assert got == FockVector(want).to_json(), (order, k, st)
                 polys += sum(isinstance(c, Poly) for _, c in want)
-    assert polys if isinstance(alpha, Poly) or isinstance(gamma, Poly) else not polys
+    assert polys if poly_ring else not polys
 
 
 def test_m_virasoro_order4_stays_a_tuple_sum():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from youngfock.fock import FockVector, psi
+from youngfock.fock import FockVector, Psi, psi
 from youngfock.operators import (KerovParams, MVirasoro, VirasoroParams, hook_lower, hook_raise,
                                  image, m_virasoro_op, virasoro_op, virasoro_params_for_rimhook,
                                  virasoro_params_from_kerov)
@@ -155,7 +155,7 @@ def test_psi_bracket_flags_a_coefficient_off_by_one(seed):
             flagged = 0
             for x in (HalfInt(d) for d in range(-5, 6, 2)):
                 c = 1 - (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
-                terms = _psi_bracket(op, x, k, c)
+                terms = _psi_bracket(op, {y: Psi(y) for y in (x, x + k)}, x, k, c)
                 for state in states:
                     v = FockVector.basis(state)
                     lhs = psi(x, op.apply(v)) - op.apply(psi(x, v))
