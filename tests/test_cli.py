@@ -704,7 +704,9 @@ def test_a_failed_stdout_write_exits_two(argv):
     ["measure", "--kind=schur", "--x=1=1,1=2", "--max-degree=2"],
 ], ids=["negative-degree", "repeated-index"])
 def test_a_usage_fault_keeps_the_usage_hint(argv, capsys):
+    # a fault of the command line: the error line, then the usage hint
     code, out, err = run_cli(argv, capsys)
+    lines = err.splitlines()
     assert code == 2 and out == ""
-    assert err.splitlines() == [err.splitlines()[0], "run with --help for usage"]
-    assert err.startswith("error: ")
+    assert len(lines) == 2 and lines[0].startswith("error: ")
+    assert lines[1] == "run with --help for usage"
