@@ -399,7 +399,7 @@ def _exp_cases():
             terms[-1] = (Fraction(0), terms[-1][1])
         cases.append((f"{family}-{start_name}-d{max_degree}", terms, start, max_degree))
     # Poly numerators (Poly coefficients, a Poly weight, a Poly start) and
-    # Fraction numerators (the M = 4 tuple sum, alone and beside a bilinear)
+    # the M = 4 tuple sum, over its own den (M! q**M), alone and beside a bilinear
     cases.append(("poly-coefficient", [(x, boson_op(-1)), (Fraction(1, 3), virasoro_op(
         -2, VirasoroParams(Fraction(1, 5))))], vacuum(), 5))
     cases.append(("poly-alpha", [(Fraction(2, 3), _raising_family("m3", k, x)) for k in (1, 2)],
@@ -551,7 +551,7 @@ def _commutator_cases():
     up, down, diag = hook_raise(3, kp), hook_lower(3, kp), hook_diagonal(3, kp)
     cases.append(("hook-3", down, up, [(Fraction(1), diag)], 5))
     cases.append(("hook-3-halved", down, up, [(Fraction(1, 2), diag)], 5))
-    # the M = 4 tuple sum against a bilinear: Fraction numerators
+    # the M = 4 tuple sum, over its own den, against a bilinear
     vp = VirasoroParams(Fraction(1, 2), Fraction(1, 5))
     cases.append(("m4-bilinear", MVirasoro(4, 1, vp.alpha, vp.gamma), virasoro_op(-1, vp),
                   [(Fraction(2, 3), MVirasoro(4, 0, vp.alpha, vp.gamma)), (Fraction(1), None)], 3))
