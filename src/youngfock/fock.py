@@ -7,6 +7,10 @@ odd integers, descending).  Creation/annihilation signs are counted
 mechanically from the number of particles above the insertion point, so
 the Murnaghan-Nakayama sign rule downstream is a theorem to test, not an
 input.
+
+Every operator follows the numerator protocol of :class:`StateOperator`;
+:func:`clear` and :func:`image` read it for sums of operator products,
+and :func:`failures` is the one basis walk behind every identity check.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .partitions import HalfInt, Partition, partitions_of
-from .rings import Frozen, Scalar, is_zero, scalar_to_json
+from .rings import Frozen, Scalar, _cleared, denominator, is_zero, scalar_to_json
 
 
 class MayaState(Frozen):
@@ -26,13 +30,13 @@ class MayaState(Frozen):
 
     ``above``: occupied positions > 0, ``below``: vacated positions < 0,
     both tuples of doubled odd integers in descending order.  A dict key
-    on every hot path, so the charge and the hash are computed once, and
-    interned: ``MayaState(above, below)`` returns the one object built
-    for that pair (:func:`_interned`), so a dict hit stops at the
-    identity check.  Equality and the hash stay field-wise.
+    on every hot path, so the charge, the degree and the hash are
+    computed once, and interned: ``MayaState(above, below)`` returns the
+    one object built for that pair (:func:`_interned`), so a dict hit
+    stops at the identity check.  Equality and the hash stay field-wise.
     """
 
-    __slots__ = ("above", "below", "charge", "_hash")
+    __slots__ = ("above", "below", "charge", "degree", "_hash")
     _fields = ("above", "below")
 
     def __new__(cls, above: Tuple[int, ...] = (), below: Tuple[int, ...] = ()):
@@ -45,13 +49,6 @@ class MayaState(Frozen):
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def degree(self) -> int:
-        """Energy above the vacuum of the state's own charge sector."""
-        c = self.charge
-        twice = sum(self.above) - sum(self.below) - c * c
-        return twice // 2
 
     def occupied(self, x: HalfInt) -> bool:
         return self._occupied_d(x.doubled)
@@ -141,7 +138,10 @@ def _interned(above: Tuple[int, ...], below: Tuple[int, ...]) -> MayaState:
     put = object.__setattr__
     put(state, "above", above)
     put(state, "below", below)
-    put(state, "charge", len(above) - len(below))
+    charge = len(above) - len(below)
+    put(state, "charge", charge)
+    # energy above the vacuum of the state's own charge sector
+    put(state, "degree", (sum(above) - sum(below) - charge * charge) // 2)
     put(state, "_hash", hash((above, below)))
     return state
 
@@ -156,8 +156,8 @@ class FockVector:
     Immutable value semantics.  The constructor is the one merge: it sums
     the coefficients of each state, then drops the zero sums, so neither a
     coefficient nor its type depends on the order of the terms (a sum is a
-    ``Poly`` when any of its terms is).  Sums, differences and
-    ``linear_apply`` each hand it one stream of (state, scalar) pairs.
+    ``Poly`` when any of its terms is).  Sums and differences each hand it
+    one stream of (state, scalar) pairs.
     """
 
     __slots__ = ("_terms",)
@@ -248,11 +248,6 @@ class FockVector:
     def __eq__(self, other) -> bool:
         return isinstance(other, FockVector) and self._terms == other._terms
 
-    def linear_apply(self, fn) -> "FockVector":
-        """Extend ``fn: state -> iterable of (state, scalar)`` linearly."""
-        return FockVector((new, coeff * c) for state, coeff in self._terms.items()
-                          for new, c in fn(state))
-
     def __repr__(self):
         inner = ", ".join(f"{s}: {c}" for s, c in self.terms())
         return f"FockVector({{{inner}}})"
@@ -302,8 +297,9 @@ class StateOperator(Frozen):
         return got
 
     def apply(self, v: FockVector) -> FockVector:
+        """op(v), exactly: the term (1, op, None) is cleared over den."""
         den = self.den
-        return v.linear_apply(lambda st: [(new, _divided(n, den)) for new, n in self.numerators(st)])
+        return FockVector({st: _divided(n, den) for st, n in image([(1, self, None)], v._terms).items()})
 
 
 class Psi(StateOperator):
@@ -322,9 +318,50 @@ class Psi(StateOperator):
         return ((hit[1], hit[0]),) if hit else ()
 
 
-def psi(x: HalfInt, v: FockVector) -> FockVector:
-    """Create a particle at x, with the wedge-reordering sign."""
-    return v.linear_apply(Psi(x).numerators)
+Term = Tuple[Scalar, Optional[StateOperator], Optional[StateOperator]]
+
+
+def clear(terms: Sequence[Term]) -> Tuple[int, List[Term]]:
+    """One int denominator L for (c, outer, inner) terms, each c*outer∘inner
+    with ``None`` the identity, and the terms :func:`image` reads, each
+    with its scale c*L/(outer.den*inner.den): L is the lcm of the
+    denominators of every c/(outer.den*inner.den), a ``Poly``'s
+    coefficients included, and each scale is an int, or a ``Poly`` under
+    a ``Poly`` c.  Terms with a zero c are dropped."""
+    active = []
+    for c, outer, inner in terms:
+        if not is_zero(c):
+            den = (1 if outer is None else outer.den) * (1 if inner is None else inner.den)
+            active.append((c if den == 1 else c * Fraction(1, den), outer, inner))
+    lcm = denominator(*(r for r, _, _ in active))
+    return lcm, [(_cleared(r, lcm), outer, inner) for r, outer, inner in active]
+
+
+def image(cleared: Sequence[Term], vec: Mapping[MayaState, Scalar]) -> Dict[MayaState, Scalar]:
+    """L * sum_t c_t * outer_t(inner_t(vec)) as numerators over the L of
+    :func:`clear`, which gave the terms: the sum of scale * entry *
+    n_inner * n_outer over every path, a ``None`` factor passing each
+    state through with numerator 1, zero sums dropped.  An empty result
+    means the terms sum to zero on vec.  No vector is built."""
+    acc: Dict[MayaState, Scalar] = {}
+    for st, entry in vec.items():
+        for scale, outer, inner in cleared:
+            scaled = scale * entry
+            for mid, n in (((st, 1),) if inner is None else inner.numerators(st)):
+                step = scaled * n
+                for new, m in (((mid, 1),) if outer is None else outer.numerators(mid)):
+                    acc[new] = acc.get(new, 0) + m * step
+    return {st: n for st, n in acc.items() if n}
+
+
+def failures(terms: Sequence[Term], states: Iterable[MayaState]
+             ) -> Tuple[int, List[Tuple[MayaState, Dict[MayaState, Scalar]]]]:
+    """Where the terms do not sum to zero: L of :func:`clear`, and the
+    (state, image) pairs, in the order of ``states``, of every basis state
+    whose :func:`image` is not empty.  An empty list means the identity
+    the terms state holds on every one of them."""
+    lcm, cleared = clear(terms)
+    return lcm, [(st, got) for st in states if (got := image(cleared, {st: 1}))]
 
 
 @lru_cache(maxsize=None)

@@ -57,14 +57,13 @@ doubled start d = 2x (an odd integer), with g's coefficients ints, or
 diagonal is den*offset plus the sum of g(d) over occupied d > 0 minus
 the same over vacated d < 0.  :class:`MVirasoro` clears its parameters
 once in the same way, and :class:`fock.Psi` has ``den = 1``; each keeps
-its numerators per state (:class:`fock.StateOperator`).
-``op.apply(v)`` extends numerator/den linearly, exactly and with no
-truncation bound: it maps each basis state of degree d into degree
-d - k.  :func:`image` sums the numerators of (c, outer, inner) terms,
-each c*outer∘inner, over the one int denominator that :func:`clear`
-gives them: every identity check reads it, :func:`commutator_check`
-among them.  :func:`exp_raising` clears its modes by the same rule and
-keeps its own loop, which skips moves past its degree bound.
+its numerators per state (:class:`fock.StateOperator`, where the
+numerator protocol lives).  ``op.apply(v)`` extends numerator/den
+linearly, exactly and with no truncation bound: it maps each basis state
+of degree d into degree d - k.  :func:`commutator_check` is one
+:func:`fock.failures` walk over the bracket and its expected terms.
+:func:`exp_raising` clears its modes by :func:`fock.clear` and keeps its
+own loop, which skips moves past its degree bound.
 
 Adjoint rule, in the pairing where the Maya basis is orthonormal:
 ``Bilinear(k, f, o)* = Bilinear(-k, f(x + k), o)`` (the reversed jump
@@ -112,11 +111,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .fock import FockVector, MayaState, StateOperator, _divided, basis_index, boson_moves
-from .partitions import Partition, partitions_of
-from .rings import Frozen, Poly, Scalar, is_zero, scalar_to_json
+from .fock import (FockVector, MayaState, StateOperator, _divided, basis_index, boson_moves, clear,
+                   failures)
+from .partitions import Partition
+from .rings import Frozen, Scalar, _cleared, denominator, is_zero, scalar_to_json
 
 
 class KerovParams(Frozen):
@@ -149,17 +149,6 @@ def virasoro_params_for_rimhook(p: KerovParams, r: int) -> VirasoroParams:
 # the fermion bilinear
 # ---------------------------------------------------------------------------
 
-def _rationals(s: Scalar) -> Sequence[Union[int, Fraction]]:
-    """The rational numbers inside a scalar: itself, or a Poly's coefficients."""
-    return s.coeffs if isinstance(s, Poly) else (s,)
-
-
-def _cleared(s: Scalar, den: int) -> Scalar:
-    """s * den, an int when s is rational (den clears its denominator)."""
-    s = s * den
-    return s if isinstance(s, Poly) else int(s)
-
-
 class Bilinear(StateOperator):
     """sum_x f(x) :psi_(x-k) psi*_x:, f = sum_i weight[i] x**i, plus
     ``offset`` at k = 0; both cleared once over ``den`` (module docstring).
@@ -174,7 +163,7 @@ class Bilinear(StateOperator):
             raise ValueError("only the diagonal (k = 0) bilinear carries an offset")
         # weight[i] * x**i = (weight[i] / 2**i) * d**i
         scaled = [w * Fraction(1, 1 << i) for i, w in enumerate(weight)]
-        den = math.lcm(*(q.denominator for s in scaled + [offset] for q in _rationals(s)))
+        den = denominator(*scaled, offset)
         self._set(k=k, weight=weight, offset=offset, den=den,
                   _g=tuple(_cleared(s, den) for s in reversed(scaled)), _offset=_cleared(offset, den),
                   _memo={})
@@ -392,9 +381,9 @@ class MVirasoro(StateOperator):
             raise ValueError("order must be at least 1")
         # at k = 0 the zero-mode constant of virasoro_op(0), so M = 2 matches exactly
         lead = gamma * k if k else -(gamma * gamma) * Fraction(1, 2)
-        q = math.lcm(*(r.denominator for r in _rationals(alpha)))
+        q = denominator(alpha)
         full = math.factorial(order) * q ** order
-        den = math.lcm(full, *(r.denominator for r in _rationals(lead)))
+        den = math.lcm(full, denominator(lead))
         self._set(order=order, k=k, alpha=alpha, gamma=gamma, den=den, _lead=_cleared(lead, den),
                   _q=q, _a=_cleared(alpha, q),
                   _scales=tuple(den // full * q ** (order - j) for j in range(order + 1)), _memo={})
@@ -445,7 +434,6 @@ def m_virasoro_op(order: int, k: int, p: VirasoroParams) -> Operator:
 Operator = Union[Bilinear, MVirasoro]
 Combo = Sequence[Tuple[Scalar, Operator]]
 ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
-Term = Tuple[Scalar, Optional[Operator], Optional[Operator]]
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +461,8 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
     modes = [(op.k, scale, op) for scale, op, _ in cleared]
     start = [(st, c) for st, c in v.terms() if st.degree <= max_degree]
-    den = math.lcm(*(q.denominator for _, c in start for q in _rationals(c)))
+    den = denominator(*(c for _, c in start))
     current = {st: _cleared(c, den) for st, c in start}
-    degree = {st: st.degree for st in current}
     powers = [(current, den)]
     m = 0
     while current:
@@ -483,13 +470,11 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
         nxt: Dict[MayaState, Scalar] = {}
         for st, num in current.items():
             for k, scale, op in modes:
-                deg = degree[st] - k
-                if deg > max_degree:
+                if st.degree - k > max_degree:
                     continue
                 scaled = scale * num
                 for new, n in op.numerators(st):
                     nxt[new] = nxt.get(new, 0) + n * scaled
-                    degree[new] = deg
         current = {st: n for st, n in nxt.items() if n}
         den *= lcm * m
         if all(type(n) is int for n in current.values()):
@@ -507,55 +492,8 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
 
 
 # ---------------------------------------------------------------------------
-# the numerator harness
+# the bracket check
 # ---------------------------------------------------------------------------
-
-class _Identity:
-    """The ``None`` factor of a term: one (state, 1) pair over den 1."""
-
-    den = 1
-
-    @staticmethod
-    def numerators(st: MayaState) -> Sequence[Tuple[MayaState, int]]:
-        return ((st, 1),)
-
-
-_IDENTITY = _Identity()
-
-
-def clear(terms: Sequence[Term]) -> Tuple[int, List[Term]]:
-    """One int denominator L for (c, outer, inner) terms, each c*outer∘inner
-    with ``None`` the identity, and the terms :func:`image` reads, each
-    with its scale c*L/(outer.den*inner.den): L is the lcm of the
-    denominators of every c/(outer.den*inner.den), a ``Poly``'s
-    coefficients included, and each scale is an int, or a ``Poly`` under
-    a ``Poly`` c.  Terms with a zero c are dropped."""
-    active = []
-    for c, outer, inner in terms:
-        outer = _IDENTITY if outer is None else outer
-        inner = _IDENTITY if inner is None else inner
-        den = outer.den * inner.den
-        if not is_zero(c):
-            active.append((c if den == 1 else c * Fraction(1, den), outer, inner))
-    lcm = math.lcm(*(q.denominator for r, _, _ in active for q in _rationals(r)))
-    return lcm, [(_cleared(r, lcm), outer, inner) for r, outer, inner in active]
-
-
-def image(cleared: Sequence[Term], vec: Mapping[MayaState, Scalar]) -> Dict[MayaState, Scalar]:
-    """L * sum_t c_t * outer_t(inner_t(vec)) as numerators over the L of
-    :func:`clear`, which gave the terms: the sum of scale * entry *
-    n_inner * n_outer over every path, zero sums dropped.  An empty
-    result means the terms sum to zero on vec.  No vector is built."""
-    acc: Dict[MayaState, Scalar] = {}
-    for st, entry in vec.items():
-        for scale, outer, inner in cleared:
-            scaled = scale * entry
-            for mid, n in inner.numerators(st):
-                step = scaled * n
-                for new, m in outer.numerators(mid):
-                    acc[new] = acc.get(new, 0) + m * step
-    return {st: n for st, n in acc.items() if n}
-
 
 def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo,
                      degree: int) -> List[Tuple[Partition, FockVector]]:
@@ -564,17 +502,13 @@ def commutator_check(a: Operator, b: Operator, expected: ExpectedCombo,
 
     An empty list means the identity holds exactly there.  The bracket
     and each expected (c, op) pair, a ``None`` op being the identity, are
-    one list of :func:`image` terms, so the delta of each basis state is
+    one :func:`fock.failures` walk, so the delta of each basis state is
     one dict of numerators over one int denominator; a vector is built
     only for a nonzero delta.  As in one vector sum, a delta coefficient
     is a ``Poly`` when any numerator summed into it is, even a zero one or
     one that cancels against the other side of the bracket.
     """
-    lcm, cleared = clear([(1, a, b), (-1, b, a)] + [(-c, op, None) for c, op in expected])
-    found: List[Tuple[Partition, FockVector]] = []
-    for d in range(degree + 1):
-        for lam, st in zip(partitions_of(d), basis_index(d)):
-            delta = image(cleared, {st: 1})
-            if delta:
-                found.append((lam, FockVector({new: _divided(n, lcm) for new, n in delta.items()})))
-    return found
+    lcm, found = failures([(1, a, b), (-1, b, a)] + [(-c, op, None) for c, op in expected],
+                          (st for d in range(degree + 1) for st in basis_index(d)))
+    return [(st.to_partition(), FockVector({new: _divided(n, lcm) for new, n in delta.items()}))
+            for st, delta in found]

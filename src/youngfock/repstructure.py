@@ -9,10 +9,9 @@ state.  That is ``op.den`` times the matrix, with ``int`` entries
 neither rank nor kernel, so ranks, kernels and the u-image rank
 eliminate these rows directly (:func:`rings.rank`, :func:`rings.kernel`);
 kernel vectors are primitive integer vectors {state: int}, one per free
-column.  D*v and the u-image rows are each one :func:`operators.image`
-of a kernel vector, and L is diagonal, so L*v = (z*w + 2N)v holds when
-each support state's numerator is (z*w + 2N)*den.  A ``FockVector`` is
-built only for the generator relations of :func:`decomposition_report`.
+column.  D*v, L*v - (z*w + 2N)*v and the u-image rows are each one
+:func:`fock.image` of a kernel vector.  A ``FockVector`` is built only
+for the generator relations of :func:`decomposition_report`.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .fock import FockVector, MayaState, basis_index
-from .operators import KerovParams, Operator, clear, image, kerov_d, kerov_l, kerov_u
+from .fock import FockVector, MayaState, basis_index, clear, image
+from .operators import KerovParams, Operator, kerov_d, kerov_l, kerov_u
 from .partitions import Partition, partitions_of
 from .rings import Scalar, is_zero, kernel, rank, scalar_to_json
 
@@ -75,10 +74,9 @@ def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[Vector], bo
     d_op, l_op = kerov_d(p), kerov_l(p)
     vectors = kernel_basis(d_op, n)
     d_terms = clear([(1, d_op, None)])[1]
+    l_terms = clear([(1, l_op, None), (-(z * w + 2 * n), None, None)])[1]
     killed = not any(image(d_terms, vec) for vec in vectors)
-    weight = (z * w + 2 * n) * l_op.den
-    eigen = all(num == weight for vec in vectors for st in vec
-                for _, num in l_op.numerators(st))
+    eigen = not any(image(l_terms, vec) for vec in vectors)
     return vectors, killed, eigen
 
 

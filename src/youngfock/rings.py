@@ -264,6 +264,20 @@ def divexact(a: Scalar, b: Scalar) -> Scalar:
     return Fraction(a) / Fraction(b)
 
 
+def denominator(*scalars: Scalar) -> int:
+    """The lcm of the denominators of every rational inside the scalars, a
+    ``Poly``'s coefficients included: the least int that clears them all
+    (1 for none)."""
+    return math.lcm(*(q.denominator for s in scalars
+                      for q in (s.coeffs if isinstance(s, Poly) else (s,))))
+
+
+def _cleared(s: Scalar, den: int) -> Scalar:
+    """s * den, an int when s is rational (den clears its denominator)."""
+    s = s * den
+    return s if isinstance(s, Poly) else int(s)
+
+
 # -- fraction-free elimination -------------------------------------------------
 
 def _eliminate(rows: Sequence[Mapping[int, Scalar]]) -> Tuple[List[dict], List[int], Fraction]:

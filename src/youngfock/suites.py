@@ -5,9 +5,9 @@ exercises, the parameters used, per-check results, and non-failing
 probe deltas for the open variants.  A suite is ``ok`` when every hard
 check passed; probes never fail a suite.
 
-An operator identity is one list of :func:`operators.image` terms, psi_x
-among them as :class:`fock.Psi`, and fails on each basis state where
-their image is not empty.
+An operator identity is one list of (c, outer, inner) terms, psi_x among
+them as :class:`fock.Psi`, and fails on each basis state that the
+:func:`fock.failures` walk flags, where their image is not empty.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .conversion import (
     y_side_params,
     z_linearity_witness,
 )
-from .fock import FockVector, MayaState, Psi, basis_index, boson_moves, vacuum
+from .fock import MayaState, Psi, basis_index, boson_moves, failures, vacuum
 from .measures import (
     MeasureSpec,
     MiwaParams,
@@ -35,18 +35,17 @@ from .measures import (
     weight_table,
 )
 from .operators import (
+    Bilinear,
     KerovParams,
     MVirasoro,
     Operator,
     VirasoroParams,
     boson_op,
-    clear,
     commutator_check,
     exp_raising,
     hook_diagonal,
     hook_lower,
     hook_raise,
-    image,
     kerov_d,
     kerov_l,
     kerov_u,
@@ -86,12 +85,12 @@ def _failed(name: str, bad, key: str = "failures", **extra) -> dict:
 
 def _disagree(pairs, max_degree: int) -> List[list]:
     """The diagrams up to max_degree, as JSON, on which some pair
-    ((c, op), (e, op')) differs: c*op|lam> != e*op'|lam>, where the
-    :func:`image` of the terms c*op and -e*op' is not empty."""
-    cleared = [clear([(c, op, None), (-e, other, None)])[1] for (c, op), (e, other) in pairs]
-    return [lam.to_json() for d in range(max_degree + 1)
-            for lam, st in zip(partitions_of(d), basis_index(d))
-            if any(image(terms, {st: 1}) for terms in cleared)]
+    ((c, op), (e, op')) differs: c*op|lam> != e*op'|lam>, where
+    :func:`fock.failures` flags the terms c*op and -e*op'."""
+    states = [st for d in range(max_degree + 1) for st in basis_index(d)]
+    bad = {st for (c, op), (e, other) in pairs
+           for st, _ in failures([(c, op, None), (-e, other, None)], states)[1]}
+    return [st.to_partition().to_json() for st in states if st in bad]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +423,14 @@ def suite_kernels(seed: int = 0, max_degree: int = 8, draws: int = 5) -> dict:
     )
 
 
+def _power_form(p: VirasoroParams, k: int):
+    """The terms of the claimed order-3 raising action less the M = 3
+    mode: a jump from x adds a k-hook with sign (-1)**(height - 1) and
+    weight (a + x)**2, a = alpha - gamma k + k/2."""
+    a = p.alpha - p.gamma * k + Fraction(k, 2)
+    return [(1, Bilinear(-k, (a * a, 2 * a, 1)), None), (-1, m_virasoro_op(3, -k, p), None)]
+
+
 def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
     rng = random.Random(seed)
     checks = []
@@ -460,16 +467,10 @@ def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
                 bad_support.append([k, lam.to_json()])
     checks.append(_failed(
         "order 3 raising support lies inside single k-hook additions, k <= 3", bad_support[:5]))
-    # probe: claimed power-form coefficients at M = 3; a jump from x = d/2 adds a
-    # k-hook with sign (-1)**(height - 1) and leftmost content x + 1/2
-    deltas = 0
-    for k in range(1, 4):
-        m3 = m_virasoro_op(3, -k, p)
-        for lam in partitions_up_to(3):
-            claimed = FockVector(
-                (new, sign * (p.alpha - p.gamma * k + Fraction(d + k, 2)) ** 2)
-                for new, sign, d in boson_moves(-k, MayaState.from_partition(lam)))
-            deltas += len(claimed - m3.apply(FockVector.from_partition(lam)))
+    # probe: claimed power-form coefficients at M = 3, counted as the
+    # support of every nonzero delta on the diagrams up to degree 3
+    states = [MayaState.from_partition(lam) for lam in partitions_up_to(3)]
+    deltas = sum(len(delta) for k in range(1, 4) for _, delta in failures(_power_form(p, k), states)[1])
     probes.append({
         "name": "claimed power-form action at order 3",
         "holds": not deltas,
@@ -496,31 +497,35 @@ def _charged_states(max_degree: int, charges=(-1, 0, 1)):
 
 
 def _psi_bracket(op: Operator, psis: Dict[HalfInt, Psi], x: HalfInt, k: int, c: Scalar, after=()):
-    """The :func:`image` terms of [psi_x, op] - c psi_(x+k) - sum of o
-    psi_x over o in ``after``, each psi_y the one ``psis[y]``: the identity
-    fails on a basis state where their image is not empty."""
+    """The terms of [psi_x, op] - c psi_(x+k) - sum of o psi_x over o in
+    ``after``, each psi_y the one ``psis[y]``: the identity fails on a
+    basis state where their image is not empty."""
     psi_x = psis[x]
-    return clear([(1, psi_x, op), (-1, op, psi_x), (-c, psis[x + k], None)]
-                  + [(-1, o, psi_x) for o in after])[1]
+    return ([(1, psi_x, op), (-1, op, psi_x), (-c, psis[x + k], None)]
+            + [(-1, o, psi_x) for o in after])
 
 
-def _prop52_verdicts(p: VirasoroParams, k: int, max_degree: int):
-    """Per (x, state): whether the verified, printed and index-corrected
-    forms of [psi_x, L_(-k)] fail there."""
+def _prop52_forms(p: VirasoroParams, k: int, psis: Dict[HalfInt, Psi]):
+    """Per x: the terms of the verified, printed and index-corrected
+    forms of [psi_x, L_(-k)]."""
     l_raise, a_lower, a_raise = virasoro_op(-k, p), boson_op(k), boson_op(-k)
-    states = _charged_states(max_degree)
-    psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-7, 8 + 2 * k, 2)}
-    out = []
     for x in (HalfInt(d) for d in range(-7, 8, 2)):
         coeff = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
         raw_coeff = p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1
         # printed form: a_k psi_x + (z + x + k/2 - 1) psi_(x+k)
-        forms = [_psi_bracket(l_raise, psis, x, k, coeff),
-                 _psi_bracket(l_raise, psis, x, k, raw_coeff, [a_lower]),
-                 _psi_bracket(l_raise, psis, x, k, raw_coeff, [a_raise])]
-        for state in states:
-            out.append(((x, state), tuple(bool(image(t, {state: 1})) for t in forms)))
-    return out
+        yield x, (_psi_bracket(l_raise, psis, x, k, coeff),
+                  _psi_bracket(l_raise, psis, x, k, raw_coeff, [a_lower]),
+                  _psi_bracket(l_raise, psis, x, k, raw_coeff, [a_raise]))
+
+
+def _prop62_forms(p: VirasoroParams, k: int, psis: Dict[HalfInt, Psi]):
+    """Per x: the terms of the order-2 bracket and of the printed order-3
+    shape, which the suite probes only where psi_x does not kill the state."""
+    m1, m2, m3 = (m_virasoro_op(order, -k, p) for order in (1, 2, 3))
+    for x in (HalfInt(d) for d in range(-5, 6, 2)):
+        cx = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
+        raw_coeff = (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1) ** 2
+        yield x, (_psi_bracket(m2, psis, x, k, cx), _psi_bracket(m3, psis, x, k, raw_coeff, [m2, m1]))
 
 
 def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dict:
@@ -537,10 +542,14 @@ def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dic
     p = VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
     checks = []
     probes = []
+    states = _charged_states(max_degree)
+    # one Psi, and so one numerator memo, per position, shared by every form and k
+    psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-7, 8 + 2 * mode_bound, 2)}
     for k in range(1, mode_bound + 1):
-        verdicts = [v for _, v in _prop52_verdicts(p, k, max_degree)]
-        total = len(verdicts)
-        bad, raw_bad, corrected_bad = (sum(col) for col in zip(*verdicts))
+        found = [[len(failures(terms, states)[1]) for terms in forms]
+                 for _, forms in _prop52_forms(p, k, psis)]
+        bad, raw_bad, corrected_bad = map(sum, zip(*found))
+        total = len(found) * len(states)
         checks.append(_failed(
             f"[psi_x, L_(-{k})] = -((alpha - gamma k) + x + k/2) psi_(x+k)", bad, of=total))
         probes.append({"name": f"printed form with lowering boson term, k={k}",
@@ -557,33 +566,20 @@ def suite_prop52(seed: int = 0, max_degree: int = 4, mode_bound: int = 3) -> dic
     )
 
 
-def _prop62_verdicts(p: VirasoroParams, k: int, max_degree: int):
-    """Per (x, state): whether the order-2 bracket fails there, and
-    whether the printed order-3 shape does (None where psi_x kills the
-    state, which the probe skips)."""
-    m1, m2, m3 = (m_virasoro_op(order, -k, p) for order in (1, 2, 3))
-    states = _charged_states(max_degree)
-    psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-5, 6 + 2 * k, 2)}
-    out = []
-    for x in (HalfInt(d) for d in range(-5, 6, 2)):
-        cx = -(p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
-        raw_coeff = (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2) - 1) ** 2
-        order2, order3 = _psi_bracket(m2, psis, x, k, cx), _psi_bracket(m3, psis, x, k, raw_coeff, [m2, m1])
-        for state in states:
-            probe = bool(image(order3, {state: 1})) if psis[x].numerators(state) else None
-            out.append(((x, state), (bool(image(order2, {state: 1})), probe)))
-    return out
-
-
 def suite_prop62(seed: int = 0, max_degree: int = 3, mode_bound: int = 2) -> dict:
     rng = random.Random(seed)
     p = VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
     # base case M = 2: must agree with the quadratic-mode bracket; and
     # the printed order-3 shape, probed
-    verdicts = [v for k in range(1, mode_bound + 1) for _, v in _prop62_verdicts(p, k, max_degree)]
-    bad = sum(order2 for order2, _ in verdicts)
-    probed = [order3 for _, order3 in verdicts if order3 is not None]
-    deltas, total = sum(probed), len(probed)
+    states = _charged_states(max_degree)
+    psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-5, 6 + 2 * mode_bound, 2)}
+    bad = deltas = total = 0
+    for k in range(1, mode_bound + 1):
+        for x, (order2, order3) in _prop62_forms(p, k, psis):
+            live = [st for st in states if psis[x].numerators(st)]
+            bad += len(failures(order2, states)[1])
+            deltas += len(failures(order3, live)[1])
+            total += len(live)
     checks = [_failed("order 2 bracket matches the verified quadratic-mode identity", bad)]
     probes = [{"name": "printed order-3 bracket shape", "holds": deltas == 0,
                "failures": deltas, "of": total}]

@@ -8,9 +8,12 @@ determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
 explicit sums over all 2^(N-1) jump compositions.  The truncated
 exponential is summed power by power, and a bracket identity, an
-equivalence pair and the psi brackets of prop52 and prop62 checked basis
-vector by basis vector, through ``op.apply``; so are the earlier matrix
-assembly, kernel and highest-weight check of ``repstructure``.  The dense
+equivalence pair, the psi brackets of prop52 and prop62 and the order-3
+power-form probe of m-virasoro checked basis vector by basis vector,
+through ``op.apply``; so are the earlier matrix assembly, kernel and
+highest-weight check of ``repstructure``.  ``op.apply`` itself is one
+``fock.image``; its earlier form, each state's numerator pairs over den
+merged into one ``FockVector``, is kept as the reference for it.  The dense
 Bareiss loop, the recursive M-fold tuple enumeration, the M-fold tuple
 sum evaluated tuple by tuple at fixed parameters and the Fraction
 evaluation of a bilinear's weight (Horner's rule per jump, power sums on
@@ -23,8 +26,10 @@ coefficients.  The box helpers describe single-box moves for the
 tests of the box ladder; the rim-hook moves, read off the particle
 configuration of a diagram, and the earlier jump through
 ``MayaState.remove`` then ``insert`` are the references for the jump
-kernel ``fock.boson_moves``.  The annihilator ``psi_star`` is only a partner
-to test ``fock.psi`` against.  The z-measure weight, a product over the
+kernel ``fock.boson_moves``.  ``psi`` and ``psi_star`` create and
+annihilate a particle through ``MayaState.insert`` and ``remove``: the
+first is the earlier ``fock.psi``, the reference for ``fock.Psi``, the
+second only a partner to test it against.  The z-measure weight, a product over the
 boxes of their contents and hook lengths, and its normalizer summed as a
 rising factorial are the closed form of the virasoro table at one Miwa
 variable per side.
@@ -37,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, List, Sequence, Tuple
 
-from youngfock.fock import FockVector, MayaState, basis_index, boson_moves, psi, vacuum
+from youngfock.fock import FockVector, MayaState, _divided, basis_index, boson_moves, vacuum
 from youngfock.operators import (
     KerovParams,
     Operator,
@@ -49,7 +54,7 @@ from youngfock.operators import (
     m_virasoro_op,
     virasoro_op,
 )
-from youngfock.partitions import HalfInt, Partition, partitions_of
+from youngfock.partitions import HalfInt, Partition, partitions_of, partitions_up_to
 from youngfock.rings import Poly, Scalar, divexact, is_zero, series_exp
 
 
@@ -213,12 +218,27 @@ def inner(u, v):
     return sum((c * v.coefficient(s) for s, c in u.terms()), Fraction(0))
 
 
+def _one_particle(v: FockVector, move) -> FockVector:
+    """Extend ``move: state -> (sign, state) or None`` linearly."""
+    return FockVector((hit[1], c * hit[0]) for state, c in v.terms() if (hit := move(state)))
+
+
+def psi(x: HalfInt, v: FockVector) -> FockVector:
+    """Create a particle at x, with the wedge-reordering sign."""
+    return _one_particle(v, lambda state: state.insert(x))
+
+
 def psi_star(x: HalfInt, v: FockVector) -> FockVector:
-    """Annihilate the particle at x; the adjoint of ``fock.psi``."""
-    def act(state):
-        res = state.remove(x)
-        return [(res[1], Fraction(res[0]))] if res else []
-    return v.linear_apply(act)
+    """Annihilate the particle at x; the adjoint of ``psi``."""
+    return _one_particle(v, lambda state: state.remove(x))
+
+
+def apply_by_numerators(op, v: FockVector) -> FockVector:
+    """op(v) as one stream of (state, coefficient * numerator/den) pairs
+    into the ``FockVector`` merge: the earlier ``StateOperator.apply``,
+    the reference for ``apply`` as one ``fock.image``."""
+    return FockVector((new, c * _divided(n, op.den)) for state, c in v.terms()
+                      for new, n in op.numerators(state))
 
 
 def bilinear_action(op, state) -> FockVector:
@@ -335,8 +355,9 @@ def highest_weight_check_by_vectors(n: int, z: Scalar, w: Scalar) -> Tuple[List[
 def prop52_verdicts_by_vectors(p, k, max_degree):
     """Per (x, state): whether the verified, printed and index-corrected
     forms of [psi_x, L_(-k)] fail there, compared as ``FockVector``s
-    through ``fock.psi`` and ``op.apply``: the library's earlier bracket
-    loop, the reference for ``suites._prop52_verdicts``."""
+    through ``psi`` and ``op.apply``: the library's earlier bracket loop,
+    the reference for the ``fock.failures`` walks of
+    ``suites._prop52_forms``."""
     xs = [HalfInt(d) for d in range(-7, 8, 2)]
     states = charged_states(max_degree)
     l_raise, a_lower, a_raise = virasoro_op(-k, p), boson_op(k), boson_op(-k)
@@ -360,8 +381,8 @@ def prop52_verdicts_by_vectors(p, k, max_degree):
 def prop62_verdicts_by_vectors(p, k, max_degree):
     """Per (x, state): whether the order-2 bracket fails there, and
     whether the printed order-3 shape does (None where psi_x kills the
-    state), as ``FockVector``s: the reference for
-    ``suites._prop62_verdicts``."""
+    state), as ``FockVector``s: the reference for the ``fock.failures``
+    walks of ``suites._prop62_forms``."""
     xs = [HalfInt(d) for d in range(-5, 6, 2)]
     states = charged_states(max_degree)
     zk = p.alpha - p.gamma * k
@@ -382,6 +403,26 @@ def prop62_verdicts_by_vectors(p, k, max_degree):
                        + psi(x + k, v).scale(raw_coeff))
                 probe = lhs != rhs
             out.append(((x, state), (bad, probe)))
+    return out
+
+
+def power_form_deltas_by_vectors(p):
+    """The nonzero deltas of the m-virasoro probe as (k, state, delta):
+    per k = 1, 2, 3 and diagram up to degree 3, the claimed order-3
+    action, sign * (alpha - gamma k + x + k/2)**2 per jump from x = d/2,
+    less the M = 3 mode, as ``FockVector``s through ``op.apply``: the
+    suite's earlier probe, the reference for its ``fock.failures`` walk."""
+    out = []
+    for k in range(1, 4):
+        m3 = m_virasoro_op(3, -k, p)
+        for lam in partitions_up_to(3):
+            state = MayaState.from_partition(lam)
+            claimed = FockVector(
+                (new, sign * (p.alpha - p.gamma * k + Fraction(d + k, 2)) ** 2)
+                for new, sign, d in boson_moves(-k, state))
+            delta = claimed - m3.apply(FockVector.basis(state))
+            if delta:
+                out.append((k, state, delta))
     return out
 
 

@@ -9,8 +9,8 @@ from youngfock.fock import (
     MayaState,
     Psi,
     VACUUM_STATE,
+    StateOperator,
     boson_moves,
-    psi,
     vacuum,
 )
 from youngfock.operators import boson_op
@@ -28,6 +28,7 @@ from .oracles import (
     naive_insert,
     naive_remove,
     prefix_of_partition,
+    psi,
     psi_star,
     rim_hooks_addable,
 )
@@ -70,15 +71,15 @@ def test_inner_examples():
 
 def test_inner_charge_mismatch():
     with pytest.raises(ValueError):
-        inner(vacuum(), psi(h(1), vacuum()))
+        inner(vacuum(), Psi(h(1)).apply(vacuum()))
 
 
 def test_psi_examples():
-    v = psi(h(1), vacuum())
+    v = Psi(h(1)).apply(vacuum())
     assert len(v) == 1 and v.charge == 1
     state, coeff = next(v.terms())
     assert coeff == 1 and state.above == (1,)
-    assert psi(h(1), v).is_zero()
+    assert Psi(h(1)).apply(v).is_zero()
     # annihilating an absent particle
     assert psi_star(h(3), vacuum()).is_zero()
 
@@ -111,9 +112,9 @@ def test_car_relations():
     for x in coords:
         for y in coords:
             for v in states:
-                acc = psi(x, psi(y, v)) + psi(y, psi(x, v))
+                acc = Psi(x).apply(Psi(y).apply(v)) + Psi(y).apply(Psi(x).apply(v))
                 assert acc.is_zero(), (x, y)
-                mixed = psi(x, psi_star(y, v)) + psi_star(y, psi(x, v))
+                mixed = Psi(x).apply(psi_star(y, v)) + psi_star(y, Psi(x).apply(v))
                 if x == y:
                     assert mixed == v, (x, y)
                 else:
@@ -134,7 +135,7 @@ def test_psi_adjointness_random(rng):
         if v_charged.is_zero():
             continue
         x = coords[rng.randrange(len(coords))]
-        assert inner(psi(x, u), v_charged) == inner(u, psi_star(x, v_charged))
+        assert inner(Psi(x).apply(u), v_charged) == inner(u, psi_star(x, v_charged))
 
 
 def test_boson_examples():
@@ -250,12 +251,25 @@ def test_fockvector_json_shape():
     assert data["terms"][1] == {"partition": [2, 1], "coeff": "3/4"}
 
 
-# -- the one merge: sums, differences and linear_apply against a plain dict --
+# -- the one merge: sums, differences and apply against a plain dict --
 
 _POOL = [MayaState.from_partition(lam) for lam in partitions_up_to(3)]  # the vacuum first
 _coeffs = st.one_of(small_rationals, small_rationals.map(lambda q: Poly((q,))),
                     st.lists(small_rationals, max_size=3).map(Poly))
 _pairs = st.lists(st.tuples(st.sampled_from(_POOL), _coeffs), max_size=8)
+
+
+class _Table(StateOperator):
+    """The operator whose numerators on _POOL[i] are images[i], over den 1."""
+
+    __slots__ = ("images",)
+    den = 1
+
+    def __init__(self, images):
+        self._set(images=images, _memo={})
+
+    def _numerators(self, st):
+        return self.images[_POOL.index(st)]
 
 
 def _dict_sum(pairs):
@@ -297,10 +311,9 @@ def test_vector_sums_match_a_plain_dict_sum(pa, pb, cancel, images):
     assert (a - b).to_json() == _json(_dict_sum(terms_a + [(s, -c) for s, c in terms_b]))
     assert (a - a).to_json() == {"charge": 0, "terms": []}
 
-    def fn(state):
-        return images[_POOL.index(state)]
-    want = _dict_sum((new, c * x) for s, c in terms_a for new, x in fn(s))
-    assert a.linear_apply(fn).to_json() == _json(want)
+    table = _Table(images)
+    want = _dict_sum((new, c * x) for s, c in terms_a for new, x in table.numerators(s))
+    assert table.apply(a).to_json() == _json(want)
 
 
 def test_psi_numerators_are_the_insert_sign():
@@ -315,4 +328,6 @@ def test_psi_numerators_are_the_insert_sign():
             got = op.numerators(st)
             assert got == (((hit[1], hit[0]),) if hit else ()), (x, st)
             assert all(type(n) is int for _, n in got) and op.numerators(st) is got
+            v = FockVector.basis(st)
+            assert op.apply(v) == psi(x, v), (x, st)
     assert Psi(HalfInt(1)) != Psi(HalfInt(-1))

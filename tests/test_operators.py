@@ -3,22 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from youngfock.fock import VACUUM_STATE, FockVector, MayaState, Psi, boson_moves, psi, vacuum
+from youngfock.fock import (VACUUM_STATE, FockVector, MayaState, Psi, _divided, boson_moves, clear,
+                           failures, image, vacuum)
 from youngfock.operators import (
     Bilinear,
     KerovParams,
     MVirasoro,
     VirasoroParams,
     _descending_tuples,
-    _divided,
     boson_op,
-    clear,
     commutator_check,
     exp_raising,
     hook_diagonal,
     hook_lower,
     hook_raise,
-    image,
     kerov_d,
     kerov_l,
     kerov_u,
@@ -31,8 +29,9 @@ from youngfock.partitions import HalfInt, Partition, partitions_of, partitions_u
 from youngfock.rings import Poly, random_rational
 from youngfock.suites import run_suite
 
-from .oracles import (addable_boxes, as_partition_dict, bilinear_action, commutator_by_vectors,
-                      exp_by_powers, exp_lowering_bra, inner, is_cleared_numerator,
+from .oracles import (addable_boxes, apply_by_numerators, as_partition_dict, bilinear_action,
+                      commutator_by_vectors, exp_by_powers, exp_lowering_bra, inner,
+                      is_cleared_numerator,
                       m_virasoro_state_by_tuples, recursive_descending_tuples,
                       removable_boxes, rim_hooks_addable, rim_hooks_removable)
 
@@ -618,10 +617,9 @@ def test_commutator_check_matches_the_vector_oracle(a, b, expected, degree):
 
 
 def _apply(op, v):
-    """op(v) as a FockVector: ``None`` is the identity, psi_x is ``fock.psi``."""
-    if op is None:
-        return v
-    return psi(op.x, v) if isinstance(op, Psi) else op.apply(v)
+    """op(v) as a FockVector, ``None`` the identity, through the vector
+    oracle rather than ``op.apply``, which is itself one ``image``."""
+    return v if op is None else apply_by_numerators(op, v)
 
 
 def _image_cases():
@@ -670,6 +668,43 @@ def test_image_matches_the_vector_sum(terms, vec):
 
 def test_image_cases_are_not_vacuous():
     assert sum(bool(image(clear(terms)[1], vec)) for terms, vec in _image_cases()) >= 12
+
+
+def _state_cases():
+    """Each term list of ``_image_cases`` with the basis states of charge
+    -1, 0 and 1 up to degree 3, so that the walk meets states its terms
+    kill, states they do not, and states of every charge."""
+    states = charged_states(3)
+    for terms, _ in _image_cases():
+        yield terms, states
+
+
+@pytest.mark.parametrize("terms,states", list(_state_cases()))
+def test_failures_flags_exactly_the_nonzero_vector_sums(terms, states):
+    # per state, the FockVector sum of c * outer(inner(|state>)) over the
+    # terms; failures flags the state exactly when that sum is nonzero, and
+    # gives its image over L
+    lcm, found = failures(terms, states)
+    want = []
+    for st in states:
+        v = FockVector.basis(st)
+        total = FockVector.zero()
+        for c, outer, inner in terms:
+            total = total + _apply(outer, _apply(inner, v)).scale(c)
+        if total:
+            want.append((st, total))
+    assert [st for st, _ in found] == [st for st, _ in want]
+    for (_, got), (_, total) in zip(found, want):
+        assert FockVector({st: _divided(n, lcm) for st, n in got.items()}) == total
+    assert lcm == clear(terms)[0]
+    # a true identity: the terms less themselves flag nothing
+    assert failures(terms + [(-c, o, i) for c, o, i in terms], states)[1] == []
+
+
+def test_failures_cases_are_not_vacuous():
+    flagged = [len(failures(terms, states)[1]) for terms, states in _state_cases()]
+    total = len(charged_states(3))
+    assert sum(flagged) >= 100 and any(0 < n < total for n in flagged)
 
 
 def test_operator_degree_shift_and_json():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 import youngfock.repstructure as rs
-from youngfock.fock import VACUUM_STATE, FockVector, basis_index
-from youngfock.operators import (Bilinear, KerovParams, MVirasoro, _divided, clear, hook_lower,
-                                 hook_raise, image, kerov_d, kerov_l, kerov_u)
+from youngfock.fock import VACUUM_STATE, FockVector, _divided, basis_index, clear, image
+from youngfock.operators import (Bilinear, KerovParams, MVirasoro, hook_lower, hook_raise, kerov_d,
+                                 kerov_l, kerov_u)
 from youngfock.partitions import Partition, partitions_of
 from youngfock.repstructure import (
     decomposition_report,

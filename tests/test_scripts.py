@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from youngfock import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -21,11 +23,15 @@ def test_measure_demo_runs_clean():
     assert proc.stdout
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _load(ROOT / "scripts" / "bench_pairs.py")
 
 
 def test_bench_pairs_summary_on_fixed_numbers():
@@ -129,3 +135,21 @@ def test_bench_pairs_base_side_is_an_archive_of_the_base_commit(tmp_path, monkey
     assert not seen["tree"].exists()
     assert git("worktree", "list", "--porcelain") == worktrees
     assert sorted(p.relative_to(repo) for p in (repo / ".git").rglob("*")) == git_entries
+
+
+# every job of the benchmark's default seed, with the digest it must give
+_WORKLOADS, _CHECKS = _load(ROOT / "perfbench" / "workloads.py"), _load(ROOT / "perfbench" / "checks.py")
+_GOLDENS = json.loads((ROOT / "perfbench" / "goldens.json").read_text())
+_GOLDEN_JOBS = [(name, job) for name in sorted(_WORKLOADS.WORKLOADS)
+                for job in _WORKLOADS.jobs_for(name, 0)]
+
+
+@pytest.mark.parametrize("workload,job", _GOLDEN_JOBS,
+                         ids=[f"{name}/{job['id']}" for name, job in _GOLDEN_JOBS])
+def test_benchmark_job_matches_its_golden_digest(workload, job, capsys):
+    # in process through cli.main: the exit code the benchmark expects and
+    # the content digest it compares against perfbench/goldens.json
+    rc = cli.main(job["argv"])
+    out = capsys.readouterr().out
+    assert rc == job["expect_rc"]
+    assert _CHECKS.content_digest(out) == _GOLDENS[workload][job["id"]]

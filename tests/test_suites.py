@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from youngfock.fock import FockVector, Psi, psi
+from youngfock.fock import FockVector, MayaState, Psi, failures
 from youngfock.operators import (KerovParams, MVirasoro, VirasoroParams, hook_lower, hook_raise,
-                                 image, m_virasoro_op, virasoro_op, virasoro_params_for_rimhook,
+                                 m_virasoro_op, virasoro_op, virasoro_params_for_rimhook,
                                  virasoro_params_from_kerov)
 from youngfock.partitions import HalfInt, partitions_up_to
 from youngfock.rings import Poly, random_rational
-from youngfock.suites import SUITES, _prop52_verdicts, _prop62_verdicts, _psi_bracket, run_suite
+from youngfock.suites import (SUITES, _power_form, _prop52_forms, _prop62_forms, _psi_bracket,
+                              run_suite)
 
-from .oracles import (charged_states, disagree_by_vectors, prop52_verdicts_by_vectors,
-                      prop62_verdicts_by_vectors)
+from .oracles import (charged_states, disagree_by_vectors, power_form_deltas_by_vectors,
+                      prop52_verdicts_by_vectors, prop62_verdicts_by_vectors, psi)
 
 
 def test_suite_registry_complete():
@@ -129,18 +130,41 @@ def _suite_params(seed):
     return VirasoroParams(alpha=random_rational(rng), gamma=random_rational(rng))
 
 
+def _flagged(forms, states_at):
+    """Per form i: the (x, state) pairs :func:`fock.failures` flags over
+    the states ``states_at(i, x)``, at every x."""
+    rows = list(forms)
+    return [{(x, st) for x, row in rows for st, _ in failures(row[i], states_at(i, x))[1]}
+            for i in range(len(rows[0][1]))]
+
+
+def _oracle_flagged(verdicts, width):
+    """The same sets from the vector oracle's per-(x, state) verdicts."""
+    return [{key for key, v in verdicts if v[i]} for i in range(width)]
+
+
 @pytest.mark.parametrize("seed", [0, 3, 5])
 def test_psi_bracket_verdicts_match_the_vector_oracle(seed):
     p = _suite_params(seed)
     for k in (1, 2, 3):
-        got = _prop52_verdicts(p, k, 4)
-        assert got == prop52_verdicts_by_vectors(p, k, 4), k
+        states = charged_states(4)
+        psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-7, 8 + 2 * k, 2)}
+        got = _flagged(_prop52_forms(p, k, psis), lambda i, x: states)
+        assert got == _oracle_flagged(prop52_verdicts_by_vectors(p, k, 4), 3), k
         # the verified form holds everywhere; the printed forms fail somewhere
-        assert not any(v[0] for _, v in got) and any(v[1] for _, v in got)
+        assert not got[0] and got[1] and got[2]
     for k in (1, 2):
-        got = _prop62_verdicts(p, k, 3)
-        assert got == prop62_verdicts_by_vectors(p, k, 3), k
-        assert not any(v[0] for _, v in got) and any(v[1] is None for _, v in got)
+        states = charged_states(3)
+        psis = {HalfInt(d): Psi(HalfInt(d)) for d in range(-5, 6 + 2 * k, 2)}
+        # the order-3 shape is checked where psi_x does not kill the state,
+        # which is where the oracle's verdict is not None
+        live = {x: [st for st in states if st.insert(x) is not None] for x in psis}
+        verdicts = prop62_verdicts_by_vectors(p, k, 3)
+        assert {key for key, v in verdicts if v[1] is not None} == {
+            (x, st) for x, _ in _prop62_forms(p, k, psis) for st in live[x]}
+        got = _flagged(_prop62_forms(p, k, psis), lambda i, x: live[x] if i else states)
+        assert got == _oracle_flagged(verdicts, 2), k
+        assert not got[0] and got[1]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 5])
@@ -156,11 +180,32 @@ def test_psi_bracket_flags_a_coefficient_off_by_one(seed):
             for x in (HalfInt(d) for d in range(-5, 6, 2)):
                 c = 1 - (p.alpha - p.gamma * k + x.as_fraction() + Fraction(k, 2))
                 terms = _psi_bracket(op, {y: Psi(y) for y in (x, x + k)}, x, k, c)
+                found = {st for st, _ in failures(terms, states)[1]}
                 for state in states:
                     v = FockVector.basis(state)
                     lhs = psi(x, op.apply(v)) - op.apply(psi(x, v))
-                    got = bool(image(terms, {state: 1}))
+                    got = state in found
                     assert got == (lhs != psi(x + k, v).scale(c)), (k, x, state)
                     assert got == (state.insert(x + k) is not None)
-                    flagged += got
+                flagged += len(found)
             assert flagged
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_power_form_probe_counts_as_the_vector_sums(seed):
+    # the probe's failures walk against the earlier claimed-minus-actual
+    # FockVectors: the same deltas state by state, and a delta_count that
+    # is the support of them all
+    p = _suite_params(seed)
+    want = power_form_deltas_by_vectors(p)
+    states = [MayaState.from_partition(lam) for lam in partitions_up_to(3)]
+    got = []
+    for k in range(1, 4):
+        lcm, found = failures(_power_form(p, k), states)
+        got += [(k, st, FockVector({new: Fraction(n) / lcm for new, n in delta.items()}))
+                for st, delta in found]
+    assert got == want and want
+    probe = next(q for q in run_suite("m-virasoro", seed=seed, max_degree=2)["probes"]
+                 if q["name"] == "claimed power-form action at order 3")
+    assert probe["delta_count"] == sum(len(delta) for _, _, delta in want)
+    assert probe["holds"] is False
