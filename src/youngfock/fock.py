@@ -297,9 +297,12 @@ class StateOperator(Frozen):
         return got
 
     def apply(self, v: FockVector) -> FockVector:
-        """op(v), exactly: the term (1, op, None) is cleared over den."""
-        den = self.den
-        return FockVector({st: _divided(n, den) for st, n in image([(1, self, None)], v._terms).items()})
+        """op(v), exactly: one :func:`image` of the term (1, op, None), which
+        is cleared over den, on v cleared to integer entries over q."""
+        q = denominator(*v._terms.values())
+        vec = {st: _cleared(c, q) for st, c in v._terms.items()}
+        den = self.den * q
+        return FockVector({st: _divided(n, den) for st, n in image([(1, self, None)], vec).items()})
 
 
 class Psi(StateOperator):
