@@ -9,7 +9,9 @@ import hypothesis.strategies as st
 from youngfock.rings import (
     Poly,
     det,
+    _cleared,
     _eliminate,
+    denominator,
     divexact,
     kernel,
     parse_rational,
@@ -149,6 +151,16 @@ def test_divexact_paths():
     assert divexact(Fraction(4), Poly((2,))) == 2
     assert divexact(6, -3) == -2 and type(divexact(6, -3)) is int
     assert divexact(3, 2) == Fraction(3, 2)
+
+
+def test_denominator_clears_every_rational_inside():
+    # the lcm over plain rationals and a Poly's coefficients; 1 for none
+    assert denominator() == 1 and denominator(3, Poly((2, 5))) == 1
+    assert denominator(Fraction(1, 6), Poly((Fraction(1, 4), 3)), 5) == 12
+    den = denominator(Fraction(-5, 9), Poly((Fraction(2, 3), 0, Fraction(7, 6))))
+    assert den == 18
+    assert _cleared(Fraction(-5, 9), den) == -10 and type(_cleared(Fraction(-5, 9), den)) is int
+    assert _cleared(Poly((Fraction(2, 3), 0, Fraction(7, 6))), den) == Poly((12, 0, 21))
 
 
 def test_series_helpers():
