@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Tuple
 
+from .fock import _divided
+from .operators import VirasoroParams, virasoro_op
 from .rings import Frozen, Poly, Scalar, is_zero, series_log
 
 
@@ -59,16 +61,18 @@ def vir_rows(x: Mapping[int, Scalar], z: Scalar, n_max: int) -> List[Scalar]:
     exponential.
 
     v_s sums (prod x_k) * (path product) / R! over the jump paths of R
-    jumps and total s.  The particle starts at -1/2 + (s - k) before a jump
-    of k, which weighs z + (s - k) + (k - 1)/2.  So f[R][s], the sum of the
+    jumps and total s.  A jump of k from -1/2 + s0 weighs z + s0 + (k - 1)/2:
+    the cleared weight of ``virasoro_op(-k)`` at alpha = z at the doubled
+    start 2*s0 - 1, over its den.  So f[R][s], the sum of the
     weighted R-jump paths to s, is sum_k f[R-1][s-k] * x_k * (that weight),
     and v_s = sum_R f[R][s] / R!.  A row with no live path (every path
     uses some x_k = 0) stays Fraction(0).
     """
     if n_max < 0:
         raise ValueError("negative row count")
-    jumps = _live_jumps(x, n_max)
-    steps = {s0: [(s0 + k, c * (z + s0 + Fraction(k - 1, 2))) for k, c in jumps if s0 + k <= n_max]
+    ops = [(k, c, virasoro_op(-k, VirasoroParams(alpha=z))) for k, c in _live_jumps(x, n_max)]
+    steps = {s0: [(s0 + k, c * _divided(op._g_at(2 * s0 - 1), op.den))
+                  for k, c, op in ops if s0 + k <= n_max]
              for s0 in range(n_max)}
     rows: List[Scalar] = [Fraction(1)] + [Fraction(0)] * n_max
     for r, f in _path_sums(steps):

@@ -43,11 +43,13 @@ M      f(x)                                                offset (k = 0)
 =====  ==================================================  ================
 
 M = 4 is not a bilinear (its k = 1 mode moves several particles at
-once), so :class:`MVirasoro` keeps the M-fold tuple sum for M >= 4.  It
-is also the one definitional form kept, as the reference oracle of the
-three closed forms: at M = 2 it is the quadratic boson sum
-gamma*k*a_k + 1/2 sum_j :a_j a_(k-j):, against which ``virasoro_op``,
-the box ladder and the rim-hook ladders are checked.
+once), so :class:`MVirasoro` keeps the M-fold tuple sum for M >= 4, as
+a walk over the nonzero indices of the tuples, at most 2*degree + |k|
+deep at any M.  It is also the one definitional form kept, as the
+reference oracle of the three closed forms: at M = 2 it is the
+quadratic boson sum gamma*k*a_k + 1/2 sum_j :a_j a_(k-j):, against
+which ``virasoro_op``, the box ladder and the rim-hook ladders are
+checked.
 
 Every operator has one per-state action, ``op.numerators(state)``: the
 (state, numerator) pairs of its image over one int denominator
@@ -269,41 +271,6 @@ def kerov_l(p: KerovParams) -> Bilinear:
 # the M-fold tuple sum: the M >= 4 modes and the reference oracle
 # ---------------------------------------------------------------------------
 
-def _descending_tuples(length: int, total: int, bound: int, pos_budget: int, cap: int):
-    """Descending integer tuples in [-bound, cap] summing to total, with
-    the positive entries summing to at most pos_budget, in decreasing
-    lexicographic order.  Iterative, so any length works."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    tup = [0] * length
-    # totals[i], budgets[i]: what entries i, i+1, ... still have to sum to,
-    # and the positive budget they share
-    totals, budgets = [total] + [0] * length, [pos_budget] + [0] * length
-    i, head = 0, min(cap, bound)
-    while True:
-        if head < -bound:  # entry i has no candidates left: back up one
-            if i == 0:
-                return
-            i -= 1
-            head = tup[i] - 1
-            continue
-        rest, left = totals[i] - head, length - 1 - i
-        budget = budgets[i] - max(head, 0)
-        # remaining entries are each <= head and >= -bound
-        if rest > head * left or rest < -bound * left or budget < 0:
-            head -= 1
-            continue
-        tup[i] = head
-        if left == 0:
-            yield tuple(tup)
-            head -= 1
-        else:  # the next entry starts from head, its cap
-            i += 1
-            totals[i], budgets[i] = rest, budget
-
-
 @lru_cache(maxsize=None)
 def _m_virasoro_state(order: int, k: int, state: MayaState):
     """The parameter-free part of the M-fold mode on one basis state: per
@@ -314,9 +281,16 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
     A target whose sums all cancel and that has no parameter term is
     dropped, since its coefficient is zero at every parameter value.
     Otherwise a pair is kept even when its sum is zero, so that under a
-    Poly a0 the coefficient is a Poly, as in the tuple-by-tuple sum.  Each
-    tuple reuses the images of the nonzero indices it shares with the last."""
+    Poly a0 the coefficient is a Poly, as in the tuple-by-tuple sum.
+
+    The tuples are walked by their nonzero indices alone, descending, so
+    annihilators (positive indices) act first; each prefix carries its
+    image, and one that sums to k is the tuple with j = M - (its length)
+    zeros.  A positive index spends the state's degree and a negative one
+    at most degree + |k|, so the walk is at most 2*degree + |k| deep at
+    any order, and indices lie in [-(degree+|k|), degree]."""
     d = state.degree
+    bound = d + abs(k)
     full = math.factorial(order)
     acc: Dict[MayaState, Tuple[int, Dict[int, int]]] = {}
     if k != 0:
@@ -324,35 +298,39 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
             acc[s1] = (sign, {})
     elif order == 2:
         acc[state] = (1, {})
-    bound = d + abs(k)
-    prev: List[int] = []
-    images: List[Dict[MayaState, int]] = [{state: 1}]  # images[i]: after prev[:i]
-    for tup in _descending_tuples(order, k, bound, d, bound):
-        weight = full
-        run = 1
-        for i in range(1, len(tup) + 1):
-            if i < len(tup) and tup[i] == tup[i - 1]:
-                run += 1
-            else:
-                weight //= math.factorial(run)
-                run = 1
-        zeros = sum(1 for t in tup if t == 0)
-        indices = [t for t in tup if t != 0]
-        shared = 0
-        while shared < min(len(prev), len(indices)) and prev[shared] == indices[shared]:
-            shared += 1
-        del images[shared + 1:]
-        # descending order puts annihilators (positive indices) first
-        for idx in indices[shared:]:
+
+    def walk(image: Dict[MayaState, int], length: int, total: int, last: int, budget: int,
+             runs: int, run: int):
+        # runs: the product of run! over the prefix's runs of equal indices,
+        # run: the length of its last run; budget: the degree left to annihilate
+        if total == k:
+            j = order - length
+            weight = full // (math.factorial(j) * runs)
+            for s, g in image.items():
+                sums = acc.setdefault(s, (0, {}))[1]
+                sums[j] = sums.get(j, 0) + weight * g
+        left = order - length - 1  # slots after the next index
+        if left < 0:
+            return
+        for e in range(min(last, budget), -bound - 1, -1):
+            rest = k - total - e
+            # the later indices lie in [-bound, e], at most left of them, so
+            # they sum to at most max(e, 0)*left (a cap that only falls with e,
+            # while rest only grows) and, after a negative e, to 0 or <= e
+            if rest > max(e, 0) * left:
+                break
+            if e == 0 or rest < -bound * left or e < rest < 0:
+                continue
             nxt: Dict[MayaState, int] = {}
-            for s, sgn in images[-1].items():
-                for s2, sgn2, _ in boson_moves(idx, s):
+            for s, sgn in image.items():
+                for s2, sgn2, _ in boson_moves(e, s):
                     nxt[s2] = nxt.get(s2, 0) + sgn * sgn2
-            images.append({s: g for s, g in nxt.items() if g})
-        prev = indices
-        for s, g in images[-1].items():
-            sums = acc.setdefault(s, (0, {}))[1]
-            sums[zeros] = sums.get(zeros, 0) + weight * g
+            nxt = {s: g for s, g in nxt.items() if g}
+            if nxt:
+                r = run + 1 if e == last else 1
+                walk(nxt, length + 1, total + e, e, budget - max(e, 0), runs * r, r)
+
+    walk({state: 1}, 0, 0, d + 1, d, 1, 0)
     return tuple((s, sign, tuple(sums.items()))
                  for s, (sign, sums) in acc.items() if sign or any(sums.values()))
 
@@ -363,13 +341,15 @@ class MVirasoro(StateOperator):
     M >= 4; at M <= 3 it is the reference oracle of the bilinear forms.
 
     Any tuple whose annihilating part exceeds the state's degree kills
-    it, so indices are enumerated inside [-(degree+|k|), degree+|k|]; the
-    grading argument makes this exact.  A tuple with j zero indices
-    carries a0**j, a0 = alpha + charge, and nothing else in it depends on
-    the parameters, so the tuple sum is enumerated once per (order, k,
-    state) as per-j sums (:func:`_m_virasoro_state`) and evaluated here at
-    (alpha + charge, gamma).  It is cleared once, over den = lcm(M! q**M,
-    the denominator of the parameter term), where q clears alpha.
+    it, so the positive indices sum to at most the degree and the
+    negative ones to at least -(degree+|k|); the grading argument makes
+    this exact.  A tuple with j zero indices carries a0**j, a0 = alpha +
+    charge, and nothing else in it depends on the parameters, so the
+    tuple sum is walked once per (order, k, state) over the nonzero
+    indices alone, as per-j sums (:func:`_m_virasoro_state`), and
+    evaluated here at (alpha + charge, gamma).  It is cleared once, over
+    den = lcm(M! q**M, the denominator of the parameter term), where q
+    clears alpha.
     """
 
     # _lead: den * the parameter term; _a: q * alpha; _scales[j]: den/(M! q**j)

@@ -111,34 +111,21 @@ class Partition:
         return list(self.parts)
 
 
-EMPTY = Partition()
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("partitions of a negative integer")
+    return tuple(Partition(parts) for parts in _parts_at_most(n, n))
+
+
+def _parts_at_most(n: int, cap: int) -> Iterator[Tuple[int, ...]]:
+    """The partitions of n with parts <= cap, largest first part first."""
     if n == 0:
-        return (EMPTY,)
-    out = []
-    current = [n]
-    while True:
-        out.append(Partition(current))
-        # find rightmost part > 1
-        i = len(current) - 1
-        while i >= 0 and current[i] == 1:
-            i -= 1
-        if i < 0:
-            break
-        rem = len(current) - i - 1 + 1  # the ones, plus one from current[i]
-        val = current[i] - 1
-        current = current[:i] + [val]
-        while rem > 0:
-            take = min(val, rem)
-            current.append(take)
-            rem -= take
-    return tuple(out)
+        yield ()
+    for first in range(min(n, cap), 0, -1):
+        for rest in _parts_at_most(n - first, first):
+            yield (first,) + rest
 
 
 def partitions_up_to(n: int) -> List[Partition]:

@@ -487,13 +487,8 @@ def suite_m_virasoro(seed: int = 0, max_degree: int = 5) -> dict:
     )
 
 
-def _charged_states(max_degree: int, charges=(-1, 0, 1)):
-    out = []
-    for c in charges:
-        for d in range(max_degree + 1):
-            for lam in partitions_of(d):
-                out.append(MayaState.from_partition(lam, charge=c))
-    return out
+def _charged_states(max_degree: int):
+    return [MayaState.from_partition(lam, c) for c in (-1, 0, 1) for lam in partitions_up_to(max_degree)]
 
 
 def _psi_bracket(op: Operator, psis: Dict[HalfInt, Psi], x: HalfInt, k: int, c: Scalar, after=()):

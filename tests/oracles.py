@@ -14,19 +14,19 @@ through ``op.apply``; so are the earlier matrix assembly, kernel and
 highest-weight check of ``repstructure``.  ``op.apply`` itself is one
 ``fock.image``; its earlier form, each state's numerator pairs over den
 merged into one ``FockVector``, is kept as the reference for it.  The dense
-Bareiss loop, the recursive M-fold tuple enumeration, the M-fold tuple
-sum evaluated tuple by tuple at fixed parameters and the Fraction
-evaluation of a bilinear's weight (Horner's rule per jump, power sums on
-the diagonal) are the library's earlier forms, kept as the references
-for the sparse elimination, the iterative enumeration, the per-j sums
-evaluated at (alpha + charge, gamma) and the cleared integer
-numerators, and the all-Fraction polynomial arithmetic on coefficient
-tuples is ``Poly``'s earlier form, the reference for its int
-coefficients.  The box helpers describe single-box moves for the
-tests of the box ladder; the rim-hook moves, read off the particle
-configuration of a diagram, and the earlier jump through
-``MayaState.remove`` then ``insert`` are the references for the jump
-kernel ``fock.boson_moves``.  ``psi`` and ``psi_star`` create and
+Bareiss loop, the M-fold tuple sum evaluated tuple by tuple at fixed
+parameters and the Fraction evaluation of a bilinear's weight (Horner's
+rule per jump, power sums on the diagonal) are the library's earlier
+forms, kept as the references for the sparse elimination, the per-j
+sums of the walk over nonzero indices evaluated at (alpha + charge,
+gamma) and the cleared integer numerators; the tuple sum runs over the
+full-length tuples, zeros included, of its own recursive enumeration.
+The all-Fraction polynomial arithmetic on coefficient tuples is
+``Poly``'s earlier form, the reference for its int coefficients.  The
+box helpers describe single-box moves for the tests of the box ladder;
+the rim-hook moves, read off the particle configuration of a diagram,
+and the earlier jump through ``MayaState.remove`` then ``insert`` are
+the references for the jump kernel ``fock.boson_moves``.  ``psi`` and ``psi_star`` create and
 annihilate a particle through ``MayaState.insert`` and ``remove``: the
 first is the earlier ``fock.psi``, the reference for ``fock.Psi``, the
 second only a partner to test it against.  The z-measure weight, a product over the
@@ -46,7 +46,6 @@ from youngfock.fock import FockVector, MayaState, _divided, basis_index, boson_m
 from youngfock.operators import (
     KerovParams,
     Operator,
-    _descending_tuples,
     boson_op,
     exp_raising,
     kerov_d,
@@ -754,7 +753,7 @@ def m_virasoro_state_by_tuples(order: int, k: int, alpha: Scalar, gamma: Scalar,
         # zero-mode constant shared with virasoro_op(0) so M = 2 matches exactly
         acc[state] = -(gamma * gamma) * Fraction(1, 2)
     bound = d + abs(k)
-    for tup in _descending_tuples(order, k, bound, d, bound):
+    for tup in recursive_descending_tuples(order, k, bound, d, bound):
         weight = Fraction(1)
         run = 1
         for i in range(1, len(tup) + 1):

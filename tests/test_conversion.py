@@ -104,13 +104,14 @@ def test_vir_row_examples():
 
 
 def test_vir_row_matches_operator_exponential(rng):
-    for _ in range(3):
-        z = rand_q(rng)
+    for i in range(4):
+        z = rand_q(rng) if i < 3 else Poly.gen()
         x = {k: rand_q(rng) for k in (1, 2, 3)}
         ket = exp_raising(modes(x, z, -1), vacuum(), 6)
         rows = vir_rows(x, z, 6)
         for n in range(1, 7):
             assert rows[n] == ket.coefficient_of_partition(P(n)), n
+            assert isinstance(rows[n], Poly) == isinstance(z, Poly), n
 
 
 def test_bra_row_matches_vir_row(rng):

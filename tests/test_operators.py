@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from youngfock.operators import (
     KerovParams,
     MVirasoro,
     VirasoroParams,
-    _descending_tuples,
     boson_op,
     commutator_check,
     exp_raising,
@@ -32,7 +32,7 @@ from youngfock.suites import run_suite
 from .oracles import (addable_boxes, apply_by_numerators, as_partition_dict, bilinear_action,
                       commutator_by_vectors, exp_by_powers, exp_lowering_bra, inner,
                       is_cleared_numerator,
-                      m_virasoro_state_by_tuples, recursive_descending_tuples,
+                      m_virasoro_state_by_tuples,
                       removable_boxes, rim_hooks_addable, rim_hooks_removable)
 
 
@@ -882,20 +882,12 @@ def test_m_virasoro_order4_stays_a_tuple_sum():
     assert multi
 
 
-def test_descending_tuples_match_the_recursive_enumeration():
-    # same tuples in the same order, over small lengths, totals and bounds,
-    # including caps above and below the bound and empty enumerations
-    count = 0
-    for length in range(6):
-        for total in range(-5, 6):
-            for bound in range(4):
-                for budget in range(5):
-                    for cap in range(-1, 5):
-                        args = (length, total, bound, budget, cap)
-                        got = list(_descending_tuples(*args))
-                        assert got == list(recursive_descending_tuples(*args)), args
-                        count += len(got)
-    assert count > 1000
+def test_m_virasoro_walk_depth_does_not_grow_with_the_order():
+    # far above the recursion limit: on the vacuum the one tuple that
+    # reaches k = -1 is (0, ..., 0, -1), weight 1/1499! with a0**1499
+    alpha, gamma = Fraction(3, 2), Fraction(-2, 7)
+    got = MVirasoro(1500, -1, alpha, gamma).apply(vacuum())
+    assert got == FockVector.from_partition(P(1), -gamma + alpha ** 1499 / math.factorial(1499))
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -207,6 +207,13 @@ def test_partitions_of_examples_and_order():
         assert parts == sorted(parts, reverse=True)
 
 
+def test_partitions_of_strictly_decrease_in_lex_order():
+    for n in range(21):
+        parts = [p.parts for p in partitions_of(n)]
+        assert all(a > b for a, b in zip(parts, parts[1:])), n
+        assert len(parts) == pentagonal_count(n), n
+
+
 def test_partitions_up_to():
     assert len(partitions_up_to(6)) == sum(pentagonal_count(n) for n in range(7))
 
