@@ -70,9 +70,9 @@ def vir_rows(x: Mapping[int, Scalar], z: Scalar, n_max: int) -> List[Scalar]:
     """
     if n_max < 0:
         raise ValueError("negative row count")
-    ops = [(k, c, virasoro_op(-k, VirasoroParams(alpha=z))) for k, c in _live_jumps(x, n_max)]
-    steps = {s0: [(s0 + k, c * _divided(op._g_at(2 * s0 - 1), op.den))
-                  for k, c, op in ops if s0 + k <= n_max]
+    ops = [(k, op, _divided(c, op.den)) for k, c in _live_jumps(x, n_max)
+           for op in (virasoro_op(-k, VirasoroParams(alpha=z)),)]
+    steps = {s0: [(s0 + k, op._g_at(2 * s0 - 1) * scale) for k, op, scale in ops if s0 + k <= n_max]
              for s0 in range(n_max)}
     rows: List[Scalar] = [Fraction(1)] + [Fraction(0)] * n_max
     for r, f in _path_sums(steps):

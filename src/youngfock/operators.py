@@ -291,7 +291,6 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
     any order, and indices lie in [-(degree+|k|), degree]."""
     d = state.degree
     bound = d + abs(k)
-    full = math.factorial(order)
     acc: Dict[MayaState, Tuple[int, Dict[int, int]]] = {}
     if k != 0:
         for s1, sign, _ in boson_moves(k, state):
@@ -300,15 +299,15 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
         acc[state] = (1, {})
 
     def walk(image: Dict[MayaState, int], length: int, total: int, last: int, budget: int,
-             runs: int, run: int):
-        # runs: the product of run! over the prefix's runs of equal indices,
-        # run: the length of its last run; budget: the degree left to annihilate
+             weight: int, run: int):
+        # weight: M! over the product of run! over the prefix's runs of equal
+        # indices, run: the length of its last run; budget: the degree left
         if total == k:
             j = order - length
-            weight = full // (math.factorial(j) * runs)
+            w = weight // math.factorial(j)
             for s, g in image.items():
                 sums = acc.setdefault(s, (0, {}))[1]
-                sums[j] = sums.get(j, 0) + weight * g
+                sums[j] = sums.get(j, 0) + w * g
         left = order - length - 1  # slots after the next index
         if left < 0:
             return
@@ -328,9 +327,9 @@ def _m_virasoro_state(order: int, k: int, state: MayaState):
             nxt = {s: g for s, g in nxt.items() if g}
             if nxt:
                 r = run + 1 if e == last else 1
-                walk(nxt, length + 1, total + e, e, budget - max(e, 0), runs * r, r)
+                walk(nxt, length + 1, total + e, e, budget - max(e, 0), weight // r, r)
 
-    walk({state: 1}, 0, 0, d + 1, d, 1, 0)
+    walk({state: 1}, 0, 0, d + 1, d, math.factorial(order), 0)
     return tuple((s, sign, tuple(sums.items()))
                  for s, (sign, sums) in acc.items() if sign or any(sums.values()))
 
