@@ -148,13 +148,3 @@ def b_coeff_closed(n: int, x: Mapping[int, Scalar]) -> Scalar:
             total = total + Fraction((-1) ** (r - 1), r) * h[n]
     return total
 
-
-def y_side_params(y: Mapping[int, Scalar], w: Scalar, n_max: int) -> Tuple[List[Scalar], List[LinearInZ]]:
-    """Schur parameters for the bra side plus their w-linearity witnesses.
-
-    Reversing a lowering path turns it into a raising path with the same
-    per-jump factor in w, so the pipeline is the x-side one verbatim; one
-    inversion over the polynomial ring gives both, Y_N = C_N*w + D_N.
-    """
-    witnesses = list(split_linear(schur_params_from_vir(y, Poly.gen(), n_max), "Y", "w"))
-    return [wit.a * w + wit.b for wit in witnesses], witnesses

@@ -459,9 +459,9 @@ def scalar_to_json(a: Scalar):
     return rational_str(a)
 
 
-def random_rational(rng, nonzero: bool = False, span: int = 9) -> Fraction:
-    """Small random rational from a seeded rng; deterministic given the seed."""
+def random_rational(rng, nonzero: bool = False) -> Fraction:
+    """Small random rational p/q, |p| <= 9 and 1 <= q <= 9, from a seeded rng; deterministic."""
     while True:
-        q = Fraction(rng.randint(-span, span), rng.randint(1, span))
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         if q != 0 or not nonzero:
             return q

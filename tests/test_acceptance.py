@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from youngfock.cli import main as cli_main
-from youngfock.conversion import schur_params_from_vir, vir_rows, y_side_params, z_linearity_witness
+from youngfock.conversion import schur_params_from_vir, split_linear, vir_rows, z_linearity_witness
 from youngfock.fock import FockVector
 from youngfock.measures import (
     MeasureSpec,
@@ -26,7 +26,7 @@ from youngfock.measures import (
 )
 from youngfock.operators import KerovParams, boson_op
 from youngfock.partitions import partitions_of
-from youngfock.rings import random_rational, series_exp
+from youngfock.rings import Poly, random_rational, series_exp
 from youngfock.suites import run_suite
 
 from .oracles import rim_hooks_addable
@@ -34,6 +34,14 @@ from .oracles import rim_hooks_addable
 # c07 is a falsified identity that stays red with its body exactly as
 # written; it builds its virasoro table under this name
 virasoro_weight_table = weight_table
+
+
+def y_side_params(y, w, n_max):
+    """The bra side's Schur parameters at w and their w-linearity
+    witnesses, as c07 and c08 read them: one inversion over the
+    polynomial ring in w, split as Y_N = C_N*w + D_N."""
+    witnesses = list(split_linear(schur_params_from_vir(y, Poly.gen(), n_max), "Y", "w"))
+    return [wit.a * w + wit.b for wit in witnesses], witnesses
 
 
 class Timer:

@@ -551,6 +551,13 @@ GOLDEN_STDOUT = [
     (0, "e1f501593ade3afd7917408ae37eb757f278e2405552b4182fcf88037ba45141",
      ["measure", "--w=1/2", "--kind=m-virasoro", "--m=3", "--gamma=-1/5", "--ring=poly-z",
       "--x=1=1/3,2=1/5,3=-1/7", "--y=1=-2/7,3=1/3", "--max-degree=7"]),
+    # the last two suites without a default-degree golden: the w-mirror of
+    # z-linearity to degree 6, and the prop62 brackets at degree 3 with
+    # modes k <= 2, so every suite's default knobs are pinned
+    (0, "504347addb8df5ff577e19e8ea6bd2f0e6ce9fe705fd07038be27d8348e0b5d7",
+     ["verify", "--suite=z-linearity"]),
+    (0, "7ece8aea81b17eabd85581f2fc2f89e43b91e0883c4658f5fe003df25adf5876",
+     ["verify", "--suite=prop62"]),
 ]
 
 

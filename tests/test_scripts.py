@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -153,3 +154,22 @@ def test_benchmark_job_matches_its_golden_digest(workload, job, capsys):
     out = capsys.readouterr().out
     assert rc == job["expect_rc"]
     assert _CHECKS.content_digest(out) == _GOLDENS[workload][job["id"]]
+
+
+def test_stdout_digests_match_fresh_processes_on_the_convert_jobs(capsys):
+    # the script's in-process runs print the digests of exactly what a
+    # fresh `python -m youngfock` prints, job by job, in job-list order
+    module = _load(ROOT / "scripts" / "stdout_digests.py")
+    assert module.main(["--seed", "0", "--workload", "convert"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    jobs = _WORKLOADS.jobs_for("convert", 0)
+    assert [line.split()[:3] for line in lines] == [["convert", "0", job["id"]] for job in jobs]
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    for line, job in zip(lines, jobs):
+        proc = subprocess.run([sys.executable, "-m", "youngfock", *job["argv"]],
+                              capture_output=True, text=True, env=env, timeout=120)
+        sha = [hashlib.sha256(text.encode()).hexdigest() for text in (proc.stdout, proc.stderr)]
+        assert line.split()[3:] == [f"rc={proc.returncode}", f"out={sha[0]}", f"err={sha[1]}"]
+        assert proc.returncode == job["expect_rc"] and proc.stdout and not proc.stderr

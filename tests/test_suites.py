@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -23,6 +24,14 @@ def test_suite_registry_complete():
         "determinancy", "z-linearity", "rank", "kernels", "m-virasoro",
         "prop52", "prop62",
     }
+
+
+def test_every_suite_takes_only_a_seed_and_a_degree():
+    # draw counts and mode or hook bounds are registry constants: they
+    # print in params but no caller can pass them
+    for name, fn in SUITES.items():
+        assert list(inspect.signature(fn).parameters) == ["seed", "max_degree"], name
+        assert fn(seed=3, max_degree=1) == run_suite(name, seed=3, max_degree=1)
 
 
 def test_unknown_suite_raises():
