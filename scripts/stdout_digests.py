@@ -12,12 +12,11 @@ suite at that seed and its default degree, each through
 
     <workload> <seed> <job id> rc=<exit code> out=<sha256> err=<sha256>
 
-where the digests are of the exact stdout and stderr text.  ``--workload``
-(repeatable) limits the runs to some of ``tables``, ``convert``, ``rank``,
-``verify`` and ``suites``, the last being the suite runs.  Run it in two
-checkouts and diff the outputs: equal files mean equal stdout, stderr and
-exit codes on every job.  It imports ``youngfock`` from this checkout's
-``src`` and only reads ``perfbench/``.
+where ``<workload>`` is one of the ``perfbench`` workloads or ``suites``
+for the suite runs, and the digests are of the exact stdout and stderr
+text.  Run it in two checkouts and diff the outputs: equal files mean
+equal stdout, stderr and exit codes on every job.  It imports
+``youngfock`` from this checkout's ``src`` and only reads ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -77,14 +76,11 @@ def digest_lines(workloads: List[str], seeds: List[int]) -> Iterator[str]:
 
 
 def main(argv=None) -> int:
-    names = sorted(WORKLOADS.WORKLOADS) + ["suites"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, action="append",
                         help="a job-list seed (repeatable; default 0)")
-    parser.add_argument("--workload", choices=names, action="append",
-                        help="one workload to run (repeatable; default all)")
     args = parser.parse_args(argv)
-    for line in digest_lines(args.workload or names, args.seed or [0]):
+    for line in digest_lines(sorted(WORKLOADS.WORKLOADS) + ["suites"], args.seed or [0]):
         print(line)
     return 0
 

@@ -96,7 +96,7 @@ SUITES: Dict[str, Callable[..., dict]] = {}
 def _suite(name: str, identity: str, max_degree: int, seeded: bool = True, **constants):
     """Register a suite body in :data:`SUITES` under ``name``.
 
-    The body takes (rng, max_degree, *constants), the rng seeded by the
+    The body takes (rng, max_degree, **constants), the rng seeded by the
     run, and yields its checks (dicts with ``ok``) and probes (dicts
     with ``holds``) in order.  The registered function takes only
     ``seed`` and ``max_degree`` and returns the report; its ``params``
@@ -106,7 +106,7 @@ def _suite(name: str, identity: str, max_degree: int, seeded: bool = True, **con
     def register(body):
         def suite(seed: int = 0, max_degree: int = max_degree) -> dict:
             checks, probes = [], []
-            for item in body(random.Random(seed), max_degree, *constants.values()):
+            for item in body(random.Random(seed), max_degree, **constants):
                 (checks if "ok" in item else probes).append(item)
             params = {"max_degree": max_degree, **constants}
             if seeded:

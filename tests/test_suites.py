@@ -31,7 +31,6 @@ def test_every_suite_takes_only_a_seed_and_a_degree():
     # print in params but no caller can pass them
     for name, fn in SUITES.items():
         assert list(inspect.signature(fn).parameters) == ["seed", "max_degree"], name
-        assert fn(seed=3, max_degree=1) == run_suite(name, seed=3, max_degree=1)
 
 
 def test_unknown_suite_raises():
