@@ -558,6 +558,14 @@ GOLDEN_STDOUT = [
      ["verify", "--suite=z-linearity"]),
     (0, "7ece8aea81b17eabd85581f2fc2f89e43b91e0883c4658f5fe003df25adf5876",
      ["verify", "--suite=prop62"]),
+    # the conversion rows and their logarithm past the benchmark's degrees,
+    # on modes 1-3 over denominators 3, 5 and 7, in both rings
+    (0, "1f26bfa01d7856f47d1a0984b3fd725dc278becb9e2b5c558e348af9188941f2",
+     ["convert", "--max-degree=14", "--x=1=1/3,2=-2/5,3=1/7", "--y=1=2/5,2=-1/3,3=2/7",
+      "--z=1/2", "--w=-1/3"]),
+    (0, "02e6f52aad01fa8e774b9ee4d7d255dfd71180b85f1bc41e08cc4476009278a0",
+     ["convert", "--y=1=1/5,2=2/3,3=-2/7", "--ring=poly-z", "--max-degree=14",
+      "--x=1=-1/3,2=2/5,3=-1/7"]),
 ]
 
 
