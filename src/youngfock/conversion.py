@@ -3,11 +3,14 @@
 The single-row coefficient v_N of the raising exponential is a sum over
 jump paths of one particle.  :func:`vir_rows` gets all rows up to N from
 one dynamic programme over (jump count, running total), in O(N^2 |x|)
-ring operations.  The equivalent Schur parameters solve s_N(X) = v_N,
+ring operations on int numerators (int-coefficient ``Poly`` over a
+``Poly`` z) over one clearing int M, with one division per row.  The
+equivalent Schur parameters solve s_N(X) = v_N,
 i.e. 1 + sum v_N u^N = exp(sum X_N u^N), so X is the series logarithm of
-the rows (``rings.series_log``).  They stay linear in z (and Y_N linear
-in w).  The closed formulas for A_N and B_N are evaluated by their own
-dynamic programmes, independent of the logarithm route.
+the rows (``rings.series_log``, also in integers with one division per
+level).  They stay linear in z (and Y_N linear in w).  The closed
+formulas for A_N and B_N are evaluated by their own dynamic programmes
+in ``Fraction`` arithmetic, independent of the logarithm route.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Tuple
 
-from .fock import _divided
 from .operators import VirasoroParams, virasoro_op
-from .rings import Frozen, Poly, Scalar, is_zero, series_log
+from .rings import Frozen, Poly, Scalar, _cleared, _divided, denominator, is_zero, series_log
 
 
 class LinearInZ(Frozen):
@@ -39,9 +41,10 @@ def _path_sums(steps: Mapping[int, List[Tuple[int, Scalar]]]) -> Iterator[Tuple[
     """Yield (R, f_R) for R = 1, 2, ... while some total is reachable:
     f_R[s] sums, over the R-step paths from 0 to s, the product of the
     step weights, where steps[s0] lists the (target, weight) pairs out of
-    s0.  Only reachable totals are keys, so a total with no path stays
-    out of f_R instead of reading a zero of some ring."""
-    layer: Dict[int, Scalar] = {0: Fraction(1)}
+    s0.  The paths start from the int 1, so int weights give int sums.
+    Only reachable totals are keys, so a total with no path stays out of
+    f_R instead of reading a zero of some ring."""
+    layer: Dict[int, Scalar] = {0: 1}
     r = 0
     while True:
         nxt: Dict[int, Scalar] = {}
@@ -62,23 +65,32 @@ def vir_rows(x: Mapping[int, Scalar], z: Scalar, n_max: int) -> List[Scalar]:
 
     v_s sums (prod x_k) * (path product) / R! over the jump paths of R
     jumps and total s.  A jump of k from -1/2 + s0 weighs z + s0 + (k - 1)/2:
-    the cleared weight of ``virasoro_op(-k)`` at alpha = z at the doubled
-    start 2*s0 - 1, over its den.  So f[R][s], the sum of the
-    weighted R-jump paths to s, is sum_k f[R-1][s-k] * x_k * (that weight),
-    and v_s = sum_R f[R][s] / R!.  A row with no live path (every path
-    uses some x_k = 0) stays Fraction(0).
+    the cleared weight g(2*s0 - 1) of ``virasoro_op(-k)`` at alpha = z,
+    over its den.  With M the lcm of the denominators of every x_k/den,
+    a jump of k is scaled by M^k, so each step weight x_k/den * M^k * g is
+    an int (an int-coefficient ``Poly`` over a ``Poly`` z), and a path to s
+    carries M^s.  So f[R][s], the sum of the scaled R-jump paths to s, is
+    sum_k f[R-1][s-k] * (that weight), V_s = sum_R f[R][s] * s!/R! sums in
+    integers, and each row divides once: v_s = V_s / (s! M^s).  A row with
+    no live path (every path uses some x_k = 0) stays Fraction(0); a
+    polynomial row that cancels is Poly().
     """
     if n_max < 0:
         raise ValueError("negative row count")
     ops = [(k, op, _divided(c, op.den)) for k, c in _live_jumps(x, n_max)
            for op in (virasoro_op(-k, VirasoroParams(alpha=z)),)]
-    steps = {s0: [(s0 + k, op._g_at(2 * s0 - 1) * scale) for k, op, scale in ops if s0 + k <= n_max]
+    m = denominator(*(scale for _, _, scale in ops))
+    steps = {s0: [(s0 + k, op._g_at(2 * s0 - 1) * _cleared(scale, m ** k))
+                  for k, op, scale in ops if s0 + k <= n_max]
              for s0 in range(n_max)}
-    rows: List[Scalar] = [Fraction(1)] + [Fraction(0)] * n_max
+    sums: Dict[int, Scalar] = {}
     for r, f in _path_sums(steps):
-        inv = Fraction(1, math.factorial(r))
         for s, val in f.items():
-            rows[s] = rows[s] + val * inv
+            term = val * (math.factorial(s) // math.factorial(r))
+            sums[s] = sums[s] + term if s in sums else term
+    rows: List[Scalar] = [Fraction(1)] + [Fraction(0)] * n_max
+    for s, val in sums.items():
+        rows[s] = _divided(val, math.factorial(s) * m ** s)
     return rows
 
 

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .partitions import HalfInt, Partition, partitions_of
-from .rings import Frozen, Scalar, _cleared, denominator, is_zero, scalar_to_json
+from .rings import Frozen, Scalar, _cleared, _divided, denominator, is_zero, scalar_to_json
 
 
 class MayaState(Frozen):
@@ -275,11 +275,6 @@ def basis_index(n: int) -> Dict[MayaState, int]:
 
 def vacuum() -> FockVector:
     return FockVector.basis(VACUUM_STATE)
-
-
-def _divided(n: Scalar, den: int) -> Scalar:
-    """The numerator n over den: a Fraction for an int n, else n / den."""
-    return Fraction(n, den) if type(n) is int else n / den
 
 
 class StateOperator(Frozen):

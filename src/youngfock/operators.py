@@ -115,10 +115,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .fock import (FockVector, MayaState, StateOperator, _divided, basis_index, boson_moves, clear,
+from .fock import (FockVector, MayaState, StateOperator, basis_index, boson_moves, clear,
                    failures)
 from .partitions import Partition
-from .rings import Frozen, Scalar, _cleared, denominator, is_zero, scalar_to_json
+from .rings import Frozen, Scalar, _cleared, _divided, denominator, is_zero, scalar_to_json
 
 
 class KerovParams(Frozen):

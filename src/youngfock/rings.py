@@ -17,7 +17,9 @@ arithmetic once rational rows are cleared of denominators.  :func:`rank`
 back-substitutes in integers and gives primitive integer vectors.
 Truncated power series are plain coefficient lists over either ring;
 :func:`series_exp` and its inverse :func:`series_log` each cost
-O(order^2) ring operations.  No floating point anywhere.
+O(order^2) ring operations; ``series_log`` runs its recurrence on the
+cleared integer terms and divides once per level.  No floating point
+anywhere.
 :class:`Frozen`, the base of the package's immutable value types, lives
 here because every other module imports this one.
 """
@@ -183,6 +185,9 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of Poly by zero")
+            if type(other) is int:  # an int numerator over other, as one Fraction
+                return Poly(tuple(Fraction(c, other) if type(c) is int else c / other
+                                  for c in self.coeffs))
             inv = Fraction(1, 1) / Fraction(other)
             return Poly(tuple(c * inv for c in self.coeffs))
         if isinstance(other, Poly):
@@ -276,6 +281,11 @@ def _cleared(s: Scalar, den: int) -> Scalar:
     """s * den, an int when s is rational (den clears its denominator)."""
     s = s * den
     return s if isinstance(s, Poly) else int(s)
+
+
+def _divided(n: Scalar, den: int) -> Scalar:
+    """The numerator n over den: a Fraction for an int n, else n / den."""
+    return Fraction(n, den) if type(n) is int else n / den
 
 
 # -- fraction-free elimination -------------------------------------------------
@@ -414,21 +424,35 @@ def series_exp(a: Sequence[Scalar], order: int) -> list:
 
 
 def series_log(v: Sequence[Scalar], order: int) -> list:
-    """log of a series with constant term 1, to the given order, by
-    X_n = v_n - (1/n) sum_{j<n} j X_j v_{n-j}: Newton's relation between
-    the complete-homogeneous and power-sum generating series, so
-    ``series_exp(series_log(v, N), N) == v``.  O(order^2) ring operations."""
+    """log of a series with constant term 1, to the given order, so
+    ``series_exp(series_log(v, N), N) == v``.
+
+    Read as an exponential generating function, 1 + sum n! v_n u^n/n! has
+    the cumulants K_n = n! X_n, and K_n = w_n - sum_{j<n} C(n-1, j-1)
+    K_j w_(n-j) with w_n = n! v_n.  Scaling u by an int c scales both
+    sides' n-th terms by c^n.  So a first pass over all levels fixes c,
+    growing it at each level by the part of the denominator of n! v_n
+    that c^n leaves; then every w_n = n! c^n v_n is an int (an
+    int-coefficient ``Poly``), the recurrence runs in integers, and each
+    level divides once: X_n = K_n / (n! c^n).  A level is a ``Poly``
+    exactly when its row or a product of a nonzero earlier level with a
+    row is one.  O(order^2) ring operations."""
     v = series_trim(list(v), order)
     if v[0] != 1:
         raise ValueError("series_log needs constant term 1")
-    out = [Fraction(0)] * (order + 1)
+    c = 1
     for n in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, n):
-            if not is_zero(out[j]):
-                acc = acc + j * out[j] * v[n - j]
-        out[n] = v[n] - acc * Fraction(1, n)
-    return out
+        d = denominator(v[n])
+        d //= math.gcd(d, math.factorial(n))  # the denominator of n! v_n
+        c *= d // math.gcd(d, pow(c, n, d))  # now d divides c^n
+    scales = [math.factorial(n) * c ** n for n in range(order + 1)]
+    w = [_cleared(a, s) for a, s in zip(v, scales)]
+    k = [0] * (order + 1)
+    for n in range(1, order + 1):
+        # skip on a zero K_j only: a zero Poly w_(n-j) still makes the level a Poly
+        k[n] = w[n] - sum((math.comb(n - 1, j - 1) * k[j] * w[n - j]
+                           for j in range(1, n) if k[j]), 0)
+    return [Fraction(0)] + [_divided(a, s) for a, s in zip(k[1:], scales[1:])]
 
 
 # -- parsing / formatting ----------------------------------------------------

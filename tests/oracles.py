@@ -6,7 +6,10 @@ recurrence, border strips from explicit cell geometry, wedge signs
 from a literal prefix-list model of the semi-infinite wedge, and
 determinants and ranks from the Leibniz formula over all minors, and
 the conversion rows, their inversion and the closed A/B formulas from
-explicit sums over all 2^(N-1) jump compositions.  The truncated
+explicit sums over all 2^(N-1) jump compositions.  The Fraction path
+sums of the rows and Newton's recurrence for their logarithm are the
+library's earlier forms, kept as the references for the rows and the
+logarithm on cleared integers.  The truncated
 exponential is summed power by power, and a bracket identity, an
 equivalence pair, the psi brackets of prop52 and prop62 and the order-3
 power-form probe of m-virasoro checked basis vector by basis vector,
@@ -46,6 +49,7 @@ from youngfock.fock import FockVector, MayaState, _divided, basis_index, boson_m
 from youngfock.operators import (
     KerovParams,
     Operator,
+    VirasoroParams,
     boson_op,
     exp_raising,
     kerov_d,
@@ -852,6 +856,47 @@ def schur_params_by_substitution(x, z, n_max):
         a = [Fraction(0)] + xs + [Fraction(0)]
         xs.append(vir_row(n, x, z) - series_exp(a, n)[n])
     return xs
+
+
+def vir_rows_by_fractions(x, z, n_max):
+    """[1, v_1, ..., v_n_max] by the earlier Fraction form of
+    ``conversion.vir_rows``: f[R][s] = sum_k f[R-1][s-k] * (the weight of
+    ``virasoro_op(-k)`` at s - k) * x_k/den, from f[0] = {0: Fraction(1)}
+    over the reachable totals only, and v_s = sum_R f[R][s] / R!, a
+    Fraction division per (R, s)."""
+    ops = [(k, op, _divided(c, op.den)) for k, c in sorted(x.items())
+           if 1 <= k <= n_max and not is_zero(c)
+           for op in (virasoro_op(-k, VirasoroParams(alpha=z)),)]
+    rows = [Fraction(1)] + [Fraction(0)] * n_max
+    layer, r = {0: Fraction(1)}, 0
+    while layer:
+        nxt, r = {}, r + 1
+        for s0, val in layer.items():
+            for k, op, scale in ops:
+                if s0 + k <= n_max:
+                    term = val * (op._g_at(2 * s0 - 1) * scale)
+                    nxt[s0 + k] = nxt[s0 + k] + term if s0 + k in nxt else term
+        for s, val in nxt.items():
+            rows[s] = rows[s] + val * Fraction(1, math.factorial(r))
+        layer = nxt
+    return rows
+
+
+def series_log_by_newton(v, order):
+    """The earlier form of ``rings.series_log``: X_n = v_n - (1/n)
+    sum_{j<n} j X_j v_(n-j) in the ring of the entries, a Fraction
+    division per level, skipping only a zero X_j."""
+    v = list(v[: order + 1]) + [Fraction(0)] * (order + 1 - len(v))
+    if v[0] != 1:
+        raise ValueError("series_log needs constant term 1")
+    out = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for j in range(1, n):
+            if not is_zero(out[j]):
+                acc = acc + j * out[j] * v[n - j]
+        out[n] = v[n] - acc * Fraction(1, n)
+    return out
 
 
 def a_coeff_by_compositions(n, x):

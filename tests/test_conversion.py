@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from youngfock.conversion import (
     LinearInZ,
@@ -17,9 +19,9 @@ from youngfock.fock import vacuum
 from youngfock.measures import schur_polynomial
 from youngfock.operators import VirasoroParams, exp_raising, virasoro_op
 from youngfock.partitions import HalfInt, Partition
-from youngfock.rings import Poly, series_exp
+from youngfock.rings import Poly, series_exp, series_log
 
-from .conftest import rand_q
+from .conftest import rand_q, small_rationals
 from .oracles import (
     JumpComposition,
     a_coeff_by_compositions,
@@ -28,7 +30,9 @@ from .oracles import (
     exp_lowering_bra,
     path_polynomial,
     schur_params_by_substitution,
+    series_log_by_newton,
     vir_row,
+    vir_rows_by_fractions,
 )
 
 
@@ -92,6 +96,53 @@ def test_conversion_matches_composition_oracle(shape, ring):
     for n in range(1, n_max + 1):
         assert a_coeff_closed(n, x) == a_coeff_by_compositions(n, x), n
         assert b_coeff_closed(n, x) == b_coeff_by_compositions(n, x), n
+
+
+# series entries in every ring the logarithm meets: rationals, zeros of
+# both rings, and polynomials with int and with Fraction coefficients
+_entries = st.one_of(small_rationals, st.just(0), st.just(Poly()),
+                     st.lists(st.integers(-5, 5), max_size=3).map(Poly),
+                     st.lists(small_rationals, max_size=3).map(Poly))
+
+
+@given(st.one_of(st.lists(small_rationals, max_size=7), st.lists(_entries, max_size=7)),
+       st.integers(0, 2))
+def test_series_log_matches_newton_recurrence(tail, extra):
+    # value and ring of every level, past the end of the series too
+    v = [Fraction(1)] + tail
+    order = len(tail) + extra
+    got, want = series_log(v, order), series_log_by_newton(v, order)
+    assert len(got) == len(want) and all(map(_same, got, want)), (got, want)
+
+
+@given(st.dictionaries(st.integers(1, 4), small_rationals, max_size=4),
+       st.one_of(small_rationals, st.just(Poly.gen()),
+                 small_rationals.map(lambda q: Poly((q, 1)))),
+       st.integers(0, 8))
+def test_vir_rows_and_logarithm_match_fraction_forms(x, z, n_max):
+    # the cleared rows against the Fraction path sums, zeros of x included,
+    # and the logarithm of either against Newton's recurrence on the other
+    want = vir_rows_by_fractions(x, z, n_max)
+    got = vir_rows(x, z, n_max)
+    assert len(got) == len(want) and all(map(_same, got, want)), (got, want)
+    xs, oracle = schur_params_from_vir(x, z, n_max), series_log_by_newton(want, n_max)[1:]
+    assert all(map(_same, xs, oracle)), (xs, oracle)
+
+
+def test_series_log_keeps_the_ring_of_a_zero_polynomial_row():
+    # level 3 meets the zero Poly row 1 only through the nonzero level 2:
+    # a term skipped on the zero row instead of the zero level would turn
+    # its cancelled Poly() into Fraction(0), which prints differently
+    got = series_log([1, Poly(), Fraction(1, 2), 0], 3)
+    assert _same(got[1], Poly()) and _same(got[2], Fraction(1, 2)) and _same(got[3], Poly())
+
+
+def test_series_log_clears_every_level_with_the_final_factor():
+    # the 7 of row 3 grows the clearing factor after rows 1 and 2 were
+    # seen; clearing them with the smaller factor would misscale them
+    v = [1, Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)]
+    assert series_log(v, 3) == series_log_by_newton(v, 3)
+    assert series_exp(series_log(v, 3), 3) == v
 
 
 def test_vir_row_examples():
