@@ -121,7 +121,7 @@ def test_series_log_matches_newton_recurrence(tail, extra):
        st.integers(0, 8))
 def test_vir_rows_and_logarithm_match_fraction_forms(x, z, n_max):
     # the cleared rows against the Fraction path sums, zeros of x included,
-    # and the logarithm of either against Newton's recurrence on the other
+    # and the parameters against Newton's recurrence on the Fraction rows
     want = vir_rows_by_fractions(x, z, n_max)
     got = vir_rows(x, z, n_max)
     assert len(got) == len(want) and all(map(_same, got, want)), (got, want)
