@@ -185,11 +185,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of Poly by zero")
-            if type(other) is int:  # an int numerator over other, as one Fraction
-                return Poly(tuple(Fraction(c, other) if type(c) is int else c / other
-                                  for c in self.coeffs))
-            inv = Fraction(1, 1) / Fraction(other)
-            return Poly(tuple(c * inv for c in self.coeffs))
+            return Poly(tuple(Fraction(c, other) if type(c) is int else c / other
+                              for c in self.coeffs))
         if isinstance(other, Poly):
             q, r = _divmod_poly(self, other)
             if r:
@@ -423,6 +420,24 @@ def series_exp(a: Sequence[Scalar], order: int) -> list:
     return out
 
 
+# the primes whose exponent _least_root splits; a larger prime is not found
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)))
+
+
+def _least_root(r: int, n: int) -> int:
+    """The least g with r | g^n, on the primes below 100 of r: each enters
+    at the ceiling of its exponent over n.  The part of r left by them
+    enters whole, since splitting it would take factoring."""
+    g = 1
+    for p in _SMALL_PRIMES:
+        e = 0
+        while r % p == 0:
+            r //= p
+            e += 1
+        g *= p ** -(-e // n)
+    return g * r
+
+
 def series_log(v: Sequence[Scalar], order: int) -> list:
     """log of a series with constant term 1, to the given order, so
     ``series_exp(series_log(v, N), N) == v``.
@@ -430,13 +445,17 @@ def series_log(v: Sequence[Scalar], order: int) -> list:
     Read as an exponential generating function, 1 + sum n! v_n u^n/n! has
     the cumulants K_n = n! X_n, and K_n = w_n - sum_{j<n} C(n-1, j-1)
     K_j w_(n-j) with w_n = n! v_n.  Scaling u by an int c scales both
-    sides' n-th terms by c^n.  So a first pass over all levels fixes c,
-    growing it at each level by the part of the denominator of n! v_n
-    that c^n leaves; then every w_n = n! c^n v_n is an int (an
-    int-coefficient ``Poly``), the recurrence runs in integers, and each
-    level divides once: X_n = K_n / (n! c^n).  A level is a ``Poly``
-    exactly when its row or a product of a nonzero earlier level with a
-    row is one.  O(order^2) ring operations."""
+    sides' n-th terms by c^n.  So a first pass over all levels fixes c:
+    each level multiplies it by the least g for which (c g)^n clears
+    n! v_n, that is the least n-th root (:func:`_least_root`) of the part
+    r of that denominator which c^n leaves.  Then every w_n = n! c^n v_n
+    is an int (an int-coefficient ``Poly``), the recurrence runs in
+    integers, and each level divides once: X_n = K_n / (n! c^n).  While
+    the denominators have no prime of 100 or more, c is the least int
+    that clears every level, so on ``conversion.vir_rows`` output it
+    divides M.  A level is a ``Poly`` exactly when its row or a product
+    of a nonzero earlier level with a row is one.  O(order^2) ring
+    operations."""
     v = series_trim(list(v), order)
     if v[0] != 1:
         raise ValueError("series_log needs constant term 1")
@@ -444,7 +463,7 @@ def series_log(v: Sequence[Scalar], order: int) -> list:
     for n in range(1, order + 1):
         d = denominator(v[n])
         d //= math.gcd(d, math.factorial(n))  # the denominator of n! v_n
-        c *= d // math.gcd(d, pow(c, n, d))  # now d divides c^n
+        c *= _least_root(d // math.gcd(d, pow(c, n, d)), n)  # now d divides c^n
     scales = [math.factorial(n) * c ** n for n in range(order + 1)]
     w = [_cleared(a, s) for a, s in zip(v, scales)]
     k = [0] * (order + 1)

@@ -11,6 +11,7 @@ from youngfock.rings import (
     det,
     _cleared,
     _eliminate,
+    _least_root,
     denominator,
     divexact,
     kernel,
@@ -193,6 +194,17 @@ def test_series_log_over_polynomials_and_bad_constant_term():
     for bad in ([Fraction(2), t], [Fraction(0)], [t + 1, t]):
         with pytest.raises(ValueError):
             series_log(bad, 1)
+
+
+@given(st.lists(st.sampled_from([2, 3, 5, 7, 97, 101]), max_size=8), st.integers(1, 5))
+def test_least_root_is_the_least_nth_root_on_the_primes_below_100(primes, n):
+    # r | g^n, no prime below 100 can leave g, and 101 enters at its whole exponent
+    r = math.prod(primes)
+    g = _least_root(r, n)
+    assert g ** n % r == 0
+    assert all((g // p) ** n % r for p in (2, 3, 5, 7, 97) if g % p == 0)
+    assert g % 101 ** primes.count(101) == 0 and (g // 101 ** primes.count(101)) % 101
+    assert _least_root(27, 3) == 3 and _least_root(2 ** 5 * 9, 2) == 2 ** 3 * 3
 
 
 @given(st.lists(small_rationals, min_size=1, max_size=4),
