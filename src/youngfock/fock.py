@@ -3,8 +3,10 @@
 States of the semi-infinite wedge are encoded canonically by their finite
 deviation from the charge-0 vacuum: ``above`` holds occupied positive
 positions, ``below`` holds vacated negative positions (both as doubled
-odd integers, descending).  Creation/annihilation signs are counted
-mechanically from the number of particles above the insertion point, so
+odd integers, descending).  One rule moves a particle,
+:meth:`MayaState._moved`: its sign is (-1) to the number of occupied
+positions strictly between the two ends, a missing end lying above every
+particle.  psi_x, psi*_x and every jump of :func:`boson_moves` use it, so
 the Murnaghan-Nakayama sign rule downstream is a theorem to test, not an
 input.
 
@@ -15,6 +17,7 @@ and :func:`failures` is the one basis walk behind every identity check.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -56,38 +59,40 @@ class MayaState(Frozen):
     def _occupied_d(self, d: int) -> bool:
         return d in self.above if d > 0 else d not in self.below
 
-    def particles_above(self, x: HalfInt) -> int:
-        """Number of occupied positions strictly greater than x."""
-        d = x.doubled
-        count = sum(1 for a in self.above if a > d)
-        if d < 0:
-            count += (-d - 1) // 2  # vacuum positions in (d, 0)
-            count -= sum(1 for b in self.below if b > d)
-        return count
-
     def insert(self, x: HalfInt) -> Optional[Tuple[int, "MayaState"]]:
         """Add a particle at x; None if occupied.  Returns (sign, state)."""
-        d = x.doubled
-        if self._occupied_d(d):
-            return None
-        sign = -1 if self.particles_above(x) % 2 else 1
-        if d > 0:
-            above = tuple(sorted(self.above + (d,), reverse=True))
-            return sign, MayaState(above, self.below)
-        below = tuple(b for b in self.below if b != d)
-        return sign, MayaState(self.above, below)
+        return self._moved(None, x.doubled)
 
     def remove(self, x: HalfInt) -> Optional[Tuple[int, "MayaState"]]:
         """Remove the particle at x; None if vacant.  Returns (sign, state)."""
-        d = x.doubled
-        if not self._occupied_d(d):
+        return self._moved(x.doubled, None)
+
+    def _moved(self, d: Optional[int], t: Optional[int]) -> Optional[Tuple[int, "MayaState"]]:
+        """Move the particle at doubled position d to t: ``d=None`` adds one
+        at t, ``t=None`` removes the one at d.  None where d is vacant or t
+        is occupied; else (sign, state), the sign (-1)**(occupied positions
+        strictly between d and t), a missing end lying above every particle."""
+        if d is not None and not self._occupied_d(d) or t is not None and self._occupied_d(t):
             return None
-        sign = -1 if self.particles_above(x) % 2 else 1
-        if d > 0:
-            above = tuple(a for a in self.above if a != d)
-            return sign, MayaState(above, self.below)
-        below = tuple(sorted(self.below + (d,), reverse=True))
-        return sign, MayaState(self.above, below)
+        above, below = self.above, self.below
+        if d is None or t is None:
+            lo, hi = (t if d is None else d), math.inf
+        else:
+            lo, hi = (t, d) if t < d else (d, t)
+        between = sum(1 for a in above if lo < a < hi)
+        if lo < 0:  # sea positions in (lo, min(hi, 0)), less the vacated ones
+            between += (min(hi, 1) - lo) // 2 - 1 - sum(1 for b in below if lo < b < hi)
+        if d is not None:
+            if d > 0:
+                above = tuple(a for a in above if a != d)
+            else:
+                below = tuple(sorted(below + (d,), reverse=True))
+        if t is not None:
+            if t > 0:
+                above = tuple(sorted(above + (t,), reverse=True))
+            else:
+                below = tuple(b for b in below if b != t)
+        return -1 if between % 2 else 1, _interned(above, below)
 
     def sort_key(self):
         return (self.charge, self.degree, self.above, self.below)
@@ -302,8 +307,8 @@ class StateOperator(Frozen):
 
 class Psi(StateOperator):
     """The creation operator psi_x: on a basis state, the one (state,
-    sign) pair of :meth:`MayaState.insert` over den 1, or nothing where x
-    is occupied."""
+    sign) pair of :meth:`MayaState.insert`, the move of a new particle to
+    x, over den 1, or nothing where x is occupied."""
 
     __slots__ = _fields = ("x",)
     den = 1
@@ -369,32 +374,15 @@ def boson_moves(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, int], .
     enumeration behind every fermion bilinear, the mode-k boson being the
     sum of the signs.
 
-    The jump d -> t = d - 2k has the sign (-1)**(occupied positions
-    strictly between t and d), which is what removing the particle at d
-    and inserting it at t give.  Candidates outside the deviation window
-    act trivially.
+    The jump d -> t = d - 2k is :meth:`MayaState._moved` (d, t), with the
+    sign (-1)**(occupied positions strictly between t and d).  Candidates
+    outside the deviation window act trivially.
     """
     if k == 0:
         raise ValueError("use the zero-mode action for k = 0")
-    above, below = state.above, state.below
-    candidates = set(above)
-    candidates.update(b + 2 * k for b in below)
+    candidates = set(state.above)
+    candidates.update(b + 2 * k for b in state.below)
     if k < 0:
         candidates.update(range(-1, 2 * k, -2))  # sea positions within reach of 0
-    out = []
-    for d in sorted(candidates, reverse=True):
-        t = d - 2 * k
-        if not state._occupied_d(d) or state._occupied_d(t):
-            continue
-        lo, hi = (t, d) if t < d else (d, t)
-        between = sum(1 for a in above if lo < a < hi)
-        if lo < 0:  # sea positions in (lo, min(hi, 0)), less the vacated ones
-            between += (min(hi, 1) - lo) // 2 - 1 - sum(1 for b in below if lo < b < hi)
-        new_above = tuple(a for a in above if a != d) if d > 0 else above
-        new_below = tuple(b for b in below if b != t) if t < 0 else below
-        if t > 0:
-            new_above = tuple(sorted(new_above + (t,), reverse=True))
-        if d < 0:
-            new_below = tuple(sorted(new_below + (d,), reverse=True))
-        out.append((MayaState(new_above, new_below), -1 if between % 2 else 1, d))
-    return tuple(out)
+    return tuple((hit[1], hit[0], d) for d in sorted(candidates, reverse=True)
+                 if (hit := state._moved(d, d - 2 * k)))

@@ -9,9 +9,9 @@ state.  That is ``op.den`` times the matrix, with ``int`` entries
 neither rank nor kernel, so ranks, kernels and the u-image rank
 eliminate these rows directly (:func:`rings.rank`, :func:`rings.kernel`);
 kernel vectors are primitive integer vectors {state: int}, one per free
-column.  D*v, L*v - (z*w + 2N)*v and the u-image rows are each one
-:func:`fock.image` of a kernel vector.  A ``FockVector`` is built only
-for the generator relations of :func:`decomposition_report`.
+column.  D*v and the u-image rows are each one :func:`fock.image` of a
+kernel vector; L, diagonal, is read state by state.  A ``FockVector`` is
+built only for the generator relations of :func:`decomposition_report`.
 """
 
 from __future__ import annotations
@@ -69,14 +69,15 @@ def kernel_basis(op: Operator, n: int) -> List[Vector]:
 def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[Vector], bool, bool]:
     """Kernel vectors of the removal operator at degree n; whether it
     kills every one; and whether every one carries the diagonal
-    eigenvalue z*w + 2n."""
+    eigenvalue z*w + 2n: L is diagonal, so each state of a kernel vector
+    must have the one L numerator den*(z*w + 2n)."""
     p = KerovParams(z=z, w=w)
     d_op, l_op = kerov_d(p), kerov_l(p)
     vectors = kernel_basis(d_op, n)
     d_terms = clear([(1, d_op, None)])[1]
-    l_terms = clear([(1, l_op, None), (-(z * w + 2 * n), None, None)])[1]
     killed = not any(image(d_terms, vec) for vec in vectors)
-    eigen = not any(image(l_terms, vec) for vec in vectors)
+    target = l_op.den * (z * w + 2 * n)
+    eigen = all(l_op.numerators(st) == ((st, target),) for vec in vectors for st in vec)
     return vectors, killed, eigen
 
 

@@ -32,7 +32,10 @@ and the earlier jump through ``MayaState.remove`` then ``insert`` are
 the references for the jump kernel ``fock.boson_moves``.  ``psi`` and ``psi_star`` create and
 annihilate a particle through ``MayaState.insert`` and ``remove``: the
 first is the earlier ``fock.psi``, the reference for ``fock.Psi``, the
-second only a partner to test it against.  The z-measure weight, a product over the
+second only a partner to test it against.  Those three share
+``MayaState._moved`` with the library, so a sign error common to both
+sides would cancel; the literal prefix model, in any charge sector,
+shares no code with it.  The z-measure weight, a product over the
 boxes of their contents and hook lengths, and its normalizer summed as a
 rising factorial are the closed form of the virasoro table at one Miwa
 variable per side.
@@ -467,17 +470,26 @@ def sparse_rows(matrix):
 # -- literal prefix-list model of the wedge ---------------------------------
 #
 # A state is a strictly decreasing tuple of doubled half-integer
-# coordinates: the first len(prefix) particles, an implicit vacuum tail
+# coordinates: the first len(prefix) particles, an implicit full sea
 # below.  Insertions scan for the slot, so the sign is literally the
 # number of transpositions.
 
-def prefix_of_partition(parts, depth: int):
+def prefix_of_partition(parts, depth: int, charge: int = 0):
+    """The first ``depth`` particles of the diagram in the given charge
+    sector: row i at doubled position 2(parts_i - i + charge) + 1."""
     parts = tuple(parts)
     out = []
     for i in range(1, depth + 1):
         p = parts[i - 1] if i <= len(parts) else 0
-        out.append(2 * (p - i) + 1)
+        out.append(2 * (p - i + charge) + 1)
     return tuple(out)
+
+
+def state_of_prefix(prefix) -> MayaState:
+    """The Maya state of a prefix: its positive entries occupied, and the
+    negative positions above its lowest entry vacated unless listed."""
+    return MayaState(tuple(e for e in prefix if e > 0),
+                     tuple(e for e in range(-1, prefix[-1], -2) if e not in prefix))
 
 
 def naive_insert(prefix, d):
@@ -500,18 +512,31 @@ def naive_remove(prefix, d):
     return sign, prefix[:pos] + prefix[pos + 1:]
 
 
+def naive_move(prefix, d, t):
+    """The particle at d moved to t as removal then insertion (``d=None``
+    only inserts at t, ``t=None`` only removes at d); None where d is
+    vacant or t occupied."""
+    if d is None:
+        return naive_insert(prefix, t)
+    removed = naive_remove(prefix, d)
+    if t is None or removed is None:
+        return removed
+    if t in prefix:
+        return None
+    sign, new = naive_insert(removed[1], t)
+    return removed[0] * sign, new
+
+
 def naive_boson(k, prefix):
     """a_k on a prefix state: all jumps d -> d - 2k inside the window."""
     out = {}
     for d in prefix:
         target = d - 2 * k
-        if target in prefix:
-            continue
         if target < prefix[-1]:
             continue  # leaves the window: treat as vacuum-blocked
-        s1, mid = naive_remove(prefix, d)
-        s2, new = naive_insert(mid, target)
-        out[new] = out.get(new, 0) + s1 * s2
+        hit = naive_move(prefix, d, target)
+        if hit:
+            out[hit[1]] = out.get(hit[1], 0) + hit[0]
     return {s: c for s, c in out.items() if c}
 
 

@@ -19,18 +19,19 @@ from youngfock.rings import Poly, scalar_to_json
 
 from .conftest import partitions, small_rationals
 from .oracles import (
-    as_partition_dict,
     boson_moves_by_remove_insert,
     boson_zero_eigenvalue,
     charged_states,
     inner,
     naive_boson,
     naive_insert,
+    naive_move,
     naive_remove,
     prefix_of_partition,
     psi,
     psi_star,
     rim_hooks_addable,
+    state_of_prefix,
 )
 
 
@@ -84,25 +85,36 @@ def test_psi_examples():
     assert psi_star(h(3), vacuum()).is_zero()
 
 
-@given(partitions(max_size=6), st.integers(min_value=-4, max_value=4))
-def test_psi_signs_against_prefix_model(lam, pos_index):
+def _by_prefix_model(hit):
+    """A (sign, prefix) result of the prefix model as (sign, state)."""
+    return None if hit is None else (hit[0], state_of_prefix(hit[1]))
+
+
+@given(partitions(max_size=6), st.integers(min_value=-4, max_value=4),
+       st.integers(min_value=-2, max_value=2))
+def test_psi_signs_against_prefix_model(lam, pos_index, charge):
     d = 2 * pos_index + 1
-    depth = len(lam) + 5
-    prefix = prefix_of_partition(lam.parts, depth)
-    state = MayaState.from_partition(lam)
-    got = state.insert(h(d))
-    want = naive_insert(prefix, d)
-    if want is None:
-        assert got is None
-    else:
-        sign, new_prefix = want
-        assert got is not None and got[0] == sign
-    got = state.remove(h(d))
-    want = naive_remove(prefix, d)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None and got[0] == want[0]
+    depth = len(lam) + 7
+    prefix = prefix_of_partition(lam.parts, depth, charge)
+    state = MayaState.from_partition(lam, charge)
+    assert state_of_prefix(prefix) == state
+    assert state.insert(h(d)) == _by_prefix_model(naive_insert(prefix, d))
+    assert state.remove(h(d)) == _by_prefix_model(naive_remove(prefix, d))
+
+
+@pytest.mark.parametrize("charge", range(-2, 3))
+def test_moves_against_prefix_model(charge):
+    # every move between positions -11/2..11/2, or to or from outside the
+    # state, on every state of degree <= 5 in the sector
+    ends = [None] + list(range(-11, 12, 2))
+    for n in range(6):
+        for lam in partitions_of(n):
+            prefix = prefix_of_partition(lam.parts, len(lam) + 9, charge)
+            state = MayaState.from_partition(lam, charge)
+            for d in ends:
+                for t in ends if d is not None else ends[1:]:
+                    want = _by_prefix_model(naive_move(prefix, d, t))
+                    assert state._moved(d, t) == want, (lam, charge, d, t)
 
 
 def test_car_relations():
@@ -165,20 +177,17 @@ def test_boson_zero_examples():
 
 
 def test_boson_against_prefix_model():
-    for n in range(7):
-        for lam in partitions_of(n):
-            for k in list(range(-5, 0)) + list(range(1, 6)):
-                depth = len(lam) + abs(k) + 2
-                prefix = prefix_of_partition(lam.parts, depth)
-                want = {}
-                for new_prefix, coeff in naive_boson(k, prefix).items():
-                    parts = tuple(
-                        (d + 2 * i - 1) // 2 for i, d in enumerate(new_prefix, 1))
-                    parts = tuple(p for p in parts if p > 0)
-                    want[parts] = Fraction(coeff)
-                image = boson_op(k).apply(FockVector.from_partition(lam))
-                got = {lam2.parts: c for lam2, c in as_partition_dict(image).items()}
-                assert got == want, (lam, k)
+    for charge in range(-2, 3):
+        for n in range(7):
+            for lam in partitions_of(n):
+                state = MayaState.from_partition(lam, charge)
+                for k in list(range(-5, 0)) + list(range(1, 6)):
+                    depth = len(lam) + abs(k) + 2
+                    prefix = prefix_of_partition(lam.parts, depth, charge)
+                    want = {state_of_prefix(new_prefix): coeff
+                            for new_prefix, coeff in naive_boson(k, prefix).items()}
+                    got = dict(boson_op(k).apply(FockVector.basis(state)).terms())
+                    assert got == want, (lam, charge, k)
 
 
 @pytest.mark.parametrize("k", [k for k in range(-6, 7) if k])
