@@ -6,11 +6,13 @@ An operator's matrix at degree n is assembled once from
 reverse-lex ``partitions_of(n)``, each image state read off by its Maya
 state.  That is ``op.den`` times the matrix, with ``int`` entries
 (``Poly`` under a ``Poly`` parameter).  A nonzero row scale changes
-neither rank nor kernel, so ranks, kernels and the u-image rank
-eliminate these rows directly (:func:`rings.rank`, :func:`rings.kernel`);
-kernel vectors are primitive integer vectors {state: int}, one per free
-column.  D*v and the u-image rows are each one :func:`fock.image` of a
-kernel vector; L, diagonal, is read state by state.  A ``FockVector`` is
+neither rank nor kernel, so ranks, kernels and the u-image rank are
+read off these rows directly (:func:`rings.rank`, :func:`rings.kernel`):
+on int rows a full rank mod a prime certifies itself, and otherwise
+Bareiss decides.  Kernel vectors are primitive integer vectors
+{state: int}, one per free column.  D*v and the u-image rows are each
+one :func:`fock.image` of a kernel vector; L, diagonal, is read state
+by state.  A ``FockVector`` is
 built only for the generator relations of :func:`decomposition_report`.
 """
 

@@ -12,8 +12,11 @@ operator code never needs to know which ring it runs over.
 :func:`_eliminate` is the package's one exact elimination: fraction-free
 Bareiss on sparse rows that hold only their nonzero entries, in int
 arithmetic once rational rows are cleared of denominators.  :func:`rank`
-(its pivot count) and :func:`kernel` (over Q only) take sparse rows
-{column: value}; :func:`det` takes a dense square matrix.  ``kernel``
+and :func:`kernel` (over Q only) take sparse rows {column: value};
+:func:`det` takes a dense square matrix.  On int rows, ``rank`` and
+``kernel`` first eliminate mod the prime 2^61 - 1: a minor that is
+nonzero mod p is nonzero over Z, so a rank mod p that is full is the
+exact rank, and only then is Bareiss skipped.  ``kernel``
 back-substitutes in integers and gives primitive integer vectors.
 Truncated power series are plain coefficient lists over either ring;
 :func:`series_exp` and its inverse :func:`series_log` each cost
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, "Poly"]
 
@@ -347,9 +350,47 @@ def _eliminate(rows: Sequence[Mapping[int, Scalar]]) -> Tuple[List[dict], List[i
     return rows, pivots, factor
 
 
+_P = (1 << 61) - 1  # a Mersenne prime
+
+
+def _rank_mod_p(rows: Sequence[Mapping[int, Scalar]]) -> Optional[int]:
+    """Rank mod the prime 2^61 - 1 of sparse int rows {column: value};
+    None when an entry is not an ``int``.  Gaussian elimination that
+    pivots on the last remaining row, at its largest column: on the
+    ladder matrices few other rows reach that column, so few rows are
+    updated."""
+    if any(type(v) is not int for row in rows for v in row.values()):
+        return None
+    rows = [{c: r for c, v in row.items() if (r := v % _P)} for row in rows]
+    found = 0
+    while rows:
+        head = rows.pop()
+        if not head:
+            continue
+        col = max(head)
+        inv = pow(head.pop(col), -1, _P)
+        rest = [(c, v * inv % _P) for c, v in head.items()]
+        for row in rows:
+            lead = row.pop(col, None)
+            if lead is not None:
+                for c, v in rest:
+                    x = (row.get(c, 0) - lead * v) % _P
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+        found += 1
+    return found
+
+
 def rank(rows: Sequence[Mapping[int, Scalar]]) -> int:
-    """Rank of sparse rows {column: value}, the pivot count of
+    """Rank of sparse rows {column: value}.  On int rows whose rank mod
+    2^61 - 1 is full, that rank; otherwise the pivot count of
     :func:`_eliminate`."""
+    found = _rank_mod_p(rows)
+    if found is not None and found == min(len(rows), len(
+            {c for row in rows for c, v in row.items() if v})):
+        return found
     return len(_eliminate(rows)[1])
 
 
@@ -368,9 +409,13 @@ def kernel(rows: Sequence[Mapping[int, Scalar]], n_cols: int) -> List[Dict[int, 
     vector {column: entry} per free column f, in column order, zero at the
     other free columns.  Each vector is primitive (gcd 1) and positive at
     f, its largest column: every pivot column it solves for lies left of
-    a column already in it."""
+    a column already in it.  Int rows, at least n_cols of them, whose rank
+    mod 2^61 - 1 is n_cols have the empty kernel; any other rows are
+    back-substituted."""
     if any(isinstance(v, Poly) for row in rows for v in row.values()):
         raise ValueError("nullspace is computed over Q; the matrix has Poly entries")
+    if len(rows) >= n_cols and _rank_mod_p(rows) == n_cols:
+        return []
     echelon_rows, pivots, _ = _eliminate(rows)
     bottom_up = list(zip(echelon_rows, pivots))[::-1]
     pivot_set = set(pivots)

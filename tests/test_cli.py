@@ -540,6 +540,10 @@ GOLDEN_STDOUT = [
      ["decompose", "--z=-1/2", "--w=2/7", "--max-degree=14"]),
     (0, "0c2d23add1205a2f9b745165e5ffd31c953a866d1071da149f0a98be1534c051",
      ["decompose", "--max-degree=10", "--z=0", "--w=0"]),
+    # the u-image rank at its largest tier-1 size: rows up to 55x297 at
+    # degree 16, full rank, so the rank is read off the rows mod a prime
+    (0, "4370efe6c3237fd80d8ee086ac541208af9c0f4e00df1bb92c2d4b294ec3e8bd",
+     ["decompose", "--max-degree=16", "--z=1/3", "--w=-2/5"]),
     (1, "ebef35134c03d91e9142b3d280ed78818e6bdaffb25deeadcf6b97f41daca800",
      ["verify", "--suite=determinancy", "--seed=6"]),
     # the poly-z exponential on modes 1-3 over denominators 3, 5 and 7,

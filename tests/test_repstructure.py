@@ -123,6 +123,31 @@ def test_rank_of_D_generic_over_polynomial_w(rng):
             assert rank_of_D(n, q) == expected
 
 
+def test_removal_gram_identity_proves_full_rank_for_real_w():
+    # D_n D_n^T - D_(n-1)^T D_(n-1) = den^2 (w^2 + 2(n - 1)) I over Poly w,
+    # the sl2 bracket [D, U] = zw + 2 degree with D^T = U at z = w; so
+    # D_n D_n^T is positive definite for real w at n >= 2, rank p(n - 1)
+    t = Poly.gen()
+    d_op = kerov_d(KerovParams(z=Fraction(0), w=t))
+
+    def gram(rows, n_cols, transpose):
+        cols = [{} for _ in range(n_cols)]
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                cols[c][i] = v
+        vecs = cols if transpose else rows
+        return [[sum((v * b[k] for k, v in a.items() if k in b), Poly()) for b in vecs]
+                for a in vecs]
+
+    for n in range(2, 9):
+        size = len(partitions_of(n - 1))
+        outer = gram(rs._rows(d_op, n), len(partitions_of(n)), transpose=False)
+        inner = gram(rs._rows(d_op, n - 1), size, transpose=True)
+        shift = d_op.den ** 2 * (t * t + 2 * (n - 1))
+        assert [[a - b for a, b in zip(r, s)] for r, s in zip(outer, inner)] == \
+            [[shift if i == j else 0 for j in range(size)] for i in range(size)], n
+
+
 def test_kernel_basis_examples(rng):
     z = rand_q(rng, nonzero=True)
     w = rand_q(rng)

@@ -359,3 +359,70 @@ def test_sparse_rank_and_primitive_kernel(kind, shape):
         free = next(c for c, x in enumerate(v) if x == 1 and c in vec)
         assert vec[free] > 0
         assert [Fraction(vec.get(c, 0), vec[free]) for c in range(shape[1])] == v
+
+
+P = 2 ** 61 - 1  # the prime of the rank certificate
+
+
+def _random_int_rows(rng, n_rows, n_cols):
+    """Sparse int rows whose entries include multiples of P and values
+    near +-P, and, at random, a row that is a combination of two others
+    (deficient over Q) or one that equals another mod P (deficient mod P
+    only)."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.5:
+            return rng.randint(-5, 5)
+        if kind < 0.65:
+            return rng.choice([-3, -1, 1, 2]) * P
+        if kind < 0.85:
+            return rng.choice([P, -P]) + rng.randint(-2, 2)
+        return rng.getrandbits(100) - (1 << 99)
+
+    m = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 3 and rng.random() < 0.5:
+        i, j, k = rng.sample(range(n_rows), 3)
+        if rng.random() < 0.5:
+            m[k] = [2 * a - 3 * b for a, b in zip(m[i], m[j])]
+        else:
+            m[k] = [a + P * b for a, b in zip(m[i], m[j])]
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 4), (6, 6), (3, 7), (7, 3), (9, 5), (5, 9)])
+def test_int_rank_and_kernel_match_bareiss(shape):
+    # the certificate path on int rows against Bareiss: rank against the
+    # pivot count of _eliminate, kernel against the same rows as Fractions,
+    # which never take the certificate
+    for draw in range(25):
+        rng = random.Random(f"modp{shape}{draw}")
+        rows = _random_int_rows(rng, *shape)
+        assert rank(rows) == len(_eliminate(rows)[1])
+        as_fractions = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        assert kernel(rows, shape[1]) == kernel(as_fractions, shape[1])
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 1: 1}, {0: 1, 1: 1 + P}],
+    [{0: 1, 1: 1}, {0: 1, 1: 1 + P}, {0: 2, 1: 2 + 2 * P}],
+    [{0: P}, {1: 3}],
+])
+def test_full_rank_singular_mod_p_falls_back(rows):
+    # full rank over Q, singular mod P: Bareiss decides
+    assert rank(rows) == 2
+    assert kernel(rows, 2) == []
+
+
+def test_full_rank_mod_p_skips_bareiss(monkeypatch):
+    from youngfock import rings
+
+    def refuse(rows):
+        raise AssertionError("Bareiss ran on a matrix of full rank mod P")
+
+    monkeypatch.setattr(rings, "_eliminate", refuse)
+    wide = [{0: 2, 1: -1, 3: P + 1}, {1: 3, 2: 5}, {0: 1, 2: 1, 3: -7}]
+    tall = [{0: 1, 1: 2}, {0: 3, 1: 4}, {1: 1 << 80}]
+    assert rank(wide) == 3
+    assert rank(tall) == 2
+    assert kernel(tall, 2) == []
+    assert rank([]) == 0 and rank([{}, {0: 0}]) == 0
