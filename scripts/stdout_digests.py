@@ -7,15 +7,19 @@ Usage, from the root of a checkout:
 
 For each seed (0 when none is given) it runs every job that
 ``perfbench/workloads.py`` lists for that seed, then every ``verify``
-suite at that seed and its default degree, each through
-``youngfock.cli.main`` in this one process.  It prints one line per run:
+suite at that seed and its default degree, then the runs that print
+the parser's own text (the help of the program and of each command, and
+usage errors), each through ``youngfock.cli.main`` in this one process
+with ``COLUMNS=80``, the width argparse wraps help to.  It prints one
+line per run:
 
     <workload> <seed> <job id> rc=<exit code> out=<sha256> err=<sha256>
 
-where ``<workload>`` is one of the ``perfbench`` workloads or ``suites``
-for the suite runs, and the digests are of the exact stdout and stderr
-text.  Run it in two checkouts and diff the outputs: equal files mean
-equal stdout, stderr and exit codes on every job.  It imports
+where ``<workload>`` is one of the ``perfbench`` workloads, ``suites``
+for the suite runs or ``cli`` for the parser runs, which read no seed,
+and the digests are of the exact stdout and stderr text.  Run it in two
+checkouts and diff the outputs: equal files mean equal stdout, stderr
+and exit codes on every job.  It imports
 ``youngfock`` from this checkout's ``src`` and only reads ``perfbench/``.
 """
 
@@ -26,9 +30,11 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import os
 import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -47,6 +53,18 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 
 
+# (job id, argv) of the runs whose output is the parser's own text
+CLI_RUNS = [("help", ["--help"])] + [
+    (f"{name}-help", [name, "--help"])
+    for name in ("measure", "convert", "correlations", "verify", "decompose")
+] + [
+    ("no-command", []),
+    ("bogus-command", ["bogus-command"]),
+    ("bogus-option", ["--bogus", "measure", "--kind=schur"]),
+    ("measure-bogus-option", ["measure", "--kind=schur", "--bogus"]),
+]
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -54,13 +72,16 @@ def _sha(text: str) -> str:
 def run(argv: List[str]) -> Tuple[int, str, str]:
     """Exit code, stdout and stderr of one command-line run."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
 def jobs(workload: str, seed: int) -> List[Tuple[str, List[str]]]:
     """(job id, argv) of the runs of one workload at one seed."""
+    if workload == "cli":
+        return CLI_RUNS
     if workload == "suites":
         return [(f"verify-{name}-default", ["verify", f"--suite={name}", f"--seed={seed}"])
                 for name in SUITES]
@@ -80,7 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append",
                         help="a job-list seed (repeatable; default 0)")
     args = parser.parse_args(argv)
-    for line in digest_lines(sorted(WORKLOADS.WORKLOADS) + ["suites"], args.seed or [0]):
+    for line in digest_lines(sorted(WORKLOADS.WORKLOADS) + ["suites", "cli"], args.seed or [0]):
         print(line)
     return 0
 

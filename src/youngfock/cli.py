@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .conversion import schur_params_from_vir, split_linear
 from .measures import (
     KINDS,
     MeasureSpec,
@@ -34,9 +33,7 @@ from .measures import (
 )
 from .operators import KerovParams
 from .partitions import HalfInt
-from .repstructure import decomposition_report
 from .rings import Poly, parse_rational, rational_str, scalar_to_json
-from .suites import SUITES, run_suite
 
 OUT_DIR_ENV = "YOUNGFOCK_OUT_DIR"
 
@@ -90,13 +87,25 @@ def _parse_points(text: Optional[str]) -> List[HalfInt]:
     return points
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("measure", "convert", "correlations", "verify", "decompose")
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser with a subparser for the command that ``argv[0]`` names,
+    or for all five when it names none.  The top-level parser has no
+    option but -h, so every run that reaches a command names it first, and
+    help and the top-level usage errors see all five.  A lone subparser
+    takes the metavar of all five, so the usage line stays whole; it is
+    not set otherwise, since errors about the command would then name it
+    by the metavar instead of by "command"."""
     parser = argparse.ArgumentParser(
         prog="youngfock",
         description="exact measure tables, Schur conversions and identity "
         "verification on the diagram Fock space",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    wanted = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
+    lone = "{" + ",".join(_COMMANDS) + "}" if len(wanted) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=lone)
 
     def command(name, run, help, max_degree=4, ring=True):
         p = sub.add_parser(name, help=help)
@@ -114,22 +123,30 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag)
         return p
 
-    m = table(command("measure", _run_measure, "tabulate unnormalized and normalized weights"))
-    m.add_argument("--output", choices=["json", "csv"], default="json")
-    c = command("convert", _run_convert, "equivalent Schur parameters X_N (and Y_N)")
-    for flag in ("--x", "--y", "--z", "--w"):
-        c.add_argument(flag)
-    r = table(command("correlations", _run_correlations,
-                      "brute-force correlation of a point set"))
-    r.add_argument("--points", required=True,
-                   help='JSON list of half-integers, e.g. \'["1/2","-3/2"]\'')
-    v = command("verify", _run_verify, "run a named identity suite", max_degree=None, ring=False)
-    v.add_argument("--suite", choices=sorted(SUITES), required=True)
-    v.add_argument("--seed", type=int, default=0)
-    d = command("decompose", _run_decompose, "parameter-plane structure report",
-                max_degree=6, ring=False)
-    d.add_argument("--z", required=True)
-    d.add_argument("--w", required=True)
+    if "measure" in wanted:
+        m = table(command("measure", _run_measure, "tabulate unnormalized and normalized weights"))
+        m.add_argument("--output", choices=["json", "csv"], default="json")
+    if "convert" in wanted:
+        c = command("convert", _run_convert, "equivalent Schur parameters X_N (and Y_N)")
+        for flag in ("--x", "--y", "--z", "--w"):
+            c.add_argument(flag)
+    if "correlations" in wanted:
+        r = table(command("correlations", _run_correlations,
+                          "brute-force correlation of a point set"))
+        r.add_argument("--points", required=True,
+                       help='JSON list of half-integers, e.g. \'["1/2","-3/2"]\'')
+    if "verify" in wanted:
+        from .suites import SUITES
+
+        v = command("verify", _run_verify, "run a named identity suite", max_degree=None,
+                    ring=False)
+        v.add_argument("--suite", choices=sorted(SUITES), required=True)
+        v.add_argument("--seed", type=int, default=0)
+    if "decompose" in wanted:
+        d = command("decompose", _run_decompose, "parameter-plane structure report",
+                    max_degree=6, ring=False)
+        d.add_argument("--z", required=True)
+        d.add_argument("--w", required=True)
     return parser
 
 
@@ -170,13 +187,16 @@ def _rational(text: Optional[str]) -> Fraction:
 def _reject_unread(args, reads: Sequence[str], formal: Sequence[str]) -> None:
     """Exit 2 on an explicit --z, --w, --gamma or --m that the run would not
     read: a point in ``formal`` under --ring=poly-z (checked first), or a
-    setting outside ``reads``."""
+    setting outside ``reads``.  --ring=poly-z makes z the variable, so it
+    is a setting of z: a run that reads no z rejects it too."""
     given = [name for name in ("z", "w", "gamma", "m") if getattr(args, name, None) is not None]
     kept = [f"--{name}" for name in given if name in formal and args.ring == "poly-z"]
     if kept:
         raise _CliError(f"{' and '.join(kept)} cannot be used with --ring=poly-z, "
                         "which keeps the point formal")
     unread = [f"--{name}" for name in given if name not in reads]
+    if args.ring == "poly-z" and "z" not in reads:
+        unread.append("--ring=poly-z")
     if unread:
         raise _CliError(f"--kind={args.kind} does not read {', '.join(unread)}")
 
@@ -242,6 +262,8 @@ def _run_convert(args) -> int:
     printed, then a verdict with ok false, and the exit code is 1.  A run
     that would print no level (no side, or max-degree 0) or would not
     read a point (--z without --x, --w without --y) exits 2."""
+    from .conversion import schur_params_from_vir, split_linear
+
     _reject_unread(args, ("z", "w"), formal=("z", "w"))
     sides = ((_parse_miwa(args.x), "z", ("A", "B", "X")),
              (_parse_miwa(args.y), "w", ("C", "D", "Y")))
@@ -290,6 +312,8 @@ def _run_correlations(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .suites import run_suite
+
     report = run_suite(args.suite, seed=args.seed, max_degree=args.max_degree)
     if not report["checks"]:
         raise _CliError(f"suite {args.suite!r} ran no checks at max-degree {args.max_degree}")
@@ -311,13 +335,16 @@ def _run_verify(args) -> int:
 
 
 def _run_decompose(args) -> int:
+    from .repstructure import decomposition_report
+
     rep = decomposition_report(parse_rational(args.z), parse_rational(args.w), args.max_degree)
     _emit([_dump(rep.to_json())], args.out)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

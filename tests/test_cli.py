@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -263,11 +264,15 @@ def test_poly_ring_rejects_a_point_it_keeps_formal(argv, capsys):
                                      "--ring=poly-z"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--ring=poly-z" in err
-    # the same command with the point left out runs
+    # the same command with the point left out runs, but for a kind that
+    # reads no z, where the poly-z ring itself goes unread
     point_free = [a for a in argv if not a.startswith(("--z=", "--w="))]
     code, _, err = run_cli(point_free + ["--x=1=1", "--y=1=1", "--max-degree=2",
                                          "--ring=poly-z"], capsys)
-    assert (code, err) == (0, "")
+    if "--kind=schur" in argv:
+        assert (code, err.splitlines()[0]) == (2, "error: --kind=schur does not read --ring=poly-z")
+    else:
+        assert (code, err) == (0, "")
 
 
 # a non-default value for each table flag that a kind may read
@@ -288,6 +293,23 @@ def test_every_table_flag_is_read_or_rejected(kind, flag, capsys):
     else:
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"--kind={kind} does not read {flag}" in err
+
+
+@pytest.mark.parametrize("command", [["measure"], ["correlations", '--points=["1/2"]']],
+                         ids=["measure", "correlations"])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_poly_ring_is_read_or_rejected(kind, command, capsys):
+    # --ring=poly-z makes z the variable, so like --z it changes stdout
+    # when the kind reads z and exits 2, printing nothing, when it does not
+    argv = command + [f"--kind={kind}", "--x=1=1/3,2=-1/2", "--y=1=1,2=2/7", "--max-degree=3"]
+    code, base, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, err = run_cli(argv + ["--ring=poly-z"], capsys)
+    if "z" in KINDS[kind][1]:
+        assert (code, err) == (0, "") and out != base
+    else:
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"error: --kind={kind} does not read --ring=poly-z"
 
 
 @pytest.mark.parametrize("argv,digest", [
@@ -588,6 +610,44 @@ def test_golden_stdout_digest(code, digest, argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# what the parser itself prints, at a fixed width of 80 columns: the
+# help of the program and of each command on stdout, and four usage
+# errors on stderr; the last is raised by the top-level parser after only
+# the measure subparser is built
+PARSER_TEXT = [
+    (["--help"], 0, "7b333903cbce64b42c7071784b0bfd3ab77929b46b321484f1f1069971418bc3", ""),
+    (["measure", "--help"], 0,
+     "cfde7a0566cd55d745174630722aef176ca643ec34c235b92e85626a8cc8f9be", ""),
+    (["convert", "--help"], 0,
+     "2e7c16e378fef828ae4793b0e82c90e5f14cfed2051f6624a0935feba7f71711", ""),
+    (["correlations", "--help"], 0,
+     "6c8b64aeea2c38e5f476178accaa333f925ea62315f4edca6dd36ef6f24d4541", ""),
+    (["verify", "--help"], 0,
+     "a85be341d55f8afe1ca9ef0d1c4ba67901ae63e52577cfb485ae1913e4ee6de8", ""),
+    (["decompose", "--help"], 0,
+     "9b3f6e93336c09c89e9a4d561fa3173a1ebabcda897e901d356f1abee19384d7", ""),
+    ([], 2, "", "80a0e929350dd64a454ce07e2eaccaca53848077f9adea0af3bed806d7deea5b"),
+    (["bogus-command"], 2, "",
+     "5bf970270b657c8d970b3d696cc1bb93211ebc9aa6165d11f6cce120267b792f"),
+    (["--bogus", "measure", "--kind=schur"], 2, "",
+     "c35ce5a7082bd3d6a0903f3c164a2a8aff57bb6464697a8ccc583b0943df492f"),
+    (["measure", "--kind=schur", "--bogus"], 2, "",
+     "c35ce5a7082bd3d6a0903f3c164a2a8aff57bb6464697a8ccc583b0943df492f"),
+]
+EMPTY_SHA = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,out_sha,err_sha", PARSER_TEXT,
+                         ids=[" ".join(p[0]) or "no-command" for p in PARSER_TEXT])
+def test_parser_text_is_pinned(argv, code, out_sha, err_sha, monkeypatch, capsys):
+    # argparse wraps to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = run_cli(argv, capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == (out_sha or EMPTY_SHA)
+    assert hashlib.sha256(err.encode()).hexdigest() == (err_sha or EMPTY_SHA)
+
+
 def test_verify_max_degree_zero_is_honoured(capsys):
     code, out, _ = run_cli(["verify", "--suite=sl2", "--seed=1", "--max-degree=0"], capsys)
     assert code == 0
@@ -696,6 +756,60 @@ def test_cli_import_leaves_csv_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
+LAYERS = ("youngfock.conversion", "youngfock.repstructure", "youngfock.suites")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], []),
+    (["measure", "--kind=virasoro", "--x=1=1", "--y=1=1", "--max-degree=2"], []),
+    (["correlations", "--kind=schur", "--x=1=1", '--points=["1/2"]', "--max-degree=2"], []),
+    (["convert", "--x=1=1", "--max-degree=2"], ["youngfock.conversion"]),
+    (["decompose", "--z=1", "--w=1", "--max-degree=2"], ["youngfock.repstructure"]),
+    (["verify", "--suite=sl2", "--max-degree=1"], list(LAYERS)),
+], ids=["import", "measure", "correlations", "convert", "decompose", "verify"])
+def test_a_run_imports_only_its_own_layer(argv, loaded):
+    # every command is a fresh process, so a layer it does not use is not
+    # imported: not by `import youngfock.cli`, nor by the parser, nor by
+    # another command's code; -S keeps site hooks out of sys.modules
+    code = ("import contextlib, io, sys\n"
+            "from youngfock import cli\n"
+            f"if {argv!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert cli.main({argv!r}) == 0\n"
+            f"print(sorted(m for m in {LAYERS!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{loaded}\n")
+
+
+def _commands(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_the_parser_builds_only_the_command_it_runs():
+    every = ["measure", "convert", "correlations", "verify", "decompose"]
+    assert _commands(cli._build_parser(["decompose", "--z=1", "--w=1"])) == ["decompose"]
+    assert _commands(cli._build_parser(["verify", "--suite=sl2"])) == ["verify"]
+    # no command first: help, a bare run and a usage error see all five
+    for argv in ([], ["--help"], ["bogus-command", "measure"], ["--bogus", "measure"]):
+        assert _commands(cli._build_parser(argv)) == every
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--kind=virasoro", "--x=1=1", "--ring=poly-z", "--output=csv"],
+    ["convert", "--x=1=1", "--y=2=1/3", "--max-degree=5"],
+    ["correlations", "--kind=m-virasoro", "--m=3", '--points=["1/2"]'],
+    ["verify", "--suite=rank", "--seed=3"],
+    ["decompose", "--z=1/3", "--w=-2/5"],
+], ids=lambda argv: argv[0])
+def test_a_lone_subparser_reads_what_all_five_read(argv):
+    # the arguments, defaults and the command to run do not depend on
+    # which other subparsers were built
+    assert vars(cli._build_parser(argv).parse_args(argv)) == \
+        vars(cli._build_parser([]).parse_args(argv))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
