@@ -420,24 +420,19 @@ ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
 # ---------------------------------------------------------------------------
 
 def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
-    """sum_m (1/m!) A**m v with A = sum_i c_i * op_i over (c_i, op_i)
-    pairs, truncated by degree.
+    """sum_m (1/m!) (sum_i c_i * op_i)**m v over (c_i, op_i) pairs,
+    truncated by degree.
 
     Every operator must strictly raise degree, so dropping components
-    above the bound N is exact and the sum is finite.  It is summed in
-    Horner form: w_top = v, w_(m-1) = v + A w_m / m for m = top, ..., 1,
-    and the result is w_0, with top = N - d for the least degree d in v.
-    Only the components of w_(m-1) of degree at most N - m + 1 can reach
-    the result, so moves past that cut are skipped before they are
-    enumerated; a start state above it stays one level and moves no
-    further.  So a state of degree n is visited about N - n times.  One
-    loop serves every operator and scalar ring: each level is a dict of
-    numerators over one int denominator, and A w_m / m is over
-    den_m * L * m.  Each mode is read through ``op.numerators`` over
-    ``op.den``, so c*op adds (c*L/op.den) * numerator per move, with L and
-    the scales from :func:`clear`.  A level whose numerators are all ints
-    (every scalar rational) is reduced by their gcd; they are ``Poly``
-    with ``Poly`` input.  One division per state ends the sum.
+    above the bound is exact and the sum terminates.  One loop serves
+    every operator and scalar ring: the power A**m v / m! is a dict of
+    numerators over one int denominator, den_m = den_(m-1) * L * m.  Each
+    mode is read through ``op.numerators`` over ``op.den``, so c*op adds
+    (c*L/op.den) * numerator per move, with L and the scales from
+    :func:`clear`.  A power whose numerators are all ints (every scalar
+    rational) is reduced by their gcd; they are ``Poly`` with ``Poly``
+    input.  Moves that would pass the degree bound are skipped before
+    they are enumerated, and one division per state ends the sum.
     """
     lcm, cleared = clear([(c, op, None) for c, op in terms])
     for _, op, _ in cleared:
@@ -445,33 +440,34 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
             raise ValueError(f"non-raising operator {op.to_json()} in exponential")
     modes = [(op.k, scale, op) for scale, op, _ in cleared]
     start = [(st, c) for st, c in v.terms() if st.degree <= max_degree]
-    v_den = denominator(*(c for _, c in start))
-    base = [(st, _cleared(c, v_den)) for st, c in start]
-    top = max_degree - min((st.degree for st, _ in start), default=max_degree)
-    current, den = dict(base), v_den
-    for m in range(top, 0, -1):
-        cut = max_degree - m + 1
+    den = denominator(*(c for _, c in start))
+    current = {st: _cleared(c, den) for st, c in start}
+    powers = [(current, den)]
+    m = 0
+    while current:
+        m += 1
         nxt: Dict[MayaState, Scalar] = {}
         for st, num in current.items():
             for k, scale, op in modes:
-                if st.degree - k > cut:
+                if st.degree - k > max_degree:
                     continue
                 scaled = scale * num
                 for new, n in op.numerators(st):
                     nxt[new] = nxt.get(new, 0) + n * scaled
-        # A w_m / m is nxt over den * L * m; v joins it over their lcm
-        step = den * lcm * m
-        den = math.lcm(step, v_den)
-        up, v_up = den // step, den // v_den
-        current = nxt if up == 1 else {st: n * up for st, n in nxt.items()}
-        for st, n in base:
-            current[st] = current.get(st, 0) + n * v_up
-        current = {st: n for st, n in current.items() if n}
+        current = {st: n for st, n in nxt.items() if n}
+        den *= lcm * m
         if all(type(n) is int for n in current.values()):
             common = math.gcd(den, *current.values())
             den //= common
             current = {st: n // common for st, n in current.items()}
-    return FockVector({st: _divided(n, den) for st, n in current.items()})
+        powers.append((current, den))
+    total_den = math.lcm(*(dn for _, dn in powers))
+    total: Dict[MayaState, Scalar] = {}
+    for power, dn in powers:
+        factor = total_den // dn
+        for st, n in power.items():
+            total[st] = total.get(st, 0) + n * factor
+    return FockVector({st: _divided(n, total_den) for st, n in total.items() if n})
 
 
 # ---------------------------------------------------------------------------

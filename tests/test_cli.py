@@ -275,41 +275,30 @@ def test_poly_ring_rejects_a_point_it_keeps_formal(argv, capsys):
         assert (code, err) == (0, "")
 
 
-# a non-default value for each table flag that a kind may read
-TABLE_FLAGS = {"--z": "2/5", "--w": "-3/7", "--gamma": "1/6", "--m": "3"}
+# a non-default value for each table flag that a kind may read, and the
+# setting that the kind must read for the flag to be accepted
+TABLE_FLAGS = {"--z": ("2/5", "z"), "--w": ("-3/7", "w"), "--gamma": ("1/6", "gamma"),
+               "--m": ("3", "m"), "--ring": ("poly-z", "z")}
 
 
 @pytest.mark.parametrize("flag", sorted(TABLE_FLAGS))
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_every_table_flag_is_read_or_rejected(kind, flag, capsys):
     # no table flag can be ignored silently: it changes stdout when the
-    # kind reads it and exits 2, printing nothing, when it does not
-    argv = ["measure", f"--kind={kind}", "--x=1=1/3,2=-1/2", "--y=1=1,2=2/7", "--max-degree=3"]
-    code, base, _ = run_cli(argv, capsys)
-    assert code == 0
-    code, out, err = run_cli(argv + [f"{flag}={TABLE_FLAGS[flag]}"], capsys)
-    if flag[2:] in KINDS[kind][1]:
-        assert (code, err) == (0, "") and out != base
-    else:
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and f"--kind={kind} does not read {flag}" in err
-
-
-@pytest.mark.parametrize("command", [["measure"], ["correlations", '--points=["1/2"]']],
-                         ids=["measure", "correlations"])
-@pytest.mark.parametrize("kind", list(KINDS))
-def test_poly_ring_is_read_or_rejected(kind, command, capsys):
-    # --ring=poly-z makes z the variable, so like --z it changes stdout
-    # when the kind reads z and exits 2, printing nothing, when it does not
-    argv = command + [f"--kind={kind}", "--x=1=1/3,2=-1/2", "--y=1=1,2=2/7", "--max-degree=3"]
-    code, base, _ = run_cli(argv, capsys)
-    assert code == 0
-    code, out, err = run_cli(argv + ["--ring=poly-z"], capsys)
-    if "z" in KINDS[kind][1]:
-        assert (code, err) == (0, "") and out != base
-    else:
-        assert code == 2 and out == ""
-        assert err.splitlines()[0] == f"error: --kind={kind} does not read --ring=poly-z"
+    # kind reads it and exits 2, printing nothing, when it does not;
+    # --ring=poly-z makes z the variable, so it is read exactly as --z is
+    value, read = TABLE_FLAGS[flag]
+    for command in (["measure"], ["correlations", '--points=["1/2"]']):
+        argv = command + [f"--kind={kind}", "--x=1=1/3,2=-1/2", "--y=1=1,2=2/7",
+                          "--max-degree=3"]
+        code, base, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, out, err = run_cli(argv + [f"{flag}={value}"], capsys)
+        if read in KINDS[kind][1]:
+            assert (code, err) == (0, "") and out != base
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and f"--kind={kind} does not read {flag}" in err
 
 
 @pytest.mark.parametrize("argv,digest", [

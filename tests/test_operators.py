@@ -435,10 +435,8 @@ def test_exp_raising_matches_power_oracle(terms, start, max_degree):
 @pytest.mark.parametrize("max_degree", range(8))
 @pytest.mark.parametrize("ring", ["rational", "poly"])
 def test_exp_raising_from_a_start_over_several_degrees(ring, max_degree):
-    # the Horner ladder is as tall as the bound less the least start
-    # degree, and a start state joins each level only below that level's
-    # cut: a start over degrees 0, 2 and 3 must still equal the power sum
-    # at bounds below, between and above its degrees, scalar types included
+    # a start over degrees 0, 2 and 3 must equal the power sum at bounds
+    # below, between and above its degrees, scalar types included
     x = Poly.gen() if ring == "poly" else Fraction(3, 4)
     start = (vacuum().scale(Fraction(2, 3)) + ket(2).scale(x * Fraction(-5, 7))
              + ket(2, 1).scale(Fraction(1, 4)) + ket(1, 1, 1).scale(Fraction(-1, 6)))
@@ -450,14 +448,6 @@ def test_exp_raising_from_a_start_over_several_degrees(ring, max_degree):
     assert got == want
     assert all(type(c) is type(want.coefficient(s)) for s, c in got.terms())
     assert got.degree() == (max_degree if max_degree else 0)
-
-
-def test_exp_raising_start_denominator_outlives_a_level():
-    # at bound 2 the first level, v + A v / 2, is |0> + |1>: the 1/2 of the
-    # start cancels there, so the next level must join v over an lcm
-    start = vacuum() + ket(1).scale(Fraction(1, 2))
-    terms = [(Fraction(1), boson_op(-1))]
-    assert exp_raising(terms, start, 2) == exp_by_powers(terms, start, 2)
 
 
 def test_exp_lowering_bra_examples():
