@@ -9,8 +9,9 @@ For each seed (0 when none is given) it runs every job that
 ``perfbench/workloads.py`` lists for that seed, then every ``verify``
 suite at that seed and its default degree, then the runs that print
 the parser's own text (the help of the program and of each command, and
-usage errors), each through ``youngfock.cli.main`` in this one process
-with ``COLUMNS=80``, the width argparse wraps help to.  It prints one
+usage errors) and the runs of lines in other forms than
+``--name=value``, each through ``youngfock.cli.main`` in this one
+process with ``COLUMNS=80``, the width argparse wraps help to.  It prints one
 line per run:
 
     <workload> <seed> <job id> rc=<exit code> out=<sha256> err=<sha256>
@@ -53,7 +54,10 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 
 
-# (job id, argv) of the runs whose output is the parser's own text
+# (job id, argv) of the runs whose output is the parser's own text, then
+# of runs in other forms than --name=value: separated values, and three
+# lines that only argparse reads (an abbreviation, a repeated flag and a
+# separated value that starts with "-")
 CLI_RUNS = [("help", ["--help"])] + [
     (f"{name}-help", [name, "--help"])
     for name in ("measure", "convert", "correlations", "verify", "decompose")
@@ -62,6 +66,11 @@ CLI_RUNS = [("help", ["--help"])] + [
     ("bogus-command", ["bogus-command"]),
     ("bogus-option", ["--bogus", "measure", "--kind=schur"]),
     ("measure-bogus-option", ["measure", "--kind=schur", "--bogus"]),
+    ("separated-values",
+     ["measure", "--kind", "schur", "--x", "1=1", "--y", "1=1/2", "--max-degree", "2"]),
+    ("abbreviation", ["convert", "--x=1=1", "--max-deg=2"]),
+    ("repeated-flag", ["convert", "--x=1=1", "--max-degree=2", "--max-degree=3"]),
+    ("separated-negative-value", ["decompose", "--z=1/3", "--w", "-2/5"]),
 ]
 
 

@@ -13,13 +13,13 @@ a report that cannot be written.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
 
 from .measures import (
@@ -85,69 +85,6 @@ def _parse_points(text: Optional[str]) -> List[HalfInt]:
         if x in points[:i]:
             raise _CliError(f"point {x} given twice")
     return points
-
-
-_COMMANDS = ("measure", "convert", "correlations", "verify", "decompose")
-
-
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser with a subparser for the command that ``argv[0]`` names,
-    or for all five when it names none.  The top-level parser has no
-    option but -h, so every run that reaches a command names it first, and
-    help and the top-level usage errors see all five.  A lone subparser
-    takes the metavar of all five, so the usage line stays whole; it is
-    not set otherwise, since errors about the command would then name it
-    by the metavar instead of by "command"."""
-    parser = argparse.ArgumentParser(
-        prog="youngfock",
-        description="exact measure tables, Schur conversions and identity "
-        "verification on the diagram Fock space",
-    )
-    wanted = [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS
-    lone = "{" + ",".join(_COMMANDS) + "}" if len(wanted) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=lone)
-
-    def command(name, run, help, max_degree=4, ring=True):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        p.add_argument("--max-degree", type=int, default=max_degree)
-        if ring:
-            p.add_argument("--ring", choices=["rational", "poly-z"], default="rational")
-        p.add_argument("--out", default=None, help="write to this file instead of stdout")
-        return p
-
-    def table(p):
-        p.add_argument("--kind", choices=list(KINDS), required=True)
-        p.add_argument("--m", type=int, help="order for the m-virasoro kind (default 2)")
-        for flag in ("--z", "--w", "--gamma", "--x", "--y"):
-            p.add_argument(flag)
-        return p
-
-    if "measure" in wanted:
-        m = table(command("measure", _run_measure, "tabulate unnormalized and normalized weights"))
-        m.add_argument("--output", choices=["json", "csv"], default="json")
-    if "convert" in wanted:
-        c = command("convert", _run_convert, "equivalent Schur parameters X_N (and Y_N)")
-        for flag in ("--x", "--y", "--z", "--w"):
-            c.add_argument(flag)
-    if "correlations" in wanted:
-        r = table(command("correlations", _run_correlations,
-                          "brute-force correlation of a point set"))
-        r.add_argument("--points", required=True,
-                       help='JSON list of half-integers, e.g. \'["1/2","-3/2"]\'')
-    if "verify" in wanted:
-        from .suites import SUITES
-
-        v = command("verify", _run_verify, "run a named identity suite", max_degree=None,
-                    ring=False)
-        v.add_argument("--suite", choices=sorted(SUITES), required=True)
-        v.add_argument("--seed", type=int, default=0)
-    if "decompose" in wanted:
-        d = command("decompose", _run_decompose, "parameter-plane structure report",
-                    max_degree=6, ring=False)
-        d.add_argument("--z", required=True)
-        d.add_argument("--w", required=True)
-    return parser
 
 
 def _resolve_out(path: Optional[str]):
@@ -342,13 +279,122 @@ def _run_decompose(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "measure": (_run_measure, "tabulate unnormalized and normalized weights"),
+    "convert": (_run_convert, "equivalent Schur parameters X_N (and Y_N)"),
+    "correlations": (_run_correlations, "brute-force correlation of a point set"),
+    "verify": (_run_verify, "run a named identity suite"),
+    "decompose": (_run_decompose, "parameter-plane structure report"),
+}
+
+
+def _opt(flag, type=None, choices=None, default=None, required=False, help=None):
+    return flag, type, choices, default, required, help
+
+
+def _options(command: str) -> list:
+    """(flag, type, choices, default, required, help) of each option of
+    ``command``, in the order its help lists them.  Both readers of the
+    command line, ``_read`` and ``_build_parser``, take the options from
+    here; only ``verify`` imports ``suites``, for its suite names."""
+    out = _opt("--out", help="write to this file instead of stdout")
+    if command == "verify":
+        from .suites import SUITES
+
+        return [_opt("--max-degree", int), out,
+                _opt("--suite", choices=sorted(SUITES), required=True),
+                _opt("--seed", int, default=0)]
+    if command == "decompose":
+        return [_opt("--max-degree", int, default=6), out,
+                _opt("--z", required=True), _opt("--w", required=True)]
+    rows = [_opt("--max-degree", int, default=4),
+            _opt("--ring", choices=["rational", "poly-z"], default="rational"), out]
+    if command == "convert":
+        return rows + [_opt(flag) for flag in ("--x", "--y", "--z", "--w")]
+    rows.append(_opt("--kind", choices=list(KINDS), required=True))
+    rows.append(_opt("--m", int, help="order for the m-virasoro kind (default 2)"))
+    rows += [_opt(flag) for flag in ("--z", "--w", "--gamma", "--x", "--y")]
+    if command == "measure":
+        return rows + [_opt("--output", choices=["json", "csv"], default="json")]
+    return rows + [_opt("--points", required=True,
+                        help='JSON list of half-integers, e.g. \'["1/2","-3/2"]\'')]
+
+
+def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace the parser gives for a canonical command line, read
+    without argparse, or None for any other line.  A canonical line is a
+    command, then options of that command, each at most once, as
+    --name=value or as --name value with a value that does not start with
+    "-"; every value passes its type and choices, and every required
+    option is given.  Help, abbreviations, repeats, a separate value
+    that starts with "-" and every usage error are left to the parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = {flag: row for flag, *row in _options(argv[0])}
+    given: Dict[str, str] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")
+        if flag not in rows or flag in given or (not eq and value.startswith("-")):
+            return None
+        given[flag] = value
+    args = {"command": argv[0], "run": _COMMANDS[argv[0]][0]}
+    for flag, (type_, choices, default, required, _) in rows.items():
+        if flag in given:
+            try:
+                value = given[flag] if type_ is None else type_(given[flag])
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        elif required:
+            return None
+        else:
+            value = default
+        args[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
+def _build_parser(argv: Sequence[str]):
+    """The argparse parser, with a subparser for the command that
+    ``argv[0]`` names, or for all five when it names none.  ``main`` builds
+    it only for a line that ``_read`` leaves to it: help, a usage error or
+    a form other than the canonical one.  The top-level parser has no
+    option but -h, so every run that reaches a command names it first, and
+    help and the top-level usage errors see all five.  A lone subparser
+    takes the metavar of all five, so the usage line stays whole; it is
+    not set otherwise, since errors about the command would then name it
+    by the metavar instead of by "command"."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="youngfock",
+        description="exact measure tables, Schur conversions and identity "
+        "verification on the diagram Fock space",
+    )
+    wanted = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    lone = "{" + ",".join(_COMMANDS) + "}" if len(wanted) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=lone)
+    for name in wanted:
+        run, help = _COMMANDS[name]
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for flag, type_, choices, default, required, text in _options(name):
+            p.add_argument(flag, type=type_, choices=choices, default=default,
+                           required=required, help=text)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         if (args.max_degree or 0) < 0:
             raise _CliError("max-degree must be >= 0")

@@ -9,7 +9,9 @@ A suite is a generator body registered in :data:`SUITES` by
 :func:`_suite` with its name, identity, default degree and fixed
 constants (draw counts, mode and hook bounds).  The body yields its
 checks and probes in order and the harness builds the report, whose
-``params`` print the degree, the constants and the seed.
+``params`` print the degree, the constants and the seed.  The suites
+that call ``conversion`` or ``repstructure`` import it in their body, so
+a run of any other suite loads neither layer.
 
 An operator identity is one list of (c, outer, inner) terms, psi_x among
 them as :class:`fock.Psi`, and fails on each basis state that the
@@ -22,14 +24,6 @@ import random
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from .conversion import (
-    a_coeff_closed,
-    b_coeff_closed,
-    schur_params_from_vir,
-    split_linear,
-    vir_rows,
-    z_linearity_witness,
-)
 from .fock import MayaState, Psi, basis_index, boson_moves, failures, vacuum
 from .measures import (
     MeasureSpec,
@@ -61,7 +55,6 @@ from .operators import (
     virasoro_params_from_kerov,
 )
 from .partitions import HalfInt, Partition, partitions_of, partitions_up_to
-from .repstructure import decomposition_report, highest_weight_check, kernel_basis, rank_of_D
 from .rings import Poly, Scalar, random_rational, rational_str, scalar_to_json, series_exp
 
 
@@ -211,6 +204,8 @@ def suite_determinancy(rng, max_degree, draws):
     transfer beyond single rows once any x_k, k >= 2 is switched on.
     The report carries the exact discrepancy pattern.
     """
+    from .conversion import schur_params_from_vir, vir_rows
+
     for t in range(draws):
         z, w = random_rational(rng), random_rational(rng)
         x = {k: random_rational(rng) for k in (1, 2, 3)}
@@ -274,6 +269,9 @@ def suite_determinancy(rng, max_degree, draws):
 @_suite("z-linearity", "equivalent Schur parameters stay linear in z (and in w on the "
         "lowering side)", 6, draws=3)
 def suite_z_linearity(rng, max_degree, draws):
+    from .conversion import (a_coeff_closed, b_coeff_closed, schur_params_from_vir,
+                             split_linear, vir_rows, z_linearity_witness)
+
     # every check below covers X_1..X_N, so degree 0 leaves none
     for t in range(draws if max_degree >= 1 else 0):
         x = {k: random_rational(rng) for k in (1, 2, 3)}
@@ -312,6 +310,8 @@ def suite_z_linearity(rng, max_degree, draws):
 @_suite("rank", "removal operator has full rank p(N-1) on every degree, for all "
         "rational w including the integer window", 8, draws=5)
 def suite_rank(rng, max_degree, draws):
+    from .repstructure import rank_of_D
+
     for n in range(1, max_degree + 1):
         ws = [random_rational(rng) for _ in range(draws)]
         ws += [Fraction(i) for i in range(-n - 1, n + 2)]
@@ -331,6 +331,8 @@ def suite_rank(rng, max_degree, draws):
         "rank-nullity kernel counts, highest weights z*w + 2N, and the "
         "four boundary cases", 8, draws=5)
 def suite_kernels(rng, max_degree, draws):
+    from .repstructure import decomposition_report, highest_weight_check, kernel_basis
+
     # raising operator injectivity
     zs = [random_rational(rng, nonzero=True) for _ in range(draws)]
     zs += [Fraction(i) for i in range(-4, 5)]

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -602,7 +604,10 @@ def test_golden_stdout_digest(code, digest, argv, capsys):
 # what the parser itself prints, at a fixed width of 80 columns: the
 # help of the program and of each command on stdout, and four usage
 # errors on stderr; the last is raised by the top-level parser after only
-# the measure subparser is built
+# the measure subparser is built.  Then four lines in other forms than
+# --name=value, recorded when argparse read every line: separated
+# values, an abbreviation and a repeated flag, which argparse reads, and
+# a separated value that starts with "-", which it rejects
 PARSER_TEXT = [
     (["--help"], 0, "7b333903cbce64b42c7071784b0bfd3ab77929b46b321484f1f1069971418bc3", ""),
     (["measure", "--help"], 0,
@@ -622,6 +627,14 @@ PARSER_TEXT = [
      "c35ce5a7082bd3d6a0903f3c164a2a8aff57bb6464697a8ccc583b0943df492f"),
     (["measure", "--kind=schur", "--bogus"], 2, "",
      "c35ce5a7082bd3d6a0903f3c164a2a8aff57bb6464697a8ccc583b0943df492f"),
+    (["measure", "--kind", "schur", "--x", "1=1", "--y", "1=1/2", "--max-degree", "2"], 0,
+     "35cd9cb436bfc19b28ca89c323e7070d5cfb691d2919543ef9436228b0a11878", ""),
+    (["convert", "--x=1=1", "--max-deg=2"], 0,
+     "676e2ebc795ea3ba73a09b663113edbf8e0dd2c902bd9ba6d6bafbb541bd58e7", ""),
+    (["convert", "--x=1=1", "--max-degree=2", "--max-degree=3"], 0,
+     "d292e31b0fab993dc06140abbddde88e368a85a5bb61c93639006d1f7fb7e5ed", ""),
+    (["decompose", "--z=1/3", "--w", "-2/5"], 2, "",
+     "929af3d82b8a68f52a6275d2b52a34412dc51e606e90e329dddcab8b4d76740b"),
 ]
 EMPTY_SHA = hashlib.sha256(b"").hexdigest()
 
@@ -756,8 +769,9 @@ LAYERS = ("youngfock.conversion", "youngfock.repstructure", "youngfock.suites")
     (["correlations", "--kind=schur", "--x=1=1", '--points=["1/2"]', "--max-degree=2"], []),
     (["convert", "--x=1=1", "--max-degree=2"], ["youngfock.conversion"]),
     (["decompose", "--z=1", "--w=1", "--max-degree=2"], ["youngfock.repstructure"]),
-    (["verify", "--suite=sl2", "--max-degree=1"], list(LAYERS)),
-], ids=["import", "measure", "correlations", "convert", "decompose", "verify"])
+    (["verify", "--suite=sl2", "--max-degree=1"], ["youngfock.suites"]),
+    (["verify", "--suite=rank", "--max-degree=1"], ["youngfock.repstructure", "youngfock.suites"]),
+], ids=["import", "measure", "correlations", "convert", "decompose", "verify", "verify-rank"])
 def test_a_run_imports_only_its_own_layer(argv, loaded):
     # every command is a fresh process, so a layer it does not use is not
     # imported: not by `import youngfock.cli`, nor by the parser, nor by
@@ -787,18 +801,101 @@ def test_the_parser_builds_only_the_command_it_runs():
         assert _commands(cli._build_parser(argv)) == every
 
 
-@pytest.mark.parametrize("argv", [
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _readme_examples():
+    """The argv of each command in the README's shell examples."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("youngfock ")]
+
+
+_WORKLOADS = _load_workloads()
+ONE_PER_COMMAND = [
     ["measure", "--kind=virasoro", "--x=1=1", "--ring=poly-z", "--output=csv"],
     ["convert", "--x=1=1", "--y=2=1/3", "--max-degree=5"],
     ["correlations", "--kind=m-virasoro", "--m=3", '--points=["1/2"]'],
     ["verify", "--suite=rank", "--seed=3"],
     ["decompose", "--z=1/3", "--w=-2/5"],
-], ids=lambda argv: argv[0])
+]
+CANONICAL = [
+    ["measure", "--kind=schur", "--x=1=1", "--y=1=1/2", "--max-degree=2"],
+    ["correlations", "--kind=virasoro", "--x=1=1", "--y=1=1", '--points=["1/2"]', "--max-degree=2"],
+    ["convert", "--x=1=1", "--max-degree=2"],
+    ["verify", "--suite=sl2", "--max-degree=1"],
+    ["decompose", "--z=1", "--w=1", "--max-degree=2"],
+]
+READ_BY_BOTH = (
+    [job["argv"] for name in sorted(_WORKLOADS.WORKLOADS) for seed in range(5)
+     for job in _WORKLOADS.jobs_for(name, seed)]
+    + _readme_examples() + ONE_PER_COMMAND + CANONICAL
+    # no option; values that are empty, start with "-" after "=" or pad an int
+    + [["convert"], ["convert", "--x=", "--z", "", "--max-degree=-1", "--out=-"],
+       ["measure", "--kind", "schur", "--x=--y", "--max-degree= 3 "]])
+
+
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
 def test_a_lone_subparser_reads_what_all_five_read(argv):
     # the arguments, defaults and the command to run do not depend on
     # which other subparsers were built
     assert vars(cli._build_parser(argv).parse_args(argv)) == \
         vars(cli._build_parser([]).parse_args(argv))
+
+
+def test_a_canonical_run_leaves_argparse_unloaded():
+    # a line in the canonical form is read from the option table, so
+    # neither the import nor the run loads argparse or the gettext and
+    # locale modules its first parser imports; help still goes through it
+    code = ("import contextlib, io, sys\n"
+            "from youngfock import cli\n"
+            "names = {'argparse', 'gettext', 'locale'}\n"
+            "print(sorted(names & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in {CANONICAL!r}:\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
+            "    assert cli.main(['measure', '--help']) == 0\n"
+            "print('argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "[]\n", "[]\nTrue\n")
+
+
+def test_the_reader_gives_the_parsers_namespace():
+    # every benchmark job at seeds 0-4, every README example and the
+    # lines the tests above run: the option table's reader accepts each
+    # one and gives the namespace argparse gives
+    assert len(_readme_examples()) == 6
+    for argv in READ_BY_BOTH:
+        args = cli._read(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli._build_parser(argv).parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["measure", "--help"], ["bogus-command"], ["convert", "stray"],
+    ["convert", "--x=1=1", "--max-deg=2"],  # an abbreviation
+    ["convert", "--x=1=1", "--x=1=2"],  # a repeat
+    ["measure", "--kind=schur", "--max_degree=2"],  # an underscore name
+    ["decompose", "--z=1/3", "--w", "-2/5"],  # a separate value that starts with "-"
+    ["decompose", "--z=1/3", "--w"],  # no value
+    ["measure", "--kind=schur", "--max-degree=two"],  # not an int
+    ["measure", "--kind=bogus"],  # not a choice
+    ["verify", "--suite=bogus"],
+    ["measure", "--x=1=1"],  # no --kind
+    ["decompose", "--z=1"],  # no --w
+    ["convert", "--", "--x=1=1"],
+    ["convert", "--x=1=1", "--"],
+    ["convert", "--ring=poly-z", "--output=csv"],  # an option of another command
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_the_reader_leaves_other_lines_to_the_parser(argv):
+    assert cli._read(argv) is None
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
