@@ -801,9 +801,11 @@ def test_the_parser_builds_only_the_command_it_runs():
         assert _commands(cli._build_parser(argv)) == every
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -811,12 +813,12 @@ def _load_workloads():
 
 def _readme_examples():
     """The argv of each command in the README's shell examples."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     lines = readme.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("youngfock ")]
 
 
-_WORKLOADS = _load_workloads()
+_WORKLOADS = _load(ROOT / "perfbench" / "workloads.py")
 ONE_PER_COMMAND = [
     ["measure", "--kind=virasoro", "--x=1=1", "--ring=poly-z", "--output=csv"],
     ["convert", "--x=1=1", "--y=2=1/3", "--max-degree=5"],

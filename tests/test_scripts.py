@@ -1,18 +1,14 @@
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from youngfock import cli
 
-from .test_cli import EMPTY_SHA, PARSER_TEXT
-
-ROOT = Path(__file__).resolve().parent.parent
+from .test_cli import EMPTY_SHA, PARSER_TEXT, ROOT, _load
 
 
 def test_measure_demo_runs_clean():
@@ -24,13 +20,6 @@ def test_measure_demo_runs_clean():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
-
-
-def _load(path: Path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _bench_pairs():
