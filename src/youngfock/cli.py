@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NoReturn, Optional, Sequence
 
 from .measures import (
     KINDS,
@@ -107,7 +107,7 @@ def _emit(lines: List[str], out: Optional[str]) -> None:
             with open(target, "w") as fh:
                 fh.write(text)
     except OSError as exc:
-        if target is None:  # the text stays buffered and is flushed again at exit
+        if target is None:  # the text stays buffered, and run() flushes it again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "stdout" if target is None else repr(target)
         raise _OutputError(f"cannot write {where}: {exc.strerror}")
@@ -406,5 +406,26 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments and end the process with
+    its code: the one exit of ``python -m youngfock`` and of the
+    ``youngfock`` script.  After both standard streams are flushed it
+    leaves through ``os._exit``, skipping interpreter teardown (module
+    finalization, the last collection, freeing the heap), which a fresh
+    process per job pays after its report is written.  Nothing else
+    needs the teardown: the package registers no ``atexit`` hook and
+    starts no thread, and an ``--out`` file is closed by its ``with``
+    block.  A flush that raises leaves through ``sys.exit`` instead, so
+    the interpreter reports it at exit as it would without this
+    function; an uncaught exception never reaches here."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -920,6 +920,94 @@ def test_a_failed_stdout_write_exits_two(argv):
     assert "run with --help" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND + [
+    ["verify", "--suite=determinancy", "--max-degree=3"],  # a falsified identity: exit 1
+    ["measure", "--kind=bogus"],  # a usage error: exit 2
+    ["--help"],
+    ["convert", "--x=1=1", "--y=1=2", "--max-degree=3", "--out={out}"],
+], ids=lambda argv: " ".join(argv))
+def test_the_entry_point_loses_nothing(argv, tmp_path, monkeypatch, capsys):
+    # `python -m youngfock` ends through cli.run, which skips interpreter
+    # teardown; it gives what an in-process cli.main gives.  A buffered
+    # stdout shows text that the exit would leave unflushed.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "youngfock", *(a.format(out=tmp_path / "process") for a in argv)],
+        capture_output=True, env=env, timeout=120)  # bytes: csv rows end in \r\n
+    code = main([a.format(out=tmp_path / "main") for a in argv])
+    out = capsys.readouterr()
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+        (code, out.out, out.err)
+    written = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    if "{out}" in " ".join(argv):
+        assert written["process"] == written["main"] != ""
+    else:
+        assert written == {}
+
+
+def test_the_console_script_ends_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"youngfock": "youngfock.cli:run"}
+
+
+def test_a_run_leaves_no_exit_hook_and_no_thread():
+    # cli.run ends the process with os._exit, which runs no atexit hook
+    # and joins no thread: a layer that registered one or started one
+    # would lose its work silently
+    code = ("import atexit, contextlib, io, threading\n"
+            "start = atexit._ncallbacks()\n"
+            "from youngfock import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in {CANONICAL + ONE_PER_COMMAND!r}:\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    assert cli.main(['--help']) == 0\n"
+            "print(atexit._ncallbacks() - start, threading.active_count())")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 1\n")
+
+
+_STDOUT_LOST = ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                "encoding='utf-8'>\nOSError: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,stdout,buffered_result,unbuffered_result", [
+    # argparse ignores the failed write of the help; a buffered stdout
+    # then fails at exit, which the interpreter reports with status 120
+    (["--help"], "full", (120, _STDOUT_LOST), (0, "")),
+    (["measure", "--kind=schur", "--x=1=1", "--max-degree=2"], "closed-pipe",
+     (2, "error: cannot write stdout: Broken pipe\n"),
+     (2, "error: cannot write stdout: Broken pipe\n")),
+], ids=["help-to-full", "measure-to-closed-pipe"])
+def test_a_failed_exit_flush_is_reported_as_before(argv, stdout, buffered_result,
+                                                   unbuffered_result, unbuffered):
+    # cli.run leaves through sys.exit when a flush raises, so the exit
+    # code and stderr are those of a plain interpreter exit
+    env = _src_env()
+    env["PYTHONIOENCODING"] = "utf-8"
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    else:
+        env.pop("PYTHONUNBUFFERED", None)
+    if stdout == "full":
+        target = os.open("/dev/full", os.O_WRONLY)
+    else:
+        reader, target = os.pipe()
+        os.close(reader)  # the reader goes away before the run writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "youngfock", *argv], stdout=target,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(target)
+    assert (proc.returncode, proc.stderr) == (unbuffered_result if unbuffered else buffered_result)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite=sl2", "--max-degree=-1"],
     ["measure", "--kind=schur", "--x=1=1,1=2", "--max-degree=2"],
