@@ -9,8 +9,8 @@ For each seed (0 when none is given) it runs every job that
 ``perfbench/workloads.py`` lists for that seed, then every ``verify``
 suite at that seed and its default degree, then the runs that print
 the parser's own text (the help of the program and of each command, and
-usage errors) and the runs of lines in other forms than
-``--name=value``, each through ``youngfock.cli.main`` in this one
+usage errors), the runs of lines in other forms than
+``--name=value`` and two tables whose weights hold a zero, each through ``youngfock.cli.main`` in this one
 process with ``COLUMNS=80``, the width argparse wraps help to.  It prints one
 line per run:
 
@@ -57,7 +57,7 @@ WORKLOADS = _load_workloads()
 # (job id, argv) of the runs whose output is the parser's own text, then
 # of runs in other forms than --name=value: separated values, and three
 # lines that only argparse reads (an abbreviation, a repeated flag and a
-# separated value that starts with "-")
+# separated value that starts with "-"); last, two tables with a zero weight
 CLI_RUNS = [("help", ["--help"])] + [
     (f"{name}-help", [name, "--help"])
     for name in ("measure", "convert", "correlations", "verify", "decompose")
@@ -71,6 +71,13 @@ CLI_RUNS = [("help", ["--help"])] + [
     ("abbreviation", ["convert", "--x=1=1", "--max-deg=2"]),
     ("repeated-flag", ["convert", "--x=1=1", "--max-degree=2", "--max-degree=3"]),
     ("separated-negative-value", ["decompose", "--z=1/3", "--w", "-2/5"]),
+] + [
+    # poly-z tables whose lam = (1) weight is a zero, printed as {"poly": []}
+    # where the other side carries a Poly and as "0" where it does not
+    ("zero-weight-poly", ["measure", "--x=1=1/3,2=1/5", "--kind=virasoro", "--ring=poly-z",
+                          "--y=2=2/5", "--w=-2/5", "--max-degree=5"]),
+    ("zero-weight-rational", ["measure", "--x=2=1/3", "--kind=virasoro", "--ring=poly-z",
+                              "--y=1=2/5,2=-1/7", "--w=-2/5", "--max-degree=5"]),
 ]
 
 

@@ -392,6 +392,20 @@ def test_decompose_command(capsys):
     assert all(r["holds"] for r in rep["relations"])
 
 
+# two poly-z tables in which lam = (1) has a zero coefficient on one side:
+# a missing coefficient reads as a rational zero, so the weight prints as
+# {"poly": []} when the other side carries a Poly (the ket, here on mode 1
+# at z) and as "0" when it does not (the bra, which reads only w)
+ZERO_WEIGHT_TABLES = [
+    (0, "d8a673448525aff56a0f0f73e827983c923ba9836f64ea3d4c5ae1e12e31fcb0",
+     ["measure", "--x=1=1/3,2=1/5", "--kind=virasoro", "--ring=poly-z", "--y=2=2/5",
+      "--w=-2/5", "--max-degree=5"]),
+    (0, "9369edc6eeaaebb2ef6c501b7474ff11b740d95587549dbad346d4ccbec6563a",
+     ["measure", "--x=2=1/3", "--kind=virasoro", "--ring=poly-z", "--y=1=2/5,2=-1/7",
+      "--w=-2/5", "--max-degree=5"]),
+]
+
+
 # sha256 of stdout for a fixed set of cheap commands: every command, all
 # three measure kinds, the polynomial ring, csv output and the suites at
 # small degree.  Any change to these bytes is a behaviour change.
@@ -583,7 +597,7 @@ GOLDEN_STDOUT = [
     (0, "02e6f52aad01fa8e774b9ee4d7d255dfd71180b85f1bc41e08cc4476009278a0",
      ["convert", "--y=1=1/5,2=2/3,3=-2/7", "--ring=poly-z", "--max-degree=14",
       "--x=1=-1/3,2=2/5,3=-1/7"]),
-]
+] + ZERO_WEIGHT_TABLES
 
 
 def _golden_id(argv):

@@ -8,7 +8,7 @@ import pytest
 
 from youngfock import cli
 
-from .test_cli import EMPTY_SHA, PARSER_TEXT, ROOT, _load
+from .test_cli import EMPTY_SHA, PARSER_TEXT, ROOT, ZERO_WEIGHT_TABLES, _load
 
 
 def test_measure_demo_runs_clean():
@@ -166,14 +166,16 @@ def test_stdout_digests_match_fresh_processes_on_the_convert_jobs():
 
 
 def test_stdout_digests_cover_the_pinned_parser_text():
-    # the cli group runs the argv lists that tests/test_cli.py pins, at the
-    # same width, and prints their pinned digests
+    # the cli group runs the argv lists that tests/test_cli.py pins, the
+    # parser text at the same width and then the zero-weight tables, and
+    # prints their pinned digests
     module = _load(ROOT / "scripts" / "stdout_digests.py")
-    assert [argv for _, argv in module.CLI_RUNS] == [p[0] for p in PARSER_TEXT]
+    pinned = PARSER_TEXT + [(argv, code, sha, "") for code, sha, argv in ZERO_WEIGHT_TABLES]
+    assert [argv for _, argv in module.CLI_RUNS] == [p[0] for p in pinned]
     columns = os.environ.get("COLUMNS")
     lines = list(module.digest_lines(["cli"], [0]))
     assert os.environ.get("COLUMNS") == columns  # set only for each run
-    assert len(lines) == len(PARSER_TEXT)
-    for line, (jid, _), (_, code, out_sha, err_sha) in zip(lines, module.CLI_RUNS, PARSER_TEXT):
+    assert len(lines) == len(pinned)
+    for line, (jid, _), (_, code, out_sha, err_sha) in zip(lines, module.CLI_RUNS, pinned):
         assert line == (f"cli 0 {jid} rc={code} out={out_sha or EMPTY_SHA} "
                         f"err={err_sha or EMPTY_SHA}")
