@@ -9,38 +9,37 @@ For each seed (0 when none is given) it runs every job that
 ``perfbench/workloads.py`` lists for that seed, then every ``verify``
 suite at that seed and its default degree, then the runs that print
 the parser's own text (the help of the program and of each command, and
-usage errors), the runs of lines in other forms than
-``--name=value`` and two tables whose weights hold a zero, each through ``youngfock.cli.main`` in this one
-process with ``COLUMNS=80``, the width argparse wraps help to.  It prints one
-line per run:
+usage errors), the runs of lines in other forms than ``--name=value``
+and two tables whose weights hold a zero.  Each run is a fresh
+``python -m youngfock`` process, the entry point a user runs, with this
+checkout's ``src`` first on ``PYTHONPATH`` and ``COLUMNS=80``, the width
+argparse wraps help to.  It prints one line per run:
 
     <workload> <seed> <job id> rc=<exit code> out=<sha256> err=<sha256>
 
 where ``<workload>`` is one of the ``perfbench`` workloads, ``suites``
-for the suite runs or ``cli`` for the parser runs, which read no seed,
+for the suite runs or ``cli`` for the parser runs and the two tables,
+which read no seed,
 and the digests are of the exact stdout and stderr text.  Run it in two
 checkouts and diff the outputs: equal files mean equal stdout, stderr
-and exit codes on every job.  It imports
-``youngfock`` from this checkout's ``src`` and only reads ``perfbench/``.
+and exit codes on every job.  It imports ``youngfock`` from this
+checkout's ``src`` only for the suite names, and only reads ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import importlib.util
-import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from youngfock import cli  # noqa: E402
 from youngfock.suites import SUITES  # noqa: E402
 
 
@@ -86,12 +85,14 @@ def _sha(text: str) -> str:
 
 
 def run(argv: List[str]) -> Tuple[int, str, str]:
-    """Exit code, stdout and stderr of one command-line run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+    """Exit code, stdout and stderr of one ``python -m youngfock`` run."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run([sys.executable, "-m", "youngfock", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def jobs(workload: str, seed: int) -> List[Tuple[str, List[str]]]:

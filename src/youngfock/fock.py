@@ -18,10 +18,12 @@ and :func:`failures` is the one basis walk behind every identity check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import neg
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .partitions import HalfInt, Partition, partitions_of
@@ -79,19 +81,23 @@ class MayaState(Frozen):
             lo, hi = (t if d is None else d), math.inf
         else:
             lo, hi = (t, d) if t < d else (d, t)
-        between = sum(1 for a in above if lo < a < hi)
+        # both tuples descend, so each bisect runs over their negations
+        between = bisect_left(above, -lo, key=neg) - bisect_right(above, -hi, key=neg)
         if lo < 0:  # sea positions in (lo, min(hi, 0)), less the vacated ones
-            between += (min(hi, 1) - lo) // 2 - 1 - sum(1 for b in below if lo < b < hi)
+            between += ((min(hi, 1) - lo) // 2 - 1 - bisect_left(below, -lo, key=neg)
+                        + bisect_right(below, -hi, key=neg))
         if d is not None:
+            i = bisect_left(above if d > 0 else below, -d, key=neg)
             if d > 0:
-                above = tuple(a for a in above if a != d)
+                above = above[:i] + above[i + 1:]
             else:
-                below = tuple(sorted(below + (d,), reverse=True))
+                below = below[:i] + (d,) + below[i:]
         if t is not None:
+            i = bisect_left(above if t > 0 else below, -t, key=neg)
             if t > 0:
-                above = tuple(sorted(above + (t,), reverse=True))
+                above = above[:i] + (t,) + above[i:]
             else:
-                below = tuple(b for b in below if b != t)
+                below = below[:i] + below[i + 1:]
         return -1 if between % 2 else 1, _interned(above, below)
 
     def sort_key(self):

@@ -2,11 +2,12 @@
 correlation functions of the induced point process.
 
 Every table is built one way, by :func:`weight_table`: the weight of lam
-is <lam|exp(sum x_k M_-k)|vac> <vac|exp(sum y_k M_k)|lam>, one
-:func:`~youngfock.operators.exp_raising` per side, with M_k the M-fold
-mode at (M, gamma): (1, 0) gives the boson mode a_k of a Schur measure
-(Okounkov's vertex-operator form), (2, 0) the oscillator mode L_k of a
-Virasoro measure, and the m-virasoro kind takes both from its spec.
+is <lam|exp(sum x_k M_-k)|vac> <vac|exp(sum y_k M_k)|lam>, read off the
+integer numerators of one :func:`~youngfock.operators.exp_raising` per
+side, with M_k the M-fold mode at (M, gamma): (1, 0) gives the boson mode
+a_k of a Schur measure (Okounkov's vertex-operator form), (2, 0) the
+oscillator mode L_k of a Virasoro measure, and the m-virasoro kind takes
+both from its spec.
 :func:`schur_polynomial` (Jacobi-Trudi) is the per-diagram route and the
 oracle of the Schur table; over many diagrams, :func:`_jacobi_trudi`
 reads one complete-homogeneous series.
@@ -21,16 +22,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .fock import MayaState, vacuum
+from .fock import MayaState, basis_index, vacuum
 from .operators import (
     KerovParams,
     Operator,
     VirasoroParams,
-    exp_raising,
+    _exp_numerators,
     m_virasoro_op,
 )
-from .partitions import HalfInt, Partition, partitions_up_to
-from .rings import Scalar, det, divexact, is_zero, scalar_to_json, series_exp
+from .partitions import HalfInt, Partition, partitions_of, partitions_up_to
+from .rings import Scalar, _divided, det, divexact, is_zero, scalar_to_json, series_exp
 
 
 class MiwaParams:
@@ -190,17 +191,21 @@ def weight_table(spec: MeasureSpec) -> WeightTable:
         return m_virasoro_op(order, k, VirasoroParams(alpha, gamma))
 
     degree = spec.truncation
-    ket = exp_raising([(c, mode(spec.kerov.z, -k)) for k, c in spec.params.x.items()],
-                      vacuum(), degree)
-    bra = exp_raising([(c, mode(spec.kerov.w, k).adjoint()) for k, c in spec.params.y.items()],
-                      vacuum(), degree)
+    ket, ket_den = _exp_numerators([(c, mode(spec.kerov.z, -k)) for k, c in spec.params.x.items()],
+                                   vacuum(), degree)
+    bra, bra_den = _exp_numerators([(c, mode(spec.kerov.w, k).adjoint())
+                                    for k, c in spec.params.y.items()], vacuum(), degree)
+    # a missing entry is the int 0: a zero weight is a Poly iff the other side's is
+    den = ket_den * bra_den
     weights: Dict[Partition, Scalar] = {}
-    total: Scalar = Fraction(0)
-    for lam in partitions_up_to(degree):
-        w = ket.coefficient_of_partition(lam) * bra.coefficient_of_partition(lam)
-        weights[lam] = w
-        total = total + w
-    return WeightTable(kind=spec.kind, degree=degree, weights=weights, z_trunc=total)
+    total: Scalar = 0
+    for d in range(degree + 1):
+        for lam, st in zip(partitions_of(d), basis_index(d)):
+            n = ket.get(st, 0) * bra.get(st, 0)
+            weights[lam] = _divided(n, den)
+            total = total + n
+    return WeightTable(kind=spec.kind, degree=degree, weights=weights,
+                       z_trunc=_divided(total, den))
 
 
 # ---------------------------------------------------------------------------

@@ -420,8 +420,16 @@ ExpectedCombo = Sequence[Tuple[Scalar, Optional[Operator]]]
 # ---------------------------------------------------------------------------
 
 def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
-    """sum_m (1/m!) (sum_i c_i * op_i)**m v over (c_i, op_i) pairs,
-    truncated by degree.
+    """sum_m (1/m!) (sum_i c_i * op_i)**m v over (c_i, op_i) pairs, truncated
+    by degree: the numerators of :func:`_exp_numerators`, one division each."""
+    total, den = _exp_numerators(terms, v, max_degree)
+    return FockVector({st: _divided(n, den) for st, n in total.items()})
+
+
+def _exp_numerators(terms: Combo, v: FockVector, max_degree: int
+                    ) -> Tuple[Dict[MayaState, Scalar], int]:
+    """The exponential of :func:`exp_raising` as (numerators, den): its
+    nonzero entries, ints (``Poly`` under ``Poly`` input), over one int den.
 
     Every operator must strictly raise degree, so dropping components
     above the bound is exact and the sum terminates.  One loop serves
@@ -430,9 +438,8 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
     mode is read through ``op.numerators`` over ``op.den``, so c*op adds
     (c*L/op.den) * numerator per move, with L and the scales from
     :func:`clear`.  A power whose numerators are all ints (every scalar
-    rational) is reduced by their gcd; they are ``Poly`` with ``Poly``
-    input.  Moves that would pass the degree bound are skipped before
-    they are enumerated, and one division per state ends the sum.
+    rational) is reduced by their gcd.  Moves that would pass the degree
+    bound are skipped before they are enumerated.
     """
     lcm, cleared = clear([(c, op, None) for c, op in terms])
     for _, op, _ in cleared:
@@ -467,7 +474,7 @@ def exp_raising(terms: Combo, v: FockVector, max_degree: int) -> FockVector:
         factor = total_den // dn
         for st, n in power.items():
             total[st] = total.get(st, 0) + n * factor
-    return FockVector({st: _divided(n, total_den) for st, n in total.items() if n})
+    return {st: n for st, n in total.items() if n}, total_den
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,9 @@ def highest_weight_check(n: int, z: Scalar, w: Scalar) -> Tuple[List[Vector], bo
     """Kernel vectors of the removal operator at degree n; whether it
     kills every one; and whether every one carries the diagonal
     eigenvalue z*w + 2n: L is diagonal, so each state of a kernel vector
-    must have the one L numerator den*(z*w + 2n)."""
+    must have the one L numerator den*(z*w + 2n).  At charge 0, L has that
+    one eigenvalue on every state of degree n, so ``eigen`` checks L, not
+    the kernel: it holds for any vector of degree n."""
     p = KerovParams(z=z, w=w)
     d_op, l_op = kerov_d(p), kerov_l(p)
     vectors = kernel_basis(d_op, n)

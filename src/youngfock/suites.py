@@ -55,7 +55,7 @@ from .operators import (
     virasoro_params_from_kerov,
 )
 from .partitions import HalfInt, Partition, partitions_of, partitions_up_to
-from .rings import Poly, Scalar, random_rational, rational_str, scalar_to_json, series_exp
+from .rings import Poly, Scalar, random_rational, rational_str, scalar_to_json, series_exp, series_log
 
 
 def _check(name: str, ok: bool, detail=None) -> dict:
@@ -213,14 +213,14 @@ def suite_determinancy(rng, max_degree, draws):
         spec = MeasureSpec(kind="virasoro", params=MiwaParams(x=x, y=y),
                            kerov=KerovParams(z=z, w=w), truncation=max_degree)
         table = weight_table(spec)
-        xs = schur_params_from_vir(x, z, max_degree)
-        ys = schur_params_from_vir(y, w, max_degree)
+        # each side's rows once: their logarithm is schur_params_from_vir
+        vx, vy = vir_rows(x, z, max_degree), vir_rows(y, w, max_degree)
+        xs, ys = series_log(vx, max_degree)[1:], series_log(vy, max_degree)[1:]
         # one complete-homogeneous series per side reaches every |lam| <= max_degree
         hx = complete_homogeneous({i + 1: v for i, v in enumerate(xs)}, max_degree)
         hy = complete_homogeneous({i + 1: v for i, v in enumerate(ys)}, max_degree)
 
         if max_degree >= 1:  # rows 1..max_degree
-            vx, vy = vir_rows(x, z, max_degree), vir_rows(y, w, max_degree)
             row_ok = all(
                 vx[n] == _jacobi_trudi(Partition((n,)), hx)
                 and vy[n] == _jacobi_trudi(Partition((n,)), hy)

@@ -35,7 +35,9 @@ first is the earlier ``fock.psi``, the reference for ``fock.Psi``, the
 second only a partner to test it against.  Those three share
 ``MayaState._moved`` with the library, so a sign error common to both
 sides would cancel; the literal prefix model, in any charge sector,
-shares no code with it.  The z-measure weight, a product over the
+shares no code with it, and the earlier body of ``_moved``, which counts
+the particles between the two ends one by one, is the reference for its
+bisect form.  The z-measure weight, a product over the
 boxes of their contents and hook lengths, and its normalizer summed as a
 rising factorial are the closed form of the virasoro table at one Miwa
 variable per side.
@@ -538,6 +540,36 @@ def naive_boson(k, prefix):
         if hit:
             out[hit[1]] = out.get(hit[1], 0) + hit[0]
     return {s: c for s, c in out.items() if c}
+
+
+def moved_by_counting(state: MayaState, d, t):
+    """The earlier body of ``MayaState._moved``, the reference for its bisect
+    form: the particle at doubled position d moved to t (``d=None`` adds one
+    at t, ``t=None`` removes the one at d), None where d is vacant or t is
+    occupied, else (sign, state), the sign (-1)**(occupied positions strictly
+    between d and t) counted entry by entry, a missing end lying above every
+    particle, and each new tuple filtered or re-sorted whole."""
+    if d is not None and not state._occupied_d(d) or t is not None and state._occupied_d(t):
+        return None
+    above, below = state.above, state.below
+    if d is None or t is None:
+        lo, hi = (t if d is None else d), math.inf
+    else:
+        lo, hi = (t, d) if t < d else (d, t)
+    between = sum(1 for a in above if lo < a < hi)
+    if lo < 0:  # sea positions in (lo, min(hi, 0)), less the vacated ones
+        between += (min(hi, 1) - lo) // 2 - 1 - sum(1 for b in below if lo < b < hi)
+    if d is not None:
+        if d > 0:
+            above = tuple(a for a in above if a != d)
+        else:
+            below = tuple(sorted(below + (d,), reverse=True))
+    if t is not None:
+        if t > 0:
+            above = tuple(sorted(above + (t,), reverse=True))
+        else:
+            below = tuple(b for b in below if b != t)
+    return -1 if between % 2 else 1, MayaState(above, below)
 
 
 def boson_moves_by_remove_insert(k: int, state: MayaState) -> Tuple[Tuple[MayaState, int, int], ...]:

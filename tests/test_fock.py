@@ -1,9 +1,12 @@
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, given, settings
 import hypothesis.strategies as st
 
+from youngfock import fock
 from youngfock.fock import (
     FockVector,
     MayaState,
@@ -23,6 +26,7 @@ from .oracles import (
     boson_zero_eigenvalue,
     charged_states,
     inner,
+    moved_by_counting,
     naive_boson,
     naive_insert,
     naive_move,
@@ -115,6 +119,47 @@ def test_moves_against_prefix_model(charge):
                 for t in ends if d is not None else ends[1:]:
                     want = _by_prefix_model(naive_move(prefix, d, t))
                     assert state._moved(d, t) == want, (lam, charge, d, t)
+
+
+# every odd doubled end in -21..21, and None, the missing end of psi and psi*
+_ENDS = [None] + list(range(-21, 22, 2))
+
+
+def _move_mismatches(moved, charge):
+    """(state, d, t) of every move out of a state of degree <= 9 in the
+    sector at which moved(state, d, t) differs from the counting oracle."""
+    return [(st, d, t) for st in charged_states(9, charges=[charge])
+            for d in _ENDS for t in (_ENDS if d is not None else _ENDS[1:])
+            if moved(st, d, t) != moved_by_counting(st, d, t)]
+
+
+@pytest.mark.parametrize("charge", range(-3, 4))
+def test_bisect_moves_match_the_counting_oracle(charge):
+    assert _move_mismatches(MayaState._moved, charge) == []
+
+
+@pytest.mark.parametrize("k", [k for k in range(-9, 10) if k])
+def test_jumps_match_the_counting_oracle(k, monkeypatch):
+    # the same enumeration, uncached, with the oracle as the one sign rule
+    states = charged_states(9, charges=range(-3, 4))
+    got = [boson_moves(k, st) for st in states]
+    monkeypatch.setattr(MayaState, "_moved", moved_by_counting)
+    assert [boson_moves.__wrapped__(k, st) for st in states] == got
+
+
+@pytest.mark.parametrize("good,bad", [
+    # an occupied lower end counted as lying between the two ends
+    ("bisect_left(above, -lo, key=neg)", "bisect_right(above, -lo, key=neg)"),
+    # one sea position too many between a negative end and zero
+    ("(min(hi, 1) - lo) // 2 - 1", "(min(hi, 1) - lo) // 2"),
+])
+def test_the_oracle_walk_flags_an_off_by_one_between_count(good, bad):
+    # the bisect body with one bound moved by one, run in fock's namespace
+    source = textwrap.dedent(inspect.getsource(MayaState._moved))
+    assert source.count(good) == 1
+    scope = dict(vars(fock))
+    exec(source.replace(good, bad), scope)
+    assert _move_mismatches(scope["_moved"], 0)
 
 
 def test_car_relations():

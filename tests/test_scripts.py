@@ -148,8 +148,8 @@ def test_benchmark_job_matches_its_golden_digest(workload, job, capsys):
 
 
 def test_stdout_digests_match_fresh_processes_on_the_convert_jobs():
-    # the script's in-process runs print the digests of exactly what a
-    # fresh `python -m youngfock` prints, job by job, in job-list order
+    # the script prints the digests of exactly what a fresh
+    # `python -m youngfock` prints, job by job, in job-list order
     module = _load(ROOT / "scripts" / "stdout_digests.py")
     lines = list(module.digest_lines(["convert"], [0]))
     jobs = _WORKLOADS.jobs_for("convert", 0)
